@@ -19,11 +19,12 @@ from .liedecomp import (
     LieDecomposition,
     LinearLieAuto,
     TriangularLieAuto,
+    lie_bound,
     verify_lie,
 )
 from .parsing import lie_to_str, parse_lie, parse_poly, poly_to_str, scalar_to_str
 from .polyauto import AffineAuto, PolyCertificate, TriangularAuto
-from .polydecomp import FINITE, INFINITE, PolyDecomposition, VerifyResult, verify
+from .polydecomp import FINITE, INFINITE, PolyDecomposition, VerifyResult, poly_bound, verify
 
 VERSION = "primlen/1"
 
@@ -173,7 +174,8 @@ def rebuild_poly(doc):
         summand = parse_poly(record["summand"], arity, field)
         chain = [_poly_factor_from_json(r, arity, field) for r in record["certificate"]]
         summands.append((summand, PolyCertificate(chain, int(record["generator"]))))
-    return PolyDecomposition(input_poly, doc["status"], summands, doc["bound"], list(doc.get("notes", [])))
+    notes = list(doc.get("notes", []))
+    return PolyDecomposition(input_poly, doc["status"], summands, poly_bound(input_poly), notes)
 
 
 def rebuild_lie(doc):
@@ -185,23 +187,47 @@ def rebuild_lie(doc):
         summand = parse_lie(record["summand"], arity, field)
         chain = [_lie_factor_from_json(r, arity, field) for r in record["certificate"]]
         summands.append((summand, LieCertificate(chain, int(record["generator"]))))
-    return LieDecomposition(input_elem, summands, int(doc["bound"]), list(doc.get("notes", [])))
+    bound = lie_bound(arity, field)
+    return LieDecomposition(input_elem, summands, bound, list(doc.get("notes", [])))
+
+
+def _claim_problems(doc, dec, degree):
+    """Mismatches between the document's bound and stats and the values recomputed from dec."""
+    stats = doc["stats"]
+    if not isinstance(stats, dict):
+        raise PrimlenError("stats is not an object")
+    claims = (
+        ("bound", doc["bound"], dec.bound),
+        ("stats.count", stats["count"], dec.count),
+        ("stats.degree", stats["degree"], degree),
+    )
+    return [
+        f"{name} {claimed!r} differs from the recomputed {actual!r}"
+        for name, claimed, actual in claims
+        if type(claimed) is not type(actual) or claimed != actual
+    ]
 
 
 def verify_document(doc):
-    """Re-verify a loaded document; parse failures count as verification failures."""
+    """Re-verify a loaded document; parse failures count as verification failures.
+
+    The rebuild recomputes the bound from the input; the document's bound and
+    its stats count and degree must match the recomputed values.
+    """
     try:
         if doc["algebra"] == POLY:
             dec = rebuild_poly(doc)
+            problems = _claim_problems(doc, dec, dec.input.total_degree())
             if dec.status == INFINITE:
-                problems = []
                 if dec.summands:
                     problems.append("infinite status with a nonempty summand list")
                 if dec.input.arity != 1 or (dec.input.total_degree() or 0) <= 1:
                     problems.append("infinite status claimed for a decomposable input")
-                return VerifyResult(not problems, problems)
-            return verify(dec)
+            else:
+                problems += verify(dec).problems
+            return VerifyResult(not problems, problems)
         dec = rebuild_lie(doc)
-        return verify_lie(dec)
+        problems = _claim_problems(doc, dec, dec.input.degree()) + verify_lie(dec).problems
+        return VerifyResult(not problems, problems)
     except (ParseError, PrimlenError, KeyError, ValueError) as exc:
         return VerifyResult(False, [f"document rebuild failed: {exc}"])

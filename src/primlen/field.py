@@ -8,7 +8,9 @@ canonical form, so equality is structural.
 
 from __future__ import annotations
 
-from .errors import FieldMismatchError, UnsupportedInputError
+import re
+
+from .errors import FieldMismatchError, ParseError, UnsupportedInputError
 
 try:
     from gmpy2 import mpq as _RAT, mpz as _INT
@@ -235,10 +237,24 @@ class FieldScalar:
         return 1
 
 
+_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_scalar(field, text):
-    """Parse the textual form: "a/b" or "a" over Q, a decimal residue over GF(p)."""
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return field(int(num), int(den))
-    return field(int(text))
+    """Parse the textual form: "a/b" or "a" over Q, a decimal residue over GF(p).
+
+    Digits are ASCII; anything else, or a denominator that is zero in the
+    field, is a ParseError.
+    """
+    if not isinstance(text, str):
+        raise ParseError(f"scalar {text!r} is not a string", 0)
+    match = _SCALAR.fullmatch(text)
+    if match is None:
+        raise ParseError(f"malformed scalar {text!r}", 0)
+    num, den = match.groups()
+    if den is None:
+        return field(int(num))
+    den = int(den)
+    if (den if field.p is None else den % field.p) == 0:
+        raise ParseError(f"zero denominator in scalar {text!r}", match.start(2) - 1)
+    return field(int(num), den)

@@ -14,10 +14,6 @@ from .errors import ArityMismatchError, FieldMismatchError
 from .field import FieldScalar
 
 
-def total_degree_of(mono):
-    return sum(mono)
-
-
 def multinomial(mono):
     """(a_1+...+a_d)! / (a_1! ... a_d!), computed as a product of binomials.
 

@@ -11,7 +11,17 @@ literals like 1/2 work without introducing rational functions.
 Lie elements:  lexpr  := lterm (('+'|'-') lterm)*
                lterm  := '-' lterm | scalar '*' lterm | latom
                latom  := x<k> | '[' x<i> (',' x<j>)+ ']' | '(' lexpr ')'
+               scalar := number ('/' number)?
 where brackets are left-normed and normalized on construction.
+
+Numbers, variable indices and exponents are ASCII digits [0-9]+; a
+character outside the grammar, a non-ASCII digit included, is a ParseError.
+
+Reading is linear in the text for sums of monomial terms (the shape the
+printer writes): a term made of numbers, variables, powers, unary minus and
+division by numbers is assembled directly as one coefficient times one
+exponent vector, and every sum accumulates into one terms dict in place.
+Polynomial arithmetic runs only for a parenthesised group or a power of one.
 
 Printing uses graded-lexicographic order (highest degree first) for
 polynomials and (length, word) order for Lie elements; parse(print(e))
@@ -20,192 +30,249 @@ always reproduces e.
 
 from __future__ import annotations
 
+import re
+
 from .errors import ParseError
 from .metalie import LieElement, normalize_word
 from .multipoly import Polynomial
 
-_SYMBOLS = set("+-*/^()[],")
+# One token per match: leading whitespace, then a number, a variable name
+# (its index may be missing, which is reported), a symbol, any other
+# character (reported), or the end of the text.
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|(x[0-9]*)|([-+*/^()\[\],])|(\S)|\Z)")
+
+_NO_DIVISION = "division is only defined by a nonzero constant"
 
 
 def _tokenize(src):
+    """(kind, text, position) tuples, closed by an ("end", "", len(src)) token.
+
+    The kind is "number", "name", or the symbol itself.
+    """
     tokens = []
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            tokens.append(("number", src[i:j], i))
-            i = j
-            continue
-        if ch == "x":
-            j = i + 1
-            while j < n and src[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ParseError("variable name needs an index, like x1", i)
-            tokens.append(("name", src[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
+    append = tokens.append
+    for m in _TOKEN.finditer(src):
+        group = m.lastindex
+        if group is None:
+            break
+        text = m.group(group)
+        pos = m.start(group)
+        if group == 1:
+            append(("number", text, pos))
+        elif group == 3:
+            append((text, text, pos))
+        elif group == 2 and len(text) > 1:
+            append(("name", text, pos))
+        elif group == 2:
+            raise ParseError("variable name needs an index, like x1", pos)
+        else:
+            raise ParseError(f"unexpected character {text!r}", pos)
+    append(("end", "", len(src)))
     return tokens
 
 
-class _Cursor:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.index = 0
+class _Reader:
+    """Token cursor and the steps the polynomial and Lie readers share."""
 
-    @property
-    def token(self):
-        return self.tokens[self.index]
-
-    def peek_kind(self):
-        return self.tokens[self.index][0]
-
-    def advance(self):
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
+    def __init__(self, src, arity, field):
+        self.tokens = _tokenize(src)
+        self.i = 0
+        self.arity = arity
+        self.p = field.p
 
     def expect(self, kind):
-        tok = self.token
+        tok = self.tokens[self.i]
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
-        return self.advance()
+        self.i += 1
+        return tok
 
+    def exponent(self):
+        """The natural number after a '^', or 1 without one."""
+        if self.tokens[self.i][0] != "^":
+            return 1
+        self.i += 1
+        return int(self.expect("number")[1])
 
-def _variable_index(tok, arity):
-    index = int(tok[1][1:])
-    if not 1 <= index <= arity:
-        raise ParseError(f"variable {tok[1]} is outside x1..x{arity}", tok[2])
-    return index
+    def unexpected(self):
+        _, text, pos = self.tokens[self.i]
+        return ParseError(f"unexpected {text or 'end of input'!r}", pos)
+
+    def variable_index(self, tok):
+        index = int(tok[1][1:])
+        if not 1 <= index <= self.arity:
+            raise ParseError(f"variable {tok[1]} is outside x1..x{self.arity}", tok[2])
+        return index
+
+    def is_zero(self, n):
+        """Whether the integer n is zero in the field."""
+        return (n if self.p is None else n % self.p) == 0
+
+    def read_sum(self, read_term, zero):
+        """Summands read_term(negative) joined by '+'/'-', accumulated into one terms dict.
+
+        read_term returns a terms dict; the result is zero's type over that dict.
+        """
+        terms = {}
+        negative = False
+        while True:
+            for key, coeff in read_term(negative).items():
+                acc = terms.get(key)
+                if acc is not None:
+                    coeff = acc + coeff
+                if coeff.is_zero():
+                    terms.pop(key, None)
+                else:
+                    terms[key] = coeff
+            kind = self.tokens[self.i][0]
+            if kind != "+" and kind != "-":
+                return zero._wrap(terms)
+            negative = kind == "-"
+            self.i += 1
 
 
 def parse_poly(src, arity, field):
-    cur = _Cursor(_tokenize(src))
+    r = _Reader(src, arity, field)
+    tokens = r.tokens
+    zero = Polynomial.zero(arity, field)
 
     def expr():
-        value = term()
-        while cur.peek_kind() in "+-":
-            op = cur.advance()[0]
-            rhs = term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+        return r.read_sum(term, zero)
 
-    def term():
-        value = factor()
-        while cur.peek_kind() in "*/":
-            op, _, pos = cur.advance()
-            rhs = factor()
-            if op == "*":
-                value = value * rhs
+    def term(negative):
+        """The term's terms dict: one coefficient times one exponent vector unless a group occurs."""
+        num = den = 1
+        exps = [0] * arity
+        poly = None
+        op_pos = None  # position of the '/' before this factor, if any
+        while True:
+            kind, text, pos = tokens[r.i]
+            while kind == "-":
+                negative = not negative
+                r.i += 1
+                kind, text, pos = tokens[r.i]
+            if kind == "number":
+                r.i += 1
+                value, k = int(text), r.exponent()
+                if k != 1:
+                    value = value**k if r.p is None else pow(value, k, r.p)
+                if op_pos is None:
+                    num *= value
+                elif r.is_zero(value):
+                    raise ParseError(_NO_DIVISION, op_pos)
+                else:
+                    den *= value
+            elif kind == "name":
+                var = r.variable_index(tokens[r.i]) - 1
+                r.i += 1
+                k = r.exponent()
+                if op_pos is None:
+                    exps[var] += k
+                elif k:
+                    raise ParseError(_NO_DIVISION, op_pos)
+            elif kind == "(":
+                r.i += 1
+                group = expr()
+                r.expect(")")
+                k = r.exponent()
+                if k != 1:
+                    group = group**k
+                if op_pos is None:
+                    poly = group if poly is None else poly * group
+                elif group.total_degree() != 0:
+                    raise ParseError(_NO_DIVISION, op_pos)
+                else:
+                    c = group.constant_term()
+                    num *= c.denominator
+                    den *= c.numerator
             else:
-                if rhs.total_degree() not in (None, 0) or rhs.is_zero():
-                    raise ParseError("division is only defined by a nonzero constant", pos)
-                value = value.scale(rhs.constant_term().inverse())
-        return value
-
-    def factor():
-        if cur.peek_kind() == "-":
-            cur.advance()
-            return -factor()
-        return power()
-
-    def power():
-        value = atom()
-        if cur.peek_kind() == "^":
-            cur.advance()
-            exp_tok = cur.expect("number")
-            value = value ** int(exp_tok[1])
-        return value
-
-    def atom():
-        kind, text, pos = cur.token
-        if kind == "number":
-            cur.advance()
-            return Polynomial.constant(arity, field, field(int(text)))
-        if kind == "name":
-            tok = cur.advance()
-            return Polynomial.variable(arity, field, _variable_index(tok, arity))
-        if kind == "(":
-            cur.advance()
-            value = expr()
-            cur.expect(")")
-            return value
-        raise ParseError(f"unexpected {text or 'end of input'!r}", pos)
+                raise r.unexpected()
+            kind, _, pos = tokens[r.i]
+            if kind == "*":
+                op_pos = None
+            elif kind == "/":
+                op_pos = pos
+            else:
+                break
+            r.i += 1
+        if r.is_zero(num):
+            return {}
+        monomial = {tuple(exps): field(-num if negative else num, den)}
+        if poly is None:
+            return monomial
+        return (poly * Polynomial(arity, field, monomial)).terms
 
     value = expr()
-    cur.expect("end")
+    r.expect("end")
     return value
 
 
 def parse_lie(src, arity, field):
-    cur = _Cursor(_tokenize(src))
-
-    def scalar():
-        num = int(cur.expect("number")[1])
-        if cur.peek_kind() == "/":
-            cur.advance()
-            den_tok = cur.expect("number")
-            return field(num, int(den_tok[1]))
-        return field(num)
+    r = _Reader(src, arity, field)
+    tokens = r.tokens
+    zero = LieElement.zero(arity, field)
 
     def lexpr():
-        value = lterm()
-        while cur.peek_kind() in "+-":
-            op = cur.advance()[0]
-            rhs = lterm()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+        return r.read_sum(lterm, zero)
 
-    def lterm():
-        kind, _, pos = cur.token
-        if kind == "-":
-            cur.advance()
-            return -lterm()
-        if kind == "number":
-            c = scalar()
-            if cur.peek_kind() != "*" and c.is_zero():
-                return LieElement.zero(arity, field)
-            cur.expect("*")
-            return lterm().scale(c)
-        return latom()
+    def lterm(negative):
+        """The term's terms dict: its scalars times the terms of its atom."""
+        num = den = 1
+        while True:
+            kind = tokens[r.i][0]
+            if kind == "-":
+                negative = not negative
+                r.i += 1
+                continue
+            if kind != "number":
+                break
+            value = int(tokens[r.i][1])
+            r.i += 1
+            divisor = 1
+            if tokens[r.i][0] == "/":
+                slash_pos = tokens[r.i][2]
+                r.i += 1
+                divisor = int(r.expect("number")[1])
+                if r.is_zero(divisor):
+                    raise ParseError(_NO_DIVISION, slash_pos)
+            if tokens[r.i][0] != "*" and r.is_zero(value):
+                return {}
+            r.expect("*")
+            num *= value
+            den *= divisor
+        atom_terms = latom()
+        if num == den == 1 and not negative:
+            return atom_terms
+        if r.is_zero(num):
+            return {}
+        c = field(-num if negative else num, den)
+        return {word: coeff * c for word, coeff in atom_terms.items()}
 
     def latom():
-        kind, text, pos = cur.token
+        kind, text, pos = tokens[r.i]
         if kind == "name":
-            tok = cur.advance()
-            return LieElement.generator(arity, field, _variable_index(tok, arity))
+            index = r.variable_index(tokens[r.i])
+            r.i += 1
+            return {(index,): field.one()}
         if kind == "[":
-            cur.advance()
-            indices = [_variable_index(cur.expect("name"), arity)]
-            while cur.peek_kind() == ",":
-                cur.advance()
-                indices.append(_variable_index(cur.expect("name"), arity))
-            cur.expect("]")
+            r.i += 1
+            indices = [r.variable_index(r.expect("name"))]
+            while tokens[r.i][0] == ",":
+                r.i += 1
+                indices.append(r.variable_index(r.expect("name")))
+            r.expect("]")
             if len(indices) < 2:
                 raise ParseError("a bracket needs at least two entries", pos)
-            return normalize_word(indices, arity, field)
+            return normalize_word(indices, arity, field).terms
         if kind == "(":
-            cur.advance()
+            r.i += 1
             value = lexpr()
-            cur.expect(")")
-            return value
-        raise ParseError(f"unexpected {text or 'end of input'!r}", pos)
+            r.expect(")")
+            return value.terms
+        raise r.unexpected()
 
     value = lexpr()
-    cur.expect("end")
+    r.expect("end")
     return value
 
 

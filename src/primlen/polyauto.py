@@ -196,14 +196,6 @@ def certify_apply(cert, arity, field):
     return f
 
 
-def certify_apply_plain(cert, arity, field):
-    """Reference replay without the affine-composition shortcut."""
-    f = Polynomial.variable(arity, field, cert.generator_index)
-    for auto in cert.chain:
-        f = apply_auto(auto, f)
-    return f
-
-
 def validate_certificate(cert, arity):
     """Structural problems of every elementary factor, as strings."""
     problems = []

@@ -75,6 +75,22 @@ def plength_bound(n, d):
     return comb(n + d - 1, d - 1)
 
 
+def poly_bound(f):
+    """The summand-count bound decompose reaches for f, or None when f has no finite length.
+
+    1 for zero and for linear inputs, 2 for a nonzero constant, None for
+    degree > 1 in one variable, binom(n+d-1, d-1) otherwise.
+    """
+    n, d = f.total_degree(), f.arity
+    if n is None or n == 1:
+        return 1
+    if n == 0:
+        return 2
+    if d == 1:
+        return None
+    return plength_bound(n, d)
+
+
 def exponent_code(mono, n):
     """Base-(n+1) digit code of an exponent vector: sum a_i (n+1)^(i-1).
 
@@ -225,8 +241,9 @@ def decompose(f):
             f"(got {field!r}); the construction fails when multinomial "
             "coefficients vanish modulo p"
         )
+    bound = poly_bound(f)
     if f.is_zero():
-        return PolyDecomposition(f, FINITE, [], bound=1, notes=[ZERO_NOTE])
+        return PolyDecomposition(f, FINITE, [], bound=bound, notes=[ZERO_NOTE])
     n = f.total_degree()
     if n == 0:
         beta = f.constant_term()
@@ -246,16 +263,15 @@ def decompose(f):
             f,
             FINITE,
             [(first, PolyCertificate([pos], 1)), (second, PolyCertificate([neg], 1))],
-            bound=2,
+            bound=bound,
         )
     if n == 1:
         auto = _affine_sending_x1_to(f.linear_coefficients(), f.constant_term(), field)
-        return PolyDecomposition(f, FINITE, [(f, PolyCertificate([auto], 1))], bound=1)
+        return PolyDecomposition(f, FINITE, [(f, PolyCertificate([auto], 1))], bound=bound)
     if d == 1:
-        return PolyDecomposition(f, INFINITE, [], bound=None)
+        return PolyDecomposition(f, INFINITE, [], bound=bound)
 
     counter = OpCounter()
-    bound = plength_bound(n, d)
     psi, g = linearize(f)
     psi_is_identity = psi.is_identity()
     delta = 0 if g.homogeneous_component(1).is_zero() else 1

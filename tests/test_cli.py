@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from primlen.cli import main
 from primlen.document import dumps, loads, poly_document, verify_document
 from primlen.field import QQ
@@ -63,6 +65,66 @@ def test_unsupported_inputs():
 def test_parse_error_exit_code():
     assert run(["decompose", "poly", "--vars", "2", "x1 ++ x2"]) == 2
     assert run(["decompose", "lie", "--vars", "3", "[x1]"]) == 2
+
+
+def test_non_ascii_digits_exit_code():
+    assert run(["decompose", "poly", "--vars", "2", "x1^\u00b2"]) == 2
+    assert run(["decompose", "poly", "--vars", "2", "x\u0661 + x2"]) == 2
+    assert run(["decompose", "lie", "--vars", "3", "[x2,x\u0661]"]) == 2
+
+
+def _decompose_to(tmp_path, args):
+    out = tmp_path / "doc.json"
+    assert run(["decompose", *args, "--out", str(out)]) == 0
+    return out, json.loads(out.read_text())
+
+
+def _first_matrix(doc):
+    return next(f["matrix"] for s in doc["summands"] for f in s["certificate"] if "matrix" in f)
+
+
+@pytest.mark.parametrize(
+    "args, zero_denominator",
+    [
+        (["poly", "--vars", "2", "x1^2 + x2"], "1/0"),
+        (["lie", "--vars", "3", "--field", "F3", "[x2,x1] + x1"], "1/3"),
+    ],
+    ids=["Q", "F3"],
+)
+def test_verify_zero_denominator_fails_cleanly(tmp_path, capsys, args, zero_denominator):
+    out, doc = _decompose_to(tmp_path, args)
+    _first_matrix(doc)[0][0] = zero_denominator
+    out.write_text(json.dumps(doc))
+    assert run(["verify", str(out)]) == 1
+    assert "document rebuild failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, edits",
+    [
+        (["poly", "--vars", "2", "x1^2 + x2"], {"bound": 99}),
+        (["poly", "--vars", "2", "x1^2 + x2"], {"count": 42}),
+        (["poly", "--vars", "2", "x1^2 + x2"], {"degree": 7}),
+        (["poly", "--vars", "2", "x1^2 + x2"], {"bound": "3"}),
+        (["poly", "--vars", "2", "0"], {"bound": 2}),
+        (["poly", "--vars", "2", "5"], {"bound": 3}),
+        (["poly", "--vars", "2", "x1 + 1"], {"degree": None}),
+        (["poly", "--vars", "1", "x1^3"], {"bound": 1}),
+        (["lie", "--vars", "3", "[x2,x1] + x1"], {"bound": 50}),
+        (["lie", "--vars", "3", "--field", "F2", "[x2,x1]"], {"bound": 5}),
+        (["lie", "--vars", "4", "[x2,x1,x3]"], {"count": 42}),
+        (["lie", "--vars", "4", "[x2,x1,x3]"], {"degree": 2}),
+        (["poly", "--vars", "2", "x1^2 + x2"], {"stats": []}),
+    ],
+)
+def test_verify_recomputes_bound_and_stats(tmp_path, args, edits):
+    out, doc = _decompose_to(tmp_path, args)
+    assert run(["verify", str(out)]) == 0
+    for key, value in edits.items():
+        (doc if key in ("bound", "stats") else doc["stats"])[key] = value
+    result = verify_document(loads(json.dumps(doc)))
+    assert not result.ok
+    assert any("recomputed" in p or "stats is not an object" in p for p in result.problems), result.problems
 
 
 def test_bound_outputs(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from primlen.errors import FieldMismatchError, UnsupportedInputError
+from primlen.errors import FieldMismatchError, ParseError, UnsupportedInputError
 from primlen.field import GF, QQ, FieldDescriptor, field_from_flag, parse_scalar
 
 from conftest import rand_scalar
@@ -70,6 +70,19 @@ def test_scalar_text_round_trip():
     for text in ["3", "-3", "1/2", "-7/3", "0"]:
         assert str(parse_scalar(QQ, text)) == text
     assert parse_scalar(GF(5), "7") == GF(5)(2)
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "\u00b2", "+3", " 3", "1/-2", "3.0", "", "-", "1/", 3])
+def test_parse_scalar_accepts_only_ascii_digits(text):
+    for field in (QQ, GF(5)):
+        with pytest.raises(ParseError):
+            parse_scalar(field, text)
+
+
+@pytest.mark.parametrize("field, text", [(QQ, "1/0"), (QQ, "-3/00"), (GF(5), "1/5"), (GF(5), "2/10")])
+def test_parse_scalar_zero_denominator(field, text):
+    with pytest.raises(ParseError):
+        parse_scalar(field, text)
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**6), st.integers(-10**6, 10**6), st.integers(1, 10**6))

@@ -5,7 +5,7 @@ import pytest
 from primlen.errors import ParseError
 from primlen.field import GF, QQ
 from primlen.metalie import LieElement, normalize_word
-from primlen.multipoly import Polynomial
+from primlen.multipoly import Polynomial, monomials_of_degree
 from primlen.parsing import lie_to_str, parse_lie, parse_poly, poly_to_str
 
 from conftest import rand_lie, rand_poly
@@ -97,3 +97,194 @@ def test_gf_scalars_print_as_residues():
 def test_canonical_order_is_graded_lex_descending():
     f = parse_poly("x2 + x1 + x1*x2 + x1^2 + 7", 2, QQ)
     assert poly_to_str(f) == "x1^2 + x1*x2 + x1 + x2 + 7"
+
+
+# -- reader against values built by arithmetic --------------------------------
+
+# Precedence levels of the polynomial grammar: a child below the level its
+# slot needs is wrapped in parentheses.
+EXPR, TERM, FACTOR, POWER, ATOM = range(5)
+
+
+def _space(rng):
+    return rng.choice(["", "", " ", "  ", "\t", "\n "])
+
+
+def _wrap(node, level):
+    text, value, own = node
+    return (f"({text})", value, ATOM) if own < level else node
+
+
+def _nonzero_number(rng, field):
+    while True:
+        n = rng.randint(1, 12)
+        if not field(n).is_zero():
+            return n
+
+
+def _const_divisor(rng, arity, field):
+    """(text, value) of a nonzero constant factor: n, -n, n^k or (n + m)."""
+    n = _nonzero_number(rng, field)
+    c = Polynomial.constant(arity, field, field(n))
+    shape = rng.randrange(4)
+    if shape == 0:
+        return str(n), c
+    if shape == 1:
+        return f"-{n}", -c
+    if shape == 2:
+        k = rng.randint(0, 3)
+        return f"{n}^{k}", c**k
+    m = rng.randint(0, 9)
+    total = c + Polynomial.constant(arity, field, field(m))
+    if total.is_zero():
+        return str(n), c
+    return f"({n}{_space(rng)}+{_space(rng)}{m})", total
+
+
+def poly_case(rng, depth, arity, field):
+    """(text, value, level) of a random polynomial expression.
+
+    The value is built by Polynomial arithmetic, never by a parser, so it is
+    an independent expectation for parse_poly.
+    """
+    r = rng.random()
+    if depth == 0 or r < 0.25:
+        if rng.random() < 0.4:
+            n = rng.randint(0, 20)
+            return str(n), Polynomial.constant(arity, field, field(n)), ATOM
+        i = rng.randint(1, arity)
+        return f"x{i}", Polynomial.variable(arity, field, i), ATOM
+    if r < 0.35:
+        text, value, _ = _wrap(poly_case(rng, depth - 1, arity, field), ATOM)
+        k = rng.randint(0, 3)
+        return f"{text}^{k}", value**k, POWER
+    if r < 0.45:
+        text, value, _ = _wrap(poly_case(rng, depth - 1, arity, field), FACTOR)
+        return f"-{_space(rng)}{text}", -value, FACTOR
+    if r < 0.6:
+        left, lv, _ = _wrap(poly_case(rng, depth - 1, arity, field), TERM)
+        right, rv, _ = _wrap(poly_case(rng, depth - 1, arity, field), FACTOR)
+        return f"{left}{_space(rng)}*{_space(rng)}{right}", lv * rv, TERM
+    if r < 0.7:
+        left, lv, _ = _wrap(poly_case(rng, depth - 1, arity, field), TERM)
+        right, rv = _const_divisor(rng, arity, field)
+        return f"{left}{_space(rng)}/{_space(rng)}{right}", lv.scale(rv.constant_term().inverse()), TERM
+    if r < 0.75:
+        text, value, _ = poly_case(rng, depth - 1, arity, field)
+        return f"({_space(rng)}{text}{_space(rng)})", value, ATOM
+    left, lv, _ = poly_case(rng, depth - 1, arity, field)
+    right, rv, _ = _wrap(poly_case(rng, depth - 1, arity, field), TERM)
+    if rng.random() < 0.5:
+        return f"{left}{_space(rng)}+{_space(rng)}{right}", lv + rv, EXPR
+    return f"{left}{_space(rng)}-{_space(rng)}{right}", lv - rv, EXPR
+
+
+def lie_case(rng, depth, arity, field):
+    """(text, value, level) of a random Lie expression, valued by LieElement arithmetic."""
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        if rng.random() < 0.5:
+            i = rng.randint(1, arity)
+            return f"x{i}", LieElement.generator(arity, field, i), ATOM
+        word = [rng.randint(1, arity) for _ in range(rng.randint(2, 4))]
+        return "[" + ",".join(f"x{i}" for i in word) + "]", normalize_word(word, arity, field), ATOM
+    if r < 0.45:
+        text, value, _ = _wrap(lie_case(rng, depth - 1, arity, field), TERM)
+        return f"-{_space(rng)}{text}", -value, TERM
+    if r < 0.65:
+        text, value, _ = _wrap(lie_case(rng, depth - 1, arity, field), TERM)
+        num = rng.randint(0, 12)
+        if rng.random() < 0.5:
+            return f"{num}{_space(rng)}*{_space(rng)}{text}", value.scale(field(num)), TERM
+        den = _nonzero_number(rng, field)
+        scalar = f"{num}{_space(rng)}/{_space(rng)}{den}"
+        return f"{scalar}{_space(rng)}*{_space(rng)}{text}", value.scale(field(num, den)), TERM
+    if r < 0.75:
+        text, value, _ = lie_case(rng, depth - 1, arity, field)
+        return f"({_space(rng)}{text}{_space(rng)})", value, ATOM
+    left, lv, _ = lie_case(rng, depth - 1, arity, field)
+    right, rv, _ = _wrap(lie_case(rng, depth - 1, arity, field), TERM)
+    if rng.random() < 0.5:
+        return f"{left}{_space(rng)}+{_space(rng)}{right}", lv + rv, EXPR
+    return f"{left}{_space(rng)}-{_space(rng)}{right}", lv - rv, EXPR
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+def test_parse_poly_matches_arithmetic(field):
+    rng = random.Random(71)
+    for _ in range(400):
+        arity = rng.randint(1, 3)
+        text, value, _ = poly_case(rng, rng.randint(0, 5), arity, field)
+        assert parse_poly(text, arity, field) == value, text
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+def test_parse_lie_matches_arithmetic(field):
+    rng = random.Random(72)
+    for _ in range(300):
+        arity = rng.randint(2, 4)
+        text, value, _ = lie_case(rng, rng.randint(0, 4), arity, field)
+        assert parse_lie(text, arity, field) == value, text
+
+
+# (reader, text, arity, field, message fragment, position) of malformed
+# inputs, pinning the message and position each error reports.
+MALFORMED = [
+    ("poly", "x1 + + x2", 2, QQ, "unexpected '+'", 5),
+    ("poly", "x1 $ x2", 2, QQ, "unexpected character '$'", 3),
+    ("poly", "x0 + x1", 2, QQ, "variable x0 is outside x1..x2", 0),
+    ("poly", "2*x + 1", 2, QQ, "variable name needs an index", 2),
+    ("poly", "(x1 + x2", 2, QQ, "expected ')', found 'end of input'", 8),
+    ("poly", "x1 + x2)", 2, QQ, "expected 'end', found ')'", 7),
+    ("poly", "x1^x2", 2, QQ, "expected 'number', found 'x2'", 3),
+    ("poly", "x1^2^3", 2, QQ, "expected 'end', found '^'", 4),
+    ("poly", "x1/(2 - 2)", 2, QQ, "division is only defined by a nonzero constant", 2),
+    ("poly", "x1/5", 2, GF(5), "division is only defined by a nonzero constant", 2),
+    ("poly", "   ", 2, QQ, "unexpected 'end of input'", 3),
+    ("poly", "3 x1", 2, QQ, "expected 'end', found 'x1'", 2),
+    ("poly", "x1 + 2/x2 + $", 2, QQ, "unexpected character '$'", 12),
+    ("poly", "()", 2, QQ, "unexpected ')'", 1),
+    ("lie", "[x1,x2", 3, QQ, "expected ']', found 'end of input'", 6),
+    ("lie", "[x1,2]", 3, QQ, "expected 'name', found '2'", 4),
+    ("lie", "1/x2*x1", 3, QQ, "expected 'number', found 'x2'", 2),
+    ("lie", "x1 * x2", 3, QQ, "expected 'end', found '*'", 3),
+    ("lie", "[x2,x1] + ", 3, QQ, "unexpected 'end of input'", 10),
+]
+
+
+@pytest.mark.parametrize("reader, text, arity, field, message, position", MALFORMED)
+def test_malformed_input_positions(reader, text, arity, field, message, position):
+    parse = parse_poly if reader == "poly" else parse_lie
+    with pytest.raises(ParseError) as info:
+        parse(text, arity, field)
+    assert message in str(info.value)
+    assert info.value.position == position
+
+
+@pytest.mark.parametrize("text, position", [("x1^²", 3), ("x١ + 1", 0), ("x1 + ٣", 5), ("1_0*x1", 1)])
+def test_only_ascii_digits(text, position):
+    with pytest.raises(ParseError) as info:
+        parse_poly(text, 2, QQ)
+    assert info.value.position == position
+    with pytest.raises(ParseError):
+        parse_lie(text.replace("^", "*"), 3, QQ)
+
+
+@pytest.mark.parametrize("field, text", [(QQ, "1/0*x1"), (GF(3), "2/3*[x2,x1]")], ids=["Q", "F3"])
+def test_lie_zero_denominator_is_a_parse_error(field, text):
+    with pytest.raises(ParseError) as info:
+        parse_lie(text, 3, field)
+    assert info.value.position == 1
+
+
+def test_round_trip_of_large_coefficients():
+    rng = random.Random(73)
+    monos = [m for p in range(22) for m in monomials_of_degree(3, p)][:2000]
+    terms = {}
+    for m in monos:
+        num = rng.randrange(10**999, 10**1000) * rng.choice([1, -1])
+        den = rng.choice([1, rng.randrange(10**999, 10**1000)])
+        terms[m] = QQ(num, den)
+    f = Polynomial(3, QQ, terms)
+    assert len(f.terms) == 2000
+    assert parse_poly(poly_to_str(f), 3, QQ) == f

@@ -11,7 +11,6 @@ from primlen.polyauto import (
     TriangularAuto,
     apply_auto,
     certify_apply,
-    certify_apply_plain,
     invert_auto,
     validate_certificate,
 )
@@ -129,6 +128,14 @@ def test_composition_order_convention():
     phi = shear()
     chained = certify_apply(PolyCertificate([theta, phi], 1), d, QQ)
     assert chained == apply_auto(phi, apply_auto(theta, x1))
+
+
+def certify_apply_plain(cert, arity, field):
+    """Reference replay without the affine-composition shortcut."""
+    f = Polynomial.variable(arity, field, cert.generator_index)
+    for auto in cert.chain:
+        f = apply_auto(auto, f)
+    return f
 
 
 def test_optimized_replay_matches_plain():

@@ -19,6 +19,7 @@ from primlen.polydecomp import (
     exponent_code,
     linearize,
     plength_bound,
+    poly_bound,
     solve_degree,
     verify,
 )
@@ -38,6 +39,22 @@ def test_plength_bound_values():
         plength_bound(1, 2)
     with pytest.raises(UnsupportedInputError):
         plength_bound(3, 1)
+
+
+@pytest.mark.parametrize(
+    "f, bound",
+    [
+        (Polynomial.zero(2, QQ), 1),
+        (Polynomial.constant(3, QQ, 7), 2),
+        (Polynomial(2, QQ, {(0, 0): 5, (1, 0): 2, (0, 1): -3}), 1),
+        (Polynomial(1, QQ, {(1,): 1}), 1),
+        (Polynomial(1, QQ, {(2,): 1}), None),
+        (Polynomial(3, QQ, {(1, 1, 2): 1, (0, 1, 0): 1}), plength_bound(4, 3)),
+    ],
+)
+def test_poly_bound_matches_decompose(f, bound):
+    assert poly_bound(f) == bound
+    assert decompose(f).bound == bound
 
 
 def test_exponent_code_values():
