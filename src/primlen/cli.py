@@ -8,19 +8,22 @@ Subcommands:
     bound lie  --vars D --field F
 
 Exit codes: 0 success or verified, 1 verification failure, 2 usage or parse
-error, 3 unsupported input (positive characteristic for poly, d < 3 for
-lie, degree cap exceeded).
+error (a PRIMLEN_DEGREE_CAP that is not a positive integer included), 3
+unsupported input (positive characteristic for poly, d < 3 for lie, degree
+cap exceeded).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .document import dumps, lie_document, loads, poly_document, verify_document
 from .errors import DegreeCapError, ParseError, PrimlenError, UnsupportedInputError
 from .field import field_from_flag
 from .liedecomp import decompose_lie, lie_bound
+from .metalie import degree_cap
 from .parsing import parse_lie, parse_poly
 from .polydecomp import decompose, plength_bound
 
@@ -123,8 +126,21 @@ def _run_bound(args):
     return EXIT_OK
 
 
+def _degree_cap_is_valid():
+    try:
+        cap = degree_cap()
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raw = os.environ["PRIMLEN_DEGREE_CAP"]
+        print(f"error: PRIMLEN_DEGREE_CAP must be a positive integer, got {raw!r}", file=sys.stderr)
+    return cap >= 1
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    if not _degree_cap_is_valid():
+        return EXIT_USAGE
     if args.command == "decompose":
         return _run_decompose(args)
     if args.command == "verify":

@@ -37,6 +37,8 @@ def _matrix_to_json(matrix):
 
 
 def _matrix_from_json(rows, field):
+    if not rows:
+        raise PrimlenError("empty matrix")
     parsed = [[parse_scalar(field, e) for e in row] for row in rows]
     return DenseMatrix.from_rows(field, parsed)
 
@@ -56,7 +58,7 @@ def _poly_factor_to_json(auto):
 
 
 def _poly_factor_from_json(record, arity, field):
-    kind = record.get("kind")
+    kind = record["kind"]
     if kind == "affine":
         matrix = _matrix_from_json(record["matrix"], field)
         offset = [parse_scalar(field, b) for b in record["offset"]]
@@ -82,7 +84,7 @@ def _lie_factor_to_json(auto):
 
 
 def _lie_factor_from_json(record, arity, field):
-    kind = record.get("kind")
+    kind = record["kind"]
     if kind == "linear":
         return LinearLieAuto(_matrix_from_json(record["matrix"], field), check=False)
     if kind == "triangular":
@@ -165,28 +167,34 @@ def loads(text):
     return doc
 
 
+def _json_int(value, name):
+    if type(value) is not int:
+        raise PrimlenError(f"{name} {value!r} is not an integer")
+    return value
+
+
 def rebuild_poly(doc):
     field = field_from_flag(doc["field"])
-    arity = int(doc["arity"])
+    arity = _json_int(doc["arity"], "arity")
     input_poly = parse_poly(doc["input"], arity, field)
     summands = []
     for record in doc["summands"]:
         summand = parse_poly(record["summand"], arity, field)
         chain = [_poly_factor_from_json(r, arity, field) for r in record["certificate"]]
-        summands.append((summand, PolyCertificate(chain, int(record["generator"]))))
+        summands.append((summand, PolyCertificate(chain, _json_int(record["generator"], "generator"))))
     notes = list(doc.get("notes", []))
     return PolyDecomposition(input_poly, doc["status"], summands, poly_bound(input_poly), notes)
 
 
 def rebuild_lie(doc):
     field = field_from_flag(doc["field"])
-    arity = int(doc["arity"])
+    arity = _json_int(doc["arity"], "arity")
     input_elem = parse_lie(doc["input"], arity, field)
     summands = []
     for record in doc["summands"]:
         summand = parse_lie(record["summand"], arity, field)
         chain = [_lie_factor_from_json(r, arity, field) for r in record["certificate"]]
-        summands.append((summand, LieCertificate(chain, int(record["generator"]))))
+        summands.append((summand, LieCertificate(chain, _json_int(record["generator"], "generator"))))
     bound = lie_bound(arity, field)
     return LieDecomposition(input_elem, summands, bound, list(doc.get("notes", [])))
 
@@ -208,6 +216,22 @@ def _claim_problems(doc, dec, degree):
     ]
 
 
+def _rebuild(doc):
+    """The rebuilt decomposition and the mismatches of its claims.
+
+    A document field of the wrong JSON type (a TypeError while rebuilding)
+    is reported as a PrimlenError.
+    """
+    try:
+        if doc["algebra"] == POLY:
+            dec = rebuild_poly(doc)
+            return dec, _claim_problems(doc, dec, dec.input.total_degree())
+        dec = rebuild_lie(doc)
+        return dec, _claim_problems(doc, dec, dec.input.degree())
+    except TypeError as exc:
+        raise PrimlenError(f"a field has the wrong JSON type ({exc})") from exc
+
+
 def verify_document(doc):
     """Re-verify a loaded document; parse failures count as verification failures.
 
@@ -215,19 +239,18 @@ def verify_document(doc):
     its stats count and degree must match the recomputed values.
     """
     try:
-        if doc["algebra"] == POLY:
-            dec = rebuild_poly(doc)
-            problems = _claim_problems(doc, dec, dec.input.total_degree())
-            if dec.status == INFINITE:
-                if dec.summands:
-                    problems.append("infinite status with a nonempty summand list")
-                if dec.input.arity != 1 or (dec.input.total_degree() or 0) <= 1:
-                    problems.append("infinite status claimed for a decomposable input")
-            else:
-                problems += verify(dec).problems
-            return VerifyResult(not problems, problems)
-        dec = rebuild_lie(doc)
-        problems = _claim_problems(doc, dec, dec.input.degree()) + verify_lie(dec).problems
+        dec, problems = _rebuild(doc)
+        if doc["algebra"] != POLY:
+            if doc["status"] != FINITE:
+                problems.append(f"status {doc['status']!r} claimed for a Lie element")
+            problems += verify_lie(dec).problems
+        elif dec.status == INFINITE:
+            if dec.summands:
+                problems.append("infinite status with a nonempty summand list")
+            if dec.input.arity != 1 or (dec.input.total_degree() or 0) <= 1:
+                problems.append("infinite status claimed for a decomposable input")
+        else:
+            problems += verify(dec).problems
         return VerifyResult(not problems, problems)
     except (ParseError, PrimlenError, KeyError, ValueError) as exc:
         return VerifyResult(False, [f"document rebuild failed: {exc}"])

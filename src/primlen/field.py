@@ -24,14 +24,60 @@ big_int = _INT
 
 
 def _is_prime(p):
+    """Deterministic Miller-Rabin; the prime bases 2..37 make it exact below 2^64."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p in bases:
+        return True
+    if any(p % b == 0 for b in bases):
+        return False
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+# Python refuses int <-> decimal str conversions above a digit limit
+# (sys.get_int_max_str_digits(), 4300 by default).  The two helpers below use
+# the built-in conversion whenever it is allowed and split longer numbers
+# into halves that are.
+
+
+def str_to_int(text):
+    """int(text) for an optionally signed string of ASCII digits of any length."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.lstrip("-")
+        if len(text) - len(digits) > 1 or not (digits.isascii() and digits.isdigit()):
+            raise
+    half = len(digits) // 2
+    value = str_to_int(digits[:half]) * 10 ** (len(digits) - half) + str_to_int(digits[half:])
+    return -value if text[0] == "-" else value
+
+
+def int_to_str(n):
+    """str(n) for an integer of any size."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + int_to_str(-n)
+    k = int(n.bit_length() * 0.30103) // 2  # about half the decimal digits of n
+    high, low = divmod(n, 10**k)
+    return int_to_str(high) + int_to_str(low).zfill(k)
 
 
 class FieldDescriptor:
@@ -45,7 +91,7 @@ class FieldDescriptor:
     def __init__(self, p=None):
         if p is not None:
             if p >= 1 << 63:
-                raise UnsupportedInputError(f"modulus {p} does not fit a machine word")
+                raise UnsupportedInputError(f"a modulus of {p.bit_length()} bits does not fit a machine word")
             if not _is_prime(p):
                 raise UnsupportedInputError(f"modulus {p} is not prime")
         object.__setattr__(self, "p", p)
@@ -108,12 +154,15 @@ def GF(p):
     return _gf_cache[p]
 
 
+_FLAG = re.compile(r"F[0-9]+")
+
+
 def field_from_flag(flag):
     """Parse "Q" or "F<p>" into a descriptor."""
     if flag == "Q":
         return QQ
-    if flag.startswith("F") and flag[1:].isdigit():
-        return GF(int(flag[1:]))
+    if _FLAG.fullmatch(flag):
+        return GF(str_to_int(flag[1:]))
     raise UnsupportedInputError(f"unknown field flag {flag!r}")
 
 
@@ -219,10 +268,16 @@ class FieldScalar:
         return hash((self.field.p, self.value))
 
     def __str__(self):
-        return str(self.value)
+        try:
+            return str(self.value)
+        except ValueError:  # beyond the digit limit
+            pass
+        if self.denominator == 1:
+            return int_to_str(self.numerator)
+        return f"{int_to_str(self.numerator)}/{int_to_str(self.denominator)}"
 
     def __repr__(self):
-        return f"FieldScalar({self.field!r}, {self.value})"
+        return f"FieldScalar({self.field!r}, {self})"
 
     @property
     def numerator(self):
@@ -253,8 +308,8 @@ def parse_scalar(field, text):
         raise ParseError(f"malformed scalar {text!r}", 0)
     num, den = match.groups()
     if den is None:
-        return field(int(num))
-    den = int(den)
+        return field(str_to_int(num))
+    den = str_to_int(den)
     if (den if field.p is None else den % field.p) == 0:
         raise ParseError(f"zero denominator in scalar {text!r}", match.start(2) - 1)
-    return field(int(num), den)
+    return field(str_to_int(num), den)

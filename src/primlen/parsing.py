@@ -14,8 +14,9 @@ Lie elements:  lexpr  := lterm (('+'|'-') lterm)*
                scalar := number ('/' number)?
 where brackets are left-normed and normalized on construction.
 
-Numbers, variable indices and exponents are ASCII digits [0-9]+; a
-character outside the grammar, a non-ASCII digit included, is a ParseError.
+Numbers, variable indices and exponents are ASCII digits [0-9]+, of any
+length (Python's 4,300-digit int/str limit does not apply); a character
+outside the grammar, a non-ASCII digit included, is a ParseError.
 
 Reading is linear in the text for sums of monomial terms (the shape the
 printer writes): a term made of numbers, variables, powers, unary minus and
@@ -33,6 +34,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
+from .field import str_to_int
 from .metalie import LieElement, normalize_word
 from .multipoly import Polynomial
 
@@ -92,14 +94,14 @@ class _Reader:
         if self.tokens[self.i][0] != "^":
             return 1
         self.i += 1
-        return int(self.expect("number")[1])
+        return str_to_int(self.expect("number")[1])
 
     def unexpected(self):
         _, text, pos = self.tokens[self.i]
         return ParseError(f"unexpected {text or 'end of input'!r}", pos)
 
     def variable_index(self, tok):
-        index = int(tok[1][1:])
+        index = str_to_int(tok[1][1:])
         if not 1 <= index <= self.arity:
             raise ParseError(f"variable {tok[1]} is outside x1..x{self.arity}", tok[2])
         return index
@@ -153,7 +155,7 @@ def parse_poly(src, arity, field):
                 kind, text, pos = tokens[r.i]
             if kind == "number":
                 r.i += 1
-                value, k = int(text), r.exponent()
+                value, k = str_to_int(text), r.exponent()
                 if k != 1:
                     value = value**k if r.p is None else pow(value, k, r.p)
                 if op_pos is None:
@@ -226,13 +228,13 @@ def parse_lie(src, arity, field):
                 continue
             if kind != "number":
                 break
-            value = int(tokens[r.i][1])
+            value = str_to_int(tokens[r.i][1])
             r.i += 1
             divisor = 1
             if tokens[r.i][0] == "/":
                 slash_pos = tokens[r.i][2]
                 r.i += 1
-                divisor = int(r.expect("number")[1])
+                divisor = str_to_int(r.expect("number")[1])
                 if r.is_zero(divisor):
                     raise ParseError(_NO_DIVISION, slash_pos)
             if tokens[r.i][0] != "*" and r.is_zero(value):

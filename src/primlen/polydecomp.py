@@ -6,15 +6,22 @@ construction:
 
 1. normalize the linear part to delta * x1 (delta in {0, 1}) by a linear
    automorphism psi;
-2. pick N = binom(n+d-1, d-1) nodes alpha_k = k+1 and the linear forms
-   s(alpha) = x1 + sum_i alpha^((n+1)^(i-2)) x_i, whose powers s^p(alpha)
-   carry pairwise distinct alpha-exponents on the degree-p monomials;
-3. per degree p solve a generalized Vandermonde system for coefficients
-   xi_kp with sum_k xi_kp s^p(alpha_k) equal to the degree-p component;
-4. assemble summands u_k = xi_k1 x1 + sum_p xi_kp s^p(alpha_k) (u_1 also
+2. take the N = binom(n+d-1, d-1) points a of the principal lattice
+   {a in N^(d-1) : |a| <= n}, ordered by level |a|, and the linear forms
+   s_a = x1 + sum_i (a_i+1) x_{i+1};
+3. per degree p solve the square system on the lattice levels <= p, which
+   is unisolvent for degree p (Chung & Yao 1977), for coefficients xi_kp
+   with sum_k xi_kp s_{a_k}^p equal to the degree-p component;
+4. assemble summands u_k = xi_k1 x1 + sum_p xi_kp s_{a_k}^p (u_1 also
    absorbs the constant), each certified primitive as the image of x1 under
    a triangular automorphism followed by an affine one, and map everything
    back through psi^-1.
+
+The paper's proof uses nodes alpha = 2..N+1 and the forms
+s(alpha) = x1 + sum_i alpha^((n+1)^(i-2)) x_i instead; those work too but
+make coefficients thousands of digits long.  The lattice keeps matrix
+entries at most (n+1)^n.  The bound, the certificate shape and the document
+format are the same either way.
 
 Only the empty sum represents 0, so zero inputs get an empty summand list
 with an explanatory note.
@@ -23,11 +30,11 @@ with an explanatory note.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from math import comb
+from math import comb, prod
 
 from .errors import InternalError, SingularMatrixError, UnsupportedInputError
 from .field import QQ
-from .linalg import DenseMatrix, OpCounter, matrix_inverse, solve_square, vandermonde_power_matrix
+from .linalg import DenseMatrix, OpCounter, matrix_inverse, solve_square
 from .multipoly import Polynomial, monomials_of_degree, multinomial
 from .polyauto import (
     AffineAuto,
@@ -91,58 +98,13 @@ def poly_bound(f):
     return plength_bound(n, d)
 
 
-def exponent_code(mono, n):
-    """Base-(n+1) digit code of an exponent vector: sum a_i (n+1)^(i-1).
+def lattice_nodes(n, d):
+    """The principal lattice {a in N^(d-1) : |a| <= n}, ordered by level |a|.
 
-    Injective on monomials of total degree <= n, since every digit is then
-    at most n.
+    It has binom(n+d-1, d-1) points, and its first binom(p+d-1, d-1) points
+    are exactly the levels <= p.
     """
-    code = 0
-    weight = 1
-    for e in mono:
-        code += e * weight
-        weight *= n + 1
-    return code
-
-
-def alpha_exponent(mono, n):
-    """The power of alpha carried by x^a in s(alpha)^|a|.
-
-    x_1 contributes nothing and x_i contributes a_i * (n+1)^(i-2); on
-    monomials of one fixed total degree these values are pairwise distinct
-    (base-(n+1) digits again) and at most n*(n+1)^(d-2).
-    """
-    power = 0
-    weight = 1
-    for e in mono[1:]:
-        power += e * weight
-        weight *= n + 1
-    return power
-
-
-def choose_alphas(count, field=QQ):
-    """Nodes alpha_k = k+1, k = 1..count.
-
-    Positive, pairwise distinct, with all powers of each node distinct, so
-    every square minor of the node-power matrix is nonzero.
-    """
-    if not field.is_rationals:
-        raise UnsupportedInputError("node selection is defined over Q")
-    return [field(k + 1) for k in range(1, count + 1)]
-
-
-def build_s(alpha, n, d):
-    """The linear form s(alpha) = x1 + sum_{i=2}^d alpha^((n+1)^(i-2)) x_i."""
-    if d < 2:
-        raise UnsupportedInputError("s(alpha) needs at least two variables")
-    if alpha.is_zero():
-        raise ValueError("alpha must be nonzero")
-    field = alpha.field
-    terms = {tuple(1 if j == 0 else 0 for j in range(d)): field.one()}
-    for i in range(2, d + 1):
-        mono = tuple(1 if j == i - 1 else 0 for j in range(d))
-        terms[mono] = alpha ** ((n + 1) ** (i - 2))
-    return Polynomial(d, field, terms)
+    return [a for q in range(n + 1) for a in monomials_of_degree(d - 1, q)]
 
 
 def linearize(f):
@@ -187,15 +149,22 @@ def assign_linear_coeffs(count, delta, field=QQ):
     return coeffs + [last]
 
 
-def solve_degree(p, g_p, alphas, n, counter=None):
-    """Coefficients xi_kp with sum_k xi_kp s^p(alpha_k) = g_p, k = 1..len(alphas).
+def lattice_matrix(p, d, nodes, field=QQ):
+    """The degree-p monomials m and the matrix (prod_i (a_i+1)^(m_{i+1})), rows m, columns nodes a."""
+    monos = list(monomials_of_degree(d, p))
+    rows = [[prod((a_i + 1) ** e for a_i, e in zip(a, m[1:])) for a in nodes] for m in monos]
+    return monos, DenseMatrix.from_rows(field, rows)
 
-    One equation per monomial of degree p (missing monomials contribute a
-    zero right-hand side, divided by the multinomial coefficient up front);
-    the square subsystem on the first N_p = binom(p+d-1, d-1) nodes is
-    solved exactly and the remaining coefficients are set to zero.  Rows
-    are ordered by increasing alpha-exponent, which keeps the Bareiss
-    intermediates small and never needs a row swap.
+
+def solve_degree(p, g_p, nodes, counter=None):
+    """Coefficients xi_kp with sum_k xi_kp s_{a_k}^p = g_p, k = 1..len(nodes).
+
+    s_a = x1 + sum_i (a_i+1) x_{i+1}, so the coefficient of x^m in s_a^p is
+    multinomial(m) * prod_i (a_i+1)^(m_{i+1}).  One equation per monomial m
+    of degree p (missing monomials give a zero right-hand side, divided by
+    the multinomial coefficient up front); the square subsystem on the
+    first N_p = binom(p+d-1, d-1) nodes, the lattice levels <= p, is
+    unisolvent and solved exactly, and the remaining coefficients are zero.
     """
     if counter is None:
         counter = OpCounter()
@@ -205,18 +174,16 @@ def solve_degree(p, g_p, alphas, n, counter=None):
         raise ValueError("solve_degree handles degrees 2..n")
     if any(sum(m) != p for m in g_p.terms):
         raise ValueError("component is not homogeneous of the requested degree")
-    n_unknowns = len(alphas)
+    n_unknowns = len(nodes)
     if g_p.is_zero():
         return [field.zero()] * n_unknowns
     block = comb(p + d - 1, d - 1)
-    monos = sorted(monomials_of_degree(d, p), key=lambda a: alpha_exponent(a, n))
-    exponents = [alpha_exponent(a, n) for a in monos]
-    matrix = vandermonde_power_matrix(alphas[:block], exponents)
-    rhs = [g_p.coefficient(a) / field(multinomial(a)) for a in monos]
+    monos, matrix = lattice_matrix(p, d, nodes[:block], field)
+    rhs = [g_p.coefficient(m) / field(multinomial(m)) for m in monos]
     try:
         solution = solve_square(matrix, rhs, counter)
-    except SingularMatrixError as exc:  # impossible: distinct positive nodes
-        raise InternalError(f"node-power subsystem reported singular: {exc}") from exc
+    except SingularMatrixError as exc:  # impossible: the lattice levels <= p are unisolvent
+        raise InternalError(f"lattice subsystem reported singular: {exc}") from exc
     return solution + [field.zero()] * (n_unknowns - block)
 
 
@@ -276,12 +243,9 @@ def decompose(f):
     psi_is_identity = psi.is_identity()
     delta = 0 if g.homogeneous_component(1).is_zero() else 1
     beta = g.constant_term()
-    alphas = choose_alphas(bound, field)
+    nodes = lattice_nodes(n, d)
     xi_linear = assign_linear_coeffs(bound, delta, field)
-    xi = {
-        p: solve_degree(p, g.homogeneous_component(p), alphas, n, counter)
-        for p in range(2, n + 1)
-    }
+    xi = {p: solve_degree(p, g.homogeneous_component(p), nodes, counter) for p in range(2, n + 1)}
 
     psi_inv = None if psi_is_identity else invert_auto(psi)
     one = field.one()
@@ -299,8 +263,7 @@ def decompose(f):
             [Polynomial(d, field, tail_terms)] + [Polynomial.zero(d, field)] * (d - 1),
         )
         s_rows = [[one if i == 0 else field.zero() for i in range(d)]]
-        s_row = [one] + [alphas[k] ** ((n + 1) ** (i - 2)) for i in range(2, d + 1)]
-        s_rows.append(s_row)
+        s_rows.append([one] + [field(a_i + 1) for a_i in nodes[k]])
         for j in range(2, d):
             s_rows.append([one if i == j else field.zero() for i in range(d)])
         phi = AffineAuto(DenseMatrix.from_rows(field, s_rows), [field.zero()] * d)

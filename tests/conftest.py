@@ -55,16 +55,28 @@ def rand_lie(rng, d, degree, field=QQ, terms=6, coeff_bound=5):
 
 
 def cofactor_determinant(rows):
-    """Naive cofactor expansion over Fractions."""
+    """Cofactor expansion along the rows over Fractions.
+
+    Minors are memoized by their set of remaining columns, so an n x n
+    determinant costs O(2^n n) rather than O(n!).
+    """
     n = len(rows)
-    if n == 1:
-        return Fraction(rows[0][0])
-    total = Fraction(0)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = Fraction(rows[0][j]) * cofactor_determinant(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+    memo = {}
+
+    def minor(r, cols):
+        # determinant of rows r.. restricted to the sorted column tuple cols
+        if r == n:
+            return Fraction(1)
+        if cols not in memo:
+            total = Fraction(0)
+            for pos, j in enumerate(cols):
+                if rows[r][j] != 0:
+                    term = Fraction(rows[r][j]) * minor(r + 1, cols[:pos] + cols[pos + 1 :])
+                    total += term if pos % 2 == 0 else -term
+            memo[cols] = total
+        return memo[cols]
+
+    return minor(0, tuple(range(n)))
 
 
 def naive_fraction_solve(rows, rhs):

@@ -160,3 +160,101 @@ def test_document_round_trip_api():
     assert result.ok, result.problems
     # stable key order: serializing twice gives identical bytes
     assert dumps(reloaded) == text
+
+
+def test_decompose_poly_d4_n6_small_document(tmp_path):
+    out = tmp_path / "doc.json"
+    expr = "x1^6 - 3*x2^5*x3 + 2/7*x1*x2*x3*x4^3 + x4^6 - x1^2*x3^2 + x2*x4 + 5*x3 - 1"
+    assert run(["decompose", "poly", "--vars", "4", expr, "--out", str(out)]) == 0
+    assert out.stat().st_size < 1_000_000
+    assert json.loads(out.read_text())["stats"]["count"] <= 84
+    assert run(["verify", str(out)]) == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "0", "", "1" * 5000])
+def test_invalid_degree_cap_env_is_a_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("PRIMLEN_DEGREE_CAP", value)
+    assert run(["decompose", "lie", "--vars", "3", "[x2,x1]"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "PRIMLEN_DEGREE_CAP" in err
+
+
+def test_coefficients_beyond_the_digit_limit(tmp_path):
+    out = tmp_path / "doc.json"
+    big = "7" * 5000
+    assert run(["decompose", "poly", "--vars", "2", f"{big}*x1 + x2^2/{big}", "--out", str(out)]) == 0
+    assert big in out.read_text()
+    assert run(["verify", str(out)]) == 0
+    assert run(["decompose", "lie", "--vars", "3", f"{big}*[x2,x1] - x3", "--out", str(out)]) == 0
+    assert run(["verify", str(out)]) == 0
+
+
+def _factor_with(doc, key):
+    return next(f for s in doc["summands"] for f in s["certificate"] if key in f)
+
+
+def _set_gammas(doc, value):
+    _factor_with(doc, "gammas")["gammas"] = value
+
+
+def _set_tails(doc, value):
+    _factor_with(doc, "tails")["tails"] = value
+
+
+def _set_matrix(doc, value):
+    _factor_with(doc, "matrix")["matrix"] = value
+
+
+def _set_summand(doc, value):
+    doc["summands"][0]["summand"] = value
+
+
+def _set_generator(doc, value):
+    doc["summands"][0]["generator"] = value
+
+
+def _set_arity(doc, value):
+    doc["arity"] = value
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["poly", "--vars", "2", "x1^2 + x2 + 1"], ["lie", "--vars", "3", "--field", "F101", "[x2,x1,x3] + 2*x1"]],
+    ids=["poly", "lie"],
+)
+@pytest.mark.parametrize(
+    "edit, value",
+    [
+        (_set_gammas, 5),
+        (_set_gammas, [None]),
+        (_set_tails, 5),
+        (_set_tails, [5, 5]),
+        (_set_matrix, 5),
+        (_set_matrix, [5]),
+        (_set_matrix, [[1.5]]),
+        (_set_matrix, []),
+        (_set_summand, 5),
+        (_set_summand, ["x1"]),
+        (_set_generator, "1"),
+        (_set_generator, 1.0),
+        (_set_generator, True),
+        (_set_generator, [1]),
+        (_set_arity, "3"),
+        (_set_arity, 3.0),
+        (_set_arity, None),
+    ],
+)
+def test_wrong_json_types_are_rebuild_failures(tmp_path, capsys, args, edit, value):
+    out, doc = _decompose_to(tmp_path, args)
+    edit(doc, value)
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert "document rebuild failed" in capsys.readouterr().err
+
+
+def test_lie_document_must_claim_finite_status(tmp_path):
+    _, doc = _decompose_to(tmp_path, ["lie", "--vars", "3", "[x2,x1] + x1"])
+    doc["status"] = "infinite"
+    result = verify_document(loads(json.dumps(doc)))
+    assert not result.ok and any("status" in p for p in result.problems)

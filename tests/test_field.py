@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from primlen.errors import FieldMismatchError, ParseError, UnsupportedInputError
-from primlen.field import GF, QQ, FieldDescriptor, field_from_flag, parse_scalar
+from primlen.field import GF, QQ, FieldDescriptor, _is_prime, field_from_flag, int_to_str, parse_scalar, str_to_int
 
 from conftest import rand_scalar
 
@@ -46,6 +46,62 @@ def test_prime_check():
     with pytest.raises(UnsupportedInputError):
         FieldDescriptor(1)
     GF(7919)  # large prime is fine
+
+
+def trial_division_is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [p for p in range(3000) if _is_prime(p)] == [p for p in range(3000) if trial_division_is_prime(p)]
+
+
+@pytest.mark.parametrize(
+    "p, prime",
+    [
+        (561, False),  # Carmichael numbers
+        (41041, False),
+        (3215031751, False),  # strong pseudoprime to the bases 2, 3, 5 and 7
+        (2**61 - 1, True),
+        (2**31 - 1, True),
+        (100000000000031, True),
+        (100000000000031 * 3, False),
+        (2**63 - 25, True),  # the largest prime below 2^63
+        (2**63 - 1, False),
+        (2**63 - 27, False),
+        (4294967291 * 4294967279, False),  # product of two primes near 2^32
+    ],
+)
+def test_is_prime_large(p, prime):
+    assert _is_prime(p) is prime
+
+
+def test_modulus_near_the_cap():
+    assert GF(2**63 - 25).p == 2**63 - 25
+    with pytest.raises(UnsupportedInputError):
+        GF(2**63 - 1)
+    with pytest.raises(UnsupportedInputError):
+        field_from_flag("F" + "7" * 5000)
+
+
+@pytest.mark.parametrize("digits", [5000, 20000])
+def test_int_text_round_trip_beyond_the_digit_limit(digits):
+    rng = random.Random(digits)
+    text = str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(digits - 1))
+    value = str_to_int(text)
+    assert value.bit_length() > 3.3 * (digits - 1)
+    assert int_to_str(value) == text
+    assert str_to_int("-" + text) == -value and int_to_str(-value) == "-" + text
+    assert int_to_str(10**digits) == "1" + "0" * digits
+    c = parse_scalar(QQ, f"-{text}/{text[::-1].lstrip('0')}7")
+    assert parse_scalar(QQ, str(c)) == c
+    assert str(parse_scalar(GF(101), text)) == str(value % 101)
+
+
+def test_str_to_int_rejects_what_int_rejects():
+    for text in ["", "-", "--5", "12a", "1" * 5000 + "a", "--" + "1" * 5000]:
+        with pytest.raises(ValueError):
+            str_to_int(text)
 
 
 def test_descriptor_mismatch():

@@ -288,3 +288,13 @@ def test_round_trip_of_large_coefficients():
     f = Polynomial(3, QQ, terms)
     assert len(f.terms) == 2000
     assert parse_poly(poly_to_str(f), 3, QQ) == f
+
+
+@pytest.mark.parametrize("digits", [5000, 20000])
+def test_round_trip_beyond_the_digit_limit(digits):
+    rng = random.Random(digits)
+    big = rng.randrange(10 ** (digits - 1), 10**digits)
+    f = Polynomial(2, QQ, {(2, 0): QQ(big, 3), (0, 1): QQ(-big - 1), (0, 0): QQ(7, big)})
+    assert parse_poly(poly_to_str(f), 2, QQ) == f
+    u = LieElement(3, QQ, {(2, 1): QQ(big, 7), (1,): QQ(-1, big)})
+    assert parse_lie(lie_to_str(u), 3, QQ) == u

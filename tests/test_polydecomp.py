@@ -5,18 +5,17 @@ import pytest
 
 from primlen.errors import UnsupportedInputError
 from primlen.field import GF, QQ
-from primlen.multipoly import Polynomial, monomials_of_degree
+from primlen.multipoly import Polynomial
 from primlen.parsing import poly_to_str
 from primlen.polyauto import apply_auto
+from primlen.linalg import bareiss_determinant
 from primlen.polydecomp import (
     FINITE,
     INFINITE,
-    alpha_exponent,
     assign_linear_coeffs,
-    build_s,
-    choose_alphas,
     decompose,
-    exponent_code,
+    lattice_matrix,
+    lattice_nodes,
     linearize,
     plength_bound,
     poly_bound,
@@ -24,7 +23,7 @@ from primlen.polydecomp import (
     verify,
 )
 
-from conftest import rand_poly
+from conftest import cofactor_determinant, rand_poly
 
 
 def poly(text_terms, d=2):
@@ -57,50 +56,30 @@ def test_poly_bound_matches_decompose(f, bound):
     assert decompose(f).bound == bound
 
 
-def test_exponent_code_values():
-    assert exponent_code((1, 1, 0), 2) == 4
-    assert exponent_code((0, 0, 0), 2) == 0
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_lattice_nodes_levels(n, d):
+    nodes = lattice_nodes(n, d)
+    assert len(nodes) == len(set(nodes)) == plength_bound(n, d)
+    assert all(len(a) == d - 1 and min(a) >= 0 for a in nodes)
+    for p in range(n + 1):
+        block = comb(p + d - 1, d - 1)
+        assert all(sum(a) <= p for a in nodes[:block])
+        assert all(sum(a) > p for a in nodes[block:])
 
 
-def test_exponent_code_injective():
-    codes = set()
-    count = 0
-    for p in range(4):
-        for mono in monomials_of_degree(2, p):
-            codes.add(exponent_code(mono, 3))
-            count += 1
-    assert count == 10 and len(codes) == 10
-
-
-def test_alpha_exponent_relation():
-    # the full digit code splits as a_1 + (n+1) * (exponent carried by s^p)
-    rng = random.Random(31)
-    for _ in range(100):
-        n = rng.randint(2, 6)
-        mono = tuple(rng.randint(0, n) for _ in range(rng.randint(2, 4)))
-        assert exponent_code(mono, n) == mono[0] + (n + 1) * alpha_exponent(mono, n)
-
-
-def test_alpha_exponent_injective_per_degree():
-    for d, n in [(2, 4), (3, 3), (4, 2)]:
-        for p in range(1, n + 1):
-            values = [alpha_exponent(a, n) for a in monomials_of_degree(d, p)]
-            assert len(values) == len(set(values))
-            assert max(values) <= n * (n + 1) ** (d - 2)
-
-
-def test_choose_alphas():
-    assert [a.value for a in choose_alphas(3)] == [2, 3, 4]
-    assert [a.value for a in choose_alphas(1)] == [2]
-
-
-def test_build_s():
-    s = build_s(QQ(2), 2, 2)
-    assert s == poly({(1, 0): 1, (0, 1): 2})
-    s = build_s(QQ(2), 2, 3)
-    assert s == Polynomial(3, QQ, {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): 8})
-    with pytest.raises(ValueError):
-        build_s(QQ(0), 2, 2)
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_lattice_levels_are_unisolvent(d):
+    for n in range(2, 7):
+        nodes = lattice_nodes(n, d)
+        for p in range(2, n + 1):
+            block = comb(p + d - 1, d - 1)
+            _, matrix = lattice_matrix(p, d, nodes[:block])
+            det, _ = bareiss_determinant(matrix)
+            assert not det.is_zero(), (d, n, p)
+            if block <= 10:
+                rows = [[matrix.get(i, j).value for j in range(block)] for i in range(block)]
+                assert cofactor_determinant(rows) == det.value
 
 
 def test_linearize_zero_linear_part():
@@ -136,44 +115,50 @@ def test_assign_linear_coeffs():
 
 
 def test_solve_degree_zero_component():
-    zeros = solve_degree(2, Polynomial.zero(2, QQ), choose_alphas(3), 2)
-    assert all(c.is_zero() for c in zeros)
+    zeros = solve_degree(2, Polynomial.zero(2, QQ), lattice_nodes(2, 2))
+    assert len(zeros) == 3 and all(c.is_zero() for c in zeros)
 
 
-def reexpand(xi, alphas, p, n, d):
+def lattice_form(a, d):
+    """s_a = x1 + sum_i (a_i+1) x_{i+1}."""
+    terms = {tuple(1 if j == 0 else 0 for j in range(d)): QQ(1)}
+    for i, a_i in enumerate(a):
+        terms[tuple(1 if j == i + 1 else 0 for j in range(d))] = QQ(a_i + 1)
+    return Polynomial(d, QQ, terms)
+
+
+def reexpand(xi, nodes, p, d):
     total = Polynomial.zero(d, QQ)
-    for k, c in enumerate(xi):
+    for c, a in zip(xi, nodes):
         if not c.is_zero():
-            total = total + (build_s(alphas[k], n, d) ** p).scale(c)
+            total = total + (lattice_form(a, d) ** p).scale(c)
     return total
 
 
 def test_solve_degree_reexpansion_d2():
-    n = 2
-    alphas = choose_alphas(plength_bound(n, 2))
+    nodes = lattice_nodes(2, 2)
     g2 = poly({(2, 0): 1})
-    xi = solve_degree(2, g2, alphas, n)
-    assert reexpand(xi, alphas, 2, n, 2) == g2
+    xi = solve_degree(2, g2, nodes)
+    assert reexpand(xi, nodes, 2, 2) == g2
 
 
 def test_solve_degree_reexpansion_x1x2sq():
-    n = 3
-    alphas = choose_alphas(plength_bound(n, 2))
+    nodes = lattice_nodes(3, 2)
     g3 = poly({(1, 2): 3})
-    xi = solve_degree(3, g3, alphas, n)
-    assert reexpand(xi, alphas, 3, n, 2) == g3
+    xi = solve_degree(3, g3, nodes)
+    assert reexpand(xi, nodes, 3, 2) == g3
 
 
 def test_solve_degree_reexpansion_random():
     rng = random.Random(32)
-    for d, n in [(2, 4), (3, 3)]:
-        alphas = choose_alphas(plength_bound(n, d))
+    for d, n in [(2, 4), (3, 3), (4, 4)]:
+        nodes = lattice_nodes(n, d)
         for _ in range(10):
             p = rng.randint(2, n)
             g = rand_poly(rng, d, p, extra_terms=4).homogeneous_component(p)
-            xi = solve_degree(p, g, alphas, n)
-            assert reexpand(xi, alphas, p, n, d) == g
-            # unknowns beyond the square block stay zero
+            xi = solve_degree(p, g, nodes)
+            assert reexpand(xi, nodes, p, d) == g
+            # unknowns beyond the lattice levels <= p stay zero
             assert all(c.is_zero() for c in xi[comb(p + d - 1, d - 1):])
 
 
