@@ -55,6 +55,17 @@ LIE_CORPUS = {
         5, "F101", "7*[x5,x1,x2] - [x3,x2] + 50*[x4,x1,x3,x3] + x1 + 3*x5",
         "3221a3edbe8b39a94a7864f44312c9f4e292dc4cf1391f8876af88d7a1edc655",
     ),
+    # d = 4 inputs whose quadratic summand needs a basis completion of three
+    # rows to a 4x4 matrix; the order in which standard vectors are tried
+    # shows in these documents.
+    "Q-d4-quadratic": (
+        4, "Q", "[x2,x1] + x1",
+        "5147df6113c7371e3830dd317ebe8bc9a55492a7d20076c1892fd98c63ae8d00",
+    ),
+    "F2-d4-quadratic": (
+        4, "F2", "[x2,x1] + [x4,x1]",
+        "f7755433333313d8a8567b843d44c81761e1fd02a31919544ec4b74b0119b71a",
+    ),
 }
 
 
