@@ -9,13 +9,13 @@ emitted in sorted order for reproducible output.
 from __future__ import annotations
 
 import json
+import sys
 
 from .errors import ParseError, PrimlenError
 from .field import field_from_flag, parse_scalar
 from .linalg import DenseMatrix
 from .liedecomp import (
     InnerLieAuto,
-    LieCertificate,
     LieDecomposition,
     LinearLieAuto,
     TriangularLieAuto,
@@ -23,7 +23,7 @@ from .liedecomp import (
     verify_lie,
 )
 from .parsing import lie_to_str, parse_lie, parse_poly, poly_to_str, scalar_to_str
-from .polyauto import AffineAuto, PolyCertificate, TriangularAuto
+from .polyauto import AffineAuto, Certificate, TriangularAuto
 from .polydecomp import FINITE, INFINITE, PolyDecomposition, VerifyResult, poly_bound, verify
 
 VERSION = "primlen/1"
@@ -96,62 +96,42 @@ def _lie_factor_from_json(record, arity, field):
     raise PrimlenError(f"unknown Lie automorphism kind {kind!r}")
 
 
-def poly_document(dec):
-    """Serialize a PolyDecomposition into a JSON-ready dict."""
-    field = dec.input.field
-    degree = dec.input.total_degree()
+def _document(dec, algebra, status, degree, ops, to_str, factor_to_json):
+    """The JSON-ready dict of a decomposition of either algebra."""
     summands = [
         {
-            "summand": poly_to_str(summand),
+            "summand": to_str(summand),
             "generator": cert.generator_index,
-            "certificate": [_poly_factor_to_json(a) for a in cert.chain],
+            "certificate": [factor_to_json(a) for a in cert.chain],
         }
         for summand, cert in dec.summands
     ]
     return {
         "version": VERSION,
-        "algebra": POLY,
-        "field": field.flag(),
+        "algebra": algebra,
+        "field": dec.input.field.flag(),
         "arity": dec.input.arity,
-        "input": poly_to_str(dec.input),
-        "status": dec.status,
+        "input": to_str(dec.input),
+        "status": status,
         "bound": dec.bound,
         "summands": summands,
-        "stats": {
-            "count": len(dec.summands),
-            "degree": degree,
-            "ops": dec.ops.as_dict(),
-        },
+        "stats": {"count": len(dec.summands), "degree": degree, "ops": ops},
         "notes": list(dec.notes),
     }
+
+
+def poly_document(dec):
+    """Serialize a PolyDecomposition into a JSON-ready dict."""
+    return _document(
+        dec, POLY, dec.status, dec.input.total_degree(), dec.ops.as_dict(),
+        poly_to_str, _poly_factor_to_json,
+    )
 
 
 def lie_document(dec):
-    field = dec.input.field
-    summands = [
-        {
-            "summand": lie_to_str(summand),
-            "generator": cert.generator_index,
-            "certificate": [_lie_factor_to_json(a) for a in cert.chain],
-        }
-        for summand, cert in dec.summands
-    ]
-    return {
-        "version": VERSION,
-        "algebra": LIE,
-        "field": field.flag(),
-        "arity": dec.input.arity,
-        "input": lie_to_str(dec.input),
-        "status": FINITE,
-        "bound": dec.bound,
-        "summands": summands,
-        "stats": {
-            "count": len(dec.summands),
-            "degree": dec.input.degree(),
-            "ops": {"multiplications": 0, "divisions": 0, "additions": 0},
-        },
-        "notes": list(dec.notes),
-    }
+    """Serialize a LieDecomposition into a JSON-ready dict (its stats count no operations)."""
+    ops = {"multiplications": 0, "divisions": 0, "additions": 0}
+    return _document(dec, LIE, FINITE, dec.input.degree(), ops, lie_to_str, _lie_factor_to_json)
 
 
 def dumps(doc):
@@ -159,7 +139,10 @@ def dumps(doc):
 
 
 def loads(text):
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise PrimlenError("the document is nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("version") != VERSION:
         raise PrimlenError(f"not a {VERSION} document")
     if doc.get("algebra") not in (POLY, LIE):
@@ -173,29 +156,34 @@ def _json_int(value, name):
     return value
 
 
-def rebuild_poly(doc):
+def _rebuild_parts(doc, parse, factor_from_json):
+    """The input and the (summand, Certificate) pairs of a document.
+
+    Reads the field, the arity, the input and then the summands, in that
+    order.  The arity must be a positive index-sized integer.
+    """
     field = field_from_flag(doc["field"])
     arity = _json_int(doc["arity"], "arity")
-    input_poly = parse_poly(doc["input"], arity, field)
+    if not 1 <= arity <= sys.maxsize:
+        raise PrimlenError(f"arity {arity} is out of range")
+    input_element = parse(doc["input"], arity, field)
     summands = []
     for record in doc["summands"]:
-        summand = parse_poly(record["summand"], arity, field)
-        chain = [_poly_factor_from_json(r, arity, field) for r in record["certificate"]]
-        summands.append((summand, PolyCertificate(chain, _json_int(record["generator"], "generator"))))
+        summand = parse(record["summand"], arity, field)
+        chain = [factor_from_json(r, arity, field) for r in record["certificate"]]
+        summands.append((summand, Certificate(chain, _json_int(record["generator"], "generator"))))
+    return input_element, summands
+
+
+def rebuild_poly(doc):
+    input_poly, summands = _rebuild_parts(doc, parse_poly, _poly_factor_from_json)
     notes = list(doc.get("notes", []))
     return PolyDecomposition(input_poly, doc["status"], summands, poly_bound(input_poly), notes)
 
 
 def rebuild_lie(doc):
-    field = field_from_flag(doc["field"])
-    arity = _json_int(doc["arity"], "arity")
-    input_elem = parse_lie(doc["input"], arity, field)
-    summands = []
-    for record in doc["summands"]:
-        summand = parse_lie(record["summand"], arity, field)
-        chain = [_lie_factor_from_json(r, arity, field) for r in record["certificate"]]
-        summands.append((summand, LieCertificate(chain, _json_int(record["generator"], "generator"))))
-    bound = lie_bound(arity, field)
+    input_elem, summands = _rebuild_parts(doc, parse_lie, _lie_factor_from_json)
+    bound = lie_bound(input_elem.arity, input_elem.field)
     return LieDecomposition(input_elem, summands, bound, list(doc.get("notes", [])))
 
 

@@ -23,9 +23,10 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import UnsupportedInputError
 from .field import FieldScalar
-from .linalg import DenseMatrix, bareiss_determinant, matrix_inverse
+from .linalg import DenseMatrix, basis_from_row, matrix_inverse, matrix_problems
 from .metalie import LieElement, LieEndomorphism, apply_endo, bracket, inner_auto, split_parts
-from .polydecomp import ZERO_NOTE, VerifyResult
+from .polyauto import Certificate
+from .polydecomp import ZERO_NOTE, check_summands
 
 
 # -- elementary automorphisms ------------------------------------------------
@@ -48,12 +49,7 @@ class LinearLieAuto:
         return self.matrix.rows
 
     def validate(self):
-        if self.matrix.rows != self.matrix.cols:
-            return ["linear matrix is not square"]
-        det, _ = bareiss_determinant(self.matrix)
-        if det.is_zero():
-            return ["linear matrix is singular"]
-        return []
+        return matrix_problems(self.matrix, "linear")
 
     def to_endo(self, field):
         d = self.arity
@@ -148,16 +144,6 @@ class InnerLieAuto:
         return inner_auto(self.element)
 
 
-class LieCertificate:
-    """Chain of elementary Lie automorphisms, innermost first."""
-
-    __slots__ = ("chain", "generator_index")
-
-    def __init__(self, chain, generator_index):
-        self.chain = list(chain)
-        self.generator_index = generator_index
-
-
 def lie_certify_apply(cert, arity, field):
     u = LieElement.generator(arity, field, cert.generator_index)
     for auto in cert.chain:
@@ -165,23 +151,10 @@ def lie_certify_apply(cert, arity, field):
     return u
 
 
-def validate_lie_certificate(cert, arity):
-    problems = []
-    if not 1 <= cert.generator_index <= arity:
-        problems.append("generator index out of range")
-    for pos, auto in enumerate(cert.chain):
-        if auto.arity != arity:
-            problems.append(f"factor {pos + 1} has wrong arity")
-            continue
-        for msg in auto.validate():
-            problems.append(f"factor {pos + 1}: {msg}")
-    return problems
-
-
 @dataclass
 class LieDecomposition:
     input: LieElement
-    summands: list  # of (LieElement, LieCertificate)
+    summands: list  # of (LieElement, Certificate)
     bound: int
     notes: list = dc_field(default_factory=list)
 
@@ -417,7 +390,7 @@ def _linear_cert_for(element):
     """A Linear certificate for a nonzero linear element (image of x1)."""
     d, field = element.arity, element.field
     matrix = _complete_to_matrix([element.linear_coefficients()], d, field)
-    return LieCertificate([LinearLieAuto(matrix)], 1)
+    return Certificate([LinearLieAuto(matrix)], 1)
 
 
 def _triangular_cert(gen, gamma, tail):
@@ -426,7 +399,7 @@ def _triangular_cert(gen, gamma, tail):
     ordering = (gen,) + tuple(i for i in range(1, d + 1) if i != gen)
     gammas = [gamma] + [field.one()] * (d - 1)
     tails = [tail] + [LieElement.zero(d, field)] * (d - 1)
-    return LieCertificate([TriangularLieAuto(gammas, tails, ordering)], gen)
+    return Certificate([TriangularLieAuto(gammas, tails, ordering)], gen)
 
 
 def _inner_cert(gen, gamma, w):
@@ -437,7 +410,7 @@ def _inner_cert(gen, gamma, w):
         [[gamma if i == j else field.zero() for i in range(d)] for j in range(d)],
     )
     inner = InnerLieAuto(w.scale(-gamma.inverse()))
-    return LieCertificate([LinearLieAuto(diag), inner], gen)
+    return Certificate([LinearLieAuto(diag), inner], gen)
 
 
 def _quadratic_cert(zeta_coeffs, beta, d, field):
@@ -456,7 +429,7 @@ def _quadratic_cert(zeta_coeffs, beta, d, field):
     gammas = [field.one()] * d
     tails = [tail] + [LieElement.zero(d, field)] * (d - 1)
     triangular = TriangularLieAuto(gammas, tails, tuple(range(1, d + 1)))
-    return LieCertificate([triangular, basis_change], 1)
+    return Certificate([triangular, basis_change], 1)
 
 
 # -- the pipeline --------------------------------------------------------------
@@ -464,17 +437,10 @@ def _quadratic_cert(zeta_coeffs, beta, d, field):
 
 def _linear_normalization(f):
     """A linear automorphism sending the linear part of f to x1 (or None)."""
-    d, field = f.arity, f.field
     coeffs = f.linear_coefficients()
     if all(c.is_zero() for c in coeffs):
         return None
-    pivot = next(i for i, c in enumerate(coeffs) if not c.is_zero())
-    rows = [coeffs]
-    for m in range(d):
-        if m != pivot:
-            rows.append([field.one() if i == m else field.zero() for i in range(d)])
-    matrix = matrix_inverse(DenseMatrix.from_rows(field, rows))
-    return LinearLieAuto(matrix)
+    return LinearLieAuto(matrix_inverse(basis_from_row(coeffs, f.field)))
 
 
 def decompose_lie(f):
@@ -584,7 +550,7 @@ def decompose_lie(f):
             mapped.append(
                 (
                     apply_endo(rho_inv_endo, element),
-                    LieCertificate(cert.chain + [rho_inv], cert.generator_index),
+                    Certificate(cert.chain + [rho_inv], cert.generator_index),
                 )
             )
         summands = mapped
@@ -592,21 +558,5 @@ def decompose_lie(f):
 
 
 def verify_lie(dec):
-    """Replay certificates, re-sum summands and check the count bound."""
-    problems = []
-    d, field = dec.input.arity, dec.input.field
-    for i, (summand, cert) in enumerate(dec.summands, start=1):
-        issues = validate_lie_certificate(cert, d)
-        if issues:
-            problems.append(f"summand {i}: invalid elementary factor ({'; '.join(issues)})")
-            continue
-        if lie_certify_apply(cert, d, field) != summand:
-            problems.append(f"summand {i}: certificate replay mismatch")
-    total = LieElement.zero(d, field)
-    for summand, _ in dec.summands:
-        total = total + summand
-    if total != dec.input:
-        problems.append("sum mismatch: summands do not add up to the input")
-    if len(dec.summands) > dec.bound:
-        problems.append(f"count {len(dec.summands)} exceeds bound {dec.bound}")
-    return VerifyResult(not problems, problems)
+    """Replay certificates, re-sum summands and check the count bound (see check_summands)."""
+    return check_summands(dec, lie_certify_apply)

@@ -345,6 +345,33 @@ def matrix_inverse(matrix):
     return DenseMatrix(n, n, field, flat)
 
 
+def matrix_problems(matrix, kind):
+    """Why matrix cannot be the matrix of an automorphism, as strings naming it by kind."""
+    if matrix.rows != matrix.cols:
+        return [f"{kind} matrix is not square"]
+    det, _ = bareiss_determinant(matrix)
+    if det.is_zero():
+        return [f"{kind} matrix is singular"]
+    return []
+
+
+def basis_from_row(row, field):
+    """The invertible matrix with first row ``row``, then e_m for every m but the pivot.
+
+    The pivot is the index of the first nonzero entry of row; the standard
+    vectors follow in index order.
+    """
+    pivot = next((i for i, c in enumerate(row) if not c.is_zero()), None)
+    if pivot is None:
+        raise ValueError("cannot complete a zero row to a basis")
+    d = len(row)
+    rows = [list(row)]
+    for m in range(d):
+        if m != pivot:
+            rows.append([field.one() if i == m else field.zero() for i in range(d)])
+    return DenseMatrix.from_rows(field, rows)
+
+
 def vandermonde_power_matrix(alphas, exponents):
     """The generalized Vandermonde matrix (alpha_k ** p_j).
 

@@ -29,8 +29,8 @@ from __future__ import annotations
 import os
 from bisect import insort
 
-from .errors import ArityMismatchError, DegreeCapError, FieldMismatchError
-from .field import FieldScalar
+from .errors import ArityMismatchError, DegreeCapError
+from .sparse import SparseElement
 
 DEFAULT_DEGREE_CAP = 12
 
@@ -67,54 +67,25 @@ def _ad_normal(word, j):
     )
 
 
-class LieElement:
+class LieElement(SparseElement):
     """Immutable element of the free metabelian Lie algebra on d generators."""
 
-    __slots__ = ("arity", "field", "terms")
+    __slots__ = ()
 
-    def __init__(self, arity, field, terms=None):
-        if arity < 1:
-            raise ArityMismatchError("arity must be at least 1")
-        clean = {}
-        for word, coeff in (terms or {}).items():
-            word = tuple(word)
-            if not word or any(not 1 <= i <= arity for i in word):
-                raise ArityMismatchError(f"word {word} has an index outside 1..{arity}")
-            if not is_normal_word(word):
-                raise ValueError(f"word {word} is not in normal form")
-            if not isinstance(coeff, FieldScalar):
-                coeff = field(coeff)
-            elif coeff.field != field:
-                raise FieldMismatchError("coefficient field mismatch")
-            if not coeff.is_zero():
-                clean[word] = coeff
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LieElement is immutable")
-
-    @classmethod
-    def zero(cls, arity, field):
-        return cls(arity, field, {})
+    @staticmethod
+    def _key(arity, word):
+        word = tuple(word)
+        if not word or any(not 1 <= i <= arity for i in word):
+            raise ArityMismatchError(f"word {word} has an index outside 1..{arity}")
+        if not is_normal_word(word):
+            raise ValueError(f"word {word} is not in normal form")
+        return word
 
     @classmethod
     def generator(cls, arity, field, index):
         if not 1 <= index <= arity:
             raise ArityMismatchError(f"generator x{index} out of range for arity {arity}")
         return cls(arity, field, {(index,): field.one()})
-
-    def _check_compatible(self, other):
-        if not isinstance(other, LieElement):
-            raise TypeError(f"expected LieElement, got {type(other).__name__}")
-        if other.arity != self.arity:
-            raise ArityMismatchError(f"arity {self.arity} vs {other.arity}")
-        if other.field != self.field:
-            raise FieldMismatchError("elements over different fields")
-
-    def is_zero(self):
-        return not self.terms
 
     def degree(self):
         """Maximal word length, or None for the zero element."""
@@ -141,49 +112,6 @@ class LieElement:
     def iter_sorted(self):
         for word in sorted(self.terms, key=lambda w: (len(w), w)):
             yield word, self.terms[word]
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for word, coeff in other.terms.items():
-            acc = terms.get(word)
-            s = coeff if acc is None else acc + coeff
-            if s.is_zero():
-                terms.pop(word, None)
-            else:
-                terms[word] = s
-        return self._wrap(terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self._wrap({w: -c for w, c in self.terms.items()})
-
-    def scale(self, c):
-        if not isinstance(c, FieldScalar):
-            c = self.field(c)
-        if c.is_zero():
-            return LieElement.zero(self.arity, self.field)
-        return self._wrap({w: c * v for w, v in self.terms.items()})
-
-    def _wrap(self, terms):
-        out = LieElement.__new__(LieElement)
-        object.__setattr__(out, "arity", self.arity)
-        object.__setattr__(out, "field", self.field)
-        object.__setattr__(out, "terms", terms)
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        return (
-            self.arity == other.arity
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
 
     def __repr__(self):
         from .parsing import lie_to_str

@@ -12,6 +12,7 @@ from math import comb
 
 from .errors import ArityMismatchError, FieldMismatchError
 from .field import FieldScalar
+from .sparse import SparseElement
 
 
 def multinomial(mono):
@@ -42,39 +43,21 @@ def grlex_key(mono):
     return (sum(mono), mono)
 
 
-class Polynomial:
+class Polynomial(SparseElement):
     """Immutable sparse polynomial in ``arity`` variables over ``field``."""
 
-    __slots__ = ("arity", "field", "terms")
+    __slots__ = ()
 
-    def __init__(self, arity, field, terms=None):
-        if arity < 1:
-            raise ArityMismatchError("arity must be at least 1")
-        clean = {}
-        for mono, coeff in (terms or {}).items():
-            mono = tuple(mono)
-            if len(mono) != arity:
-                raise ArityMismatchError(f"monomial {mono} has wrong length for arity {arity}")
-            if any(e < 0 for e in mono):
-                raise ValueError(f"negative exponent in {mono}")
-            if not isinstance(coeff, FieldScalar):
-                coeff = field(coeff)
-            elif coeff.field != field:
-                raise FieldMismatchError("coefficient field mismatch")
-            if not coeff.is_zero():
-                clean[mono] = coeff
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+    @staticmethod
+    def _key(arity, mono):
+        mono = tuple(mono)
+        if len(mono) != arity:
+            raise ArityMismatchError(f"monomial {mono} has wrong length for arity {arity}")
+        if any(e < 0 for e in mono):
+            raise ValueError(f"negative exponent in {mono}")
+        return mono
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, arity, field):
-        return cls(arity, field, {})
 
     @classmethod
     def constant(cls, arity, field, c):
@@ -89,17 +72,6 @@ class Polynomial:
         return cls(arity, field, {mono: field.one()})
 
     # -- helpers -----------------------------------------------------------
-
-    def _check_compatible(self, other):
-        if not isinstance(other, Polynomial):
-            raise TypeError(f"expected Polynomial, got {type(other).__name__}")
-        if other.arity != self.arity:
-            raise ArityMismatchError(f"arity {self.arity} vs {other.arity}")
-        if other.field != self.field:
-            raise FieldMismatchError("polynomials over different fields")
-
-    def is_zero(self):
-        return not self.terms
 
     def coefficient(self, mono):
         return self.terms.get(tuple(mono), self.field.zero())
@@ -134,32 +106,6 @@ class Polynomial:
         return coeffs
 
     # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = terms.get(mono)
-            s = coeff if acc is None else acc + coeff
-            if s.is_zero():
-                terms.pop(mono, None)
-            else:
-                terms[mono] = s
-        return self._wrap(terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self._wrap({m: -c for m, c in self.terms.items()})
-
-    def scale(self, c):
-        """Multiply every coefficient by the scalar c."""
-        if not isinstance(c, FieldScalar):
-            c = self.field(c)
-        if c.is_zero():
-            return Polynomial.zero(self.arity, self.field)
-        return self._wrap({m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (FieldScalar, int)):
@@ -226,26 +172,6 @@ class Polynomial:
                     piece = piece * img_power(i, e)
             result = result + piece.scale(coeff)
         return result
-
-    def _wrap(self, terms):
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "arity", self.arity)
-        object.__setattr__(out, "field", self.field)
-        object.__setattr__(out, "terms", terms)
-        return out
-
-    # -- comparison --------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return (
-            self.arity == other.arity
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
 
     def __repr__(self):
         from .parsing import poly_to_str

@@ -132,6 +132,19 @@ class _Reader:
             negative = kind == "-"
             self.i += 1
 
+    def read_all(self, read):
+        """read() over the whole text.
+
+        Parentheses nested deeper than the interpreter's stack allows are a
+        ParseError at the token where reading stopped.
+        """
+        try:
+            value = read()
+        except RecursionError:
+            raise ParseError("expression nested too deeply", self.tokens[self.i][2]) from None
+        self.expect("end")
+        return value
+
 
 def parse_poly(src, arity, field):
     r = _Reader(src, arity, field)
@@ -204,9 +217,7 @@ def parse_poly(src, arity, field):
             return monomial
         return (poly * Polynomial(arity, field, monomial)).terms
 
-    value = expr()
-    r.expect("end")
-    return value
+    return r.read_all(expr)
 
 
 def parse_lie(src, arity, field):
@@ -273,9 +284,7 @@ def parse_lie(src, arity, field):
             return value.terms
         raise r.unexpected()
 
-    value = lexpr()
-    r.expect("end")
-    return value
+    return r.read_all(lexpr)
 
 
 # -- printing ----------------------------------------------------------------
@@ -299,16 +308,6 @@ def _mono_to_str(mono):
     return "*".join(pieces)
 
 
-def _join_terms(parts):
-    out = []
-    for i, (negative, body) in enumerate(parts):
-        if i == 0:
-            out.append(f"-{body}" if negative else body)
-        else:
-            out.append(f" - {body}" if negative else f" + {body}")
-    return "".join(out)
-
-
 def _term_str(coeff, body):
     if not body:
         return scalar_to_str(coeff)
@@ -317,15 +316,19 @@ def _term_str(coeff, body):
     return f"{scalar_to_str(coeff)}*{body}"
 
 
-def poly_to_str(f):
-    if f.is_zero():
+def _to_str(element, key_to_str):
+    """Signed terms of a Polynomial or LieElement in its iter_sorted order."""
+    if element.is_zero():
         return "0"
-    parts = []
-    for mono, coeff in f.iter_sorted():
+    out = []
+    for key, coeff in element.iter_sorted():
         negative = _is_negative(coeff)
-        magnitude = -coeff if negative else coeff
-        parts.append((negative, _term_str(magnitude, _mono_to_str(mono))))
-    return _join_terms(parts)
+        body = _term_str(-coeff if negative else coeff, key_to_str(key))
+        if not out:
+            out.append(f"-{body}" if negative else body)
+        else:
+            out.append(f" - {body}" if negative else f" + {body}")
+    return "".join(out)
 
 
 def _word_to_str(word):
@@ -334,12 +337,9 @@ def _word_to_str(word):
     return "[" + ",".join(f"x{i}" for i in word) + "]"
 
 
+def poly_to_str(f):
+    return _to_str(f, _mono_to_str)
+
+
 def lie_to_str(u):
-    if u.is_zero():
-        return "0"
-    parts = []
-    for word, coeff in u.iter_sorted():
-        negative = _is_negative(coeff)
-        magnitude = -coeff if negative else coeff
-        parts.append((negative, _term_str(magnitude, _word_to_str(word))))
-    return _join_terms(parts)
+    return _to_str(u, _word_to_str)

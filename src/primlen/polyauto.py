@@ -7,13 +7,14 @@ Two elementary classes generate the tame automorphism group of K[x_1..x_d]:
 
 A certificate is a chain of elementary automorphisms plus a generator index;
 replaying the chain (innermost first) on that generator reproduces a
-primitive polynomial.
+primitive polynomial.  The Lie pipeline uses the same Certificate and
+validate_certificate with its own elementary automorphisms.
 """
 
 from __future__ import annotations
 
 from .errors import ArityMismatchError
-from .linalg import DenseMatrix, bareiss_determinant, matrix_inverse
+from .linalg import DenseMatrix, matrix_inverse, matrix_problems
 from .multipoly import Polynomial
 
 
@@ -39,15 +40,9 @@ class AffineAuto:
         return self.matrix.field
 
     def validate(self):
-        problems = []
-        if self.matrix.rows != self.matrix.cols:
-            problems.append("affine matrix is not square")
-            return problems
-        if len(self.offset) != self.matrix.rows:
-            problems.append("affine offset has wrong length")
-        det, _ = bareiss_determinant(self.matrix)
-        if det.is_zero():
-            problems.append("affine matrix is singular")
+        problems = matrix_problems(self.matrix, "affine")
+        if self.matrix.rows == self.matrix.cols and len(self.offset) != self.matrix.rows:
+            problems.insert(0, "affine offset has wrong length")
         return problems
 
     def is_identity(self):
@@ -156,11 +151,12 @@ def compose_affine(outer, inner):
     return AffineAuto(matrix, offset, check=False)
 
 
-class PolyCertificate:
-    """Chain of elementary automorphisms witnessing primitivity.
+class Certificate:
+    """Chain of elementary automorphisms witnessing primitivity, for either algebra.
 
     The chain is listed innermost first: certify_apply([A, B], j) computes
-    B(A(x_j)), matching the composition B . A read right to left.
+    B(A(x_j)), matching the composition B . A read right to left.  Every
+    factor has an ``arity`` and a ``validate()`` listing its problems.
     """
 
     __slots__ = ("chain", "generator_index")
@@ -197,7 +193,7 @@ def certify_apply(cert, arity, field):
 
 
 def validate_certificate(cert, arity):
-    """Structural problems of every elementary factor, as strings."""
+    """Structural problems of the generator index and of every elementary factor, as strings."""
     problems = []
     if not 1 <= cert.generator_index <= arity:
         problems.append("generator index out of range")

@@ -34,11 +34,11 @@ from math import comb, prod
 
 from .errors import InternalError, SingularMatrixError, UnsupportedInputError
 from .field import QQ
-from .linalg import DenseMatrix, OpCounter, matrix_inverse, solve_square
+from .linalg import DenseMatrix, OpCounter, basis_from_row, matrix_inverse, solve_square
 from .multipoly import Polynomial, monomials_of_degree, multinomial
 from .polyauto import (
     AffineAuto,
-    PolyCertificate,
+    Certificate,
     TriangularAuto,
     apply_auto,
     certify_apply,
@@ -56,7 +56,7 @@ ZERO_NOTE = "the zero element is reported as the empty sum (additive primitive l
 class PolyDecomposition:
     input: Polynomial
     status: str
-    summands: list  # of (Polynomial, PolyCertificate)
+    summands: list  # of (Polynomial, Certificate)
     bound: int | None
     notes: list = dc_field(default_factory=list)
     ops: OpCounter = dc_field(default_factory=OpCounter)
@@ -111,21 +111,15 @@ def linearize(f):
     """A linear automorphism psi with psi(f) having linear part delta * x1.
 
     If the linear component f_1 is nonzero, psi maps f_1 to x1: its matrix
-    is the inverse transpose of the basis (f_1, standard vectors off the
-    pivot).  Otherwise psi is the identity.  Returns (psi, psi(f)).
+    is the inverse of basis_from_row(f_1).  Otherwise psi is the identity.
+    Returns (psi, psi(f)).
     """
     d, field = f.arity, f.field
     coeffs = f.linear_coefficients()
     identity = AffineAuto(DenseMatrix.identity(d, field), [field.zero()] * d, check=False)
     if all(c.is_zero() for c in coeffs):
         return identity, f
-    pivot = next(i for i, c in enumerate(coeffs) if not c.is_zero())
-    rows = [coeffs]
-    for m in range(d):
-        if m != pivot:
-            rows.append([field.one() if i == m else field.zero() for i in range(d)])
-    matrix = matrix_inverse(DenseMatrix.from_rows(field, rows))
-    psi = AffineAuto(matrix, [field.zero()] * d)
+    psi = AffineAuto(matrix_inverse(basis_from_row(coeffs, field)), [field.zero()] * d)
     return psi, apply_auto(psi, f)
 
 
@@ -187,18 +181,6 @@ def solve_degree(p, g_p, nodes, counter=None):
     return solution + [field.zero()] * (n_unknowns - block)
 
 
-def _affine_sending_x1_to(f_linear_coeffs, beta, field):
-    """An affine automorphism whose image of x1 is beta + sum c_i x_i."""
-    d = len(f_linear_coeffs)
-    pivot = next(i for i, c in enumerate(f_linear_coeffs) if not c.is_zero())
-    rows = [f_linear_coeffs]
-    for m in range(d):
-        if m != pivot:
-            rows.append([field.one() if i == m else field.zero() for i in range(d)])
-    offset = [beta] + [field.zero()] * (d - 1)
-    return AffineAuto(DenseMatrix.from_rows(field, rows), offset)
-
-
 def decompose(f):
     """Decompose f into certified primitive summands within the binomial bound."""
     d, field = f.arity, f.field
@@ -229,12 +211,13 @@ def decompose(f):
         return PolyDecomposition(
             f,
             FINITE,
-            [(first, PolyCertificate([pos], 1)), (second, PolyCertificate([neg], 1))],
+            [(first, Certificate([pos], 1)), (second, Certificate([neg], 1))],
             bound=bound,
         )
     if n == 1:
-        auto = _affine_sending_x1_to(f.linear_coefficients(), f.constant_term(), field)
-        return PolyDecomposition(f, FINITE, [(f, PolyCertificate([auto], 1))], bound=bound)
+        offset = [f.constant_term()] + [field.zero()] * (d - 1)
+        auto = AffineAuto(basis_from_row(f.linear_coefficients(), field), offset)
+        return PolyDecomposition(f, FINITE, [(f, Certificate([auto], 1))], bound=bound)
     if d == 1:
         return PolyDecomposition(f, INFINITE, [], bound=bound)
 
@@ -270,20 +253,19 @@ def decompose(f):
         chain = [theta, phi]
         if psi_inv is not None:
             chain.append(psi_inv)
-        cert = PolyCertificate(chain, 1)
+        cert = Certificate(chain, 1)
         summands.append((certify_apply(cert, d, field), cert))
     return PolyDecomposition(f, FINITE, summands, bound=bound, ops=counter)
 
 
-def verify(dec):
-    """Independent check of a finite decomposition.
+def check_summands(dec, replay):
+    """The four checks of a finite decomposition of either algebra.
 
-    Validates every elementary factor, replays every certificate, re-sums
-    the summands and compares counts against the bound.  Returns a
-    VerifyResult carrying human-readable diagnostics.
+    Validates every elementary factor, replays every certificate with
+    replay(cert, arity, field), re-sums the summands and compares the count
+    against the bound.  Returns a VerifyResult carrying human-readable
+    diagnostics.
     """
-    if dec.status != FINITE:
-        raise ValueError("verify expects a finite decomposition")
     problems = []
     d, fld = dec.input.arity, dec.input.field
     for i, (summand, cert) in enumerate(dec.summands, start=1):
@@ -291,9 +273,9 @@ def verify(dec):
         if issues:
             problems.append(f"summand {i}: invalid elementary factor ({'; '.join(issues)})")
             continue
-        if certify_apply(cert, d, fld) != summand:
+        if replay(cert, d, fld) != summand:
             problems.append(f"summand {i}: certificate replay mismatch")
-    total = Polynomial.zero(d, fld)
+    total = dec.input.zero(d, fld)
     for summand, _ in dec.summands:
         total = total + summand
     if total != dec.input:
@@ -301,3 +283,10 @@ def verify(dec):
     if dec.bound is not None and len(dec.summands) > dec.bound:
         problems.append(f"count {len(dec.summands)} exceeds bound {dec.bound}")
     return VerifyResult(not problems, problems)
+
+
+def verify(dec):
+    """Independent check of a finite polynomial decomposition (see check_summands)."""
+    if dec.status != FINITE:
+        raise ValueError("verify expects a finite decomposition")
+    return check_summands(dec, certify_apply)

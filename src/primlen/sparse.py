@@ -1,0 +1,98 @@
+"""The sparse container both algebras share.
+
+An element is an immutable map from keys to nonzero coefficients over one
+field, in a fixed number of generators: exponent vectors for a Polynomial,
+normal words for a LieElement.  Everything that does not look inside a key
+lives here.  Zero coefficients are pruned eagerly, so two equal elements
+compare equal structurally.
+"""
+
+from __future__ import annotations
+
+from .errors import ArityMismatchError, FieldMismatchError
+from .field import FieldScalar
+
+
+class SparseElement:
+    """Immutable sparse element in ``arity`` generators over ``field``.
+
+    Subclasses give ``_key(arity, key)``, which returns the canonical form
+    of a key or raises when the key is invalid for the arity.
+    """
+
+    __slots__ = ("arity", "field", "terms")
+
+    def __init__(self, arity, field, terms=None):
+        if arity < 1:
+            raise ArityMismatchError("arity must be at least 1")
+        clean = {}
+        for key, coeff in (terms or {}).items():
+            key = self._key(arity, key)
+            if not isinstance(coeff, FieldScalar):
+                coeff = field(coeff)
+            elif coeff.field != field:
+                raise FieldMismatchError("coefficient field mismatch")
+            if not coeff.is_zero():
+                clean[key] = coeff
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "terms", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls, arity, field):
+        return cls(arity, field, {})
+
+    def _check_compatible(self, other):
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
+        if other.arity != self.arity:
+            raise ArityMismatchError(f"arity {self.arity} vs {other.arity}")
+        if other.field != self.field:
+            raise FieldMismatchError("elements over different fields")
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        terms = dict(self.terms)
+        for key, coeff in other.terms.items():
+            acc = terms.get(key)
+            s = coeff if acc is None else acc + coeff
+            if s.is_zero():
+                terms.pop(key, None)
+            else:
+                terms[key] = s
+        return self._wrap(terms)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._wrap({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        """Multiply every coefficient by the scalar c."""
+        if not isinstance(c, FieldScalar):
+            c = self.field(c)
+        if c.is_zero():
+            return self._wrap({})
+        return self._wrap({k: c * v for k, v in self.terms.items()})
+
+    def _wrap(self, terms):
+        """An element like self holding terms, which must already be canonical and nonzero."""
+        out = object.__new__(type(self))
+        object.__setattr__(out, "arity", self.arity)
+        object.__setattr__(out, "field", self.field)
+        object.__setattr__(out, "terms", terms)
+        return out
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.arity, self.field, self.terms) == (other.arity, other.field, other.terms)
+
+    __hash__ = None

@@ -258,3 +258,99 @@ def test_lie_document_must_claim_finite_status(tmp_path):
     doc["status"] = "infinite"
     result = verify_document(loads(json.dumps(doc)))
     assert not result.ok and any("status" in p for p in result.problems)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["poly", "--vars", "2"], ["lie", "--vars", "3"]],
+    ids=["poly", "lie"],
+)
+def test_deeply_nested_expression_is_a_parse_error(capsys, args):
+    assert run(["decompose", *args, "(" * 400 + "x1" + ")" * 400]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: expression nested too deeply") and err.count("\n") == 1
+
+
+def test_deeply_nested_document_cannot_be_loaded(tmp_path, capsys):
+    out = tmp_path / "doc.json"
+    out.write_text("[" * 200_000)
+    assert run(["verify", str(out)]) == 2
+    assert capsys.readouterr().err == "error: cannot load document: the document is nested too deeply\n"
+
+
+def test_deeply_nested_summand_is_a_rebuild_failure(tmp_path, capsys):
+    out, doc = _decompose_to(tmp_path, ["poly", "--vars", "2", "x1^2 + x2"])
+    doc["summands"][0]["summand"] = "(" * 400 + "x1" + ")" * 400
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert "document rebuild failed: expression nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["poly", "--vars", "2", "x1^2 + x2"], ["lie", "--vars", "3", "[x2,x1] + x1"]],
+    ids=["poly", "lie"],
+)
+@pytest.mark.parametrize("arity", [10**30, 0, -1])
+def test_arity_out_of_range_is_a_rebuild_failure(tmp_path, capsys, args, arity):
+    out, doc = _decompose_to(tmp_path, args)
+    doc["arity"] = arity
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert capsys.readouterr().err == f"verification failed: document rebuild failed: arity {arity} is out of range\n"
+
+
+def _affine_factor(diagonal):
+    d = len(diagonal)
+    matrix = [[diagonal[i] if i == j else "0" for j in range(d)] for i in range(d)]
+    return {"kind": "affine", "matrix": matrix, "offset": ["0"] * d}
+
+
+def _linear_factor(diagonal):
+    return {"kind": "linear", "matrix": _affine_factor(diagonal)["matrix"]}
+
+
+def _swap_certificates(doc, factor):
+    first, second = doc["summands"][:2]
+    first["certificate"], second["certificate"] = second["certificate"], first["certificate"]
+    first["generator"], second["generator"] = second["generator"], first["generator"]
+    return ["summand 1: certificate replay mismatch", "summand 2: certificate replay mismatch"]
+
+
+def _zero_a_matrix(doc, factor):
+    for i, record in enumerate(doc["summands"], start=1):
+        for k, f in enumerate(record["certificate"], start=1):
+            if "matrix" in f:
+                f["matrix"] = [["0"] * len(row) for row in f["matrix"]]
+                return [f"summand {i}: invalid elementary factor (factor {k}: {f['kind']} matrix is singular)"]
+
+
+def _shift_input(doc, factor):
+    doc["input"] += " + x1"
+    return ["sum mismatch: summands do not add up to the input"]
+
+
+def _add_cancelling_pair(doc, factor):
+    d = doc["arity"]
+    for summand, sign in (("x1", "1"), ("-x1", "-1")):
+        certificate = [factor([sign] + ["1"] * (d - 1))]
+        doc["summands"].append({"summand": summand, "generator": 1, "certificate": certificate})
+    doc["stats"]["count"] = len(doc["summands"])
+    return [f"count {len(doc['summands'])} exceeds bound {doc['bound']}"]
+
+
+@pytest.mark.parametrize(
+    "args, factor",
+    [
+        (["poly", "--vars", "3", "x1^3 + x2*x3 - 2*x1 + 1"], _affine_factor),
+        (["lie", "--vars", "3", "[x2,x1,x3] - 3/2*[x3,x1] + x1 - 2*x3"], _linear_factor),
+    ],
+    ids=["poly", "lie"],
+)
+@pytest.mark.parametrize("tamper", [_swap_certificates, _zero_a_matrix, _shift_input, _add_cancelling_pair])
+def test_one_verify_loop_reports_the_same_diagnostics(tmp_path, args, factor, tamper):
+    _, doc = _decompose_to(tmp_path, args)
+    expected = tamper(doc, factor)
+    assert verify_document(loads(json.dumps(doc))).problems == expected

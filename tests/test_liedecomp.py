@@ -8,7 +8,6 @@ from primlen.liedecomp import (
     D3Coefficients,
     HighDCoefficients,
     InnerLieAuto,
-    LieCertificate,
     LinearLieAuto,
     TriangularLieAuto,
     bucket_d3,
@@ -20,6 +19,7 @@ from primlen.liedecomp import (
     verify_lie,
 )
 from primlen.metalie import LieElement, bracket, normalize_word
+from primlen.polyauto import Certificate
 
 from conftest import rand_lie
 
@@ -228,7 +228,7 @@ def test_verify_rejects_excess_count():
     f = word((2, 1))
     dec = decompose_lie(f)
     zero = LieElement.zero(3, QQ)
-    extra = (zero + gen(1), LieCertificate([LinearLieAuto(_identity_matrix(3))], 1))
+    extra = (zero + gen(1), Certificate([LinearLieAuto(_identity_matrix(3))], 1))
     dec.summands.extend([extra] * (dec.bound + 1 - dec.count))
     result = verify_lie(dec)
     assert not result.ok

@@ -9,12 +9,13 @@ from primlen.linalg import (
     DenseMatrix,
     OpCounter,
     bareiss_determinant,
+    basis_from_row,
     matrix_inverse,
     solve_square,
     vandermonde_power_matrix,
 )
 
-from conftest import cofactor_determinant
+from conftest import cofactor_determinant, rand_nonzero_scalar, rand_scalar
 
 
 def qmat(rows):
@@ -154,3 +155,25 @@ def test_vandermonde_minors_sample():
     for exponents in [(0, 1, 2, 3), (0, 2, 5, 9), (1, 4, 8, 12), (3, 7, 10, 11)]:
         det, _ = bareiss_determinant(vandermonde_power_matrix(alphas, list(exponents)))
         assert not det.is_zero()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=["Q", "F2", "F101"])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_basis_from_row_keeps_the_row_and_adds_standard_vectors(field, d):
+    rng = random.Random(1000 * d + (field.p or 0))
+    for pivot in range(d):
+        row = [field.zero()] * pivot + [rand_nonzero_scalar(rng, field)]
+        row += [rand_scalar(rng, field) for _ in range(d - pivot - 1)]
+        matrix = basis_from_row(row, field)
+        assert matrix.row(0) == row
+        standard = [m for m in range(d) if m != pivot]
+        for r, m in enumerate(standard, start=1):
+            assert matrix.row(r) == [field(int(i == m)) for i in range(d)]
+        det, _ = bareiss_determinant(matrix)
+        assert det == (row[pivot] if pivot % 2 == 0 else -row[pivot])
+        assert not det.is_zero()
+
+
+def test_basis_from_row_rejects_the_zero_row():
+    with pytest.raises(ValueError):
+        basis_from_row([QQ(0), QQ(0)], QQ)

@@ -7,7 +7,7 @@ from primlen.linalg import DenseMatrix
 from primlen.multipoly import Polynomial
 from primlen.polyauto import (
     AffineAuto,
-    PolyCertificate,
+    Certificate,
     TriangularAuto,
     apply_auto,
     certify_apply,
@@ -109,24 +109,24 @@ def test_certify_apply_triangular_then_affine():
     # to x1 must give x1 + (x1 + 2 x2)^2
     theta = TriangularAuto([QQ(1), QQ(1)], [x2**2, zero_tail])
     phi = AffineAuto(DenseMatrix.from_rows(QQ, [[1, 0], [1, 2]]), [QQ(0), QQ(0)])
-    result = certify_apply(PolyCertificate([theta, phi], 1), d, QQ)
+    result = certify_apply(Certificate([theta, phi], 1), d, QQ)
     assert result == x1 + (x1 + x2.scale(QQ(2))) ** 2
 
 
 def test_certify_empty_chain():
-    assert certify_apply(PolyCertificate([], 1), d, QQ) == x1
+    assert certify_apply(Certificate([], 1), d, QQ) == x1
 
 
 def test_certify_inverse_round_trip():
     auto = tri_example()
-    cert = PolyCertificate([auto, invert_auto(auto)], 2)
+    cert = Certificate([auto, invert_auto(auto)], 2)
     assert certify_apply(cert, d, QQ) == x2
 
 
 def test_composition_order_convention():
     theta = tri_example()
     phi = shear()
-    chained = certify_apply(PolyCertificate([theta, phi], 1), d, QQ)
+    chained = certify_apply(Certificate([theta, phi], 1), d, QQ)
     assert chained == apply_auto(phi, apply_auto(theta, x1))
 
 
@@ -147,7 +147,7 @@ def test_optimized_replay_matches_plain():
                 chain.append(shear())
             else:
                 chain.append(tri_example())
-        cert = PolyCertificate(chain, rng.randint(1, 2))
+        cert = Certificate(chain, rng.randint(1, 2))
         assert certify_apply(cert, d, QQ) == certify_apply_plain(cert, d, QQ)
 
 
@@ -163,6 +163,6 @@ def test_construction_validation():
 
 def test_validate_certificate_reports():
     bad = TriangularAuto([QQ(0), QQ(1)], [zero_tail, zero_tail], check=False)
-    problems = validate_certificate(PolyCertificate([bad], 1), d)
+    problems = validate_certificate(Certificate([bad], 1), d)
     assert problems and "gamma" in problems[0]
-    assert validate_certificate(PolyCertificate([], 9), d)
+    assert validate_certificate(Certificate([], 9), d)
