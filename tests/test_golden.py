@@ -40,6 +40,19 @@ POLY_CORPUS = {
         3, "2*x1 - x2 + 3/5*x3 + 1",
         "1ebe27cfad23e376da1efa4a22755d30a51979ea3884459f53f4b2d16e11468b",
     ),
+    # Coefficients of 40 digits and their reciprocals: every replayed
+    # polynomial and affine matrix carries large common denominators.
+    "d3-n4-tiny-coefficients": (
+        3,
+        f"1/{10**40}*x1^4 - 3/{10**41}*x1*x2^2*x3 + 7*x1*x3 + {10**40}*x3^2 - 1/{10**40}*x2 + 5/{10**39}",
+        "d16e05922f21ebc3b45edf2258f14a31c14813e110868fc4bd6881a0b2c801a2",
+    ),
+    # A linear part with fractional coefficients: psi^-1 is a non-identity
+    # affine factor, so certificate replay composes it with the lattice map.
+    "d5-n3-linear-part": (
+        5, "x1^3 - 2*x2*x3*x5 + 3/2*x1*x4^2 + x5^3 + 3/2*x1 - x2 + 2/3*x4 + x5 - 1/7",
+        "4a24226dced74dc681d31e479b747d4157b7478371fe31114c4d1d892a9b869f",
+    ),
 }
 
 LIE_CORPUS = {
