@@ -6,6 +6,8 @@ elements, each witnessed by an explicit chain of elementary automorphisms,
 and verifies such decompositions exactly.
 """
 
+__version__ = "0.1.0"
+
 from .errors import (
     ArityMismatchError,
     DegreeCapError,

@@ -7,25 +7,31 @@ Subcommands:
     bound poly --vars D --degree N
     bound lie  --vars D --field F
 
+``primlen --version`` prints the package version, the arithmetic backend
+and the Python version.
+
 Exit codes: 0 success or verified, 1 verification failure, 2 usage or parse
 error (a PRIMLEN_DEGREE_CAP that is not a positive integer included), 3
-unsupported input (positive characteristic for poly, d < 3 for lie, degree
-cap exceeded).
+unsupported input (positive characteristic for poly, d < 3 for lie, more
+than MAX_ARITY generators, degree cap exceeded).
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import platform
 import sys
 
+from . import __version__
 from .document import dumps, lie_document, loads, poly_document, verify_document
 from .errors import DegreeCapError, ParseError, PrimlenError, UnsupportedInputError
-from .field import field_from_flag
+from .field import big_int, field_from_flag
 from .liedecomp import decompose_lie, lie_bound
 from .metalie import degree_cap
 from .parsing import parse_lie, parse_poly
 from .polydecomp import decompose, plength_bound
+from .sparse import check_arity
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -33,11 +39,18 @@ EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 
 
+def _version_line():
+    """The package version, the arithmetic backend and the Python version."""
+    backend = "fractions" if big_int is int else "gmpy2"
+    return f"primlen {__version__} ({backend} arithmetic, Python {platform.python_version()})"
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="primlen",
         description="Decompose elements into sums of certified primitive elements.",
     )
+    parser.add_argument("--version", action="version", version=_version_line())
     sub = parser.add_subparsers(dest="command", required=True)
 
     dec = sub.add_parser("decompose", help="decompose an element and emit a JSON certificate document")
@@ -112,6 +125,7 @@ def _run_verify(args):
 def _run_bound(args):
     try:
         field = field_from_flag(args.field)
+        check_arity(args.vars)
         if args.algebra == "poly":
             if args.degree is None:
                 print("error: bound poly needs --degree", file=sys.stderr)

@@ -9,7 +9,6 @@ emitted in sorted order for reproducible output.
 from __future__ import annotations
 
 import json
-import sys
 
 from .errors import ParseError, PrimlenError
 from .field import field_from_flag, parse_scalar
@@ -25,6 +24,7 @@ from .liedecomp import (
 from .parsing import lie_to_str, parse_lie, parse_poly, poly_to_str, scalar_to_str
 from .polyauto import AffineAuto, Certificate, TriangularAuto
 from .polydecomp import FINITE, INFINITE, PolyDecomposition, VerifyResult, poly_bound, verify
+from .sparse import MAX_ARITY
 
 VERSION = "primlen/1"
 
@@ -160,11 +160,11 @@ def _rebuild_parts(doc, parse, factor_from_json):
     """The input and the (summand, Certificate) pairs of a document.
 
     Reads the field, the arity, the input and then the summands, in that
-    order.  The arity must be a positive index-sized integer.
+    order.  The arity must be an integer in 1..MAX_ARITY.
     """
     field = field_from_flag(doc["field"])
     arity = _json_int(doc["arity"], "arity")
-    if not 1 <= arity <= sys.maxsize:
+    if not 1 <= arity <= MAX_ARITY:
         raise PrimlenError(f"arity {arity} is out of range")
     input_element = parse(doc["input"], arity, field)
     summands = []

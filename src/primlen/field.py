@@ -1,14 +1,24 @@
 """Exact scalar arithmetic over Q and over prime fields GF(p).
 
-All coefficients in the package are ``FieldScalar`` values: an exact
-rational (arbitrary precision, always in lowest terms) or a residue in
-[0, p).  Scalars are immutable; every operation returns a fresh value in
-canonical form, so equality is structural.
+``FieldScalar`` is the coefficient type at every public boundary: the
+``terms`` of a polynomial or Lie element and the entries of a matrix.  A
+scalar is an exact rational (arbitrary precision, always in lowest terms)
+or a residue in [0, p); it is immutable, its operations return fresh
+values in canonical form, and equality is structural.
+
+The hot kernels (polynomial products and substitution, matrix products,
+Bareiss elimination) do not compute on scalars.  ``FieldDescriptor.to_raw``
+turns a run of scalars into plain integers: over Q one common denominator
+and integer numerators, over GF(p) the residues.  The kernel works on those
+ints, and ``FieldDescriptor.from_raw`` builds one canonical scalar per
+result.  Only ``.numerator`` and ``.denominator`` of the rational type are
+used, so the same code serves ``fractions.Fraction`` and gmpy2's ``mpq``.
 """
 
 from __future__ import annotations
 
 import re
+from math import gcd
 
 from .errors import FieldMismatchError, ParseError, UnsupportedInputError
 
@@ -127,6 +137,33 @@ class FieldDescriptor:
         if den not in (None, 1):
             return FieldScalar(self, num % self.p) / self(den)
         return FieldScalar(self, num % self.p)
+
+    def to_raw(self, scalars):
+        """(den, ints) with scalars[i] == ints[i] / den.
+
+        Over Q, den is the least common denominator and ints are integer
+        numerators; over GF(p), den is 1 and ints are the residues.
+        """
+        if self.p is not None:
+            return 1, [s.value for s in scalars]
+        values = [s.value for s in scalars]
+        den = 1
+        for v in values:
+            d = v.denominator
+            if d != 1 and den % d:
+                den = den // gcd(den, d) * d
+        if den == 1:
+            return 1, [v.numerator for v in values]
+        return den, [v.numerator * (den // v.denominator) for v in values]
+
+    def from_raw(self, den, ints):
+        """The canonical scalars ints[i] / den (den is 1 over GF(p), nonzero over Q)."""
+        p = self.p
+        if p is not None:
+            return [FieldScalar(self, n % p) for n in ints]
+        if den == 1:
+            return [FieldScalar(self, _RAT(n)) for n in ints]
+        return [FieldScalar(self, _RAT(n, den)) for n in ints]
 
     def __eq__(self, other):
         return isinstance(other, FieldDescriptor) and self.p == other.p

@@ -1,8 +1,10 @@
 """Exact dense linear algebra: Bareiss fraction-free elimination.
 
 Determinants and square-system solving over a FieldScalar field, with
-arithmetic-operation counting.  Over Q every row is first scaled to
-integers; the Bareiss recurrence
+arithmetic-operation counting.  Matrix entries are FieldScalar values;
+products and elimination compute on the ints of ``FieldDescriptor.to_raw``
+and build scalars only for their results.  Over Q every row is first
+scaled to integers by its common denominator; the Bareiss recurrence
 
     a[i][j] <- (a[k][k] * a[i][j] - a[i][k] * a[k][j]) / prev_pivot
 
@@ -14,6 +16,8 @@ deterministic.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .errors import FieldMismatchError, InternalError, SingularMatrixError
 from .field import FieldScalar, big_int
@@ -92,25 +96,25 @@ class DenseMatrix:
     def mul_vector(self, vec):
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = self.field.zero()
-            for j in range(self.cols):
-                acc = acc + self.get(i, j) * vec[j]
-            out.append(acc)
-        return out
+        field = self.field
+        den_a, a = field.to_raw(self.entries)
+        den_v, v = field.to_raw([field(x) for x in vec])
+        m = self.cols
+        out = [sum(map(mul, a[i * m : (i + 1) * m], v)) for i in range(self.rows)]
+        return field.from_raw(den_a * den_v, out)
 
     def mul_matrix(self, other):
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
-        flat = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = self.field.zero()
-                for k in range(self.cols):
-                    acc = acc + self.get(i, k) * other.get(k, j)
-                flat.append(acc)
-        return DenseMatrix(self.rows, other.cols, self.field, flat)
+        if other.field != self.field:
+            raise FieldMismatchError("matrices over different fields")
+        field = self.field
+        den_a, a = field.to_raw(self.entries)
+        den_b, b = field.to_raw(other.entries)
+        m, q = self.cols, other.cols
+        b_cols = [b[j::q] for j in range(q)]
+        flat = [sum(map(mul, a[i * m : (i + 1) * m], col)) for i in range(self.rows) for col in b_cols]
+        return DenseMatrix(self.rows, q, field, field.from_raw(den_a * den_b, flat))
 
     def __eq__(self, other):
         if not isinstance(other, DenseMatrix):
@@ -127,28 +131,6 @@ class DenseMatrix:
 
 
 # -- integer kernel (Q) ----------------------------------------------------
-
-
-def _rows_to_integers(matrix_rows, field):
-    """Scale each row of rational entries to integers; return rows and scales."""
-    int_rows = []
-    scales = []
-    for row in matrix_rows:
-        lcm = 1
-        for e in row:
-            den = e.denominator
-            if den != 1:
-                g = _gcd(lcm, den)
-                lcm = lcm // g * den
-        scales.append(lcm)
-        int_rows.append([big_int(e.numerator * (lcm // e.denominator)) for e in row])
-    return int_rows, scales
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _bareiss_forward_int(aug, counter, collect=None):
@@ -285,15 +267,17 @@ def bareiss_determinant(matrix, collect=None):
         return matrix.get(0, 0), counter
     rows = [matrix.row(i) for i in range(n)]
     if field.is_rationals:
-        int_rows, scales = _rows_to_integers(rows, field)
+        scale = 1
+        int_rows = []
+        for row in rows:
+            den, ints = field.to_raw(row)
+            scale *= den
+            int_rows.append(ints)
         try:
             sign = _bareiss_forward_int(int_rows, counter, collect)
         except SingularMatrixError:
             return field.zero(), counter
         det = int_rows[n - 1][n - 1]
-        scale = 1
-        for s in scales:
-            scale *= s
         return field(sign * det, scale), counter
     aug = [list(r) for r in rows]
     try:
@@ -323,7 +307,7 @@ def solve_square(matrix, rhs, counter=None, collect=None):
             raise SingularMatrixError("singular 1x1 system")
         return [rhs[0] / matrix.get(0, 0)]
     if field.is_rationals:
-        int_rows, _ = _rows_to_integers(rows, field)
+        int_rows = [field.to_raw(row)[1] for row in rows]
         _bareiss_forward_int(int_rows, counter, collect)
         ys, det = _back_substitute_int(int_rows, counter)
         return [field(y, det) for y in ys]

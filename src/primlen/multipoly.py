@@ -1,14 +1,20 @@
 """Sparse multivariate polynomial arithmetic over a FieldScalar coefficient field.
 
 A polynomial in d variables is a map from exponent vectors (length-d tuples
-of nonnegative integers) to nonzero coefficients.  All operations are exact
-and return canonical values: zero coefficients are pruned eagerly, so two
-equal polynomials compare equal structurally.
+of nonnegative integers) to nonzero FieldScalar coefficients.  All
+operations are exact and return canonical values: zero coefficients are
+pruned eagerly, so two equal polynomials compare equal structurally.
+
+Products and substitution compute on plain ints: each operand's
+coefficients become one common denominator and integer numerators over Q,
+or residues over GF(p) (``FieldDescriptor.to_raw``), and one scalar is
+built per result coefficient (``SparseElement._wrap_raw``).
 """
 
 from __future__ import annotations
 
 from math import comb
+from operator import add
 
 from .errors import ArityMismatchError, FieldMismatchError
 from .field import FieldScalar
@@ -111,18 +117,16 @@ class Polynomial(SparseElement):
         if isinstance(other, (FieldScalar, int)):
             return self.scale(other)
         self._check_compatible(other)
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                prod = c1 * c2
-                acc = terms.get(mono)
-                s = prod if acc is None else acc + prod
-                if s.is_zero():
-                    terms.pop(mono, None)
-                else:
-                    terms[mono] = s
-        return self._wrap(terms)
+        den1, ints1 = self.field.to_raw(self.terms.values())
+        den2, ints2 = self.field.to_raw(other.terms.values())
+        pairs2 = list(zip(other.terms, ints2))
+        acc = {}
+        get = acc.get
+        for m1, c1 in zip(self.terms, ints1):
+            for m2, c2 in pairs2:
+                mono = tuple(map(add, m1, m2))
+                acc[mono] = get(mono, 0) + c1 * c2
+        return self._wrap_raw(den1 * den2, acc)
 
     __rmul__ = __mul__
 
@@ -139,7 +143,10 @@ class Polynomial(SparseElement):
 
         ``images`` must be ``arity`` polynomials over the same field (their
         common arity may differ from ``self.arity``).  Powers of each image
-        are cached, so repeated exponents cost one multiplication each.
+        are cached, so repeated exponents cost one multiplication each.  The
+        image of each monomial is a product of those powers, and the
+        coefficient-weighted sum of the images is taken on integer
+        numerators over one common denominator.
         """
         if len(images) != self.arity:
             raise ArityMismatchError(f"expected {self.arity} images, got {len(images)}")
@@ -152,7 +159,7 @@ class Polynomial(SparseElement):
             if g.field != self.field:
                 raise FieldMismatchError("image field mismatch")
         one = Polynomial.constant(target_arity, self.field, self.field.one())
-        power_cache = [{0: one} for _ in images]
+        power_cache = [{0: one, 1: g} for g in images]
 
         def img_power(i, e):
             cache = power_cache[i]
@@ -164,14 +171,24 @@ class Polynomial(SparseElement):
                     cache[k] = acc
             return cache[e]
 
-        result = Polynomial.zero(target_arity, self.field)
-        for mono, coeff in self.terms.items():
+        pieces = []
+        for mono in self.terms:
             piece = one
             for i, e in enumerate(mono):
                 if e:
-                    piece = piece * img_power(i, e)
-            result = result + piece.scale(coeff)
-        return result
+                    piece = img_power(i, e) if piece is one else piece * img_power(i, e)
+            pieces.append(piece)
+        # One common denominator for the coefficients of self and one for
+        # those of all the pieces; the sum runs on their numerators.
+        den, coeffs = self.field.to_raw(self.terms.values())
+        piece_den, piece_ints = self.field.to_raw(c for piece in pieces for c in piece.terms.values())
+        piece_ints = iter(piece_ints)
+        acc = {}
+        get = acc.get
+        for coeff, piece in zip(coeffs, pieces):
+            for mono, v in zip(piece.terms, piece_ints):
+                acc[mono] = get(mono, 0) + coeff * v
+        return one._wrap_raw(den * piece_den, acc)
 
     def __repr__(self):
         from .parsing import poly_to_str

@@ -9,8 +9,19 @@ compare equal structurally.
 
 from __future__ import annotations
 
-from .errors import ArityMismatchError, FieldMismatchError
+from .errors import ArityMismatchError, FieldMismatchError, UnsupportedInputError
 from .field import FieldScalar
+
+#: The most generators an element may have.  Every key of a polynomial is
+#: an exponent vector with one slot per generator, so this bounds the memory
+#: of one term; it is checked before any term is built.
+MAX_ARITY = 1024
+
+
+def check_arity(arity):
+    """Raise UnsupportedInputError when arity exceeds MAX_ARITY."""
+    if arity > MAX_ARITY:
+        raise UnsupportedInputError(f"{arity} generators exceed the ceiling of {MAX_ARITY}")
 
 
 class SparseElement:
@@ -25,6 +36,7 @@ class SparseElement:
     def __init__(self, arity, field, terms=None):
         if arity < 1:
             raise ArityMismatchError("arity must be at least 1")
+        check_arity(arity)
         clean = {}
         for key, coeff in (terms or {}).items():
             key = self._key(arity, key)
@@ -89,6 +101,15 @@ class SparseElement:
         object.__setattr__(out, "field", self.field)
         object.__setattr__(out, "terms", terms)
         return out
+
+    def _wrap_raw(self, den, raw):
+        """An element like self whose coefficient at each key of raw is raw[key] / den.
+
+        raw maps keys to ints in the layout of ``FieldDescriptor.to_raw``;
+        zero coefficients are dropped.
+        """
+        scalars = self.field.from_raw(den, raw.values())
+        return self._wrap({key: c for key, c in zip(raw, scalars) if c})
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -29,6 +29,25 @@ def rand_nonzero_scalar(rng, field, bound=10):
             return c
 
 
+# The fields of the kernel differential tests: Q, the two-element field, a
+# small prime and the largest prime below 2^63.
+KERNEL_FIELDS = [QQ, GF(2), GF(101), GF(2**63 - 25)]
+
+
+def rand_wide_scalar(rng, field):
+    """A scalar of any size: over Q, numerators up to 5,000 digits and denominators up to 10^50."""
+    if not field.is_rationals:
+        return field(rng.randrange(field.p))
+    shape = rng.random()
+    if shape < 0.2:
+        return field(0)
+    if shape < 0.4:
+        return field(rng.randint(-9, 9), rng.randint(1, 9))
+    num_digits = 5000 if shape < 0.5 else rng.randint(1, 60)
+    num = rng.randint(-(10**num_digits), 10**num_digits)
+    return field(num, rng.randint(1, 10**50))
+
+
 def rand_poly(rng, d, degree, field=QQ, coeff_bound=10, extra_terms=6):
     """Random polynomial of total degree exactly ``degree``."""
     terms = {}

@@ -1,12 +1,16 @@
 import json
+import platform
+from time import perf_counter
 
 import pytest
 
+from primlen import __version__
 from primlen.cli import main
 from primlen.document import dumps, loads, poly_document, verify_document
 from primlen.field import QQ
 from primlen.parsing import parse_poly
 from primlen.polydecomp import decompose
+from primlen.sparse import MAX_ARITY
 
 
 def run(args):
@@ -60,6 +64,41 @@ def test_unsupported_inputs():
     assert run(["decompose", "lie", "--vars", "2", "[x2,x1]"]) == 3
     assert run(["bound", "lie", "--vars", "2"]) == 3
     assert run(["bound", "poly", "--vars", "2", "--degree", "1"]) == 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["decompose", "poly", "x1"],
+        ["decompose", "lie", "[x2,x1]"],
+        ["bound", "poly", "--degree", "3"],
+        ["bound", "lie"],
+    ],
+    ids=["decompose-poly", "decompose-lie", "bound-poly", "bound-lie"],
+)
+@pytest.mark.parametrize("arity", [MAX_ARITY + 1, 10**30])
+def test_vars_above_the_arity_ceiling_are_unsupported(capsys, args, arity):
+    start = perf_counter()
+    assert run(args[:2] + ["--vars", str(arity)] + args[2:]) == 3
+    assert perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"unsupported input: {arity} generators exceed the ceiling of {MAX_ARITY}\n"
+
+
+def test_vars_at_the_arity_ceiling_are_accepted(capsys):
+    assert run(["bound", "lie", "--vars", str(MAX_ARITY)]) == 0
+    assert capsys.readouterr().out == "6\n"
+
+
+def test_version(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(["--version"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"primlen {__version__} (")
+    assert "fractions" in out or "gmpy2" in out
+    assert f"Python {platform.python_version()}" in out
 
 
 def test_parse_error_exit_code():
@@ -292,7 +331,7 @@ def test_deeply_nested_summand_is_a_rebuild_failure(tmp_path, capsys):
     [["poly", "--vars", "2", "x1^2 + x2"], ["lie", "--vars", "3", "[x2,x1] + x1"]],
     ids=["poly", "lie"],
 )
-@pytest.mark.parametrize("arity", [10**30, 0, -1])
+@pytest.mark.parametrize("arity", [10**30, 0, -1, 2**62, MAX_ARITY + 1])
 def test_arity_out_of_range_is_a_rebuild_failure(tmp_path, capsys, args, arity):
     out, doc = _decompose_to(tmp_path, args)
     doc["arity"] = arity

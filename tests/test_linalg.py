@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from primlen.errors import SingularMatrixError
+from primlen.errors import FieldMismatchError, SingularMatrixError
 from primlen.field import GF, QQ
 from primlen.linalg import (
     DenseMatrix,
@@ -15,7 +15,7 @@ from primlen.linalg import (
     vandermonde_power_matrix,
 )
 
-from conftest import cofactor_determinant, rand_nonzero_scalar, rand_scalar
+from conftest import KERNEL_FIELDS, cofactor_determinant, rand_nonzero_scalar, rand_scalar, rand_wide_scalar
 
 
 def qmat(rows):
@@ -177,3 +177,82 @@ def test_basis_from_row_keeps_the_row_and_adds_standard_vectors(field, d):
 def test_basis_from_row_rejects_the_zero_row():
     with pytest.raises(ValueError):
         basis_from_row([QQ(0), QQ(0)], QQ)
+
+
+# -- the integer kernels against plain FieldScalar loops ----------------------
+
+
+def reference_mul_vector(A, vec):
+    """A * vec computed on FieldScalar entries."""
+    out = []
+    for i in range(A.rows):
+        acc = A.field.zero()
+        for j in range(A.cols):
+            acc = acc + A.get(i, j) * vec[j]
+        out.append(acc)
+    return out
+
+
+def reference_mul_matrix(A, B):
+    """A * B computed on FieldScalar entries."""
+    flat = []
+    for i in range(A.rows):
+        for j in range(B.cols):
+            acc = A.field.zero()
+            for k in range(A.cols):
+                acc = acc + A.get(i, k) * B.get(k, j)
+            flat.append(acc)
+    return DenseMatrix(A.rows, B.cols, A.field, flat)
+
+
+def wide_matrix(rng, rows, cols, field):
+    return DenseMatrix(rows, cols, field, [rand_wide_scalar(rng, field) for _ in range(rows * cols)])
+
+
+def assert_same_scalars(got, expected):
+    assert got == expected
+    for c, e in zip(got, expected):
+        assert type(c.value) is type(e.value)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_mul_matrix_and_vector_match_the_scalar_reference(field):
+    rng = random.Random(41)
+    for _ in range(40):
+        n, m, q = (rng.randint(1, 4) for _ in range(3))
+        A = wide_matrix(rng, n, m, field)
+        B = wide_matrix(rng, m, q, field)
+        vec = [rand_wide_scalar(rng, field) for _ in range(m)]
+        product = A.mul_matrix(B)
+        assert (product.rows, product.cols) == (n, q)
+        assert_same_scalars(product.entries, reference_mul_matrix(A, B).entries)
+        assert_same_scalars(A.mul_vector(vec), reference_mul_vector(A, vec))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_mul_matrix_and_vector_zero_and_cancelling_results(field):
+    rng = random.Random(42)
+    for _ in range(10):
+        c = rand_wide_scalar(rng, field)
+        row = DenseMatrix.from_rows(field, [[c, c]])
+        column = DenseMatrix.from_rows(field, [[field.one()], [-field.one()]])
+        assert row.mul_matrix(column).entries == [field.zero()]
+        assert row.mul_vector([field.one(), -field.one()]) == [field.zero()]
+        A = wide_matrix(rng, 3, 2, field)
+        zero = DenseMatrix(2, 2, field, [field.zero()] * 4)
+        assert_same_scalars(A.mul_matrix(zero).entries, [field.zero()] * 6)
+
+
+def test_mul_matrix_rejects_another_field():
+    with pytest.raises(FieldMismatchError):
+        DenseMatrix.identity(2, QQ).mul_matrix(DenseMatrix.identity(2, GF(3)))
+
+
+def test_determinant_of_wide_rationals_matches_the_cofactor_oracle():
+    rng = random.Random(43)
+    for _ in range(10):
+        n = rng.randint(1, 4)
+        rows = [[rand_wide_scalar(rng, QQ) for _ in range(n)] for _ in range(n)]
+        det, _ = bareiss_determinant(DenseMatrix.from_rows(QQ, rows))
+        oracle = cofactor_determinant([[Fraction(e.numerator, e.denominator) for e in row] for row in rows])
+        assert Fraction(det.numerator, det.denominator) == oracle

@@ -7,7 +7,7 @@ from primlen.errors import ArityMismatchError, FieldMismatchError
 from primlen.field import GF, QQ
 from primlen.multipoly import Polynomial, monomials_of_degree, multinomial
 
-from conftest import rand_poly
+from conftest import KERNEL_FIELDS, rand_poly, rand_wide_scalar
 
 x1 = Polynomial.variable(2, QQ, 1)
 x2 = Polynomial.variable(2, QQ, 2)
@@ -136,3 +136,98 @@ def test_gf_coefficients_normalize():
     f = Polynomial(2, F, {(1, 0): 4})
     assert f == Polynomial.variable(2, F, 1)
     assert (f + f + f).is_zero()
+
+
+# -- the integer kernels against plain FieldScalar loops ----------------------
+
+
+def reference_mul(f, g):
+    """The product computed on FieldScalar coefficients, term by term."""
+    terms = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            terms[mono] = terms.get(mono, f.field.zero()) + c1 * c2
+    return Polynomial(f.arity, f.field, terms)
+
+
+def reference_substitute(f, images):
+    """x_i -> images[i] by repeated reference products and FieldScalar scaling."""
+    target = images[0].arity
+    result = Polynomial.zero(target, f.field)
+    for mono, coeff in f.terms.items():
+        piece = Polynomial.constant(target, f.field, f.field.one())
+        for i, e in enumerate(mono):
+            for _ in range(e):
+                piece = reference_mul(piece, images[i])
+        result = result + piece.scale(coeff)
+    return result
+
+
+def wide_poly(rng, d, field, n_terms, max_degree=3):
+    terms = {}
+    for _ in range(n_terms):
+        mono = tuple(rng.randint(0, max_degree) for _ in range(d))
+        terms[mono] = rand_wide_scalar(rng, field)
+    return Polynomial(d, field, terms)
+
+
+def assert_same(got, expected):
+    """Equal polynomials whose stored coefficients have the same canonical values."""
+    assert got == expected
+    for mono, c in got.terms.items():
+        assert type(c.value) is type(expected.terms[mono].value)
+        if c.field.p is not None:
+            assert 0 < c.value < c.field.p
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_mul_matches_the_scalar_reference(field):
+    rng = random.Random(31)
+    for _ in range(60):
+        d = rng.randint(1, 3)
+        f = wide_poly(rng, d, field, rng.randint(0, 5))
+        g = wide_poly(rng, d, field, rng.randint(0, 5))
+        assert_same(f * g, reference_mul(f, g))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_mul_zero_and_cancelling_products(field):
+    rng = random.Random(32)
+    for _ in range(20):
+        f = wide_poly(rng, 2, field, 4)
+        c = rand_wide_scalar(rng, field)
+        x, y = Polynomial.variable(2, field, 1), Polynomial.variable(2, field, 2)
+        assert (f * Polynomial.zero(2, field)).is_zero()
+        assert_same(f * (f - f), reference_mul(f, f - f))
+        # (x + c y)(x - c y): the mixed terms cancel
+        product = (x + y.scale(c)) * (x - y.scale(c))
+        assert_same(product, reference_mul(x + y.scale(c), x - y.scale(c)))
+        assert product == x * x - (y * y).scale(c * c)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_substitute_matches_the_scalar_reference(field):
+    rng = random.Random(33)
+    for _ in range(30):
+        d = rng.randint(1, 3)
+        target = rng.randint(1, 4)  # often not d
+        f = wide_poly(rng, d, field, rng.randint(0, 5))
+        images = [wide_poly(rng, target, field, rng.randint(0, 3), max_degree=2) for _ in range(d)]
+        assert_same(f.substitute(images), reference_substitute(f, images))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_substitute_cancelling_and_zero_images(field):
+    rng = random.Random(34)
+    x, y = Polynomial.variable(2, field, 1), Polynomial.variable(2, field, 2)
+    for _ in range(10):
+        c = rand_wide_scalar(rng, field)
+        f = (x - y).scale(c) + x * y
+        z = Polynomial.variable(3, field, 3).scale(rand_wide_scalar(rng, field))
+        # x, y -> z, z: the linear part cancels, x*y becomes z^2
+        assert_same(f.substitute([z, z]), reference_substitute(f, [z, z]))
+        assert f.substitute([z, z]) == z * z
+        zero3 = Polynomial.zero(3, field)
+        assert_same(f.substitute([zero3, z]), reference_substitute(f, [zero3, z]))
+        assert Polynomial.zero(2, field).substitute([z, z]) == zero3
