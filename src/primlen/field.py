@@ -157,9 +157,12 @@ class FieldDescriptor:
         return den, [v.numerator * (den // v.denominator) for v in values]
 
     def from_raw(self, den, ints):
-        """The canonical scalars ints[i] / den (den is 1 over GF(p), nonzero over Q)."""
+        """The canonical scalars ints[i] / den, for den nonzero in the field."""
         p = self.p
         if p is not None:
+            if den != 1:
+                inv = pow(den, -1, p)
+                return [FieldScalar(self, n * inv % p) for n in ints]
             return [FieldScalar(self, n % p) for n in ints]
         if den == 1:
             return [FieldScalar(self, _RAT(n)) for n in ints]

@@ -53,15 +53,10 @@ class LinearLieAuto:
 
     def to_endo(self, field):
         d = self.arity
-        images = []
-        for j in range(d):
-            terms = {}
-            for i in range(d):
-                c = self.matrix.get(j, i)
-                if not c.is_zero():
-                    terms[(i + 1,)] = c
-            images.append(LieElement(d, field, terms))
-        return LieEndomorphism(images)
+        zero = LieElement.zero(d, self.matrix.field)
+        return LieEndomorphism(
+            [zero._wrap({(i,): c for i, c in enumerate(self.matrix.row(j), 1) if c}) for j in range(d)]
+        )
 
 
 class TriangularLieAuto:
@@ -111,11 +106,9 @@ class TriangularLieAuto:
         return problems
 
     def to_endo(self, field):
-        d = self.arity
-        images = [None] * d
-        for j, gen in enumerate(self.ordering):
-            base = LieElement.generator(d, field, gen).scale(self.gammas[j])
-            images[gen - 1] = base + self.tails[j]
+        images = [None] * self.arity
+        for gen, gamma, tail in zip(self.ordering, self.gammas, self.tails):
+            images[gen - 1] = tail._wrap({(gen,): gamma}) + tail if gamma else tail
         return LieEndomorphism(images)
 
 
@@ -436,11 +429,16 @@ def _quadratic_cert(zeta_coeffs, beta, d, field):
 
 
 def _linear_normalization(f):
-    """A linear automorphism sending the linear part of f to x1 (or None)."""
+    """(rho, rho^-1) with rho sending the linear part of f to x1, or None without one.
+
+    rho^-1 is the basis change x1 -> the linear part, so only rho takes an
+    inverse.
+    """
     coeffs = f.linear_coefficients()
     if all(c.is_zero() for c in coeffs):
         return None
-    return LinearLieAuto(matrix_inverse(basis_from_row(coeffs, f.field)))
+    basis = basis_from_row(coeffs, f.field)
+    return LinearLieAuto(matrix_inverse(basis)), LinearLieAuto(basis)
 
 
 def decompose_lie(f):
@@ -456,11 +454,12 @@ def decompose_lie(f):
     if f.degree() == 1:
         return LieDecomposition(f, [(f, _linear_cert_for(f))], bound)
 
-    rho = _linear_normalization(f)
-    if rho is None:
+    normalization = _linear_normalization(f)
+    if normalization is None:
         g = f
         delta = 0
     else:
+        rho, rho_inv = normalization
         g = apply_endo(rho.to_endo(field), f)
         delta = 1
     _, with_x1, v = split_parts(g)
@@ -542,8 +541,7 @@ def decompose_lie(f):
             if not u4.is_zero():
                 summands.append((u4, _linear_cert_for(u4)))
 
-    if rho is not None:
-        rho_inv = LinearLieAuto(matrix_inverse(rho.matrix))
+    if normalization is not None:
         rho_inv_endo = rho_inv.to_endo(field)
         mapped = []
         for element, cert in summands:

@@ -1,18 +1,21 @@
 """Exact dense linear algebra: Bareiss fraction-free elimination.
 
-Determinants and square-system solving over a FieldScalar field, with
-arithmetic-operation counting.  Matrix entries are FieldScalar values;
+Determinants, square-system solving and inverses over a FieldScalar field,
+with arithmetic-operation counting.  Matrix entries are FieldScalar values;
 products and elimination compute on the ints of ``FieldDescriptor.to_raw``
-and build scalars only for their results.  Over Q every row is first
-scaled to integers by its common denominator; the Bareiss recurrence
+and build scalars only for their results.  One recurrence serves Q and
+GF(p):
 
     a[i][j] <- (a[k][k] * a[i][j] - a[i][k] * a[k][j]) / prev_pivot
 
-then keeps every intermediate value integral (the division is exact by
-Sylvester's determinant identity), which bounds the bit growth of the
-entries by the size of the corresponding minors.  Pivoting always takes
-the first row with a nonzero entry in column order, so elimination is
-deterministic.
+Over Q every row is first scaled to integers by its common denominator,
+and the division is exact (Sylvester's determinant identity), which keeps
+every intermediate integral and bounds the bit growth of the entries by
+the size of the corresponding minors.  Over GF(p) the entries are residues
+and the division is a multiply by the modular inverse of the previous
+pivot, taken once per elimination step.  Back substitution solves for
+det * x on ints in the same way.  Pivoting always takes the first row with
+a nonzero entry in column order, so elimination is deterministic.
 """
 
 from __future__ import annotations
@@ -130,16 +133,18 @@ class DenseMatrix:
         return f"DenseMatrix({self.rows}x{self.cols} over {self.field!r})"
 
 
-# -- integer kernel (Q) ----------------------------------------------------
+# -- the integer kernel --------------------------------------------------------
 
 
-def _bareiss_forward_int(aug, counter, collect=None):
-    """Fraction-free forward elimination on integer rows, in place.
+def _bareiss_forward(aug, p, counter, collect=None):
+    """Fraction-free forward elimination on rows of ints, in place.
 
-    Returns the sign of the implied row permutation.  ``collect``, when
-    given, receives every intermediate value the recurrence produces so the
-    integrality property can be observed from outside.  A fractional
-    intermediate would indicate a broken invariant and raises.
+    Over Q (``p is None``) the division by the previous pivot is exact; over
+    GF(p) it is a multiply by that pivot's inverse mod p.  Returns the sign
+    of the implied row permutation.  ``collect``, when given, receives every
+    value the recurrence produces, so the integrality property can be
+    observed from outside.  A fractional intermediate over Q would indicate
+    a broken invariant and raises.
     """
     n = len(aug)
     width = len(aug[0])
@@ -154,19 +159,23 @@ def _bareiss_forward_int(aug, counter, collect=None):
                     break
             else:
                 raise SingularMatrixError("zero pivot column during elimination")
-        pivot = aug[k][k]
+        row_k = aug[k]
+        pivot = row_k[k]
+        inv_prev = None if p is None else pow(prev, -1, p)
         for i in range(k + 1, n):
-            head = aug[i][k]
             row_i = aug[i]
-            row_k = aug[k]
+            head = row_i[k]
             for j in range(k + 1, width):
                 num = pivot * row_i[j] - head * row_k[j]
-                q, r = divmod(num, prev)
-                if r != 0:
-                    raise InternalError("Bareiss intermediate is not an integer")
+                if inv_prev is None:
+                    q, r = divmod(num, prev)
+                    if r != 0:
+                        raise InternalError("Bareiss intermediate is not an integer")
+                else:
+                    q = num * inv_prev % p
                 row_i[j] = q
-                if collect is not None:
-                    collect.append(q)
+            if collect is not None:
+                collect.extend(row_i[k + 1 :])
             row_i[k] = big_int(0)
             counter.multiplications += 2 * (width - k - 1)
             counter.divisions += width - k - 1
@@ -175,78 +184,37 @@ def _bareiss_forward_int(aug, counter, collect=None):
     return sign
 
 
-def _back_substitute_int(aug, counter):
-    """Solve the eliminated integer system; returns (numerators, denominator).
+def _back_substitute(aug, p, counter):
+    """Solve the eliminated system for every column right of the square part.
 
-    Every solution component equals y_i / det where det is the last pivot,
-    so back substitution stays in integers with one exact division per row.
+    Returns (columns, det): column c of the solution is columns[c] / det,
+    det being the last pivot.  Every component of det * x is an integer
+    over Q, so back substitution stays in ints with one exact division per
+    entry; over GF(p) the division is a multiply by the row pivot's inverse.
     """
     n = len(aug)
     det = aug[n - 1][n - 1]
     if det == 0:
         raise SingularMatrixError("zero determinant")
-    ys = [big_int(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = det * aug[i][n]
-        counter.multiplications += 1
-        for j in range(i + 1, n):
-            acc -= aug[i][j] * ys[j]
-            counter.multiplications += 1
-            counter.additions += 1
-        q, r = divmod(acc, aug[i][i])
-        if r != 0:
-            raise InternalError("non-integer value in integer back substitution")
-        counter.divisions += 1
-        ys[i] = q
-    return ys, det
-
-
-# -- field kernel (GF(p) and generic fallback) ------------------------------
-
-
-def _bareiss_forward_field(aug, field, counter):
-    """The same recurrence over an arbitrary field (division always exact)."""
-    n = len(aug)
-    width = len(aug[0])
-    prev = field.one()
-    sign = field.one()
-    for k in range(n - 1):
-        if aug[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not aug[r][k].is_zero():
-                    aug[k], aug[r] = aug[r], aug[k]
-                    sign = -sign
-                    break
+    inverses = None if p is None else [pow(aug[i][i], -1, p) for i in range(n)]
+    columns = []
+    for c in range(n, len(aug[0])):
+        ys = [big_int(0)] * n
+        for i in range(n - 1, -1, -1):
+            row = aug[i]
+            acc = det * row[c] - sum(map(mul, row[i + 1 : n], ys[i + 1 :]))
+            if inverses is None:
+                q, r = divmod(acc, row[i])
+                if r != 0:
+                    raise InternalError("non-integer value in integer back substitution")
             else:
-                raise SingularMatrixError("zero pivot column during elimination")
-        pivot = aug[k][k]
-        inv_prev = prev.inverse()
-        for i in range(k + 1, n):
-            head = aug[i][k]
-            for j in range(k + 1, width):
-                aug[i][j] = (pivot * aug[i][j] - head * aug[k][j]) * inv_prev
-            aug[i][k] = field.zero()
-            counter.multiplications += 2 * (width - k - 1)
-            counter.divisions += width - k - 1
-            counter.additions += width - k - 1
-        prev = pivot
-    return sign
-
-
-def _back_substitute_field(aug, field, counter):
-    n = len(aug)
-    xs = [field.zero()] * n
-    for i in range(n - 1, -1, -1):
-        if aug[i][i].is_zero():
-            raise SingularMatrixError("zero diagonal after elimination")
-        acc = aug[i][n]
-        for j in range(i + 1, n):
-            acc = acc - aug[i][j] * xs[j]
-            counter.multiplications += 1
-            counter.additions += 1
-        xs[i] = acc / aug[i][i]
-        counter.divisions += 1
-    return xs
+                q = acc * inverses[i] % p
+            ys[i] = q
+        columns.append(ys)
+        counter.multiplications += n + n * (n - 1) // 2
+        counter.additions += n * (n - 1) // 2
+        counter.divisions += n
+    return columns, det
 
 
 # -- public operations -------------------------------------------------------
@@ -255,36 +223,24 @@ def _back_substitute_field(aug, field, counter):
 def bareiss_determinant(matrix, collect=None):
     """Exact determinant via fraction-free elimination.
 
-    Returns ``(det, OpCounter)``.  ``collect`` receives the integer
-    intermediates when the computation runs over Q.
+    Returns ``(det, OpCounter)``.  ``collect`` receives the intermediates
+    of the recurrence.
     """
     if matrix.rows != matrix.cols:
         raise ValueError("determinant of a non-square matrix")
     counter = OpCounter()
-    n = matrix.rows
     field = matrix.field
-    if n == 1:
-        return matrix.get(0, 0), counter
-    rows = [matrix.row(i) for i in range(n)]
-    if field.is_rationals:
-        scale = 1
-        int_rows = []
-        for row in rows:
-            den, ints = field.to_raw(row)
-            scale *= den
-            int_rows.append(ints)
-        try:
-            sign = _bareiss_forward_int(int_rows, counter, collect)
-        except SingularMatrixError:
-            return field.zero(), counter
-        det = int_rows[n - 1][n - 1]
-        return field(sign * det, scale), counter
-    aug = [list(r) for r in rows]
+    scale = 1
+    rows = []
+    for i in range(matrix.rows):
+        den, ints = field.to_raw(matrix.row(i))
+        scale *= den
+        rows.append(ints)
     try:
-        sign = _bareiss_forward_field(aug, field, counter)
+        sign = _bareiss_forward(rows, field.p, counter, collect)
     except SingularMatrixError:
         return field.zero(), counter
-    return sign * aug[n - 1][n - 1], counter
+    return field.from_raw(scale, [sign * rows[-1][-1]])[0], counter
 
 
 def solve_square(matrix, rhs, counter=None, collect=None):
@@ -299,33 +255,31 @@ def solve_square(matrix, rhs, counter=None, collect=None):
         raise ValueError("right-hand side length mismatch")
     if counter is None:
         counter = OpCounter()
-    n = matrix.rows
     field = matrix.field
-    rows = [matrix.row(i) + [rhs[i]] for i in range(n)]
-    if n == 1:
-        if matrix.get(0, 0).is_zero():
-            raise SingularMatrixError("singular 1x1 system")
-        return [rhs[0] / matrix.get(0, 0)]
-    if field.is_rationals:
-        int_rows = [field.to_raw(row)[1] for row in rows]
-        _bareiss_forward_int(int_rows, counter, collect)
-        ys, det = _back_substitute_int(int_rows, counter)
-        return [field(y, det) for y in ys]
-    _bareiss_forward_field(rows, field, counter)
-    return _back_substitute_field(rows, field, counter)
+    rows = [field.to_raw(matrix.row(i) + [rhs[i]])[1] for i in range(matrix.rows)]
+    _bareiss_forward(rows, field.p, counter, collect)
+    (ys,), det = _back_substitute(rows, field.p, counter)
+    return field.from_raw(det, ys)
 
 
 def matrix_inverse(matrix):
-    """Inverse of a square nonsingular matrix (column-by-column solve)."""
+    """Inverse of a square nonsingular matrix.
+
+    One elimination of the block [A | D], where row i of A is scaled to
+    ints by its denominator D[i][i], then one back substitution per column.
+    """
     if matrix.rows != matrix.cols:
         raise ValueError("inverse of a non-square matrix")
     n = matrix.rows
     field = matrix.field
-    columns = []
-    for j in range(n):
-        e_j = [field.one() if i == j else field.zero() for i in range(n)]
-        columns.append(solve_square(matrix, e_j))
-    flat = [columns[j][i] for i in range(n) for j in range(n)]
+    aug = []
+    for i in range(n):
+        den, ints = field.to_raw(matrix.row(i))
+        aug.append(ints + [den if j == i else 0 for j in range(n)])
+    counter = OpCounter()
+    _bareiss_forward(aug, field.p, counter)
+    columns, det = _back_substitute(aug, field.p, counter)
+    flat = field.from_raw(det, [columns[j][i] for i in range(n) for j in range(n)])
     return DenseMatrix(n, n, field, flat)
 
 

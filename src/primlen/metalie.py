@@ -19,6 +19,13 @@ Since the second index of a normal word is its minimum, bracketing a
 normal word with a generator produces one normal word (tail insertion) or
 two (one Jacobi step), so rewriting terminates immediately.
 
+Words are rewritten on ints: ``bracket``, ``normalize_word`` and
+``apply_endo`` share one rewrite loop over maps from words to the ints of
+``FieldDescriptor.to_raw`` (over Q numerators over a common denominator,
+over GF(p) residues, reduced mod p at every step).  FieldScalar appears
+only at the boundary: the terms an operation reads and the element it
+returns, built once with ``_wrap_raw``.
+
 Results never exceed the configurable degree cap (default 12, overridden
 by the PRIMLEN_DEGREE_CAP environment variable); a bracket that would is
 reported as an error instead of silently exploding.
@@ -29,7 +36,7 @@ from __future__ import annotations
 import os
 from bisect import insort
 
-from .errors import ArityMismatchError, DegreeCapError
+from .errors import ArityMismatchError, DegreeCapError, FieldMismatchError
 from .sparse import SparseElement
 
 DEFAULT_DEGREE_CAP = 12
@@ -119,24 +126,19 @@ class LieElement(SparseElement):
         return f"LieElement({self.arity}, {self.field!r}, {lie_to_str(self)!r})"
 
 
-def bracket(u, v, cap=None):
-    """The Lie bracket [u, v], rewritten into the normal-word basis."""
-    u._check_compatible(v)
-    if cap is None:
-        cap = degree_cap()
+def _bracket_raw(tu, tv, cap, p):
+    """[u, v] on raw coefficient maps (normal word -> int).
+
+    ``tu`` and ``tv`` hold ints in the layout of ``FieldDescriptor.to_raw``
+    and so does the result; ``p`` is the field's characteristic, None over
+    Q.  A coefficient is reduced mod p and dropped when it reaches zero, so
+    a word whose coefficient cancels never reaches the degree cap.
+    """
     terms = {}
-
-    def put(word, coeff):
-        acc = terms.get(word)
-        s = coeff if acc is None else acc + coeff
-        if s.is_zero():
-            terms.pop(word, None)
-        else:
-            terms[word] = s
-
-    for wu, cu in u.terms.items():
-        for wv, cv in v.terms.items():
-            nu, nv = len(wu), len(wv)
+    for wu, cu in tu.items():
+        nu = len(wu)
+        for wv, cv in tv.items():
+            nv = len(wv)
             if nu >= 2 and nv >= 2:
                 continue
             if nu + nv > cap:
@@ -148,17 +150,37 @@ def bracket(u, v, cap=None):
                 a, b = wu[0], wv[0]
                 if a == b:
                     continue
-                if a > b:
-                    put((a, b), coeff)
-                else:
-                    put((b, a), -coeff)
+                pieces = (((a, b), 1),) if a > b else (((b, a), -1),)
             elif nv == 1:
-                for word, sign in _ad_normal(wu, wv[0]):
-                    put(word, coeff if sign > 0 else -coeff)
+                pieces = _ad_normal(wu, wv[0])
             else:
-                for word, sign in _ad_normal(wv, wu[0]):
-                    put(word, -coeff if sign > 0 else coeff)
-    return u._wrap(terms)
+                pieces = _ad_normal(wv, wu[0])
+                coeff = -coeff
+            for word, sign in pieces:
+                s = terms.get(word, 0) + sign * coeff
+                if p is not None:
+                    s %= p
+                if s:
+                    terms[word] = s
+                else:
+                    terms.pop(word, None)
+    return terms
+
+
+def _raw_terms(element):
+    """(den, raw) with raw mapping each word of element to its int, as in ``to_raw``."""
+    den, ints = element.field.to_raw(element.terms.values())
+    return den, dict(zip(element.terms, ints))
+
+
+def bracket(u, v, cap=None):
+    """The Lie bracket [u, v], rewritten into the normal-word basis."""
+    u._check_compatible(v)
+    if cap is None:
+        cap = degree_cap()
+    den_u, tu = _raw_terms(u)
+    den_v, tv = _raw_terms(v)
+    return u._wrap_raw(den_u * den_v, _bracket_raw(tu, tv, cap, u.field.p))
 
 
 def normalize_word(indices, arity, field, cap=None):
@@ -170,10 +192,16 @@ def normalize_word(indices, arity, field, cap=None):
         cap = degree_cap()
     if len(indices) > cap:
         raise DegreeCapError(f"word length {len(indices)} beyond the cap {cap}")
-    result = LieElement.generator(arity, field, indices[0])
+    first = LieElement.generator(arity, field, indices[0])
     for idx in indices[1:]:
-        result = bracket(result, LieElement.generator(arity, field, idx), cap)
-    return result
+        if not 1 <= idx <= arity:
+            raise ArityMismatchError(f"generator x{idx} out of range for arity {arity}")
+    if is_normal_word(indices):
+        return first._wrap({indices: field.one()})
+    terms = {indices[:1]: 1}
+    for idx in indices[1:]:
+        terms = _bracket_raw(terms, {(idx,): 1}, cap, field.p)
+    return first._wrap_raw(1, terms)
 
 
 class LieEndomorphism:
@@ -208,22 +236,35 @@ class LieEndomorphism:
 
 
 def apply_endo(endo, u, cap=None):
-    """Homomorphic image of u: brackets are rebuilt from the generator images."""
+    """Homomorphic image of u: brackets are rebuilt from the generator images.
+
+    The images share one denominator D over Q, so the bracket of the images
+    along a word of length m has denominator D^m; every word's piece is
+    brought to D^L, L the longest word of u, before it is added.
+    """
     if endo.arity != u.arity:
         raise ArityMismatchError("endomorphism arity mismatch")
+    if endo.field != u.field:
+        raise FieldMismatchError("endomorphism and element over different fields")
     if cap is None:
         cap = degree_cap()
-    images = endo.images
-    result = LieElement.zero(u.arity, u.field)
-    for word, coeff in u.terms.items():
-        if len(word) == 1:
-            piece = images[word[0] - 1]
-        else:
-            piece = bracket(images[word[0] - 1], images[word[1] - 1], cap)
-            for idx in word[2:]:
-                piece = bracket(piece, images[idx - 1], cap)
-        result = result + piece.scale(coeff)
-    return result
+    p = u.field.p
+    den, ints = u.field.to_raw([c for g in endo.images for c in g.terms.values()])
+    images, start = [], 0
+    for g in endo.images:
+        images.append(dict(zip(g.terms, ints[start : start + len(g.terms)])))
+        start += len(g.terms)
+    den_u, coeffs = u.field.to_raw(u.terms.values())
+    longest = max(map(len, u.terms), default=1)
+    result = {}
+    for word, c in zip(u.terms, coeffs):
+        piece = images[word[0] - 1]
+        for idx in word[1:]:
+            piece = _bracket_raw(piece, images[idx - 1], cap, p)
+        c *= den ** (longest - len(word))
+        for w, x in piece.items():
+            result[w] = result.get(w, 0) + c * x
+    return u._wrap_raw(den_u * den**longest, result)
 
 
 def inner_auto(v):

@@ -18,6 +18,11 @@ from .linalg import DenseMatrix, matrix_inverse, matrix_problems
 from .multipoly import Polynomial
 
 
+def _unit_vectors(d):
+    """The exponent vectors of x_1, ..., x_d."""
+    return [tuple(int(m == i) for m in range(d)) for i in range(d)]
+
+
 class AffineAuto:
     """x_j -> offset[j] + sum_i matrix[j][i] * x_i (row j holds the image of x_j)."""
 
@@ -51,16 +56,17 @@ class AffineAuto:
         )
 
     def images(self):
-        d, field = self.arity, self.field
+        d = self.arity
+        zero = Polynomial.zero(d, self.field)
+        monos = _unit_vectors(d)
         out = []
         for j in range(d):
-            terms = {(0,) * d: self.offset[j]}
-            for i in range(d):
-                c = self.matrix.get(j, i)
-                if not c.is_zero():
-                    mono = tuple(1 if m == i else 0 for m in range(d))
+            offset = self.offset[j]
+            terms = {(0,) * d: offset} if offset else {}
+            for mono, c in zip(monos, self.matrix.row(j)):
+                if c:
                     terms[mono] = c
-            out.append(Polynomial(d, field, terms))
+            out.append(zero._wrap(terms))
         return out
 
 
@@ -105,11 +111,9 @@ class TriangularAuto:
         return problems
 
     def images(self):
-        d, field = self.arity, self.field
         out = []
-        for j in range(d):
-            image = Polynomial.variable(d, field, j + 1).scale(self.gammas[j]) + self.tails[j]
-            out.append(image)
+        for mono, gamma, tail in zip(_unit_vectors(self.arity), self.gammas, self.tails):
+            out.append(tail._wrap({mono: gamma}) + tail if gamma else tail)
         return out
 
 

@@ -42,7 +42,6 @@ from .polyauto import (
     TriangularAuto,
     apply_auto,
     certify_apply,
-    invert_auto,
     validate_certificate,
 )
 
@@ -111,16 +110,19 @@ def linearize(f):
     """A linear automorphism psi with psi(f) having linear part delta * x1.
 
     If the linear component f_1 is nonzero, psi maps f_1 to x1: its matrix
-    is the inverse of basis_from_row(f_1).  Otherwise psi is the identity.
-    Returns (psi, psi(f)).
+    is the inverse of B = basis_from_row(f_1), so B itself is the matrix of
+    psi^-1.  Otherwise psi is the identity.  Returns (psi, psi^-1, psi(f)),
+    with psi^-1 None when psi is the identity.
     """
     d, field = f.arity, f.field
     coeffs = f.linear_coefficients()
-    identity = AffineAuto(DenseMatrix.identity(d, field), [field.zero()] * d, check=False)
+    zero = [field.zero()] * d
     if all(c.is_zero() for c in coeffs):
-        return identity, f
-    psi = AffineAuto(matrix_inverse(basis_from_row(coeffs, field)), [field.zero()] * d)
-    return psi, apply_auto(psi, f)
+        return AffineAuto(DenseMatrix.identity(d, field), zero, check=False), None, f
+    basis = basis_from_row(coeffs, field)
+    psi = AffineAuto(matrix_inverse(basis), zero)
+    psi_inv = None if psi.is_identity() else AffineAuto(basis, zero)
+    return psi, psi_inv, apply_auto(psi, f)
 
 
 def assign_linear_coeffs(count, delta, field=QQ):
@@ -222,15 +224,13 @@ def decompose(f):
         return PolyDecomposition(f, INFINITE, [], bound=bound)
 
     counter = OpCounter()
-    psi, g = linearize(f)
-    psi_is_identity = psi.is_identity()
+    _, psi_inv, g = linearize(f)
     delta = 0 if g.homogeneous_component(1).is_zero() else 1
     beta = g.constant_term()
     nodes = lattice_nodes(n, d)
     xi_linear = assign_linear_coeffs(bound, delta, field)
     xi = {p: solve_degree(p, g.homogeneous_component(p), nodes, counter) for p in range(2, n + 1)}
 
-    psi_inv = None if psi_is_identity else invert_auto(psi)
     one = field.one()
     summands = []
     for k in range(bound):

@@ -256,3 +256,151 @@ def test_determinant_of_wide_rationals_matches_the_cofactor_oracle():
         det, _ = bareiss_determinant(DenseMatrix.from_rows(QQ, rows))
         oracle = cofactor_determinant([[Fraction(e.numerator, e.denominator) for e in row] for row in rows])
         assert Fraction(det.numerator, det.denominator) == oracle
+
+
+# -- elimination, solving and inversion against FieldScalar references ------
+
+
+def reference_solve(A, rhs):
+    """x with A x = rhs by Gauss-Jordan elimination on FieldScalar entries; None when A is singular."""
+    n = A.rows
+    rows = [A.row(i) + [rhs[i]] for i in range(n)]
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if not rows[r][k].is_zero()), None)
+        if pivot is None:
+            return None
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        inv = rows[k][k].inverse()
+        rows[k] = [a * inv for a in rows[k]]
+        for r in range(n):
+            if r != k and not rows[r][k].is_zero():
+                factor = rows[r][k]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[k])]
+    return [row[n] for row in rows]
+
+
+def reference_determinant(A):
+    """Product of the pivots of Gaussian elimination on FieldScalar entries, with the swap signs."""
+    n = A.rows
+    rows = [A.row(i) for i in range(n)]
+    det = A.field.one()
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if not rows[r][k].is_zero()), None)
+        if pivot is None:
+            return A.field.zero()
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det = det * rows[k][k]
+        inv = rows[k][k].inverse()
+        for r in range(k + 1, n):
+            factor = rows[r][k] * inv
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[k])]
+    return det
+
+
+def reference_inverse(A):
+    """The inverse column by column, one reference solve per unit vector; None when A is singular."""
+    n, field = A.rows, A.field
+    columns = [reference_solve(A, [field(int(i == j)) for i in range(n)]) for j in range(n)]
+    if columns[0] is None:
+        return None
+    return DenseMatrix(n, n, field, [columns[j][i] for i in range(n) for j in range(n)])
+
+
+def assert_kernel_matches_reference(A, rhs):
+    det, _ = bareiss_determinant(A)
+    assert_same_scalars([det], [reference_determinant(A)])
+    expected = reference_solve(A, rhs)
+    if expected is None:
+        assert det.is_zero()
+        with pytest.raises(SingularMatrixError):
+            solve_square(A, rhs)
+        with pytest.raises(SingularMatrixError):
+            matrix_inverse(A)
+        return
+    assert_same_scalars(solve_square(A, rhs), expected)
+    assert_same_scalars(matrix_inverse(A).entries, reference_inverse(A).entries)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_elimination_matches_the_scalar_reference(field):
+    rng = random.Random(44)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        A = DenseMatrix(n, n, field, [rand_scalar(rng, field, 30) for _ in range(n * n)])
+        assert_kernel_matches_reference(A, [rand_scalar(rng, field, 30) for _ in range(n)])
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_elimination_of_wide_scalars_matches_the_scalar_reference(field):
+    # over Q: numerators up to 5,000 digits and row denominators up to 10^50
+    rng = random.Random(45)
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        A = wide_matrix(rng, n, n, field)
+        assert_kernel_matches_reference(A, [rand_wide_scalar(rng, field) for _ in range(n)])
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_singular_matrices(field):
+    rng = random.Random(46)
+    for n in range(1, 5):
+        row = [rand_nonzero_scalar(rng, field) for _ in range(n)]
+        c = rand_nonzero_scalar(rng, field)
+        rhs = [field.one()] * n
+        zero = DenseMatrix(n, n, field, [field.zero()] * (n * n))
+        assert_kernel_matches_reference(zero, rhs)
+        if n > 1:
+            # the last row a multiple of the first: the zero shows only in the last pivot
+            rows = [row] + [[rand_scalar(rng, field) for _ in range(n)] for _ in range(n - 2)]
+            rows.append([c * a for a in row])
+            A = DenseMatrix.from_rows(field, rows)
+            assert bareiss_determinant(A)[0].is_zero()
+            assert_kernel_matches_reference(A, rhs)
+            # a zero column in the middle: no pivot during elimination
+            rows = [[rand_nonzero_scalar(rng, field) if j != n - 2 else field.zero() for j in range(n)] for _ in range(n)]
+            assert_kernel_matches_reference(DenseMatrix.from_rows(field, rows), rhs)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_forced_row_swap_flips_the_sign(field):
+    rng = random.Random(47)
+    a, b, c = (rand_nonzero_scalar(rng, field) for _ in range(3))
+    A = DenseMatrix.from_rows(field, [[field.zero(), a], [b, c]])
+    det, _ = bareiss_determinant(A)
+    assert det == -(a * b)
+    assert_kernel_matches_reference(A, [field.one(), field.zero()])
+    # a cyclic permutation matrix swaps twice: determinant +1
+    P = DenseMatrix.from_rows(field, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    assert bareiss_determinant(P)[0] == field.one()
+    assert matrix_inverse(P).mul_matrix(P) == DenseMatrix.identity(3, field)
+    assert_kernel_matches_reference(P, [field(1), field(2), field(3)])
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_one_by_one_matrices(field):
+    rng = random.Random(48)
+    for _ in range(10):
+        a = rand_nonzero_scalar(rng, field, 10**6)
+        b = rand_scalar(rng, field, 10**6)
+        A = DenseMatrix.from_rows(field, [[a]])
+        assert bareiss_determinant(A)[0] == a
+        assert solve_square(A, [b]) == [b / a]
+        assert matrix_inverse(A).entries == [a.inverse()]
+        assert_kernel_matches_reference(A, [b])
+    assert_kernel_matches_reference(DenseMatrix.from_rows(field, [[0]]), [field.one()])
+
+
+def test_inverse_with_row_denominators_up_to_10_to_the_50():
+    rng = random.Random(49)
+    for _ in range(10):
+        n = rng.randint(2, 4)
+        rows = [
+            [QQ(rng.randint(-(10**30), 10**30), rng.randint(1, 10**50)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        A = DenseMatrix.from_rows(QQ, rows)
+        inv = matrix_inverse(A)
+        assert A.mul_matrix(inv) == DenseMatrix.identity(n, QQ)
+        assert_same_scalars(inv.entries, reference_inverse(A).entries)

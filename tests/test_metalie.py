@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from primlen.errors import ArityMismatchError, DegreeCapError
+from primlen.errors import ArityMismatchError, DegreeCapError, FieldMismatchError
 from primlen.field import GF, QQ
 from primlen.metalie import (
     LieElement,
@@ -210,3 +210,160 @@ def test_gf2_arithmetic():
     u = normalize_word((2, 1), 3, F)
     assert (u + u).is_zero()
     assert u == -u
+
+
+# -- the int rewrite loop against FieldScalar references -----------------------
+
+
+def reference_ad(word, j):
+    """[word, x_j] for a normal word of length >= 2, as (word, sign) pairs."""
+    i1, i2, tail = word[0], word[1], word[2:]
+    if j >= i2:
+        return [((i1, i2) + tuple(sorted(tail + (j,))), 1)]
+    # Jacobi: [[i1, i2, tail], j] = [[i1, j, tail], i2] - [[i2, j, tail], i1]
+    return [((i1, j) + tuple(sorted(tail + (i2,))), 1), ((i2, j) + tuple(sorted(tail + (i1,))), -1)]
+
+
+def reference_bracket(u, v, cap):
+    """[u, v] computed on FieldScalar coefficients, pruning zeros after every term."""
+    terms = {}
+
+    def put(word, coeff):
+        s = terms.get(word, u.field.zero()) + coeff
+        if s.is_zero():
+            terms.pop(word, None)
+        else:
+            terms[word] = s
+
+    for wu, cu in u.terms.items():
+        for wv, cv in v.terms.items():
+            if len(wu) >= 2 and len(wv) >= 2:
+                continue
+            if len(wu) + len(wv) > cap:
+                raise DegreeCapError(f"bracket would reach degree {len(wu) + len(wv)} beyond the cap {cap}")
+            if len(wu) == 1 and len(wv) == 1:
+                a, b = wu[0], wv[0]
+                if a != b:
+                    put((max(a, b), min(a, b)), cu * cv if a > b else -(cu * cv))
+            elif len(wv) == 1:
+                for word, sign in reference_ad(wu, wv[0]):
+                    put(word, cu * cv * u.field(sign))
+            else:
+                for word, sign in reference_ad(wv, wu[0]):
+                    put(word, -(cu * cv) * u.field(sign))
+    return LieElement(u.arity, u.field, terms)
+
+
+def reference_normalize_word(indices, d, field, cap):
+    result = gen(indices[0], d, field)
+    for idx in indices[1:]:
+        result = reference_bracket(result, gen(idx, d, field), cap)
+    return result
+
+
+def reference_apply_endo(endo, u, cap):
+    result = LieElement.zero(u.arity, u.field)
+    for w, coeff in u.terms.items():
+        piece = endo.images[w[0] - 1]
+        for idx in w[1:]:
+            piece = reference_bracket(piece, endo.images[idx - 1], cap)
+        result = result + piece.scale(coeff)
+    return result
+
+
+def assert_same_element(got, expected):
+    assert got == expected
+    for w, c in got.terms.items():
+        assert type(c.value) is type(expected.terms[w].value)
+
+
+LIE_FIELDS = [QQ, GF(2), GF(101)]
+
+
+@pytest.mark.parametrize("F", LIE_FIELDS, ids=repr)
+def test_bracket_matches_the_scalar_reference(F):
+    rng = random.Random(50)
+    for _ in range(60):
+        d = rng.randint(3, 5)
+        u, v = rand_lie(rng, d, 5, F, terms=6), rand_lie(rng, d, 5, F, terms=6)
+        assert_same_element(bracket(u, v), reference_bracket(u, v, 12))
+
+
+@pytest.mark.parametrize("F", LIE_FIELDS, ids=repr)
+def test_normalize_word_matches_the_scalar_reference(F):
+    rng = random.Random(51)
+    for _ in range(200):
+        d = rng.randint(3, 5)
+        indices = [rng.randint(1, d) for _ in range(rng.randint(1, 8))]
+        assert_same_element(normalize_word(indices, d, F), reference_normalize_word(indices, d, F, 12))
+
+
+@pytest.mark.parametrize("F", LIE_FIELDS, ids=repr)
+def test_apply_endo_matches_the_scalar_reference(F):
+    rng = random.Random(52)
+    for _ in range(40):
+        d = rng.randint(3, 5)
+        # images with linear parts and commutator words; over Q with fractional coefficients
+        endo = LieEndomorphism([rand_lie(rng, d, 3, F, terms=4, coeff_bound=7) for _ in range(d)])
+        u = rand_lie(rng, d, 4, F, terms=5)
+        assert_same_element(apply_endo(endo, u), reference_apply_endo(endo, u, 12))
+
+
+@pytest.mark.parametrize("F", LIE_FIELDS, ids=repr)
+def test_normal_words_normalize_to_themselves_with_coefficient_one(F):
+    for w in [(2,), (2, 1), (3, 1, 1, 2, 3), (5, 2, 2, 4)]:
+        assert normalize_word(w, 5, F).terms == {w: F.one()}
+
+
+def test_reaching_the_cap_raises_the_same_message():
+    u = word((2, 1, 3))
+    message = "bracket would reach degree 4 beyond the cap 3"
+    with pytest.raises(DegreeCapError, match=f"^{message}$"):
+        bracket(u, gen(3), cap=3)
+    with pytest.raises(DegreeCapError, match=f"^{message}$"):
+        reference_bracket(u, gen(3), 3)
+    endo = LieEndomorphism([gen(1), gen(2) + word((2, 1)), gen(3)])
+    for apply in (lambda: apply_endo(endo, u, cap=3), lambda: reference_apply_endo(endo, u, 3)):
+        with pytest.raises(DegreeCapError, match=f"^{message}$"):
+            apply()
+    with pytest.raises(DegreeCapError, match=r"^word length 4 beyond the cap 3$"):
+        normalize_word((2, 1, 3, 3), 3, QQ, cap=3)
+
+
+def test_a_coefficient_cancelling_mod_p_does_not_reach_the_cap():
+    # a = [x2,x1] + x3 and b = x3 - [x2,x1]: [a, b] = 2 [x2,x1,x3], which is zero over F2,
+    # so bracketing it once more with b stays below the cap there and nowhere else
+    u = (2, 1, 1)
+    for F in (QQ, GF(3)):
+        a = word((2, 1), F=F) + gen(3, F=F)
+        b = gen(3, F=F) - word((2, 1), F=F)
+        endo = LieEndomorphism([b, a, gen(3, F=F)])
+        with pytest.raises(DegreeCapError, match="degree 4 beyond the cap 3"):
+            apply_endo(endo, LieElement(3, F, {u: F.one()}), cap=3)
+    F = GF(2)
+    a = word((2, 1), F=F) + gen(3, F=F)
+    b = gen(3, F=F) - word((2, 1), F=F)
+    endo = LieEndomorphism([b, a, gen(3, F=F)])
+    element = LieElement(3, F, {u: F.one()})
+    assert apply_endo(endo, element, cap=3).is_zero()
+    assert reference_apply_endo(endo, element, 3).is_zero()
+    # over F3, a = x3 - [x2,x1] and b = -a have residues (1, 2) and (2, 1), so
+    # the integers sum to 2 * 2 - 1 = 3 on [x2,x1,x3]: only the reduction mod 3 prunes it
+    F = GF(3)
+    a = gen(3, F=F) - word((2, 1), F=F)
+    endo = LieEndomorphism([-a, a, gen(3, F=F)])
+    element = LieElement(3, F, {u: F.one()})
+    assert apply_endo(endo, element, cap=3).is_zero()
+    assert reference_apply_endo(endo, element, 3).is_zero()
+
+
+def test_index_out_of_range_message():
+    with pytest.raises(ArityMismatchError, match=r"^generator x5 out of range for arity 3$"):
+        normalize_word((1, 5), 3, QQ)
+    with pytest.raises(ArityMismatchError, match=r"^generator x0 out of range for arity 3$"):
+        normalize_word((0, 1), 3, QQ)
+
+
+def test_apply_endo_rejects_another_field():
+    with pytest.raises(FieldMismatchError):
+        apply_endo(LieEndomorphism.identity(3, GF(2)), gen(1))

@@ -84,21 +84,22 @@ def test_lattice_levels_are_unisolvent(d):
 
 def test_linearize_zero_linear_part():
     f = poly({(2, 0): 1, (0, 0): 3})
-    psi, g = linearize(f)
-    assert psi.is_identity() and g == f
+    psi, psi_inv, g = linearize(f)
+    assert psi.is_identity() and psi_inv is None and g == f
 
 
 def test_linearize_sends_linear_part_to_x1():
     f = poly({(0, 1): 3, (2, 0): 1})  # 3 x2 + x1^2
-    psi, g = linearize(f)
+    psi, psi_inv, g = linearize(f)
     assert g.homogeneous_component(1) == Polynomial.variable(2, QQ, 1)
     assert apply_auto(psi, f) == g
+    assert apply_auto(psi_inv, g) == f
 
 
 def test_linearize_already_normalized():
     f = Polynomial.variable(2, QQ, 1)
-    psi, g = linearize(f)
-    assert g == f
+    psi, psi_inv, g = linearize(f)
+    assert g == f and psi_inv is None
 
 
 def test_assign_linear_coeffs():
