@@ -11,6 +11,12 @@ GF(2)).  Three certificate shapes cover all summands:
 * y_1 + [y_2, y_3] for linearly independent linear forms y_1, y_2, y_3: a
   triangular automorphism followed by the basis change x_i -> y_i.
 
+Every basis change, this one and those of linear summands and of the
+normalization, is ``linalg.basis_from_rows``: the given rows, then the
+standard vectors off their pivot columns, in index order.  The pivot
+columns are the first columns on which the rows stay independent; one row
+pivots on its first nonzero coefficient.
+
 The pipeline normalizes the linear part to delta x1, splits off the
 commutator words containing x1, buckets them by a trailing generator that
 can be stripped, solves a tiny linear system for the remaining linear
@@ -23,9 +29,9 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import UnsupportedInputError
 from .field import FieldScalar
-from .linalg import DenseMatrix, basis_from_row, matrix_inverse, matrix_problems
+from .linalg import DenseMatrix, basis_from_rows, matrix_inverse, matrix_problems
 from .metalie import LieElement, LieEndomorphism, apply_endo, bracket, inner_auto, split_parts
-from .polyauto import Certificate
+from .polyauto import Certificate, require_valid
 from .polydecomp import ZERO_NOTE, check_summands
 
 
@@ -40,9 +46,7 @@ class LinearLieAuto:
     def __init__(self, matrix, check=True):
         self.matrix = matrix
         if check:
-            problems = self.validate()
-            if problems:
-                raise ValueError("; ".join(problems))
+            require_valid(self)
 
     @property
     def arity(self):
@@ -51,7 +55,7 @@ class LinearLieAuto:
     def validate(self):
         return matrix_problems(self.matrix, "linear")
 
-    def to_endo(self, field):
+    def to_endo(self):
         d = self.arity
         zero = LieElement.zero(d, self.matrix.field)
         return LieEndomorphism(
@@ -74,9 +78,7 @@ class TriangularLieAuto:
         self.tails = list(tails)
         self.ordering = tuple(ordering)
         if check:
-            problems = self.validate()
-            if problems:
-                raise ValueError("; ".join(problems))
+            require_valid(self)
 
     @property
     def arity(self):
@@ -105,7 +107,7 @@ class TriangularLieAuto:
                     break
         return problems
 
-    def to_endo(self, field):
+    def to_endo(self):
         images = [None] * self.arity
         for gen, gamma, tail in zip(self.ordering, self.gammas, self.tails):
             images[gen - 1] = tail._wrap({(gen,): gamma}) + tail if gamma else tail
@@ -120,9 +122,7 @@ class InnerLieAuto:
     def __init__(self, element, check=True):
         self.element = element
         if check:
-            problems = self.validate()
-            if problems:
-                raise ValueError("; ".join(problems))
+            require_valid(self)
 
     @property
     def arity(self):
@@ -133,14 +133,14 @@ class InnerLieAuto:
             return ["inner automorphism element has a linear part"]
         return []
 
-    def to_endo(self, field):
+    def to_endo(self):
         return inner_auto(self.element)
 
 
 def lie_certify_apply(cert, arity, field):
     u = LieElement.generator(arity, field, cert.generator_index)
     for auto in cert.chain:
-        u = apply_endo(auto.to_endo(field), u)
+        u = apply_endo(auto.to_endo(), u)
     return u
 
 
@@ -218,7 +218,7 @@ class D3Coefficients:
     xi: FieldScalar
     xi_by_gen: tuple  # (xi_1, xi_2, xi_3), all nonzero
     zeta: tuple  # (zeta_1, zeta_2, zeta_3)
-    split: tuple | None = None  # ((z2', z3'), (z2'', z3'')) over two-element fields
+    extra: tuple | None = None  # (z'_2, z'_3) when the last summand splits, over two-element fields
 
 
 @dataclass
@@ -270,9 +270,9 @@ def choose_lie_coeffs(d, delta, beta, field):
 
     Candidates are drawn from a fixed small list; the first pair passing
     the nonzero and independence requirements wins.  Over a two-element
-    field the requirements may be unsatisfiable, in which case the split
-    (d = 3) or extra-linear-summand (d > 3) fallback is returned; one of
-    the two always exists.
+    field the requirements may be unsatisfiable, in which case ``extra``
+    holds the (x_{d-1}, x_d) coefficients z' of the quadratic summand and
+    zeta - z' becomes one more linear summand; such a z' always exists.
     """
     if d < 3:
         raise UnsupportedInputError("coefficients are defined for d >= 3")
@@ -297,10 +297,7 @@ def choose_lie_coeffs(d, delta, beta, field):
         zeta = (-one, -one)
         for prime in [(one, field.zero()), (field.zero(), one)]:
             if _independent_from_beta(prime, beta, (2, 3)):
-                rest = (zeta[0] - prime[0], zeta[1] - prime[1])
-                return D3Coefficients(
-                    xi, (xi_1, xi_2, xi_3), (zeta_1,) + zeta, split=(prime, rest)
-                )
+                return D3Coefficients(xi, (xi_1, xi_2, xi_3), (zeta_1,) + zeta, extra=prime)
         raise UnsupportedInputError("no admissible coefficient choice found")  # unreachable
 
     xi = one
@@ -342,47 +339,9 @@ def choose_lie_coeffs(d, delta, beta, field):
 # -- certificates for the three summand shapes --------------------------------
 
 
-def _row_rank(rows, field):
-    work = [list(r) for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(work)):
-            if not work[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = work[rank][col].inverse()
-        for r in range(rank + 1, len(work)):
-            if not work[r][col].is_zero():
-                factor = work[r][col] * inv
-                for c in range(col, cols):
-                    work[r][c] = work[r][c] - factor * work[rank][c]
-        rank += 1
-    return rank
-
-
-def _complete_to_matrix(rows, d, field):
-    """Extend independent rows with standard basis vectors to an invertible matrix."""
-    rows = [list(r) for r in rows]
-    if _row_rank(rows, field) != len(rows):
-        raise ValueError("rows to extend are not linearly independent")
-    for m in range(d):
-        if len(rows) == d:
-            break
-        candidate = [field.one() if i == m else field.zero() for i in range(d)]
-        if _row_rank(rows + [candidate], field) > len(rows):
-            rows.append(candidate)
-    return DenseMatrix.from_rows(field, rows)
-
-
 def _linear_cert_for(element):
     """A Linear certificate for a nonzero linear element (image of x1)."""
-    d, field = element.arity, element.field
-    matrix = _complete_to_matrix([element.linear_coefficients()], d, field)
+    matrix = basis_from_rows([element.linear_coefficients()], element.field)
     return Certificate([LinearLieAuto(matrix)], 1)
 
 
@@ -415,7 +374,7 @@ def _quadratic_cert(zeta_coeffs, beta, d, field):
     y1 = list(zeta_coeffs)
     y2 = [field.zero()] + list(beta)
     y3 = [field.one()] + [field.zero()] * (d - 1)
-    basis_change = LinearLieAuto(_complete_to_matrix([y1, y2, y3], d, field))
+    basis_change = LinearLieAuto(basis_from_rows([y1, y2, y3], field))
     tail = bracket(
         LieElement.generator(d, field, 2), LieElement.generator(d, field, 3)
     )
@@ -437,7 +396,7 @@ def _linear_normalization(f):
     coeffs = f.linear_coefficients()
     if all(c.is_zero() for c in coeffs):
         return None
-    basis = basis_from_row(coeffs, f.field)
+    basis = basis_from_rows([coeffs], f.field)
     return LinearLieAuto(matrix_inverse(basis)), LinearLieAuto(basis)
 
 
@@ -460,7 +419,7 @@ def decompose_lie(f):
         delta = 0
     else:
         rho, rho_inv = normalization
-        g = apply_endo(rho.to_endo(field), f)
+        g = apply_endo(rho.to_endo(), f)
         delta = 1
     _, with_x1, v = split_parts(g)
     quad = with_x1.homogeneous_component(2)
@@ -468,81 +427,40 @@ def decompose_lie(f):
     t = with_x1 - quad
 
     gen = lambda i: LieElement.generator(d, field, i)
-    summands = []
-
+    coeffs = choose_lie_coeffs(d, delta, beta, field)
+    summands = [(gen(1).scale(coeffs.xi) + v, _triangular_cert(1, coeffs.xi, v))]
     if d == 3:
-        w1, w2, w3 = bucket_d3(t)
-        coeffs = choose_lie_coeffs(d, delta, beta, field)
-        xi_1, xi_2, xi_3 = coeffs.xi_by_gen
-        u1 = gen(1).scale(coeffs.xi) + v
-        summands.append((u1, _triangular_cert(1, coeffs.xi, v)))
-        for k, (xi_k, w_k) in enumerate(zip((xi_1, xi_2, xi_3), (w1, w2, w3)), start=1):
-            u2k = gen(k).scale(xi_k) + bracket(w_k, gen(k))
-            summands.append((u2k, _inner_cert(k, xi_k, w_k)))
-        zeta_1, zeta_2, zeta_3 = coeffs.zeta
-        beta_part = LieElement(
-            d, field, {(j, 1): b for j, b in zip(range(2, d + 1), beta)}
-        )
-        if coeffs.split is None:
-            zeta_vec = [zeta_1, zeta_2, zeta_3]
-            linear3 = LieElement(d, field, {(i + 1,): c for i, c in enumerate(zeta_vec)})
-            u3 = linear3 + beta_part
-            if beta_part.is_zero():
-                if not u3.is_zero():
-                    summands.append((u3, _linear_cert_for(u3)))
-            else:
-                summands.append((u3, _quadratic_cert(zeta_vec, beta, d, field)))
-        else:
-            prime, rest = coeffs.split
-            zeta_vec = [zeta_1, prime[0], prime[1]]
-            u3a = LieElement(d, field, {(i + 1,): c for i, c in enumerate(zeta_vec)}) + beta_part
-            summands.append((u3a, _quadratic_cert(zeta_vec, beta, d, field)))
-            u3b = LieElement(d, field, {(2,): rest[0], (3,): rest[1]})
-            if not u3b.is_zero():
-                summands.append((u3b, _linear_cert_for(u3b)))
+        for k, (xi_k, w_k) in enumerate(zip(coeffs.xi_by_gen, bucket_d3(t)), start=1):
+            summands.append((gen(k).scale(xi_k) + bracket(w_k, gen(k)), _inner_cert(k, xi_k, w_k)))
     else:
         w1, w2, w3, w4 = bucket_dgt3(t, d)
-        coeffs = choose_lie_coeffs(d, delta, beta, field)
         eta_dm1, eta_d = coeffs.eta_pair
         xi_dm1, xi_d = coeffs.xi_pair
-        u1 = gen(1).scale(coeffs.xi) + v
-        summands.append((u1, _triangular_cert(1, coeffs.xi, v)))
-        u12 = gen(d - 1).scale(eta_dm1) + w3
-        summands.append((u12, _triangular_cert(d - 1, eta_dm1, w3)))
-        u13 = gen(d).scale(eta_d) + w4
-        summands.append((u13, _triangular_cert(d, eta_d, w4)))
-        u21 = gen(d).scale(xi_d) + bracket(w1, gen(d))
-        summands.append((u21, _inner_cert(d, xi_d, w1)))
-        u22 = gen(d - 1).scale(xi_dm1) + bracket(w2, gen(d - 1))
-        summands.append((u22, _inner_cert(d - 1, xi_dm1, w2)))
-        zeta_1, zeta_dm1, zeta_d = coeffs.zeta
-        beta_part = LieElement(
-            d, field, {(j, 1): b for j, b in zip(range(2, d + 1), beta)}
-        )
+        summands += [
+            (gen(d - 1).scale(eta_dm1) + w3, _triangular_cert(d - 1, eta_dm1, w3)),
+            (gen(d).scale(eta_d) + w4, _triangular_cert(d, eta_d, w4)),
+            (gen(d).scale(xi_d) + bracket(w1, gen(d)), _inner_cert(d, xi_d, w1)),
+            (gen(d - 1).scale(xi_dm1) + bracket(w2, gen(d - 1)), _inner_cert(d - 1, xi_dm1, w2)),
+        ]
 
-        def linear_from(z1, z_dm1, z_d):
-            terms = {(1,): z1, (d - 1,): z_dm1, (d,): z_d}
-            return LieElement(d, field, terms)
-
-        if coeffs.extra is None:
-            zeta_vec = [zeta_1] + [field.zero()] * (d - 3) + [zeta_dm1, zeta_d]
-            u3 = linear_from(zeta_1, zeta_dm1, zeta_d) + beta_part
-            if beta_part.is_zero():
-                if not u3.is_zero():
-                    summands.append((u3, _linear_cert_for(u3)))
-            else:
-                summands.append((u3, _quadratic_cert(zeta_vec, beta, d, field)))
-        else:
-            zp_dm1, zp_d = coeffs.extra
-            zeta_vec = [zeta_1] + [field.zero()] * (d - 3) + [zp_dm1, zp_d]
-            u3 = linear_from(zeta_1, zp_dm1, zp_d) + beta_part
-            summands.append((u3, _quadratic_cert(zeta_vec, beta, d, field)))
-            u4 = linear_from(field.zero(), zeta_dm1 - zp_dm1, zeta_d - zp_d)
-            if not u4.is_zero():
-                summands.append((u4, _linear_cert_for(u4)))
+    # The last summand, y_1 + [y_2, y_3] or linear, has its linear part on
+    # x1, x_{d-1} and x_d; with ``extra`` it splits into two summands.
+    zeta_1, zeta_dm1, zeta_d = coeffs.zeta
+    prime = (zeta_dm1, zeta_d) if coeffs.extra is None else coeffs.extra
+    zeta_vec = [zeta_1] + [field.zero()] * (d - 3) + list(prime)
+    beta_part = LieElement(d, field, {(j, 1): b for j, b in zip(range(2, d + 1), beta)})
+    u3 = LieElement(d, field, {(i,): c for i, c in enumerate(zeta_vec, start=1)}) + beta_part
+    if not beta_part.is_zero():
+        summands.append((u3, _quadratic_cert(zeta_vec, beta, d, field)))
+    elif not u3.is_zero():
+        summands.append((u3, _linear_cert_for(u3)))
+    if coeffs.extra is not None:
+        u4 = LieElement(d, field, {(d - 1,): zeta_dm1 - prime[0], (d,): zeta_d - prime[1]})
+        if not u4.is_zero():
+            summands.append((u4, _linear_cert_for(u4)))
 
     if normalization is not None:
-        rho_inv_endo = rho_inv.to_endo(field)
+        rho_inv_endo = rho_inv.to_endo()
         mapped = []
         for element, cert in summands:
             mapped.append(

@@ -36,11 +36,6 @@ class OpCounter:
         self.divisions = 0
         self.additions = 0
 
-    def merge(self, other):
-        self.multiplications += other.multiplications
-        self.divisions += other.divisions
-        self.additions += other.additions
-
     def as_dict(self):
         return {
             "multiplications": self.multiplications,
@@ -92,9 +87,6 @@ class DenseMatrix:
 
     def row(self, i):
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j):
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
 
     def mul_vector(self, vec):
         if len(vec) != self.cols:
@@ -293,19 +285,35 @@ def matrix_problems(matrix, kind):
     return []
 
 
-def basis_from_row(row, field):
-    """The invertible matrix with first row ``row``, then e_m for every m but the pivot.
+def basis_from_rows(rows, field):
+    """The invertible matrix made of ``rows``, then e_m for every column m off their pivots.
 
-    The pivot is the index of the first nonzero entry of row; the standard
-    vectors follow in index order.
+    The pivot columns are the first columns, in index order, that keep the
+    chosen set independent: column c joins when, for some row r not used
+    yet, the minor on the used rows plus r and the chosen columns plus c
+    is nonzero.  One more row always suffices: rows independent on the
+    chosen columns extend to a row basis on those columns plus c.  For one
+    row the pivot is its first nonzero entry.  The standard vectors follow
+    in index order.  Raises ValueError when the rows are linearly dependent.
     """
-    pivot = next((i for i, c in enumerate(row) if not c.is_zero()), None)
-    if pivot is None:
-        raise ValueError("cannot complete a zero row to a basis")
-    d = len(row)
-    rows = [list(row)]
+    rows = [list(r) for r in rows]
+    d = len(rows[0])
+    pivot_rows, pivots = [], []
+    for c in range(d):
+        if len(pivots) == len(rows):
+            break
+        for r in range(len(rows)):
+            if r in pivot_rows:
+                continue
+            minor = [[rows[i][j] for j in pivots + [c]] for i in pivot_rows + [r]]
+            if not bareiss_determinant(DenseMatrix.from_rows(field, minor))[0].is_zero():
+                pivot_rows.append(r)
+                pivots.append(c)
+                break
+    if len(pivots) < len(rows):
+        raise ValueError("rows to complete to a basis are linearly dependent")
     for m in range(d):
-        if m != pivot:
+        if m not in pivots:
             rows.append([field.one() if i == m else field.zero() for i in range(d)])
     return DenseMatrix.from_rows(field, rows)
 

@@ -23,6 +23,13 @@ def _unit_vectors(d):
     return [tuple(int(m == i) for m in range(d)) for i in range(d)]
 
 
+def require_valid(auto):
+    """Raise ValueError naming every problem of an elementary automorphism, if it has any."""
+    problems = auto.validate()
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
 class AffineAuto:
     """x_j -> offset[j] + sum_i matrix[j][i] * x_i (row j holds the image of x_j)."""
 
@@ -32,9 +39,7 @@ class AffineAuto:
         self.matrix = matrix
         self.offset = list(offset)
         if check:
-            problems = self.validate()
-            if problems:
-                raise ValueError("; ".join(problems))
+            require_valid(self)
 
     @property
     def arity(self):
@@ -79,9 +84,7 @@ class TriangularAuto:
         self.gammas = list(gammas)
         self.tails = list(tails)
         if check:
-            problems = self.validate()
-            if problems:
-                raise ValueError("; ".join(problems))
+            require_valid(self)
 
     @property
     def arity(self):

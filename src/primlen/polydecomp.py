@@ -34,7 +34,7 @@ from math import comb, prod
 
 from .errors import InternalError, SingularMatrixError, UnsupportedInputError
 from .field import QQ
-from .linalg import DenseMatrix, OpCounter, basis_from_row, matrix_inverse, solve_square
+from .linalg import DenseMatrix, OpCounter, basis_from_rows, matrix_inverse, solve_square
 from .multipoly import Polynomial, monomials_of_degree, multinomial
 from .polyauto import (
     AffineAuto,
@@ -110,7 +110,7 @@ def linearize(f):
     """A linear automorphism psi with psi(f) having linear part delta * x1.
 
     If the linear component f_1 is nonzero, psi maps f_1 to x1: its matrix
-    is the inverse of B = basis_from_row(f_1), so B itself is the matrix of
+    is the inverse of B = basis_from_rows([f_1]), so B itself is the matrix of
     psi^-1.  Otherwise psi is the identity.  Returns (psi, psi^-1, psi(f)),
     with psi^-1 None when psi is the identity.
     """
@@ -119,7 +119,7 @@ def linearize(f):
     zero = [field.zero()] * d
     if all(c.is_zero() for c in coeffs):
         return AffineAuto(DenseMatrix.identity(d, field), zero, check=False), None, f
-    basis = basis_from_row(coeffs, field)
+    basis = basis_from_rows([coeffs], field)
     psi = AffineAuto(matrix_inverse(basis), zero)
     psi_inv = None if psi.is_identity() else AffineAuto(basis, zero)
     return psi, psi_inv, apply_auto(psi, f)
@@ -218,7 +218,7 @@ def decompose(f):
         )
     if n == 1:
         offset = [f.constant_term()] + [field.zero()] * (d - 1)
-        auto = AffineAuto(basis_from_row(f.linear_coefficients(), field), offset)
+        auto = AffineAuto(basis_from_rows([f.linear_coefficients()], field), offset)
         return PolyDecomposition(f, FINITE, [(f, Certificate([auto], 1))], bound=bound)
     if d == 1:
         return PolyDecomposition(f, INFINITE, [], bound=bound)

@@ -66,18 +66,19 @@ LIE_CORPUS = {
     ),
     "F101-d5": (
         5, "F101", "7*[x5,x1,x2] - [x3,x2] + 50*[x4,x1,x3,x3] + x1 + 3*x5",
-        "3221a3edbe8b39a94a7864f44312c9f4e292dc4cf1391f8876af88d7a1edc655",
+        "b17c4bee787458732fda105a7597d5417be67de6f00cb52d3b7da79d031d6b0b",
     ),
     # d = 4 inputs whose quadratic summand needs a basis completion of three
-    # rows to a 4x4 matrix; the order in which standard vectors are tried
-    # shows in these documents.
+    # rows to a 4x4 matrix; the completion rule shows in these documents.
+    # For [x2,x1] + x1 the rows x3 + x4, x2 and x1 take the pivot columns
+    # 3, 2 and 1, so basis_from_rows appends e_4, not e_3.
     "Q-d4-quadratic": (
         4, "Q", "[x2,x1] + x1",
-        "5147df6113c7371e3830dd317ebe8bc9a55492a7d20076c1892fd98c63ae8d00",
+        "c8c8842ebc3d2cfcd52f3fa1359cd93298d878edf50aa076f18afc470b7e0305",
     ),
     "F2-d4-quadratic": (
         4, "F2", "[x2,x1] + [x4,x1]",
-        "f7755433333313d8a8567b843d44c81761e1fd02a31919544ec4b74b0119b71a",
+        "55b818e2961e87c9828625b6705c3c45d237942bd2039e0c465556508ada44d1",
     ),
 }
 

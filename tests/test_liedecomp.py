@@ -112,7 +112,7 @@ def check_d3_system(coeffs, delta, field):
 
 def test_choose_coeffs_d3_q_no_beta():
     coeffs = choose_lie_coeffs(3, 1, [QQ(0), QQ(0)], QQ)
-    assert isinstance(coeffs, D3Coefficients) and coeffs.split is None
+    assert isinstance(coeffs, D3Coefficients) and coeffs.extra is None
     check_d3_system(coeffs, 1, QQ)
 
 
@@ -129,8 +129,9 @@ def test_choose_coeffs_gf2_split():
     F = GF(2)
     beta = [F(1), F(1)]
     coeffs = choose_lie_coeffs(3, 1, beta, F)
-    assert coeffs.split is not None
-    prime, rest = coeffs.split
+    assert coeffs.extra is not None
+    prime = coeffs.extra
+    rest = (coeffs.zeta[1] - prime[0], coeffs.zeta[2] - prime[1])
     assert (prime[0].value, prime[1].value) in {(1, 0), (0, 1)}
     assert prime[0] + rest[0] == coeffs.zeta[1]
     assert prime[1] + rest[1] == coeffs.zeta[2]

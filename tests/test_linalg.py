@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,7 +10,7 @@ from primlen.linalg import (
     DenseMatrix,
     OpCounter,
     bareiss_determinant,
-    basis_from_row,
+    basis_from_rows,
     matrix_inverse,
     solve_square,
     vandermonde_power_matrix,
@@ -164,7 +165,7 @@ def test_basis_from_row_keeps_the_row_and_adds_standard_vectors(field, d):
     for pivot in range(d):
         row = [field.zero()] * pivot + [rand_nonzero_scalar(rng, field)]
         row += [rand_scalar(rng, field) for _ in range(d - pivot - 1)]
-        matrix = basis_from_row(row, field)
+        matrix = basis_from_rows([row], field)
         assert matrix.row(0) == row
         standard = [m for m in range(d) if m != pivot]
         for r, m in enumerate(standard, start=1):
@@ -176,8 +177,72 @@ def test_basis_from_row_keeps_the_row_and_adds_standard_vectors(field, d):
 
 def test_basis_from_row_rejects_the_zero_row():
     with pytest.raises(ValueError):
-        basis_from_row([QQ(0), QQ(0)], QQ)
+        basis_from_rows([[QQ(0), QQ(0)]], QQ)
 
+
+
+def laplace_determinant(rows):
+    """Cofactor expansion along the first row, on FieldScalar entries."""
+    if len(rows) == 1:
+        return rows[0][0]
+    det = None
+    for j, head in enumerate(rows[0]):
+        term = head * laplace_determinant([row[:j] + row[j + 1 :] for row in rows[1:]])
+        term = term if j % 2 == 0 else -term
+        det = term if det is None else det + term
+    return det
+
+
+def reference_pivots(rows):
+    """The lexicographically first k columns on which the k rows have a nonzero minor."""
+    for cols in combinations(range(len(rows[0])), len(rows)):
+        if not laplace_determinant([[row[j] for j in cols] for row in rows]).is_zero():
+            return list(cols)
+    return None
+
+
+def sparse_rows(rng, field, k, d):
+    """k random rows of length d with about half of the entries zero."""
+    return [
+        [rand_scalar(rng, field) if rng.random() < 0.5 else field.zero() for _ in range(d)]
+        for _ in range(k)
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=["Q", "F2", "F101"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("d", range(3, 9))
+def test_basis_from_rows_completes_off_the_first_independent_columns(field, k, d):
+    rng = random.Random(100 * d + 10 * k + (field.p or 0))
+    checked = 0
+    while checked < 12:
+        rows = sparse_rows(rng, field, k, d)
+        pivots = reference_pivots(rows)
+        if pivots is None:
+            with pytest.raises(ValueError):
+                basis_from_rows(rows, field)
+            continue
+        matrix = basis_from_rows(rows, field)
+        assert [matrix.row(i) for i in range(k)] == rows
+        det, _ = bareiss_determinant(matrix)
+        assert not det.is_zero()
+        standard = [m for m in range(d) if m not in pivots]
+        for r, m in enumerate(standard, start=k):
+            assert matrix.row(r) == [field(int(i == m)) for i in range(d)]
+        checked += 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=["Q", "F2", "F101"])
+@pytest.mark.parametrize("d", range(3, 9))
+def test_basis_from_rows_rejects_dependent_rows(field, d):
+    rng = random.Random(d + (field.p or 0))
+    row = [rand_nonzero_scalar(rng, field) for _ in range(d)]
+    other = [rand_scalar(rng, field) for _ in range(d)]
+    scale = rand_nonzero_scalar(rng, field)
+    zero = [field.zero()] * d
+    for rows in ([zero], [row, zero], [other, row, zero], [row, [scale * c for c in row]], [row, other, row]):
+        with pytest.raises(ValueError):
+            basis_from_rows(rows, field)
 
 # -- the integer kernels against plain FieldScalar loops ----------------------
 
