@@ -13,7 +13,8 @@ and the Python version.
 Exit codes: 0 success or verified, 1 verification failure, 2 usage or parse
 error (a PRIMLEN_DEGREE_CAP that is not a positive integer included), 3
 unsupported input (positive characteristic for poly, d < 3 for lie, more
-than MAX_ARITY generators, degree cap exceeded).
+than MAX_ARITY generators, a polynomial above polydecomp.MAX_DEGREE or
+MAX_NODES, degree cap exceeded).
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """The JSON decomposition document: serialization, loading, re-verification.
 
 Documents are audit artifacts: they carry the input, every summand with its
-certificate chain, the bound, and op-count statistics, all with exact
-textual scalars, so an independent checker can replay everything.  Keys are
-emitted in sorted order for reproducible output.
+certificate chain, the bound, and the summand count and input degree, all
+with exact textual scalars, so an independent checker can replay and
+recompute everything.  Keys are emitted in sorted order for reproducible
+output.  Documents written before ``stats.ops`` was dropped still load and
+verify: the verifier ignores that field.
 """
 
 from __future__ import annotations
@@ -13,14 +15,7 @@ import json
 from .errors import ParseError, PrimlenError
 from .field import field_from_flag, parse_scalar
 from .linalg import DenseMatrix
-from .liedecomp import (
-    InnerLieAuto,
-    LieDecomposition,
-    LinearLieAuto,
-    TriangularLieAuto,
-    lie_bound,
-    verify_lie,
-)
+from .liedecomp import InnerLieAuto, LieDecomposition, lie_bound, verify_lie
 from .parsing import lie_to_str, parse_lie, parse_poly, poly_to_str, scalar_to_str
 from .polyauto import AffineAuto, Certificate, TriangularAuto
 from .polydecomp import FINITE, INFINITE, PolyDecomposition, VerifyResult, poly_bound, verify
@@ -43,66 +38,54 @@ def _matrix_from_json(rows, field):
     return DenseMatrix.from_rows(field, parsed)
 
 
-def _poly_factor_to_json(auto):
+def _factor_to_json(auto, lie):
+    """The JSON record of one factor.
+
+    A Lie document spells an affine factor as "linear", without the offset
+    (it is zero), and gives every triangular factor its ordering; the
+    triangular factors of polynomial certificates keep the ordering 1..d.
+    """
     if isinstance(auto, AffineAuto):
-        return {
-            "kind": "affine",
-            "matrix": _matrix_to_json(auto.matrix),
-            "offset": [scalar_to_str(b) for b in auto.offset],
-        }
-    return {
-        "kind": "triangular",
-        "gammas": [scalar_to_str(g) for g in auto.gammas],
-        "tails": [poly_to_str(t) for t in auto.tails],
-    }
-
-
-def _poly_factor_from_json(record, arity, field):
-    kind = record["kind"]
-    if kind == "affine":
-        matrix = _matrix_from_json(record["matrix"], field)
-        offset = [parse_scalar(field, b) for b in record["offset"]]
-        return AffineAuto(matrix, offset, check=False)
-    if kind == "triangular":
-        gammas = [parse_scalar(field, g) for g in record["gammas"]]
-        tails = [parse_poly(t, arity, field) for t in record["tails"]]
-        return TriangularAuto(gammas, tails, check=False)
-    raise PrimlenError(f"unknown polynomial automorphism kind {kind!r}")
-
-
-def _lie_factor_to_json(auto):
-    if isinstance(auto, LinearLieAuto):
-        return {"kind": "linear", "matrix": _matrix_to_json(auto.matrix)}
-    if isinstance(auto, TriangularLieAuto):
-        return {
+        record = {"kind": "linear" if lie else "affine", "matrix": _matrix_to_json(auto.matrix)}
+        if not lie:
+            record["offset"] = [scalar_to_str(b) for b in auto.offset]
+        return record
+    if isinstance(auto, TriangularAuto):
+        record = {
             "kind": "triangular",
             "gammas": [scalar_to_str(g) for g in auto.gammas],
-            "tails": [lie_to_str(t) for t in auto.tails],
-            "ordering": list(auto.ordering),
+            "tails": [(lie_to_str if lie else poly_to_str)(t) for t in auto.tails],
         }
+        if lie:
+            record["ordering"] = list(auto.ordering)
+        return record
     return {"kind": "inner", "element": lie_to_str(auto.element)}
 
 
-def _lie_factor_from_json(record, arity, field):
+def _factor_from_json(record, arity, field, lie):
     kind = record["kind"]
-    if kind == "linear":
-        return LinearLieAuto(_matrix_from_json(record["matrix"], field), check=False)
+    if kind == ("linear" if lie else "affine"):
+        matrix = _matrix_from_json(record["matrix"], field)
+        offset = None if lie else [parse_scalar(field, b) for b in record["offset"]]
+        return AffineAuto(matrix, offset, check=False)
     if kind == "triangular":
+        parse = parse_lie if lie else parse_poly
         gammas = [parse_scalar(field, g) for g in record["gammas"]]
-        tails = [parse_lie(t, arity, field) for t in record["tails"]]
-        return TriangularLieAuto(gammas, tails, record["ordering"], check=False)
-    if kind == "inner":
+        tails = [parse(t, arity, field) for t in record["tails"]]
+        return TriangularAuto(gammas, tails, record["ordering"] if lie else None, check=False)
+    if lie and kind == "inner":
         return InnerLieAuto(parse_lie(record["element"], arity, field), check=False)
-    raise PrimlenError(f"unknown Lie automorphism kind {kind!r}")
+    raise PrimlenError(f"unknown {'Lie' if lie else 'polynomial'} automorphism kind {kind!r}")
 
 
-def _document(dec, algebra, status, degree, ops, to_str, factor_to_json):
+def _document(dec, algebra, status, degree, to_str):
     """The JSON-ready dict of a decomposition of either algebra."""
+    lie = algebra == LIE
     summands = [
         {
             "summand": to_str(summand),
             "generator": cert.generator_index,
-            "certificate": [factor_to_json(a) for a in cert.chain],
+            "certificate": [_factor_to_json(a, lie) for a in cert.chain],
         }
         for summand, cert in dec.summands
     ]
@@ -115,23 +98,19 @@ def _document(dec, algebra, status, degree, ops, to_str, factor_to_json):
         "status": status,
         "bound": dec.bound,
         "summands": summands,
-        "stats": {"count": len(dec.summands), "degree": degree, "ops": ops},
+        "stats": {"count": len(dec.summands), "degree": degree},
         "notes": list(dec.notes),
     }
 
 
 def poly_document(dec):
     """Serialize a PolyDecomposition into a JSON-ready dict."""
-    return _document(
-        dec, POLY, dec.status, dec.input.total_degree(), dec.ops.as_dict(),
-        poly_to_str, _poly_factor_to_json,
-    )
+    return _document(dec, POLY, dec.status, dec.input.total_degree(), poly_to_str)
 
 
 def lie_document(dec):
-    """Serialize a LieDecomposition into a JSON-ready dict (its stats count no operations)."""
-    ops = {"multiplications": 0, "divisions": 0, "additions": 0}
-    return _document(dec, LIE, FINITE, dec.input.degree(), ops, lie_to_str, _lie_factor_to_json)
+    """Serialize a LieDecomposition into a JSON-ready dict."""
+    return _document(dec, LIE, FINITE, dec.input.degree(), lie_to_str)
 
 
 def dumps(doc):
@@ -156,7 +135,7 @@ def _json_int(value, name):
     return value
 
 
-def _rebuild_parts(doc, parse, factor_from_json):
+def _rebuild_parts(doc, lie):
     """The input and the (summand, Certificate) pairs of a document.
 
     Reads the field, the arity, the input and then the summands, in that
@@ -166,23 +145,24 @@ def _rebuild_parts(doc, parse, factor_from_json):
     arity = _json_int(doc["arity"], "arity")
     if not 1 <= arity <= MAX_ARITY:
         raise PrimlenError(f"arity {arity} is out of range")
+    parse = parse_lie if lie else parse_poly
     input_element = parse(doc["input"], arity, field)
     summands = []
     for record in doc["summands"]:
         summand = parse(record["summand"], arity, field)
-        chain = [factor_from_json(r, arity, field) for r in record["certificate"]]
+        chain = [_factor_from_json(r, arity, field, lie) for r in record["certificate"]]
         summands.append((summand, Certificate(chain, _json_int(record["generator"], "generator"))))
     return input_element, summands
 
 
 def rebuild_poly(doc):
-    input_poly, summands = _rebuild_parts(doc, parse_poly, _poly_factor_from_json)
+    input_poly, summands = _rebuild_parts(doc, False)
     notes = list(doc.get("notes", []))
     return PolyDecomposition(input_poly, doc["status"], summands, poly_bound(input_poly), notes)
 
 
 def rebuild_lie(doc):
-    input_elem, summands = _rebuild_parts(doc, parse_lie, _lie_factor_from_json)
+    input_elem, summands = _rebuild_parts(doc, True)
     bound = lie_bound(input_elem.arity, input_elem.field)
     return LieDecomposition(input_elem, summands, bound, list(doc.get("notes", [])))
 

@@ -29,89 +29,13 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import UnsupportedInputError
 from .field import FieldScalar
-from .linalg import DenseMatrix, basis_from_rows, matrix_inverse, matrix_problems
-from .metalie import LieElement, LieEndomorphism, apply_endo, bracket, inner_auto, split_parts
-from .polyauto import Certificate, require_valid
+from .linalg import DenseMatrix, basis_from_rows, matrix_inverse
+from .metalie import LieElement, bracket, inner_auto, split_parts
+from .polyauto import AffineAuto, Certificate, TriangularAuto, apply_auto, require_valid
 from .polydecomp import ZERO_NOTE, check_summands
 
 
-# -- elementary automorphisms ------------------------------------------------
-
-
-class LinearLieAuto:
-    """x_j -> sum_i matrix[j][i] x_i with an invertible matrix."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix, check=True):
-        self.matrix = matrix
-        if check:
-            require_valid(self)
-
-    @property
-    def arity(self):
-        return self.matrix.rows
-
-    def validate(self):
-        return matrix_problems(self.matrix, "linear")
-
-    def to_endo(self):
-        d = self.arity
-        zero = LieElement.zero(d, self.matrix.field)
-        return LieEndomorphism(
-            [zero._wrap({(i,): c for i, c in enumerate(self.matrix.row(j), 1) if c}) for j in range(d)]
-        )
-
-
-class TriangularLieAuto:
-    """Triangular with respect to a generator ordering.
-
-    ``ordering`` is a permutation of 1..d; the generator ordering[j] maps to
-    gammas[j] * x_{ordering[j]} + tails[j], and tails[j] may only mention
-    the generators ordering[j+1:].
-    """
-
-    __slots__ = ("gammas", "tails", "ordering")
-
-    def __init__(self, gammas, tails, ordering, check=True):
-        self.gammas = list(gammas)
-        self.tails = list(tails)
-        self.ordering = tuple(ordering)
-        if check:
-            require_valid(self)
-
-    @property
-    def arity(self):
-        return len(self.ordering)
-
-    def validate(self):
-        problems = []
-        d = len(self.ordering)
-        if sorted(self.ordering) != list(range(1, d + 1)):
-            return [f"ordering {self.ordering} is not a permutation of 1..{d}"]
-        if len(self.gammas) != d or len(self.tails) != d:
-            return ["triangular gamma/tail count mismatch"]
-        for j, g in enumerate(self.gammas):
-            if g.is_zero():
-                problems.append(f"triangular gamma at position {j + 1} is zero")
-        for j, tail in enumerate(self.tails):
-            if tail.arity != d:
-                problems.append(f"tail at position {j + 1} has wrong arity")
-                continue
-            allowed = set(self.ordering[j + 1 :])
-            for gen in range(1, d + 1):
-                if gen not in allowed and tail.mentions(gen):
-                    problems.append(
-                        f"tail at position {j + 1} mentions forbidden generator x{gen}"
-                    )
-                    break
-        return problems
-
-    def to_endo(self):
-        images = [None] * self.arity
-        for gen, gamma, tail in zip(self.ordering, self.gammas, self.tails):
-            images[gen - 1] = tail._wrap({(gen,): gamma}) + tail if gamma else tail
-        return LieEndomorphism(images)
+# -- the inner automorphism ----------------------------------------------------
 
 
 class InnerLieAuto:
@@ -133,15 +57,8 @@ class InnerLieAuto:
             return ["inner automorphism element has a linear part"]
         return []
 
-    def to_endo(self):
-        return inner_auto(self.element)
-
-
-def lie_certify_apply(cert, arity, field):
-    u = LieElement.generator(arity, field, cert.generator_index)
-    for auto in cert.chain:
-        u = apply_endo(auto.to_endo(), u)
-    return u
+    def images(self, like):
+        return inner_auto(self.element).images
 
 
 @dataclass
@@ -340,9 +257,9 @@ def choose_lie_coeffs(d, delta, beta, field):
 
 
 def _linear_cert_for(element):
-    """A Linear certificate for a nonzero linear element (image of x1)."""
+    """A linear certificate for a nonzero linear element (image of x1)."""
     matrix = basis_from_rows([element.linear_coefficients()], element.field)
-    return Certificate([LinearLieAuto(matrix)], 1)
+    return Certificate([AffineAuto(matrix)], 1)
 
 
 def _triangular_cert(gen, gamma, tail):
@@ -351,7 +268,7 @@ def _triangular_cert(gen, gamma, tail):
     ordering = (gen,) + tuple(i for i in range(1, d + 1) if i != gen)
     gammas = [gamma] + [field.one()] * (d - 1)
     tails = [tail] + [LieElement.zero(d, field)] * (d - 1)
-    return Certificate([TriangularLieAuto(gammas, tails, ordering)], gen)
+    return Certificate([TriangularAuto(gammas, tails, ordering)], gen)
 
 
 def _inner_cert(gen, gamma, w):
@@ -362,7 +279,7 @@ def _inner_cert(gen, gamma, w):
         [[gamma if i == j else field.zero() for i in range(d)] for j in range(d)],
     )
     inner = InnerLieAuto(w.scale(-gamma.inverse()))
-    return Certificate([LinearLieAuto(diag), inner], gen)
+    return Certificate([AffineAuto(diag), inner], gen)
 
 
 def _quadratic_cert(zeta_coeffs, beta, d, field):
@@ -374,13 +291,13 @@ def _quadratic_cert(zeta_coeffs, beta, d, field):
     y1 = list(zeta_coeffs)
     y2 = [field.zero()] + list(beta)
     y3 = [field.one()] + [field.zero()] * (d - 1)
-    basis_change = LinearLieAuto(basis_from_rows([y1, y2, y3], field))
+    basis_change = AffineAuto(basis_from_rows([y1, y2, y3], field))
     tail = bracket(
         LieElement.generator(d, field, 2), LieElement.generator(d, field, 3)
     )
     gammas = [field.one()] * d
     tails = [tail] + [LieElement.zero(d, field)] * (d - 1)
-    triangular = TriangularLieAuto(gammas, tails, tuple(range(1, d + 1)))
+    triangular = TriangularAuto(gammas, tails)
     return Certificate([triangular, basis_change], 1)
 
 
@@ -397,7 +314,7 @@ def _linear_normalization(f):
     if all(c.is_zero() for c in coeffs):
         return None
     basis = basis_from_rows([coeffs], f.field)
-    return LinearLieAuto(matrix_inverse(basis)), LinearLieAuto(basis)
+    return AffineAuto(matrix_inverse(basis)), AffineAuto(basis)
 
 
 def decompose_lie(f):
@@ -419,7 +336,7 @@ def decompose_lie(f):
         delta = 0
     else:
         rho, rho_inv = normalization
-        g = apply_endo(rho.to_endo(), f)
+        g = apply_auto(rho, f)
         delta = 1
     _, with_x1, v = split_parts(g)
     quad = with_x1.homogeneous_component(2)
@@ -460,19 +377,14 @@ def decompose_lie(f):
             summands.append((u4, _linear_cert_for(u4)))
 
     if normalization is not None:
-        rho_inv_endo = rho_inv.to_endo()
-        mapped = []
-        for element, cert in summands:
-            mapped.append(
-                (
-                    apply_endo(rho_inv_endo, element),
-                    Certificate(cert.chain + [rho_inv], cert.generator_index),
-                )
-            )
-        summands = mapped
+        images = rho_inv.images(f)
+        summands = [
+            (element.substitute(images), Certificate(cert.chain + [rho_inv], cert.generator_index))
+            for element, cert in summands
+        ]
     return LieDecomposition(f, summands, bound)
 
 
 def verify_lie(dec):
     """Replay certificates, re-sum summands and check the count bound (see check_summands)."""
-    return check_summands(dec, lie_certify_apply)
+    return check_summands(dec)

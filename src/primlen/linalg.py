@@ -36,13 +36,6 @@ class OpCounter:
         self.divisions = 0
         self.additions = 0
 
-    def as_dict(self):
-        return {
-            "multiplications": self.multiplications,
-            "divisions": self.divisions,
-            "additions": self.additions,
-        }
-
     def __repr__(self):
         return f"OpCounter(mul={self.multiplications}, div={self.divisions}, add={self.additions})"
 
@@ -128,36 +121,47 @@ class DenseMatrix:
 # -- the integer kernel --------------------------------------------------------
 
 
-def _bareiss_forward(aug, p, counter, collect=None):
+def _bareiss_forward(aug, cols, p, counter, collect=None):
     """Fraction-free forward elimination on rows of ints, in place.
 
-    Over Q (``p is None``) the division by the previous pivot is exact; over
-    GF(p) it is a multiply by that pivot's inverse mod p.  Returns the sign
-    of the implied row permutation.  ``collect``, when given, receives every
-    value the recurrence produces, so the integrality property can be
-    observed from outside.  A fractional intermediate over Q would indicate
-    a broken invariant and raises.
+    Pivots are searched in the first ``cols`` columns, in column order; a
+    column with no nonzero entry left in the rows not yet used is skipped.
+    Over Q (``p is None``) the division by the previous pivot is exact;
+    over GF(p) it is a multiply by that pivot's inverse mod p.  Returns the
+    sign of the implied row permutation and the pivot columns.  For a
+    square part of rank below its size the last row ends all zero there,
+    so a missing pivot reads as a zero determinant.  ``collect``, when
+    given, receives every value the recurrence produces, so the integrality
+    property can be observed from outside.  A fractional intermediate over
+    Q would indicate a broken invariant and raises.
     """
     n = len(aug)
     width = len(aug[0])
     prev = big_int(1)
     sign = 1
-    for k in range(n - 1):
-        if aug[k][k] == 0:
+    pivots = []
+    for c in range(cols):
+        k = len(pivots)
+        if k == n:
+            break
+        if aug[k][c] == 0:
             for r in range(k + 1, n):
-                if aug[r][k] != 0:
+                if aug[r][c] != 0:
                     aug[k], aug[r] = aug[r], aug[k]
                     sign = -sign
                     break
             else:
-                raise SingularMatrixError("zero pivot column during elimination")
+                continue
+        pivots.append(c)
+        if k + 1 == n:
+            break
         row_k = aug[k]
-        pivot = row_k[k]
+        pivot = row_k[c]
         inv_prev = None if p is None else pow(prev, -1, p)
         for i in range(k + 1, n):
             row_i = aug[i]
-            head = row_i[k]
-            for j in range(k + 1, width):
+            head = row_i[c]
+            for j in range(c + 1, width):
                 num = pivot * row_i[j] - head * row_k[j]
                 if inv_prev is None:
                     q, r = divmod(num, prev)
@@ -167,13 +171,13 @@ def _bareiss_forward(aug, p, counter, collect=None):
                     q = num * inv_prev % p
                 row_i[j] = q
             if collect is not None:
-                collect.extend(row_i[k + 1 :])
-            row_i[k] = big_int(0)
-            counter.multiplications += 2 * (width - k - 1)
-            counter.divisions += width - k - 1
-            counter.additions += width - k - 1
+                collect.extend(row_i[c + 1 :])
+            row_i[c] = big_int(0)
+            counter.multiplications += 2 * (width - c - 1)
+            counter.divisions += width - c - 1
+            counter.additions += width - c - 1
         prev = pivot
-    return sign
+    return sign, pivots
 
 
 def _back_substitute(aug, p, counter):
@@ -228,10 +232,7 @@ def bareiss_determinant(matrix, collect=None):
         den, ints = field.to_raw(matrix.row(i))
         scale *= den
         rows.append(ints)
-    try:
-        sign = _bareiss_forward(rows, field.p, counter, collect)
-    except SingularMatrixError:
-        return field.zero(), counter
+    sign, _ = _bareiss_forward(rows, matrix.cols, field.p, counter, collect)
     return field.from_raw(scale, [sign * rows[-1][-1]])[0], counter
 
 
@@ -249,7 +250,7 @@ def solve_square(matrix, rhs, counter=None, collect=None):
         counter = OpCounter()
     field = matrix.field
     rows = [field.to_raw(matrix.row(i) + [rhs[i]])[1] for i in range(matrix.rows)]
-    _bareiss_forward(rows, field.p, counter, collect)
+    _bareiss_forward(rows, matrix.cols, field.p, counter, collect)
     (ys,), det = _back_substitute(rows, field.p, counter)
     return field.from_raw(det, ys)
 
@@ -269,47 +270,34 @@ def matrix_inverse(matrix):
         den, ints = field.to_raw(matrix.row(i))
         aug.append(ints + [den if j == i else 0 for j in range(n)])
     counter = OpCounter()
-    _bareiss_forward(aug, field.p, counter)
+    _bareiss_forward(aug, n, field.p, counter)
     columns, det = _back_substitute(aug, field.p, counter)
     flat = field.from_raw(det, [columns[j][i] for i in range(n) for j in range(n)])
     return DenseMatrix(n, n, field, flat)
 
 
-def matrix_problems(matrix, kind):
-    """Why matrix cannot be the matrix of an automorphism, as strings naming it by kind."""
+def matrix_problems(matrix):
+    """Why matrix cannot be the matrix of an automorphism, as strings."""
     if matrix.rows != matrix.cols:
-        return [f"{kind} matrix is not square"]
+        return ["matrix is not square"]
     det, _ = bareiss_determinant(matrix)
     if det.is_zero():
-        return [f"{kind} matrix is singular"]
+        return ["matrix is singular"]
     return []
 
 
 def basis_from_rows(rows, field):
     """The invertible matrix made of ``rows``, then e_m for every column m off their pivots.
 
-    The pivot columns are the first columns, in index order, that keep the
-    chosen set independent: column c joins when, for some row r not used
-    yet, the minor on the used rows plus r and the chosen columns plus c
-    is nonzero.  One more row always suffices: rows independent on the
-    chosen columns extend to a row basis on those columns plus c.  For one
-    row the pivot is its first nonzero entry.  The standard vectors follow
-    in index order.  Raises ValueError when the rows are linearly dependent.
+    The pivot columns are those of one fraction-free elimination of the
+    rows: the first columns, in index order, that keep the chosen set
+    independent.  For one row the pivot is its first nonzero entry.  The
+    standard vectors follow in index order.  Raises ValueError when the
+    rows are linearly dependent.
     """
     rows = [list(r) for r in rows]
     d = len(rows[0])
-    pivot_rows, pivots = [], []
-    for c in range(d):
-        if len(pivots) == len(rows):
-            break
-        for r in range(len(rows)):
-            if r in pivot_rows:
-                continue
-            minor = [[rows[i][j] for j in pivots + [c]] for i in pivot_rows + [r]]
-            if not bareiss_determinant(DenseMatrix.from_rows(field, minor))[0].is_zero():
-                pivot_rows.append(r)
-                pivots.append(c)
-                break
+    _, pivots = _bareiss_forward([field.to_raw(r)[1] for r in rows], d, field.p, OpCounter())
     if len(pivots) < len(rows):
         raise ValueError("rows to complete to a basis are linearly dependent")
     for m in range(d):

@@ -116,6 +116,19 @@ class LieElement(SparseElement):
         """Whether the generator x_index occurs in any stored word."""
         return any(index in w for w in self.terms)
 
+    def linear_form(self, pairs, constant=None):
+        """sum c x_i over the (i, c) in pairs, from scalars over the field of self.
+
+        A Lie algebra has no constants, so ``constant`` must be zero or None.
+        """
+        if constant:
+            raise ValueError("a Lie element has no constant term")
+        return self._wrap({(i,): c for i, c in pairs if c})
+
+    def substitute(self, images):
+        """The image of self under the endomorphism x_i -> images[i - 1]."""
+        return apply_endo(LieEndomorphism(images), self)
+
     def iter_sorted(self):
         for word in sorted(self.terms, key=lambda w: (len(w), w)):
             yield word, self.terms[word]

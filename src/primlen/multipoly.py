@@ -103,6 +103,19 @@ class Polynomial(SparseElement):
             {m: c for m, c in self.terms.items() if sum(m) == p},
         )
 
+    def mentions(self, index):
+        """Whether the variable x_index occurs in any stored monomial."""
+        return any(mono[index - 1] for mono in self.terms)
+
+    def linear_form(self, pairs, constant=None):
+        """constant + sum c x_i over the (i, c) in pairs, from scalars over the field of self."""
+        d = self.arity
+        terms = {(0,) * d: constant} if constant else {}
+        for i, c in pairs:
+            if c:
+                terms[tuple(int(m == i) for m in range(1, d + 1))] = c
+        return self._wrap(terms)
+
     def linear_coefficients(self):
         """Coefficients (c_1, ..., c_d) of the degree-1 component."""
         coeffs = []

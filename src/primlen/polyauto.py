@@ -1,26 +1,26 @@
-"""Elementary polynomial automorphisms and primitivity certificates.
+"""Elementary automorphisms and primitivity certificates for both algebras.
 
-Two elementary classes generate the tame automorphism group of K[x_1..x_d]:
+The certificates of polynomials and of free metabelian Lie elements use
+one family of elementary automorphisms:
 
-* affine: x_j -> b_j + sum_i C[i][j] x_i with C invertible;
-* triangular: x_j -> gamma_j x_j + v_j(x_{j+1}, ..., x_d) with gamma_j != 0.
+* affine: x_j -> b_j + sum_i C[j][i] x_i with C invertible; a Lie algebra
+  has no constants, so there b = 0 and the map is linear;
+* triangular with respect to an ordering (a permutation of 1..d, by default
+  the identity): x_{o_j} -> gamma_j x_{o_j} + v_j(x_{o_{j+1}}, ..., x_{o_d})
+  with gamma_j != 0;
+* inner, Lie only: exp(ad v) (``liedecomp.InnerLieAuto``).
 
-A certificate is a chain of elementary automorphisms plus a generator index;
-replaying the chain (innermost first) on that generator reproduces a
-primitive polynomial.  The Lie pipeline uses the same Certificate and
-validate_certificate with its own elementary automorphisms.
+A factor does not know its algebra: ``images(like)`` gives the images of
+the generators in the algebra of the element ``like``, and an element's
+``substitute`` applies them.  A certificate is a chain of factors plus a
+generator index; replaying the chain (innermost first) on that generator
+reproduces a primitive element.
 """
 
 from __future__ import annotations
 
 from .errors import ArityMismatchError
 from .linalg import DenseMatrix, matrix_inverse, matrix_problems
-from .multipoly import Polynomial
-
-
-def _unit_vectors(d):
-    """The exponent vectors of x_1, ..., x_d."""
-    return [tuple(int(m == i) for m in range(d)) for i in range(d)]
 
 
 def require_valid(auto):
@@ -30,14 +30,22 @@ def require_valid(auto):
         raise ValueError("; ".join(problems))
 
 
+def _generator(like, index):
+    """x_index in the algebra of like."""
+    return like.linear_form([(index, like.field.one())])
+
+
 class AffineAuto:
-    """x_j -> offset[j] + sum_i matrix[j][i] * x_i (row j holds the image of x_j)."""
+    """x_j -> offset[j] + sum_i matrix[j][i] * x_i (row j holds the image of x_j).
+
+    The offset defaults to zero, which makes the map linear.
+    """
 
     __slots__ = ("matrix", "offset")
 
-    def __init__(self, matrix, offset, check=True):
+    def __init__(self, matrix, offset=None, check=True):
         self.matrix = matrix
-        self.offset = list(offset)
+        self.offset = [matrix.field.zero()] * matrix.rows if offset is None else list(offset)
         if check:
             require_valid(self)
 
@@ -50,9 +58,9 @@ class AffineAuto:
         return self.matrix.field
 
     def validate(self):
-        problems = matrix_problems(self.matrix, "affine")
+        problems = matrix_problems(self.matrix)
         if self.matrix.rows == self.matrix.cols and len(self.offset) != self.matrix.rows:
-            problems.insert(0, "affine offset has wrong length")
+            problems.insert(0, "offset has wrong length")
         return problems
 
     def is_identity(self):
@@ -60,90 +68,90 @@ class AffineAuto:
             b.is_zero() for b in self.offset
         )
 
-    def images(self):
-        d = self.arity
-        zero = Polynomial.zero(d, self.field)
-        monos = _unit_vectors(d)
-        out = []
-        for j in range(d):
-            offset = self.offset[j]
-            terms = {(0,) * d: offset} if offset else {}
-            for mono, c in zip(monos, self.matrix.row(j)):
-                if c:
-                    terms[mono] = c
-            out.append(zero._wrap(terms))
-        return out
+    def images(self, like):
+        return [like.linear_form(enumerate(self.matrix.row(j), 1), b) for j, b in enumerate(self.offset)]
 
 
 class TriangularAuto:
-    """x_j -> gammas[j] * x_j + tails[j], tail in the later variables only."""
+    """x_{ordering[j]} -> gammas[j] * x_{ordering[j]} + tails[j].
 
-    __slots__ = ("gammas", "tails")
+    ``ordering`` is a permutation of 1..d, by default 1..d in order, and
+    tails[j] may only mention the generators ordering[j+1:].
+    """
 
-    def __init__(self, gammas, tails, check=True):
+    __slots__ = ("gammas", "tails", "ordering")
+
+    def __init__(self, gammas, tails, ordering=None, check=True):
         self.gammas = list(gammas)
         self.tails = list(tails)
+        self.ordering = tuple(range(1, len(self.gammas) + 1) if ordering is None else ordering)
         if check:
             require_valid(self)
 
     @property
     def arity(self):
-        return len(self.gammas)
+        return len(self.ordering)
 
     @property
     def field(self):
         return self.gammas[0].field
 
     def validate(self):
+        d = len(self.ordering)
+        if sorted(self.ordering) != list(range(1, d + 1)):
+            return [f"ordering {self.ordering} is not a permutation of 1..{d}"]
+        if len(self.gammas) != d or len(self.tails) != d:
+            return ["triangular gamma/tail count mismatch"]
         problems = []
-        d = len(self.gammas)
-        if len(self.tails) != d:
-            problems.append("triangular tail count mismatch")
-            return problems
-        for j, g in enumerate(self.gammas):
+        for gen, g in zip(self.ordering, self.gammas):
             if g.is_zero():
-                problems.append(f"triangular gamma_{j + 1} is zero")
-        for j, tail in enumerate(self.tails):
+                problems.append(f"triangular gamma of x{gen} is zero")
+        for j, (gen, tail) in enumerate(zip(self.ordering, self.tails)):
             if tail.arity != d:
-                problems.append(f"tail {j + 1} has wrong arity")
+                problems.append(f"tail of x{gen} has wrong arity")
                 continue
-            for mono in tail.terms:
-                if any(mono[i] for i in range(j + 1)):
-                    problems.append(f"tail {j + 1} involves a forbidden variable")
+            allowed = set(self.ordering[j + 1 :])
+            for i in range(1, d + 1):
+                if i not in allowed and tail.mentions(i):
+                    problems.append(f"tail of x{gen} mentions forbidden generator x{i}")
                     break
         return problems
 
-    def images(self):
-        out = []
-        for mono, gamma, tail in zip(_unit_vectors(self.arity), self.gammas, self.tails):
-            out.append(tail._wrap({mono: gamma}) + tail if gamma else tail)
+    def images(self, like):
+        out = [None] * self.arity
+        for gen, gamma, tail in zip(self.ordering, self.gammas, self.tails):
+            out[gen - 1] = tail.linear_form([(gen, gamma)]) + tail
         return out
 
 
 def apply_auto(auto, f):
-    """Image of the polynomial f under an elementary automorphism."""
+    """Image of the element f under an elementary automorphism, in the algebra of f."""
     if auto.arity != f.arity:
         raise ArityMismatchError("automorphism arity mismatch")
-    return f.substitute(auto.images())
+    return f.substitute(auto.images(f))
 
 
 def invert_auto(auto):
-    """Inverse within the same elementary class: Affine{C,b} -> Affine{C^-1, -C^-1 b}."""
+    """Inverse within the same elementary class.
+
+    Affine{C, b} -> Affine{C^-1, -C^-1 b}.  A triangular map is inverted in
+    its own ordering, from the last generator to the first: the tail of
+    x_{o_j} only mentions later generators, whose inverse images are known.
+    """
     if isinstance(auto, AffineAuto):
         inv = matrix_inverse(auto.matrix)
         b_inv = [-b for b in inv.mul_vector(auto.offset)]
         return AffineAuto(inv, b_inv)
-    d, field = auto.arity, auto.field
-    inv_images = [None] * d
-    for j in range(d - 1, -1, -1):
-        xj = Polynomial.variable(d, field, j + 1)
-        shifted = auto.tails[j].substitute(
-            [inv_images[i] if i > j else Polynomial.variable(d, field, i + 1) for i in range(d)]
-        )
-        inv_images[j] = (xj - shifted).scale(auto.gammas[j].inverse())
-    gammas = [g.inverse() for g in auto.gammas]
-    tails = [inv_images[j] - Polynomial.variable(d, field, j + 1).scale(gammas[j]) for j in range(d)]
-    return TriangularAuto(gammas, tails)
+    like = auto.tails[0]
+    inv_images = [_generator(like, i) for i in range(1, auto.arity + 1)]
+    gammas, tails = [], []
+    for gen, gamma, tail in reversed(list(zip(auto.ordering, auto.gammas, auto.tails))):
+        x = inv_images[gen - 1]
+        inv_gamma = gamma.inverse()
+        inv_images[gen - 1] = (x - tail.substitute(inv_images)).scale(inv_gamma)
+        gammas.append(inv_gamma)
+        tails.append(inv_images[gen - 1] - x.scale(inv_gamma))
+    return TriangularAuto(gammas[::-1], tails[::-1], auto.ordering)
 
 
 def compose_affine(outer, inner):
@@ -173,16 +181,17 @@ class Certificate:
         self.generator_index = generator_index
 
 
-def certify_apply(cert, arity, field):
-    """Replay the certificate chain on its generator.
+def certify_apply(cert, like):
+    """Replay the certificate chain on its generator, in the algebra of ``like``.
 
     Runs of consecutive affine factors are composed into a single affine
     map before substitution; by associativity the result is identical and
-    the expansion of large intermediate polynomials happens only once.
+    the expansion of large intermediate elements happens only once.
     """
+    arity = like.arity
     if not 1 <= cert.generator_index <= arity:
         raise ArityMismatchError("generator index out of range")
-    f = Polynomial.variable(arity, field, cert.generator_index)
+    f = _generator(like, cert.generator_index)
     pending = None
     for auto in cert.chain:
         if auto.arity != arity:

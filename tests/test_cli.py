@@ -9,7 +9,7 @@ from primlen.cli import main
 from primlen.document import dumps, loads, poly_document, verify_document
 from primlen.field import QQ
 from primlen.parsing import parse_poly
-from primlen.polydecomp import decompose
+from primlen.polydecomp import MAX_DEGREE, MAX_NODES, decompose
 from primlen.sparse import MAX_ARITY
 
 
@@ -24,7 +24,20 @@ def test_decompose_poly_then_verify(tmp_path):
     assert doc["version"] == "primlen/1"
     assert doc["status"] == "finite"
     assert doc["stats"]["count"] <= 3
-    assert doc["stats"]["ops"]["multiplications"] > 0
+    assert set(doc["stats"]) == {"count", "degree"}
+    assert run(["verify", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["poly", "--vars", "2", "x1^2 + x2"], ["lie", "--vars", "3", "[x2,x1] + x1"]],
+    ids=["poly", "lie"],
+)
+def test_documents_with_op_counts_still_verify(tmp_path, args):
+    # documents written before stats.ops was dropped carry it; the verifier ignores it
+    out, doc = _decompose_to(tmp_path, args)
+    doc["stats"]["ops"] = {"multiplications": 12, "divisions": 3, "additions": 6}
+    out.write_text(json.dumps(doc))
     assert run(["verify", str(out)]) == 0
 
 
@@ -84,6 +97,29 @@ def test_vars_above_the_arity_ceiling_are_unsupported(capsys, args, arity):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"unsupported input: {arity} generators exceed the ceiling of {MAX_ARITY}\n"
+
+
+@pytest.mark.parametrize(
+    "arity, expr, message",
+    [
+        (2, "x1^200000 + x2", f"degree 200000 exceeds the ceiling of {MAX_DEGREE}"),
+        (2, "x1^99999999999999999999", f"degree 99999999999999999999 exceeds the ceiling of {MAX_DEGREE}"),
+        (1024, "x1^2", f"524800 summands for degree 2 in 1024 variables exceed the ceiling of {MAX_NODES}"),
+    ],
+    ids=["degree-200000", "degree-10^20", "vars-1024"],
+)
+def test_polynomials_above_the_size_ceilings_are_unsupported(capsys, arity, expr, message):
+    start = perf_counter()
+    assert run(["decompose", "poly", "--vars", str(arity), expr]) == 3
+    assert perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"unsupported input: {message}\n"
+
+
+def test_polynomials_at_the_size_ceilings_are_accepted():
+    assert MAX_DEGREE >= 6 and MAX_NODES >= 84  # the (4, 6) headline instance
+    assert decompose(parse_poly(f"x1^{MAX_DEGREE} + x2", 2, QQ)).count == MAX_DEGREE + 1
 
 
 def test_vars_at_the_arity_ceiling_are_accepted(capsys):
@@ -363,7 +399,7 @@ def _zero_a_matrix(doc, factor):
         for k, f in enumerate(record["certificate"], start=1):
             if "matrix" in f:
                 f["matrix"] = [["0"] * len(row) for row in f["matrix"]]
-                return [f"summand {i}: invalid elementary factor (factor {k}: {f['kind']} matrix is singular)"]
+                return [f"summand {i}: invalid elementary factor (factor {k}: matrix is singular)"]
 
 
 def _shift_input(doc, factor):

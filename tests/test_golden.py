@@ -18,55 +18,55 @@ from primlen.polydecomp import decompose
 POLY_CORPUS = {
     "d2-n3": (
         2, "x1^3 - 2*x1^2*x2 + 1/3*x2^3 + x1*x2 - x2 + 4",
-        "5d4e1ac0446a2a93ad69f2595097dc25d53f3c16aee9fe9568d0848092506a43",
+        "c9d9c8022d3055adccd4c74651713213e8c464d1a8b71b0c3c293fcca268c57d",
     ),
     "d3-n4": (
         3, "x1^4 + x2^2*x3^2 - 5/2*x1*x2*x3 + x3^3 - x1^2 + 7*x2 + x3 - 1",
-        "1cd17f78e4200288c398e8b39c9d26f2baf8b866bdb0b6886c081d10d7f97499",
+        "c67b3266d39de94a8e38e51e61fb7fe6328f0e05f44d843836a5dd1357e57d0c",
     ),
     "d4-n6": (
         4, "x1^6 - 3*x2^5*x3 + 2/7*x1*x2*x3*x4^3 + x4^6 - x1^2*x3^2 + x2*x4 + 5*x3 - 1",
-        "164ee18b7055b98cdea33650ad16721fc485f38ffedc36d8b11ae8311177790d",
+        "bc30bd0e3b0b1466348180eeabf50b514f60594c33f920429bb06192191ef0b8",
     ),
     "d5-n3": (
         5, "x1^3 + x2*x3*x4 - x5^3 + 3/4*x1*x5^2 + x2^2 - x4 + 2",
-        "eb5de1b4c738692581b3e2369efacaddf64973aacbfbbeb750718e3bee2c87e7",
+        "1b92a0d691632077bf04dd1367a7178d7285c4e2e85724a952f81bae842ffa65",
     ),
     "constant": (
         3, "-7/2",
-        "43bdb45cfa140eb04b8d8bebbd0be6b9819f2f34f0301cadd190617081ff45ee",
+        "0e8e69915823a1a529a80712efa3481b346af83d1dd566382ff3c0beb1cdd10d",
     ),
     "linear": (
         3, "2*x1 - x2 + 3/5*x3 + 1",
-        "1ebe27cfad23e376da1efa4a22755d30a51979ea3884459f53f4b2d16e11468b",
+        "8d59f58bcd75b97fc3dcee9c525513dd030e4d81f2aa0ba87cfa5af46510317b",
     ),
     # Coefficients of 40 digits and their reciprocals: every replayed
     # polynomial and affine matrix carries large common denominators.
     "d3-n4-tiny-coefficients": (
         3,
         f"1/{10**40}*x1^4 - 3/{10**41}*x1*x2^2*x3 + 7*x1*x3 + {10**40}*x3^2 - 1/{10**40}*x2 + 5/{10**39}",
-        "d16e05922f21ebc3b45edf2258f14a31c14813e110868fc4bd6881a0b2c801a2",
+        "1fc5b44608dd18288edd1914921f174dd7bb77c64601b40807c1c6681f3ec1d6",
     ),
     # A linear part with fractional coefficients: psi^-1 is a non-identity
     # affine factor, so certificate replay composes it with the lattice map.
     "d5-n3-linear-part": (
         5, "x1^3 - 2*x2*x3*x5 + 3/2*x1*x4^2 + x5^3 + 3/2*x1 - x2 + 2/3*x4 + x5 - 1/7",
-        "4a24226dced74dc681d31e479b747d4157b7478371fe31114c4d1d892a9b869f",
+        "058e4e2751009499782ce340250da1117af48273ef9ce11491d3bc830cc6a44e",
     ),
 }
 
 LIE_CORPUS = {
     "Q-d3": (
         3, "Q", "[x2,x1,x3] - 3/2*[x3,x1] + x1 - 2*x3",
-        "0cf8a8911460c33222f074cdf5dd75edd88d8c58650aa24a0a8f357811e2de0a",
+        "c56e42a7352e5f933be5f52dd064f9ec831e82d30734488e050da2b1a1dd6e5f",
     ),
     "F2-d4": (
         4, "F2", "[x2,x1,x1] + [x4,x3] + [x3,x1,x2,x4] + x2",
-        "9f1fb96890a5b3d6a68f7e9d63476ffdb0bce8d68a37868b8a7d6a2b012c6fce",
+        "faff48cdd0a170f37da822dc877e25b31e4c0ff5bfdf878dbdb0a17e56383832",
     ),
     "F101-d5": (
         5, "F101", "7*[x5,x1,x2] - [x3,x2] + 50*[x4,x1,x3,x3] + x1 + 3*x5",
-        "b17c4bee787458732fda105a7597d5417be67de6f00cb52d3b7da79d031d6b0b",
+        "30cb1f6eee9f0317a660eac37b1347338237dfa99046512a6969d492f5a34b56",
     ),
     # d = 4 inputs whose quadratic summand needs a basis completion of three
     # rows to a 4x4 matrix; the completion rule shows in these documents.
@@ -74,11 +74,11 @@ LIE_CORPUS = {
     # 3, 2 and 1, so basis_from_rows appends e_4, not e_3.
     "Q-d4-quadratic": (
         4, "Q", "[x2,x1] + x1",
-        "c8c8842ebc3d2cfcd52f3fa1359cd93298d878edf50aa076f18afc470b7e0305",
+        "934b34eaacca3752eb4604d5971bc993e0d4e590121945fe5755948bb9c7a133",
     ),
     "F2-d4-quadratic": (
         4, "F2", "[x2,x1] + [x4,x1]",
-        "55b818e2961e87c9828625b6705c3c45d237942bd2039e0c465556508ada44d1",
+        "e6be81c9ffc9f0130ad0dea72bcabea557a70df8e756b534ee5680f498ef2bef",
     ),
 }
 

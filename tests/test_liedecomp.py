@@ -8,18 +8,15 @@ from primlen.liedecomp import (
     D3Coefficients,
     HighDCoefficients,
     InnerLieAuto,
-    LinearLieAuto,
-    TriangularLieAuto,
     bucket_d3,
     bucket_dgt3,
     choose_lie_coeffs,
     decompose_lie,
     lie_bound,
-    lie_certify_apply,
     verify_lie,
 )
 from primlen.metalie import LieElement, bracket, normalize_word
-from primlen.polyauto import Certificate
+from primlen.polyauto import AffineAuto, Certificate, TriangularAuto, certify_apply
 
 from conftest import rand_lie
 
@@ -209,7 +206,7 @@ def test_emitted_quadratic_certificates_have_independent_forms():
         dec = decompose_lie(f)
         for _, cert in dec.summands:
             kinds = [type(a).__name__ for a in cert.chain]
-            if kinds[:2] == ["TriangularLieAuto", "LinearLieAuto"]:
+            if kinds[:2] == ["TriangularAuto", "AffineAuto"]:
                 assert not cert.chain[1].validate()
                 seen += 1
     assert seen > 0
@@ -229,7 +226,7 @@ def test_verify_rejects_excess_count():
     f = word((2, 1))
     dec = decompose_lie(f)
     zero = LieElement.zero(3, QQ)
-    extra = (zero + gen(1), Certificate([LinearLieAuto(_identity_matrix(3))], 1))
+    extra = (zero + gen(1), Certificate([AffineAuto(_identity_matrix(3))], 1))
     dec.summands.extend([extra] * (dec.bound + 1 - dec.count))
     result = verify_lie(dec)
     assert not result.ok
@@ -245,20 +242,20 @@ def _identity_matrix(d):
 def test_triangular_ordering_validation():
     d = 3
     tail = word((3, 2))
-    auto = TriangularLieAuto(
+    auto = TriangularAuto(
         [QQ(1)] * d,
         [tail, LieElement.zero(d, QQ), LieElement.zero(d, QQ)],
         (1, 2, 3),
     )
     assert not auto.validate()
     with pytest.raises(ValueError):
-        TriangularLieAuto(
+        TriangularAuto(
             [QQ(1)] * d,
             [word((2, 1)), LieElement.zero(d, QQ), LieElement.zero(d, QQ)],
             (1, 2, 3),
         )
     with pytest.raises(ValueError):
-        TriangularLieAuto([QQ(1)] * d, [LieElement.zero(d, QQ)] * d, (1, 1, 3))
+        TriangularAuto([QQ(1)] * d, [LieElement.zero(d, QQ)] * d, (1, 1, 3))
 
 
 def test_certificate_replay_matches_summands():
@@ -267,4 +264,4 @@ def test_certificate_replay_matches_summands():
         f = rand_lie(rng, 4, 4, field=field)
         dec = decompose_lie(f)
         for summand, cert in dec.summands:
-            assert lie_certify_apply(cert, 4, field) == summand
+            assert certify_apply(cert, f) == summand

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from primlen.field import QQ
-from primlen.linalg import DenseMatrix
+from primlen.field import GF, QQ
+from primlen.liedecomp import InnerLieAuto
+from primlen.linalg import DenseMatrix, bareiss_determinant
+from primlen.metalie import LieElement, normalize_word
 from primlen.multipoly import Polynomial
 from primlen.polyauto import (
     AffineAuto,
@@ -15,7 +17,7 @@ from primlen.polyauto import (
     validate_certificate,
 )
 
-from conftest import rand_poly
+from conftest import rand_lie, rand_nonzero_scalar, rand_poly, rand_scalar
 
 d = 2
 x1 = Polynomial.variable(d, QQ, 1)
@@ -34,7 +36,7 @@ def tri_example():
 
 
 def images_equal(a, b):
-    return a.arity == b.arity and all(p == q for p, q in zip(a.images(), b.images()))
+    return a.arity == b.arity and all(p == q for p, q in zip(a.images(x1), b.images(x1)))
 
 
 def test_apply_affine():
@@ -109,33 +111,88 @@ def test_certify_apply_triangular_then_affine():
     # to x1 must give x1 + (x1 + 2 x2)^2
     theta = TriangularAuto([QQ(1), QQ(1)], [x2**2, zero_tail])
     phi = AffineAuto(DenseMatrix.from_rows(QQ, [[1, 0], [1, 2]]), [QQ(0), QQ(0)])
-    result = certify_apply(Certificate([theta, phi], 1), d, QQ)
+    result = certify_apply(Certificate([theta, phi], 1), x1)
     assert result == x1 + (x1 + x2.scale(QQ(2))) ** 2
 
 
 def test_certify_empty_chain():
-    assert certify_apply(Certificate([], 1), d, QQ) == x1
+    assert certify_apply(Certificate([], 1), x1) == x1
 
 
 def test_certify_inverse_round_trip():
     auto = tri_example()
     cert = Certificate([auto, invert_auto(auto)], 2)
-    assert certify_apply(cert, d, QQ) == x2
+    assert certify_apply(cert, x1) == x2
 
 
 def test_composition_order_convention():
     theta = tri_example()
     phi = shear()
-    chained = certify_apply(Certificate([theta, phi], 1), d, QQ)
+    chained = certify_apply(Certificate([theta, phi], 1), x1)
     assert chained == apply_auto(phi, apply_auto(theta, x1))
 
 
-def certify_apply_plain(cert, arity, field):
-    """Reference replay without the affine-composition shortcut."""
-    f = Polynomial.variable(arity, field, cert.generator_index)
+def generator(like, index):
+    """x_index in the algebra of like."""
+    make = Polynomial.variable if isinstance(like, Polynomial) else LieElement.generator
+    return make(like.arity, like.field, index)
+
+
+def certify_apply_plain(cert, like):
+    """Reference replay: one apply_auto per factor, no composition of affine runs."""
+    f = generator(like, cert.generator_index)
     for auto in cert.chain:
         f = apply_auto(auto, f)
     return f
+
+
+def rand_linear(rng, d, field):
+    """A random invertible linear map (an affine map with zero offset)."""
+    while True:
+        rows = [[rand_scalar(rng, field, 3) for _ in range(d)] for _ in range(d)]
+        matrix = DenseMatrix.from_rows(field, rows)
+        if not bareiss_determinant(matrix)[0].is_zero():
+            return AffineAuto(matrix)
+
+
+def rand_ordering(rng, d):
+    """A random permutation of 1..d other than the identity."""
+    while True:
+        ordering = rng.sample(range(1, d + 1), d)
+        if ordering != sorted(ordering):
+            return ordering
+
+
+def rand_poly_triangular(rng, d, ordering):
+    """A triangular polynomial map in ``ordering`` with tails of two terms."""
+    tails = []
+    for j in range(d):
+        terms = {}
+        for _ in range(2):
+            mono = [0] * d
+            for gen in ordering[j + 1 :]:
+                mono[gen - 1] = rng.randint(0, 2)
+            terms[tuple(mono)] = rand_scalar(rng, QQ, 3)
+        tails.append(Polynomial(d, QQ, terms))
+    return TriangularAuto([rand_nonzero_scalar(rng, QQ, 4) for _ in range(d)], tails, ordering)
+
+
+def rand_lie_triangular(rng, d, field, ordering):
+    """A triangular Lie map in ``ordering`` with tails of words of length <= 2."""
+    tails = []
+    for j in range(d):
+        tail = LieElement.zero(d, field)
+        for _ in range(2 if ordering[j + 1 :] else 0):
+            word = [rng.choice(ordering[j + 1 :]) for _ in range(rng.randint(1, 2))]
+            tail = tail + normalize_word(word, d, field).scale(rand_scalar(rng, field, 3))
+        tails.append(tail)
+    return TriangularAuto([rand_nonzero_scalar(rng, field, 3) for _ in range(d)], tails, ordering)
+
+
+def rand_inner(rng, d, field):
+    """exp(ad v) for a random v of degree 2 in the commutator ideal."""
+    v = rand_lie(rng, d, 2, field=field, terms=3)
+    return InnerLieAuto(v - v.homogeneous_component(1))
 
 
 def test_optimized_replay_matches_plain():
@@ -148,7 +205,48 @@ def test_optimized_replay_matches_plain():
             else:
                 chain.append(tri_example())
         cert = Certificate(chain, rng.randint(1, 2))
-        assert certify_apply(cert, d, QQ) == certify_apply_plain(cert, d, QQ)
+        assert certify_apply(cert, x1) == certify_apply_plain(cert, x1)
+    # Lie chains: runs of linear factors, triangular factors in a
+    # non-identity ordering and inner factors, over Q, F2 and F101.
+    seen = {"linear run": 0, "ordering": 0, "inner": 0}
+    for field in (QQ, GF(2), GF(101)):
+        for _ in range(20):
+            d = rng.randint(3, 4)
+            chain = []
+            for _ in range(rng.randint(1, 4)):
+                kind = rng.choice(["linear", "linear", "triangular", "inner"])
+                if kind == "linear":
+                    chain.append(rand_linear(rng, d, field))
+                elif kind == "triangular":
+                    chain.append(rand_lie_triangular(rng, d, field, rand_ordering(rng, d)))
+                    seen["ordering"] += 1
+                else:
+                    chain.append(rand_inner(rng, d, field))
+                    seen["inner"] += 1
+            seen["linear run"] += any(
+                isinstance(a, AffineAuto) and isinstance(b, AffineAuto) for a, b in zip(chain, chain[1:])
+            )
+            like = LieElement.zero(d, field)
+            cert = Certificate(chain, rng.randint(1, d))
+            assert certify_apply(cert, like) == certify_apply_plain(cert, like)
+    assert all(seen.values()), seen
+
+
+def test_invert_triangular_in_a_non_identity_ordering():
+    rng = random.Random(24)
+    d = 4
+    for _ in range(10):
+        ordering = rand_ordering(rng, d)
+        for auto in (
+            rand_poly_triangular(rng, d, ordering),
+            rand_lie_triangular(rng, d, rng.choice([QQ, GF(3)]), ordering),
+        ):
+            inv = invert_auto(auto)
+            assert inv.ordering == auto.ordering and not inv.validate()
+            for i in range(1, d + 1):
+                xi = generator(auto.tails[0], i)
+                assert apply_auto(inv, apply_auto(auto, xi)) == xi
+                assert apply_auto(auto, apply_auto(inv, xi)) == xi
 
 
 def test_construction_validation():
