@@ -67,14 +67,14 @@ def _factor_from_json(record, arity, field, lie):
     if kind == ("linear" if lie else "affine"):
         matrix = _matrix_from_json(record["matrix"], field)
         offset = None if lie else [parse_scalar(field, b) for b in record["offset"]]
-        return AffineAuto(matrix, offset, check=False)
+        return AffineAuto(matrix, offset)
     if kind == "triangular":
         parse = parse_lie if lie else parse_poly
         gammas = [parse_scalar(field, g) for g in record["gammas"]]
         tails = [parse(t, arity, field) for t in record["tails"]]
-        return TriangularAuto(gammas, tails, record["ordering"] if lie else None, check=False)
+        return TriangularAuto(gammas, tails, record["ordering"] if lie else None)
     if lie and kind == "inner":
-        return InnerLieAuto(parse_lie(record["element"], arity, field), check=False)
+        return InnerLieAuto(parse_lie(record["element"], arity, field))
     raise PrimlenError(f"unknown {'Lie' if lie else 'polynomial'} automorphism kind {kind!r}")
 
 

@@ -15,7 +15,15 @@ Every basis change, this one and those of linear summands and of the
 normalization, is ``linalg.basis_from_rows``: the given rows, then the
 standard vectors off their pivot columns, in index order.  The pivot
 columns are the first columns on which the rows stay independent; one row
-pivots on its first nonzero coefficient.
+pivots on its first nonzero coefficient.  The same elimination
+(``linalg.pivot_columns``) decides whether a candidate pair of linear
+coefficients is independent from the quadratic part.  The linear summands
+and the normalization use the builders the polynomial pipeline uses,
+``polyauto.linear_certificate`` and ``polyauto.linearize``.
+
+The factors, ``InnerLieAuto`` included, are plain records, checked by
+nothing when built; ``polyauto.validate_certificate``, which
+``check_summands`` runs before any replay, is the only validity check.
 
 The pipeline normalizes the linear part to delta x1, splits off the
 commutator words containing x1, buckets them by a trailing generator that
@@ -29,9 +37,9 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import UnsupportedInputError
 from .field import FieldScalar
-from .linalg import DenseMatrix, basis_from_rows, matrix_inverse
+from .linalg import DenseMatrix, basis_from_rows, pivot_columns
 from .metalie import LieElement, bracket, inner_auto, split_parts
-from .polyauto import AffineAuto, Certificate, TriangularAuto, apply_auto, require_valid
+from .polyauto import AffineAuto, Certificate, TriangularAuto, linear_certificate, linearize
 from .polydecomp import ZERO_NOTE, check_summands
 
 
@@ -43,10 +51,8 @@ class InnerLieAuto:
 
     __slots__ = ("element",)
 
-    def __init__(self, element, check=True):
+    def __init__(self, element):
         self.element = element
-        if check:
-            require_valid(self)
 
     @property
     def arity(self):
@@ -58,7 +64,7 @@ class InnerLieAuto:
         return []
 
     def images(self, like):
-        return inner_auto(self.element).images
+        return inner_auto(self.element)
 
 
 @dataclass
@@ -150,21 +156,14 @@ class HighDCoefficients:
 def _independent_from_beta(pair, beta, slots):
     """Is the vector with `pair` in the two `slots` independent from beta?
 
-    beta lists the coefficients on x_2..x_d.  A pair supported on two
-    coordinates is dependent on beta exactly when beta is proportional to
-    it, which needs beta supported on the same coordinates and a vanishing
-    2x2 determinant.
+    beta lists the coefficients on x_2..x_d and is nonzero.  The two
+    vectors are independent when one elimination finds a pivot for each.
     """
-    z1, z2 = pair
-    if z1.is_zero() and z2.is_zero():
-        return False
-    if all(c.is_zero() for c in beta):
-        return True
-    a, b = slots
-    if any(not c.is_zero() and j not in (a, b) for j, c in enumerate(beta, start=2)):
-        return True
-    b1, b2 = beta[a - 2], beta[b - 2]
-    return not (z1 * b2 - z2 * b1).is_zero()
+    field = beta[0].field
+    vector = [field.zero()] * len(beta)
+    for slot, z in zip(slots, pair):
+        vector[slot - 2] = z
+    return len(pivot_columns([vector, beta], field)) == 2
 
 
 def _nonzero_sum_pair(target, field):
@@ -256,12 +255,6 @@ def choose_lie_coeffs(d, delta, beta, field):
 # -- certificates for the three summand shapes --------------------------------
 
 
-def _linear_cert_for(element):
-    """A linear certificate for a nonzero linear element (image of x1)."""
-    matrix = basis_from_rows([element.linear_coefficients()], element.field)
-    return Certificate([AffineAuto(matrix)], 1)
-
-
 def _triangular_cert(gen, gamma, tail):
     """Certificate for gamma x_gen + tail, tail avoiding x_gen."""
     d, field = tail.arity, tail.field
@@ -304,19 +297,6 @@ def _quadratic_cert(zeta_coeffs, beta, d, field):
 # -- the pipeline --------------------------------------------------------------
 
 
-def _linear_normalization(f):
-    """(rho, rho^-1) with rho sending the linear part of f to x1, or None without one.
-
-    rho^-1 is the basis change x1 -> the linear part, so only rho takes an
-    inverse.
-    """
-    coeffs = f.linear_coefficients()
-    if all(c.is_zero() for c in coeffs):
-        return None
-    basis = basis_from_rows([coeffs], f.field)
-    return AffineAuto(matrix_inverse(basis)), AffineAuto(basis)
-
-
 def decompose_lie(f):
     """Decompose f into certified primitive summands within the table bound."""
     d, field = f.arity, f.field
@@ -328,16 +308,10 @@ def decompose_lie(f):
     if f.is_zero():
         return LieDecomposition(f, [], bound, notes=[ZERO_NOTE])
     if f.degree() == 1:
-        return LieDecomposition(f, [(f, _linear_cert_for(f))], bound)
+        return LieDecomposition(f, [(f, linear_certificate(f))], bound)
 
-    normalization = _linear_normalization(f)
-    if normalization is None:
-        g = f
-        delta = 0
-    else:
-        rho, rho_inv = normalization
-        g = apply_auto(rho, f)
-        delta = 1
+    rho_inv, g = linearize(f)
+    delta = 0 if rho_inv is None else 1
     _, with_x1, v = split_parts(g)
     quad = with_x1.homogeneous_component(2)
     beta = [quad.terms.get((j, 1), field.zero()) for j in range(2, d + 1)]
@@ -370,13 +344,13 @@ def decompose_lie(f):
     if not beta_part.is_zero():
         summands.append((u3, _quadratic_cert(zeta_vec, beta, d, field)))
     elif not u3.is_zero():
-        summands.append((u3, _linear_cert_for(u3)))
+        summands.append((u3, linear_certificate(u3)))
     if coeffs.extra is not None:
         u4 = LieElement(d, field, {(d - 1,): zeta_dm1 - prime[0], (d,): zeta_d - prime[1]})
         if not u4.is_zero():
-            summands.append((u4, _linear_cert_for(u4)))
+            summands.append((u4, linear_certificate(u4)))
 
-    if normalization is not None:
+    if rho_inv is not None:
         images = rho_inv.images(f)
         summands = [
             (element.substitute(images), Certificate(cert.chain + [rho_inv], cert.generator_index))

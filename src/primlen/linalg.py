@@ -286,18 +286,27 @@ def matrix_problems(matrix):
     return []
 
 
+def pivot_columns(rows, field):
+    """The pivot columns of one fraction-free elimination of ``rows``.
+
+    They are the first columns, in index order, that keep the chosen set
+    independent; for one row, its first nonzero entry.  There are as many
+    as the rank, so the rows are independent exactly when every row has one.
+    """
+    _, pivots = _bareiss_forward([field.to_raw(r)[1] for r in rows], len(rows[0]), field.p, OpCounter())
+    return pivots
+
+
 def basis_from_rows(rows, field):
     """The invertible matrix made of ``rows``, then e_m for every column m off their pivots.
 
-    The pivot columns are those of one fraction-free elimination of the
-    rows: the first columns, in index order, that keep the chosen set
-    independent.  For one row the pivot is its first nonzero entry.  The
-    standard vectors follow in index order.  Raises ValueError when the
-    rows are linearly dependent.
+    The pivot columns are those of ``pivot_columns``; the standard vectors
+    follow in index order.  Raises ValueError when the rows are linearly
+    dependent.
     """
     rows = [list(r) for r in rows]
     d = len(rows[0])
-    _, pivots = _bareiss_forward([field.to_raw(r)[1] for r in rows], d, field.p, OpCounter())
+    pivots = pivot_columns(rows, field)
     if len(pivots) < len(rows):
         raise ValueError("rows to complete to a basis are linearly dependent")
     for m in range(d):

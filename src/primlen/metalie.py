@@ -127,7 +127,7 @@ class LieElement(SparseElement):
 
     def substitute(self, images):
         """The image of self under the endomorphism x_i -> images[i - 1]."""
-        return apply_endo(LieEndomorphism(images), self)
+        return apply_endo(images, self)
 
     def iter_sorted(self):
         for word in sorted(self.terms, key=lambda w: (len(w), w)):
@@ -217,63 +217,38 @@ def normalize_word(indices, arity, field, cap=None):
     return first._wrap_raw(1, terms)
 
 
-class LieEndomorphism:
-    """Generator-image description of an endomorphism."""
+def apply_endo(images, u, cap=None):
+    """Homomorphic image of u under x_i -> images[i - 1]: brackets are rebuilt from the images.
 
-    __slots__ = ("images",)
-
-    def __init__(self, images):
-        images = list(images)
-        if not images:
-            raise ArityMismatchError("endomorphism needs at least one image")
-        d = images[0].arity
-        field = images[0].field
-        if len(images) != d:
-            raise ArityMismatchError(f"expected {d} images, got {len(images)}")
-        for g in images:
-            if g.arity != d or g.field != field:
-                raise ArityMismatchError("inconsistent images")
-        self.images = images
-
-    @property
-    def arity(self):
-        return len(self.images)
-
-    @property
-    def field(self):
-        return self.images[0].field
-
-    @classmethod
-    def identity(cls, arity, field):
-        return cls([LieElement.generator(arity, field, i) for i in range(1, arity + 1)])
-
-
-def apply_endo(endo, u, cap=None):
-    """Homomorphic image of u: brackets are rebuilt from the generator images.
-
-    The images share one denominator D over Q, so the bracket of the images
-    along a word of length m has denominator D^m; every word's piece is
-    brought to D^L, L the longest word of u, before it is added.
+    There must be one image per generator of u, each with the arity and
+    field of u.  The images share one denominator D over Q, so the bracket
+    of the images along a word of length m has denominator D^m; every
+    word's piece is brought to D^L, L the longest word of u, before it is
+    added.
     """
-    if endo.arity != u.arity:
+    d, field = u.arity, u.field
+    if len(images) != d:
         raise ArityMismatchError("endomorphism arity mismatch")
-    if endo.field != u.field:
-        raise FieldMismatchError("endomorphism and element over different fields")
+    for g in images:
+        if g.arity != d:
+            raise ArityMismatchError("endomorphism arity mismatch")
+        if g.field != field:
+            raise FieldMismatchError("endomorphism and element over different fields")
     if cap is None:
         cap = degree_cap()
-    p = u.field.p
-    den, ints = u.field.to_raw([c for g in endo.images for c in g.terms.values()])
-    images, start = [], 0
-    for g in endo.images:
-        images.append(dict(zip(g.terms, ints[start : start + len(g.terms)])))
+    p = field.p
+    den, ints = field.to_raw([c for g in images for c in g.terms.values()])
+    raw_images, start = [], 0
+    for g in images:
+        raw_images.append(dict(zip(g.terms, ints[start : start + len(g.terms)])))
         start += len(g.terms)
-    den_u, coeffs = u.field.to_raw(u.terms.values())
+    den_u, coeffs = field.to_raw(u.terms.values())
     longest = max(map(len, u.terms), default=1)
     result = {}
     for word, c in zip(u.terms, coeffs):
-        piece = images[word[0] - 1]
+        piece = raw_images[word[0] - 1]
         for idx in word[1:]:
-            piece = _bracket_raw(piece, images[idx - 1], cap, p)
+            piece = _bracket_raw(piece, raw_images[idx - 1], cap, p)
         c *= den ** (longest - len(word))
         for w, x in piece.items():
             result[w] = result.get(w, 0) + c * x
@@ -281,7 +256,7 @@ def apply_endo(endo, u, cap=None):
 
 
 def inner_auto(v):
-    """exp(ad v): x_j -> x_j + [x_j, v], for v in the commutator ideal.
+    """The generator images of exp(ad v): x_j -> x_j + [x_j, v], for v in the commutator ideal.
 
     In the metabelian quotient (ad v)^2 vanishes on the whole algebra, so
     the exponential series is exactly 1 + ad v and composing with
@@ -294,7 +269,7 @@ def inner_auto(v):
     for j in range(1, d + 1):
         xj = LieElement.generator(d, field, j)
         images.append(xj + bracket(xj, v))
-    return LieEndomorphism(images)
+    return images
 
 
 def split_parts(u):

@@ -18,6 +18,14 @@ Numbers, variable indices and exponents are ASCII digits [0-9]+, of any
 length (Python's 4,300-digit int/str limit does not apply); a character
 outside the grammar, a non-ASCII digit included, is a ParseError.
 
+A power is refused with UnsupportedInputError before it is computed when
+it could be unbounded work: a constant power a^k (of a number or of a
+constant group) when k times the bit length of a exceeds
+``polydecomp.MAX_POWER_BITS``, and the parenthesised groups of a term when
+the degree of their product, powers included, exceeds
+``polydecomp.MAX_DEGREE`` (so ``(x1+1)^17`` is refused in any number of
+variables).  A power of a variable costs nothing and is not bounded here.
+
 Reading is linear in the text for sums of monomial terms (the shape the
 printer writes): a term made of numbers, variables, powers, unary minus and
 division by numbers is assembled directly as one coefficient times one
@@ -33,10 +41,11 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError
-from .field import str_to_int
+from .errors import ParseError, UnsupportedInputError
+from .field import int_to_str, str_to_int
 from .metalie import LieElement, normalize_word
 from .multipoly import Polynomial
+from .polydecomp import MAX_DEGREE, MAX_POWER_BITS
 
 # One token per match: leading whitespace, then a number, a variable name
 # (its index may be missing, which is reported), a symbol, any other
@@ -95,6 +104,17 @@ class _Reader:
             return 1
         self.i += 1
         return str_to_int(self.expect("number")[1])
+
+    def power(self, base, k):
+        """base^k for an int base, refused when k times its bit length exceeds MAX_POWER_BITS."""
+        if k == 1:
+            return base
+        bits = k * base.bit_length()
+        if bits > MAX_POWER_BITS:
+            raise UnsupportedInputError(
+                f"a constant power of up to {int_to_str(bits)} bits exceeds the ceiling of {MAX_POWER_BITS}"
+            )
+        return base**k if self.p is None else pow(base, k, self.p)
 
     def unexpected(self):
         _, text, pos = self.tokens[self.i]
@@ -158,7 +178,8 @@ def parse_poly(src, arity, field):
         """The term's terms dict: one coefficient times one exponent vector unless a group occurs."""
         num = den = 1
         exps = [0] * arity
-        poly = None
+        poly = None  # the product of the term's non-constant groups
+        poly_degree = 0
         op_pos = None  # position of the '/' before this factor, if any
         while True:
             kind, text, pos = tokens[r.i]
@@ -170,7 +191,7 @@ def parse_poly(src, arity, field):
                 r.i += 1
                 value, k = str_to_int(text), r.exponent()
                 if k != 1:
-                    value = value**k if r.p is None else pow(value, k, r.p)
+                    value = r.power(value, k)
                 if op_pos is None:
                     num *= value
                 elif r.is_zero(value):
@@ -190,16 +211,30 @@ def parse_poly(src, arity, field):
                 group = expr()
                 r.expect(")")
                 k = r.exponent()
-                if k != 1:
-                    group = group**k
-                if op_pos is None:
-                    poly = group if poly is None else poly * group
-                elif group.total_degree() != 0:
+                degree = group.total_degree()
+                if not degree or not k:  # zero, a constant or a 0th power: a number
+                    c = group.constant_term()
+                    c_num, c_den = r.power(c.numerator, k), r.power(c.denominator, k)
+                    if op_pos is None:
+                        num *= c_num
+                        den *= c_den
+                    elif r.is_zero(c_num):
+                        raise ParseError(_NO_DIVISION, op_pos)
+                    else:
+                        num *= c_den
+                        den *= c_num
+                elif op_pos is not None:
                     raise ParseError(_NO_DIVISION, op_pos)
                 else:
-                    c = group.constant_term()
-                    num *= c.denominator
-                    den *= c.numerator
+                    poly_degree += degree * k
+                    if poly_degree > MAX_DEGREE:
+                        raise UnsupportedInputError(
+                            f"degree {int_to_str(poly_degree)} of parenthesised groups "
+                            f"exceeds the ceiling of {MAX_DEGREE}"
+                        )
+                    if k != 1:
+                        group = group**k
+                    poly = group if poly is None else poly * group
             else:
                 raise r.unexpected()
             kind, _, pos = tokens[r.i]

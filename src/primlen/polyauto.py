@@ -10,24 +10,23 @@ one family of elementary automorphisms:
   with gamma_j != 0;
 * inner, Lie only: exp(ad v) (``liedecomp.InnerLieAuto``).
 
+Factors are plain records: constructing one checks nothing.  Each lists
+its own problems in ``validate()``, and ``validate_certificate``, which the
+verifier runs before any replay, is the only place that calls it.
+
 A factor does not know its algebra: ``images(like)`` gives the images of
 the generators in the algebra of the element ``like``, and an element's
 ``substitute`` applies them.  A certificate is a chain of factors plus a
 generator index; replaying the chain (innermost first) on that generator
-reproduces a primitive element.
+reproduces a primitive element.  Both pipelines build their linear factors
+with ``linalg.basis_from_rows``: ``linearize`` for the map that sends a
+linear part to x1, ``linear_certificate`` for a summand of degree 1.
 """
 
 from __future__ import annotations
 
 from .errors import ArityMismatchError
-from .linalg import DenseMatrix, matrix_inverse, matrix_problems
-
-
-def require_valid(auto):
-    """Raise ValueError naming every problem of an elementary automorphism, if it has any."""
-    problems = auto.validate()
-    if problems:
-        raise ValueError("; ".join(problems))
+from .linalg import basis_from_rows, matrix_inverse, matrix_problems
 
 
 def _generator(like, index):
@@ -43,30 +42,19 @@ class AffineAuto:
 
     __slots__ = ("matrix", "offset")
 
-    def __init__(self, matrix, offset=None, check=True):
+    def __init__(self, matrix, offset=None):
         self.matrix = matrix
         self.offset = [matrix.field.zero()] * matrix.rows if offset is None else list(offset)
-        if check:
-            require_valid(self)
 
     @property
     def arity(self):
         return self.matrix.rows
-
-    @property
-    def field(self):
-        return self.matrix.field
 
     def validate(self):
         problems = matrix_problems(self.matrix)
         if self.matrix.rows == self.matrix.cols and len(self.offset) != self.matrix.rows:
             problems.insert(0, "offset has wrong length")
         return problems
-
-    def is_identity(self):
-        return self.matrix == DenseMatrix.identity(self.arity, self.field) and all(
-            b.is_zero() for b in self.offset
-        )
 
     def images(self, like):
         return [like.linear_form(enumerate(self.matrix.row(j), 1), b) for j, b in enumerate(self.offset)]
@@ -81,20 +69,14 @@ class TriangularAuto:
 
     __slots__ = ("gammas", "tails", "ordering")
 
-    def __init__(self, gammas, tails, ordering=None, check=True):
+    def __init__(self, gammas, tails, ordering=None):
         self.gammas = list(gammas)
         self.tails = list(tails)
         self.ordering = tuple(range(1, len(self.gammas) + 1) if ordering is None else ordering)
-        if check:
-            require_valid(self)
 
     @property
     def arity(self):
         return len(self.ordering)
-
-    @property
-    def field(self):
-        return self.gammas[0].field
 
     def validate(self):
         d = len(self.ordering)
@@ -163,7 +145,7 @@ def compose_affine(outer, inner):
     matrix = inner.matrix.mul_matrix(outer.matrix)
     shifted = inner.matrix.mul_vector(outer.offset)
     offset = [inner.offset[j] + shifted[j] for j in range(outer.arity)]
-    return AffineAuto(matrix, offset, check=False)
+    return AffineAuto(matrix, offset)
 
 
 class Certificate:
@@ -179,6 +161,32 @@ class Certificate:
     def __init__(self, chain, generator_index):
         self.chain = list(chain)
         self.generator_index = generator_index
+
+
+def linearize(f):
+    """(psi^-1, psi(f)) for the linear automorphism psi sending the linear part of f to x1.
+
+    psi^-1 is the basis change x1 -> the linear part,
+    ``basis_from_rows([f_1])``, so only psi takes an inverse.  It is
+    returned whenever the linear part f_1 is nonzero, the identity
+    included; without a linear part psi is the identity and psi^-1 is None.
+    """
+    coeffs = f.linear_coefficients()
+    if not any(coeffs):
+        return None, f
+    psi_inv = AffineAuto(basis_from_rows([coeffs], f.field))
+    return psi_inv, apply_auto(AffineAuto(matrix_inverse(psi_inv.matrix)), f)
+
+
+def linear_certificate(f, constant=None):
+    """The certificate of a primitive element f of degree 1, as the image of x1.
+
+    One affine factor: the matrix ``basis_from_rows([f_1])`` and, for a
+    polynomial, ``constant`` (the constant term of f) as the offset of x1.
+    """
+    d, field = f.arity, f.field
+    offset = None if constant is None else [constant] + [field.zero()] * (d - 1)
+    return Certificate([AffineAuto(basis_from_rows([f.linear_coefficients()], field), offset)], 1)
 
 
 def certify_apply(cert, like):

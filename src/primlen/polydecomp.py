@@ -5,7 +5,7 @@ variables is a sum of at most binom(n+d-1, d-1) primitive polynomials.  The
 construction:
 
 1. normalize the linear part to delta * x1 (delta in {0, 1}) by a linear
-   automorphism psi;
+   automorphism psi (``polyauto.linearize``);
 2. take the N = binom(n+d-1, d-1) points a of the principal lattice
    {a in N^(d-1) : |a| <= n}, ordered by level |a|, and the linear forms
    s_a = x1 + sum_i (a_i+1) x_{i+1};
@@ -14,8 +14,13 @@ construction:
    with sum_k xi_kp s_{a_k}^p equal to the degree-p component;
 4. assemble summands u_k = xi_k1 x1 + sum_p xi_kp s_{a_k}^p (u_1 also
    absorbs the constant), each certified primitive as the image of x1 under
-   a triangular automorphism followed by an affine one, and map everything
-   back through psi^-1.
+   a triangular automorphism followed by the linear map phi with
+   x2 -> s_a, and map everything back through psi^-1.  phi and psi^-1 are
+   ``linalg.basis_from_rows`` matrices, like every linear factor.
+
+The factors are plain records, checked by nothing when built:
+``check_summands`` runs ``polyauto.validate_certificate`` on every
+certificate before it replays it, and that is the only validity check.
 
 The paper's proof uses nodes alpha = 2..N+1 and the forms
 s(alpha) = x1 + sum_i alpha^((n+1)^(i-2)) x_i instead; those work too but
@@ -33,15 +38,16 @@ from dataclasses import dataclass, field as dc_field
 from math import comb, prod
 
 from .errors import InternalError, SingularMatrixError, UnsupportedInputError
-from .field import QQ
-from .linalg import DenseMatrix, basis_from_rows, matrix_inverse, solve_square
+from .field import QQ, int_to_str
+from .linalg import DenseMatrix, basis_from_rows, solve_square
 from .multipoly import Polynomial, monomials_of_degree, multinomial
 from .polyauto import (
     AffineAuto,
     Certificate,
     TriangularAuto,
-    apply_auto,
     certify_apply,
+    linear_certificate,
+    linearize,
     validate_certificate,
 )
 
@@ -51,15 +57,22 @@ INFINITE = "infinite"
 ZERO_NOTE = "the zero element is reported as the empty sum (additive primitive length 0)"
 
 #: The largest degree, and the most summands N = binom(n+d-1, d-1), that
-#: decompose accepts for degree n > 1 in d > 1 variables; larger inputs are
-#: unsupported.  Decompose plus verify of (d, n), fractions backend, 2-vCPU
-#: container: (4,6) N = 84 0.4 s, (2,16) 0.1 s, (2,40) 1.3 s, (2,60) 9 s,
-#: (3,16) N = 153 5.9 s, (3,20) N = 231 29 s, (6,5) N = 252 3.7 s, (6,6)
-#: N = 462 11.5 s.  The degree cap is set by d = 3, where N stays under
-#: MAX_NODES up to degree 20; together the caps keep every accepted input
-#: to a few seconds.
+#: poly_bound accepts for degree n > 1 in d > 1 variables, so that decompose
+#: and the verifier's rebuild refuse larger inputs at one site.  Decompose
+#: plus verify of (d, n), fractions backend, 2-vCPU container: (4,6) N = 84
+#: 0.4 s, (2,16) 0.1 s, (2,40) 1.3 s, (2,60) 9 s, (3,16) N = 153 5.9 s,
+#: (3,20) N = 231 29 s, (6,5) N = 252 3.7 s, (6,6) N = 462 11.5 s.  The
+#: degree cap is set by d = 3, where N stays under MAX_NODES up to degree
+#: 20; together the caps keep every accepted input to a few seconds.
 MAX_DEGREE = 16
 MAX_NODES = 252
+
+#: The reader refuses a constant power a^k when k times the bit length of a
+#: exceeds this (a 65,536-bit number has 19,729 digits).  Produce plus
+#: verify of 2^m*x1^2 + x2 and 2^m*x1^3 + x1*x2 + x2^3, fractions backend,
+#: 2-vCPU container: m = 2^16 0.13-0.2 s, 2^18 2.0-3.3 s, 2^20 20-30 s
+#: (printing the coefficients dominates, and grows about quadratically).
+MAX_POWER_BITS = 65536
 
 
 @dataclass
@@ -95,7 +108,9 @@ def poly_bound(f):
     """The summand-count bound decompose reaches for f, or None when f has no finite length.
 
     1 for zero and for linear inputs, 2 for a nonzero constant, None for
-    degree > 1 in one variable, binom(n+d-1, d-1) otherwise.
+    degree > 1 in one variable, binom(n+d-1, d-1) otherwise.  Raises
+    UnsupportedInputError above MAX_DEGREE, checked before the binomial is
+    computed, or above MAX_NODES.
     """
     n, d = f.total_degree(), f.arity
     if n is None or n == 1:
@@ -104,7 +119,14 @@ def poly_bound(f):
         return 2
     if d == 1:
         return None
-    return plength_bound(n, d)
+    if n > MAX_DEGREE:
+        raise UnsupportedInputError(f"degree {int_to_str(n)} exceeds the ceiling of {MAX_DEGREE}")
+    bound = plength_bound(n, d)
+    if bound > MAX_NODES:
+        raise UnsupportedInputError(
+            f"{bound} summands for degree {n} in {d} variables exceed the ceiling of {MAX_NODES}"
+        )
+    return bound
 
 
 def lattice_nodes(n, d):
@@ -114,24 +136,6 @@ def lattice_nodes(n, d):
     are exactly the levels <= p.
     """
     return [a for q in range(n + 1) for a in monomials_of_degree(d - 1, q)]
-
-
-def linearize(f):
-    """A linear automorphism psi with psi(f) having linear part delta * x1.
-
-    If the linear component f_1 is nonzero, psi maps f_1 to x1: its matrix
-    is the inverse of B = basis_from_rows([f_1]), so B itself is the matrix of
-    psi^-1.  Otherwise psi is the identity.  Returns (psi, psi^-1, psi(f)),
-    with psi^-1 None when psi is the identity.
-    """
-    d, field = f.arity, f.field
-    coeffs = f.linear_coefficients()
-    if all(c.is_zero() for c in coeffs):
-        return AffineAuto(DenseMatrix.identity(d, field), check=False), None, f
-    basis = basis_from_rows([coeffs], field)
-    psi = AffineAuto(matrix_inverse(basis))
-    psi_inv = None if psi.is_identity() else AffineAuto(basis)
-    return psi, psi_inv, apply_auto(psi, f)
 
 
 def assign_linear_coeffs(count, delta, field=QQ):
@@ -200,50 +204,28 @@ def decompose(f):
             "coefficients vanish modulo p"
         )
     n = f.total_degree()
-    if d > 1 and (n or 0) > MAX_DEGREE:
-        raise UnsupportedInputError(f"degree {n} exceeds the ceiling of {MAX_DEGREE}")
     bound = poly_bound(f)
-    if (bound or 0) > MAX_NODES:
-        raise UnsupportedInputError(
-            f"{bound} summands for degree {n} in {d} variables exceed the ceiling of {MAX_NODES}"
-        )
     if f.is_zero():
         return PolyDecomposition(f, FINITE, [], bound=bound, notes=[ZERO_NOTE])
     if n == 0:
-        beta = f.constant_term()
-        one = field.one()
-        first = Polynomial(d, field, {(0,) * d: beta, (1,) + (0,) * (d - 1): one})
-        pos = AffineAuto(DenseMatrix.identity(d, field), [beta] + [field.zero()] * (d - 1))
-        neg_matrix = DenseMatrix.from_rows(
-            field,
-            [
-                [-one if i == j == 0 else (one if i == j else field.zero()) for i in range(d)]
-                for j in range(d)
-            ],
-        )
-        second = Polynomial(d, field, {(1,) + (0,) * (d - 1): -one})
-        neg = AffineAuto(neg_matrix)
-        return PolyDecomposition(
-            f,
-            FINITE,
-            [(first, Certificate([pos], 1)), (second, Certificate([neg], 1))],
-            bound=bound,
-        )
+        beta, one = f.constant_term(), field.one()
+        first, second = f.linear_form([(1, one)], beta), f.linear_form([(1, -one)])
+        summands = [(first, linear_certificate(first, beta)), (second, linear_certificate(second))]
+        return PolyDecomposition(f, FINITE, summands, bound=bound)
     if n == 1:
-        offset = [f.constant_term()] + [field.zero()] * (d - 1)
-        auto = AffineAuto(basis_from_rows([f.linear_coefficients()], field), offset)
-        return PolyDecomposition(f, FINITE, [(f, Certificate([auto], 1))], bound=bound)
+        return PolyDecomposition(f, FINITE, [(f, linear_certificate(f, f.constant_term()))], bound=bound)
     if d == 1:
         return PolyDecomposition(f, INFINITE, [], bound=bound)
 
-    _, psi_inv, g = linearize(f)
-    delta = 0 if g.homogeneous_component(1).is_zero() else 1
+    psi_inv, g = linearize(f)
+    delta = 0 if psi_inv is None else 1
     beta = g.constant_term()
     nodes = lattice_nodes(n, d)
     xi_linear = assign_linear_coeffs(bound, delta, field)
     xi = {p: solve_degree(p, g.homogeneous_component(p), nodes) for p in range(2, n + 1)}
 
-    one = field.one()
+    one, zero = field.one(), field.zero()
+    e1 = [one] + [zero] * (d - 1)
     summands = []
     for k in range(bound):
         tail_terms = {}
@@ -257,11 +239,8 @@ def decompose(f):
             [xi_linear[k]] + [one] * (d - 1),
             [Polynomial(d, field, tail_terms)] + [Polynomial.zero(d, field)] * (d - 1),
         )
-        s_rows = [[one if i == 0 else field.zero() for i in range(d)]]
-        s_rows.append([one] + [field(a_i + 1) for a_i in nodes[k]])
-        for j in range(2, d):
-            s_rows.append([one if i == j else field.zero() for i in range(d)])
-        phi = AffineAuto(DenseMatrix.from_rows(field, s_rows))
+        s_a = [one] + [field(a_i + 1) for a_i in nodes[k]]
+        phi = AffineAuto(basis_from_rows([e1, s_a], field))
         chain = [theta, phi]
         if psi_inv is not None:
             chain.append(psi_inv)

@@ -9,7 +9,7 @@ from primlen.cli import main
 from primlen.document import dumps, loads, poly_document, verify_document
 from primlen.field import QQ
 from primlen.parsing import parse_poly
-from primlen.polydecomp import MAX_DEGREE, MAX_NODES, decompose
+from primlen.polydecomp import MAX_DEGREE, MAX_NODES, MAX_POWER_BITS, decompose
 from primlen.sparse import MAX_ARITY
 
 
@@ -120,6 +120,58 @@ def test_polynomials_above_the_size_ceilings_are_unsupported(capsys, arity, expr
 def test_polynomials_at_the_size_ceilings_are_accepted():
     assert MAX_DEGREE >= 6 and MAX_NODES >= 84  # the (4, 6) headline instance
     assert decompose(parse_poly(f"x1^{MAX_DEGREE} + x2", 2, QQ)).count == MAX_DEGREE + 1
+
+
+POWER_BITS_MESSAGE = f"a constant power of up to 199999999998 bits exceeds the ceiling of {MAX_POWER_BITS}"
+GROUPS_MESSAGE = "degree {} of parenthesised groups exceeds the ceiling of " + str(MAX_DEGREE)
+
+
+@pytest.mark.parametrize(
+    "arity, expr, message",
+    [
+        (2, "2^99999999999*x1 + x2", POWER_BITS_MESSAGE),
+        (2, "(2/3)^99999999999*x1", POWER_BITS_MESSAGE),
+        (2, "(x1+x2)^100000", GROUPS_MESSAGE.format(100000)),
+        (2, "(x1+x2)^9*(x1-x2)^8", GROUPS_MESSAGE.format(17)),
+        (1, "(x1+1)^17", GROUPS_MESSAGE.format(17)),
+    ],
+    ids=["number", "constant-group", "group", "group-product", "one-variable"],
+)
+def test_powers_above_the_reader_ceilings_are_unsupported(tmp_path, capsys, arity, expr, message):
+    start = perf_counter()
+    assert run(["decompose", "poly", "--vars", str(arity), expr]) == 3
+    assert perf_counter() - start < 1
+    assert capsys.readouterr().err == f"unsupported input: {message}\n"
+    out, doc = _decompose_to(tmp_path, ["poly", "--vars", str(arity), "x1"])
+    doc["input"] = expr
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    start = perf_counter()
+    assert run(["verify", str(out)]) == 1
+    assert perf_counter() - start < 1
+    assert capsys.readouterr().err == f"verification failed: document rebuild failed: {message}\n"
+
+
+def test_powers_at_the_reader_ceilings_are_accepted():
+    assert parse_poly(f"2^{MAX_POWER_BITS // 2}", 1, QQ).constant_term() == QQ(2**(MAX_POWER_BITS // 2))
+    assert parse_poly(f"(x1+1)^{MAX_DEGREE}", 1, QQ).total_degree() == MAX_DEGREE
+    assert parse_poly(f"(x1+x2)^8*(x1-x2)^{MAX_DEGREE - 8}", 2, QQ).total_degree() == MAX_DEGREE
+
+
+def test_a_document_above_the_degree_ceiling_fails_before_its_bound(tmp_path, capsys):
+    # binom(n+1023, 1023) for n = 10^5000 would take the verifier many seconds
+    out, doc = _decompose_to(tmp_path, ["poly", "--vars", "2", "x1^2 + x2"])
+    doc["arity"] = 1024
+    doc["input"] = "x1^1" + "0" * 5000
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    start = perf_counter()
+    assert run(["verify", str(out)]) == 1
+    assert perf_counter() - start < 1
+    degree = "1" + "0" * 5000
+    assert capsys.readouterr().err == (
+        f"verification failed: document rebuild failed: degree {degree} exceeds the ceiling of {MAX_DEGREE}\n"
+    )
 
 
 def test_vars_at_the_arity_ceiling_are_accepted(capsys):
@@ -385,6 +437,68 @@ def _affine_factor(diagonal):
 
 def _linear_factor(diagonal):
     return {"kind": "linear", "matrix": _affine_factor(diagonal)["matrix"]}
+
+
+def _first_factor(doc, key):
+    return next(f for s in doc["summands"] for f in s["certificate"] if key in f)
+
+
+def _singular_matrix(doc):
+    record = _first_factor(doc, "matrix")
+    record["matrix"] = [["0"] * len(row) for row in record["matrix"]]
+    return "matrix is singular"
+
+
+def _short_offset(doc):
+    _first_factor(doc, "offset")["offset"] = ["0"]
+    return "offset has wrong length"
+
+
+def _zero_gamma(doc):
+    _first_factor(doc, "gammas")["gammas"][0] = "0"
+    return "triangular gamma of x1 is zero"
+
+
+def _forbidden_tail(doc):
+    _first_factor(doc, "tails")["tails"][0] = "x1"
+    return "tail of x1 mentions forbidden generator x1"
+
+
+def _repeated_ordering(doc):
+    _first_factor(doc, "ordering")["ordering"] = [1, 1, 3]
+    return "ordering (1, 1, 3) is not a permutation of 1..3"
+
+
+def _linear_inner_element(doc):
+    _first_factor(doc, "element")["element"] = "x1"
+    return "inner automorphism element has a linear part"
+
+
+POLY_ARGS = ["poly", "--vars", "3", "x1^3 + x2*x3 - 2*x1 + 1"]
+LIE_ARGS = ["lie", "--vars", "3", "[x2,x1,x3] - 3/2*[x3,x1] + x1 - 2*x3"]
+
+
+@pytest.mark.parametrize(
+    "args, invalidate",
+    [
+        (POLY_ARGS, _singular_matrix),
+        (POLY_ARGS, _short_offset),
+        (POLY_ARGS, _zero_gamma),
+        (POLY_ARGS, _forbidden_tail),
+        (LIE_ARGS, _singular_matrix),
+        (LIE_ARGS, _zero_gamma),
+        (LIE_ARGS, _forbidden_tail),
+        (LIE_ARGS, _repeated_ordering),
+        (LIE_ARGS, _linear_inner_element),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else v.__name__.strip("_"),
+)
+def test_the_verifier_is_the_only_validity_check(tmp_path, args, invalidate):
+    # factors are built unchecked; an invalid one is caught when the document is verified
+    _, doc = _decompose_to(tmp_path, args)
+    message = invalidate(doc)
+    problems = verify_document(loads(json.dumps(doc))).problems
+    assert any("invalid elementary factor" in p and message in p for p in problems), problems
 
 
 def _swap_certificates(doc, factor):

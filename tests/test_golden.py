@@ -80,6 +80,17 @@ LIE_CORPUS = {
         4, "F2", "[x2,x1] + [x4,x1]",
         "e6be81c9ffc9f0130ad0dea72bcabea557a70df8e756b534ee5680f498ef2bef",
     ),
+    # beta = (1, 1) over F2 is dependent on the only candidate pair, so the
+    # last summand splits and the ``extra`` fallback chooses z' = (1, 0).
+    "F2-d3-extra": (
+        3, "F2", "[x2,x1] + [x3,x1]",
+        "eff20e3389a67c383fe36d7a0b0fa7a77abe98e3abc1554f5181616c7e351f91",
+    ),
+    # beta = (0, 1, 1) is dependent on the first candidate (1, 1), so (1, 2) wins.
+    "Q-d4-second-candidate": (
+        4, "Q", "[x3,x1] + [x4,x1] + x1",
+        "cd687fd7f43db0fb82b3fc8bea3c6945106adb21ebdbae456804e8d42914d44a",
+    ),
 }
 
 

@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from primlen import liedecomp
 from primlen.errors import UnsupportedInputError
 from primlen.field import GF, QQ
 from primlen.liedecomp import (
@@ -16,7 +18,7 @@ from primlen.liedecomp import (
     verify_lie,
 )
 from primlen.metalie import LieElement, bracket, normalize_word
-from primlen.polyauto import AffineAuto, Certificate, TriangularAuto, certify_apply
+from primlen.polyauto import AffineAuto, Certificate, certify_apply
 
 from conftest import rand_lie
 
@@ -151,6 +153,34 @@ def test_choose_coeffs_high_d():
             assert eta_d + xi_d + zeta_d == field(0)
 
 
+def reference_independent_from_beta(pair, beta, slots):
+    """The independence test choose_lie_coeffs used before it read independence off an elimination."""
+    z1, z2 = pair
+    if z1.is_zero() and z2.is_zero():
+        return False
+    if all(c.is_zero() for c in beta):
+        return True
+    a, b = slots
+    if any(not c.is_zero() and j not in (a, b) for j, c in enumerate(beta, start=2)):
+        return True
+    b1, b2 = beta[a - 2], beta[b - 2]
+    return not (z1 * b2 - z2 * b1).is_zero()
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=repr)
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_choose_coeffs_matches_the_determinant_reference(monkeypatch, d, field):
+    # every beta in F_p^(d-1), the zero vector and the two-element fallbacks included
+    cases = [
+        ([field(b) for b in beta], delta)
+        for beta in itertools.product(range(field.p), repeat=d - 1)
+        for delta in (0, 1)
+    ]
+    choices = [choose_lie_coeffs(d, delta, beta, field) for beta, delta in cases]
+    monkeypatch.setattr(liedecomp, "_independent_from_beta", reference_independent_from_beta)
+    assert choices == [choose_lie_coeffs(d, delta, beta, field) for beta, delta in cases]
+
+
 def test_choose_coeffs_gf2_high_d_extra():
     F = GF(2)
     coeffs = choose_lie_coeffs(4, 0, [F(1), F(0), F(0)], F)
@@ -215,7 +245,7 @@ def test_emitted_quadratic_certificates_have_independent_forms():
 def test_verify_rejects_inner_with_linear_part():
     f = word((2, 1))
     dec = decompose_lie(f)
-    broken = InnerLieAuto(gen(1), check=False)
+    broken = InnerLieAuto(gen(1))
     dec.summands[0][1].chain.insert(0, broken)
     result = verify_lie(dec)
     assert not result.ok
@@ -237,25 +267,6 @@ def _identity_matrix(d):
     from primlen.linalg import DenseMatrix
 
     return DenseMatrix.identity(d, QQ)
-
-
-def test_triangular_ordering_validation():
-    d = 3
-    tail = word((3, 2))
-    auto = TriangularAuto(
-        [QQ(1)] * d,
-        [tail, LieElement.zero(d, QQ), LieElement.zero(d, QQ)],
-        (1, 2, 3),
-    )
-    assert not auto.validate()
-    with pytest.raises(ValueError):
-        TriangularAuto(
-            [QQ(1)] * d,
-            [word((2, 1)), LieElement.zero(d, QQ), LieElement.zero(d, QQ)],
-            (1, 2, 3),
-        )
-    with pytest.raises(ValueError):
-        TriangularAuto([QQ(1)] * d, [LieElement.zero(d, QQ)] * d, (1, 1, 3))
 
 
 def test_certificate_replay_matches_summands():

@@ -6,7 +6,6 @@ from primlen.errors import ArityMismatchError, DegreeCapError, FieldMismatchErro
 from primlen.field import GF, QQ
 from primlen.metalie import (
     LieElement,
-    LieEndomorphism,
     apply_endo,
     bracket,
     degree_cap,
@@ -112,7 +111,7 @@ def test_grading():
 
 def test_apply_endo_identity():
     rng = random.Random(45)
-    e = LieEndomorphism.identity(3, QQ)
+    e = [gen(1), gen(2), gen(3)]
     for _ in range(20):
         u = rand_lie(rng, 3, 4)
         assert apply_endo(e, u) == u
@@ -121,17 +120,15 @@ def test_apply_endo_identity():
 def test_apply_endo_bracket_of_images():
     # x1 -> x1 + x2 applied to [x2, x1]
     images = [gen(1) + gen(2), gen(2), gen(3)]
-    e = LieEndomorphism(images)
     expected = bracket(images[1], images[0])
-    assert apply_endo(e, word((2, 1))) == expected
+    assert apply_endo(images, word((2, 1))) == expected
 
 
 def test_apply_endo_is_homomorphism():
     rng = random.Random(46)
     for _ in range(60):
         d = 3
-        images = [rand_lie(rng, d, 2, terms=3) for _ in range(d)]
-        e = LieEndomorphism(images)
+        e = [rand_lie(rng, d, 2, terms=3) for _ in range(d)]
         u = rand_lie(rng, d, 3, terms=3)
         v = rand_lie(rng, d, 3, terms=3)
         assert apply_endo(e, bracket(u, v)) == bracket(apply_endo(e, u), apply_endo(e, v))
@@ -140,13 +137,13 @@ def test_apply_endo_is_homomorphism():
 def test_inner_auto_images():
     v = word((2, 1))
     e = inner_auto(v)
-    assert e.images[0] == gen(1) - word((2, 1, 1))
+    assert e[0] == gen(1) - word((2, 1, 1))
 
 
 def test_inner_auto_of_zero_is_identity():
     e = inner_auto(LieElement.zero(3, QQ))
     for i in range(3):
-        assert e.images[i] == gen(i + 1)
+        assert e[i] == gen(i + 1)
 
 
 def test_inner_auto_round_trip():
@@ -157,7 +154,7 @@ def test_inner_auto_round_trip():
         forward = inner_auto(v)
         backward = inner_auto(-v)
         for i in range(3):
-            assert apply_endo(backward, forward.images[i]) == gen(i + 1)
+            assert apply_endo(backward, forward[i]) == gen(i + 1)
 
 
 def test_inner_auto_rejects_linear_part():
@@ -261,12 +258,12 @@ def reference_normalize_word(indices, d, field, cap):
     return result
 
 
-def reference_apply_endo(endo, u, cap):
+def reference_apply_endo(images, u, cap):
     result = LieElement.zero(u.arity, u.field)
     for w, coeff in u.terms.items():
-        piece = endo.images[w[0] - 1]
+        piece = images[w[0] - 1]
         for idx in w[1:]:
-            piece = reference_bracket(piece, endo.images[idx - 1], cap)
+            piece = reference_bracket(piece, images[idx - 1], cap)
         result = result + piece.scale(coeff)
     return result
 
@@ -304,7 +301,7 @@ def test_apply_endo_matches_the_scalar_reference(F):
     for _ in range(40):
         d = rng.randint(3, 5)
         # images with linear parts and commutator words; over Q with fractional coefficients
-        endo = LieEndomorphism([rand_lie(rng, d, 3, F, terms=4, coeff_bound=7) for _ in range(d)])
+        endo = [rand_lie(rng, d, 3, F, terms=4, coeff_bound=7) for _ in range(d)]
         u = rand_lie(rng, d, 4, F, terms=5)
         assert_same_element(apply_endo(endo, u), reference_apply_endo(endo, u, 12))
 
@@ -322,7 +319,7 @@ def test_reaching_the_cap_raises_the_same_message():
         bracket(u, gen(3), cap=3)
     with pytest.raises(DegreeCapError, match=f"^{message}$"):
         reference_bracket(u, gen(3), 3)
-    endo = LieEndomorphism([gen(1), gen(2) + word((2, 1)), gen(3)])
+    endo = [gen(1), gen(2) + word((2, 1)), gen(3)]
     for apply in (lambda: apply_endo(endo, u, cap=3), lambda: reference_apply_endo(endo, u, 3)):
         with pytest.raises(DegreeCapError, match=f"^{message}$"):
             apply()
@@ -337,13 +334,13 @@ def test_a_coefficient_cancelling_mod_p_does_not_reach_the_cap():
     for F in (QQ, GF(3)):
         a = word((2, 1), F=F) + gen(3, F=F)
         b = gen(3, F=F) - word((2, 1), F=F)
-        endo = LieEndomorphism([b, a, gen(3, F=F)])
+        endo = [b, a, gen(3, F=F)]
         with pytest.raises(DegreeCapError, match="degree 4 beyond the cap 3"):
             apply_endo(endo, LieElement(3, F, {u: F.one()}), cap=3)
     F = GF(2)
     a = word((2, 1), F=F) + gen(3, F=F)
     b = gen(3, F=F) - word((2, 1), F=F)
-    endo = LieEndomorphism([b, a, gen(3, F=F)])
+    endo = [b, a, gen(3, F=F)]
     element = LieElement(3, F, {u: F.one()})
     assert apply_endo(endo, element, cap=3).is_zero()
     assert reference_apply_endo(endo, element, 3).is_zero()
@@ -351,7 +348,7 @@ def test_a_coefficient_cancelling_mod_p_does_not_reach_the_cap():
     # the integers sum to 2 * 2 - 1 = 3 on [x2,x1,x3]: only the reduction mod 3 prunes it
     F = GF(3)
     a = gen(3, F=F) - word((2, 1), F=F)
-    endo = LieEndomorphism([-a, a, gen(3, F=F)])
+    endo = [-a, a, gen(3, F=F)]
     element = LieElement(3, F, {u: F.one()})
     assert apply_endo(endo, element, cap=3).is_zero()
     assert reference_apply_endo(endo, element, 3).is_zero()
@@ -366,4 +363,14 @@ def test_index_out_of_range_message():
 
 def test_apply_endo_rejects_another_field():
     with pytest.raises(FieldMismatchError):
-        apply_endo(LieEndomorphism.identity(3, GF(2)), gen(1))
+        apply_endo([gen(i, F=GF(2)) for i in (1, 2, 3)], gen(1))
+
+
+@pytest.mark.parametrize(
+    "images",
+    [[gen(1), gen(2)], [gen(1, d=4), gen(2, d=4), gen(3, d=4)], [gen(1), gen(2), gen(3, d=4)]],
+    ids=["too-few", "wrong-arity", "mixed-arity"],
+)
+def test_apply_endo_rejects_images_of_another_arity(images):
+    with pytest.raises(ArityMismatchError):
+        apply_endo(images, word((2, 1)))

@@ -7,8 +7,8 @@ from primlen.errors import UnsupportedInputError
 from primlen.field import GF, QQ
 from primlen.multipoly import Polynomial
 from primlen.parsing import poly_to_str
-from primlen.polyauto import apply_auto
-from primlen.linalg import bareiss_determinant
+from primlen.polyauto import apply_auto, invert_auto, linearize
+from primlen.linalg import DenseMatrix, bareiss_determinant
 from primlen.polydecomp import (
     FINITE,
     INFINITE,
@@ -16,7 +16,6 @@ from primlen.polydecomp import (
     decompose,
     lattice_matrix,
     lattice_nodes,
-    linearize,
     plength_bound,
     poly_bound,
     solve_degree,
@@ -84,22 +83,31 @@ def test_lattice_levels_are_unisolvent(d):
 
 def test_linearize_zero_linear_part():
     f = poly({(2, 0): 1, (0, 0): 3})
-    psi, psi_inv, g = linearize(f)
-    assert psi.is_identity() and psi_inv is None and g == f
+    psi_inv, g = linearize(f)
+    assert psi_inv is None and g == f
 
 
 def test_linearize_sends_linear_part_to_x1():
     f = poly({(0, 1): 3, (2, 0): 1})  # 3 x2 + x1^2
-    psi, psi_inv, g = linearize(f)
+    psi_inv, g = linearize(f)
     assert g.homogeneous_component(1) == Polynomial.variable(2, QQ, 1)
-    assert apply_auto(psi, f) == g
+    assert apply_auto(invert_auto(psi_inv), f) == g
     assert apply_auto(psi_inv, g) == f
 
 
 def test_linearize_already_normalized():
+    # psi^-1 is returned whenever the linear part is nonzero, even when it is the identity
     f = Polynomial.variable(2, QQ, 1)
-    psi, psi_inv, g = linearize(f)
-    assert g == f and psi_inv is None
+    psi_inv, g = linearize(f)
+    assert g == f and psi_inv.matrix == DenseMatrix.identity(2, QQ)
+
+
+def test_a_linear_part_of_exactly_x1_carries_an_identity_psi_inverse():
+    dec = decompose(poly({(1, 0): 1, (0, 2): 1}))  # x1 + x2^2
+    assert dec.count == 3
+    for _, cert in dec.summands:
+        assert len(cert.chain) == 3 and cert.chain[-1].matrix == DenseMatrix.identity(2, QQ)
+    assert verify(dec).ok
 
 
 def test_assign_linear_coeffs():
@@ -243,9 +251,7 @@ def test_verify_detects_invalid_factor():
 
     dec = decompose(poly({(2, 0): 1, (0, 1): 1}))
     summand, cert = dec.summands[0]
-    broken = TriangularAuto(
-        [QQ(0)] + [QQ(1)], [Polynomial.zero(2, QQ)] * 2, check=False
-    )
+    broken = TriangularAuto([QQ(0)] + [QQ(1)], [Polynomial.zero(2, QQ)] * 2)
     cert.chain[0] = broken
     result = verify(dec)
     assert not result.ok
