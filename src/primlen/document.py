@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 from .errors import ParseError, PrimlenError
-from .field import field_from_flag, parse_scalar
+from .field import field_from_flag, int_to_str, parse_scalar
 from .linalg import DenseMatrix
 from .liedecomp import InnerLieAuto, LieDecomposition, lie_bound, verify_lie
 from .parsing import lie_to_str, parse_lie, parse_poly, poly_to_str, scalar_to_str
@@ -167,6 +167,11 @@ def rebuild_lie(doc):
     return LieDecomposition(input_elem, summands, bound, list(doc.get("notes", [])))
 
 
+def _claim_text(value):
+    """An int in decimal at any size (``repr`` refuses past 4,300 digits), anything else by repr."""
+    return int_to_str(value) if type(value) is int else repr(value)
+
+
 def _claim_problems(doc, dec, degree):
     """Mismatches between the document's bound and stats and the values recomputed from dec."""
     stats = doc["stats"]
@@ -178,7 +183,7 @@ def _claim_problems(doc, dec, degree):
         ("stats.degree", stats["degree"], degree),
     )
     return [
-        f"{name} {claimed!r} differs from the recomputed {actual!r}"
+        f"{name} {_claim_text(claimed)} differs from the recomputed {_claim_text(actual)}"
         for name, claimed, actual in claims
         if type(claimed) is not type(actual) or claimed != actual
     ]

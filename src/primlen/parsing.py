@@ -24,7 +24,10 @@ constant group) when k times the bit length of a exceeds
 ``polydecomp.MAX_POWER_BITS``, and the parenthesised groups of a term when
 the degree of their product, powers included, exceeds
 ``polydecomp.MAX_DEGREE`` (so ``(x1+1)^17`` is refused in any number of
-variables).  A power of a variable costs nothing and is not bounded here.
+variables).  A product of groups, powers included, is computed one
+multiplication at a time and refused as soon as it holds more than
+``polydecomp.MAX_TERMS`` terms, so ``(x1+...+x30)^4`` stops at its third
+factor.  A power of a variable costs nothing and is not bounded here.
 
 Reading is linear in the text for sums of monomial terms (the shape the
 printer writes): a term made of numbers, variables, powers, unary minus and
@@ -45,7 +48,7 @@ from .errors import ParseError, UnsupportedInputError
 from .field import int_to_str, str_to_int
 from .metalie import LieElement, normalize_word
 from .multipoly import Polynomial
-from .polydecomp import MAX_DEGREE, MAX_POWER_BITS
+from .polydecomp import MAX_DEGREE, MAX_POWER_BITS, MAX_TERMS
 
 # One token per match: leading whitespace, then a number, a variable name
 # (its index may be missing, which is reported), a symbol, any other
@@ -232,9 +235,16 @@ def parse_poly(src, arity, field):
                             f"degree {int_to_str(poly_degree)} of parenthesised groups "
                             f"exceeds the ceiling of {MAX_DEGREE}"
                         )
-                    if k != 1:
-                        group = group**k
-                    poly = group if poly is None else poly * group
+                    for _ in range(k):
+                        if poly is None:
+                            poly = group
+                            continue
+                        poly = poly * group
+                        if len(poly.terms) > MAX_TERMS:
+                            raise UnsupportedInputError(
+                                f"{len(poly.terms)} terms of a product of parenthesised groups "
+                                f"exceed the ceiling of {MAX_TERMS}"
+                            )
             else:
                 raise r.unexpected()
             kind, _, pos = tokens[r.i]

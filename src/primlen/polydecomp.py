@@ -11,22 +11,30 @@ construction:
    s_a = x1 + sum_i (a_i+1) x_{i+1};
 3. per degree p solve the square system on the lattice levels <= p, which
    is unisolvent for degree p (Chung & Yao 1977), for coefficients xi_kp
-   with sum_k xi_kp s_{a_k}^p equal to the degree-p component;
-4. assemble summands u_k = xi_k1 x1 + sum_p xi_kp s_{a_k}^p (u_1 also
-   absorbs the constant), each certified primitive as the image of x1 under
-   a triangular automorphism followed by the linear map phi with
-   x2 -> s_a, and map everything back through psi^-1.  phi and psi^-1 are
-   ``linalg.basis_from_rows`` matrices, like every linear factor.
+   with sum_k xi_kp s_{a_k}^p equal to the degree-p component.  Written in
+   the binomial basis of the lattice the system is unit triangular (Newton
+   interpolation on a lower set), so ``solve_degree`` eliminates nothing:
+   it runs two integer transforms, one coordinate at a time;
+4. certify each summand u_k primitive as the image of x1 under the
+   triangular automorphism theta: x1 -> xi_k1 x1 + beta [k = 1] +
+   sum_p xi_kp x2^p (beta the constant term), followed by the linear map
+   phi with x2 -> s_{a_k} and then by psi^-1.  phi and psi^-1 are
+   ``linalg.basis_from_rows`` matrices, like every linear factor.  The
+   summand is assembled from that closed form rather than by replaying
+   the chain: u_k = xi_k1 l + beta [k = 1] + sum_p xi_kp L_k^p, with l the
+   image of x1 under psi^-1 and L_k = s_{a_k} psi^-1, each power expanded
+   by the multinomial theorem on ints over one denominator.
 
-The factors are plain records, checked by nothing when built:
-``check_summands`` runs ``polyauto.validate_certificate`` on every
-certificate before it replays it, and that is the only validity check.
+The factors are plain records, checked by nothing when built, and the
+producer never replays them: ``check_summands`` runs
+``polyauto.validate_certificate`` on every certificate before it replays
+it, and that is the only validity check.
 
 The paper's proof uses nodes alpha = 2..N+1 and the forms
 s(alpha) = x1 + sum_i alpha^((n+1)^(i-2)) x_i instead; those work too but
-make coefficients thousands of digits long.  The lattice keeps matrix
-entries at most (n+1)^n.  The bound, the certificate shape and the document
-format are the same either way.
+make coefficients thousands of digits long.  On the lattice every
+coefficient of s_a is at most n+1.  The bound, the certificate shape and
+the document format are the same either way.
 
 Only the empty sum represents 0, so zero inputs get an empty summand list
 with an explanatory note.
@@ -35,11 +43,13 @@ with an explanatory note.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from math import comb, prod
+from functools import cache
+from math import comb, factorial, prod
+from operator import getitem, mul
 
-from .errors import InternalError, SingularMatrixError, UnsupportedInputError
+from .errors import UnsupportedInputError
 from .field import QQ, int_to_str
-from .linalg import DenseMatrix, basis_from_rows, solve_square
+from .linalg import basis_from_rows
 from .multipoly import Polynomial, monomials_of_degree, multinomial
 from .polyauto import (
     AffineAuto,
@@ -50,6 +60,7 @@ from .polyauto import (
     linearize,
     validate_certificate,
 )
+from .sparse import MAX_ARITY
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -58,14 +69,26 @@ ZERO_NOTE = "the zero element is reported as the empty sum (additive primitive l
 
 #: The largest degree, and the most summands N = binom(n+d-1, d-1), that
 #: poly_bound accepts for degree n > 1 in d > 1 variables, so that decompose
-#: and the verifier's rebuild refuse larger inputs at one site.  Decompose
-#: plus verify of (d, n), fractions backend, 2-vCPU container: (4,6) N = 84
-#: 0.4 s, (2,16) 0.1 s, (2,40) 1.3 s, (2,60) 9 s, (3,16) N = 153 5.9 s,
-#: (3,20) N = 231 29 s, (6,5) N = 252 3.7 s, (6,6) N = 462 11.5 s.  The
-#: degree cap is set by d = 3, where N stays under MAX_NODES up to degree
-#: 20; together the caps keep every accepted input to a few seconds.
+#: and the verifier's rebuild refuse larger inputs at one site.  Decompose /
+#: verify of (d, n) with every monomial of degree <= n present (coefficients
+#: a/b with |a|, b <= 100), fractions backend, 2-vCPU container: (4,6)
+#: N = 84 0.04 / 0.13 s, (2,16) 0.01 / 0.02 s, (3,16) N = 153 0.5 / 1.4 s,
+#: (6,5) N = 252 0.3 / 0.9 s; above the caps (2,40) 0.3 / 0.5 s, (2,60)
+#: 0.8 / 1.5 s, (3,20) N = 231 1.6 / 4.0 s, (6,6) N = 462 1.1 / 3.3 s.
+#: Verify, which replays every certificate, dominates.  The degree cap is
+#: set by d = 3, where N stays under MAX_NODES up to degree 20; together the
+#: caps keep every accepted input to a few seconds.
 MAX_DEGREE = 16
 MAX_NODES = 252
+
+#: The most terms a polynomial of degree <= MAX_DEGREE that poly_bound
+#: accepts can hold, so that the reader can refuse a product of groups that
+#: grows past it before computing the next product.  A constant plus a linear
+#: form in MAX_ARITY variables has MAX_ARITY + 1 = 1,025 terms.  Degree n > 1
+#: in d > 1 variables has at most binom(n+d, d) terms, with binom(n+d-1, d-1)
+#: <= MAX_NODES and n <= MAX_DEGREE, the most being 969 at (d, n) = (3, 16);
+#: one variable has at most MAX_DEGREE + 1.
+MAX_TERMS = MAX_ARITY + 1
 
 #: The reader refuses a constant power a^k when k times the bit length of a
 #: exceeds this (a 65,536-bit number has 19,729 digits).  Produce plus
@@ -158,22 +181,66 @@ def assign_linear_coeffs(count, delta, field=QQ):
     return coeffs + [last]
 
 
-def lattice_matrix(p, d, nodes, field=QQ):
-    """The degree-p monomials m and the matrix (prod_i (a_i+1)^(m_{i+1})), rows m, columns nodes a."""
-    monos = list(monomials_of_degree(d, p))
-    rows = [[prod((a_i + 1) ** e for a_i, e in zip(a, m[1:])) for a in nodes] for m in monos]
-    return monos, DenseMatrix.from_rows(field, rows)
+@cache
+def _newton_plan(d, p):
+    """The integer data of solve_degree for degree p in d variables, built once.
+
+    ``index`` maps each degree-p monomial m = x1^(p-|c|) x^c to its point c
+    of the simplex {c in N^(d-1) : |c| <= p}, in lattice order; ``weights``
+    holds p!/multinomial(m), which makes r_c an integer over p!; ``lines``
+    lists, axis after axis, the runs of points that differ only in that
+    axis's coordinate, in increasing order of it.  ``lower[c]`` is
+    p!/c! times the coefficients of (b-1)(b-2)...(b-c) in b^0..b^c, which
+    with b = a+1 turn the powers b^j into c! binom(a, c); ``upper[k]`` holds
+    (-1)^(j-k) binom(j, k) for j = 0..p (zero below k), the inverse binomial
+    matrix.
+    """
+    points = lattice_nodes(p, d)
+    fact = factorial(p)
+    index = {(p - sum(c),) + c: k for k, c in enumerate(points)}
+    weights = [fact // multinomial(m) for m in index]
+    lines = []
+    for axis in range(d - 1):
+        runs = {}
+        for k, c in enumerate(points):
+            runs.setdefault(c[:axis] + c[axis + 1 :], []).append(k)
+        lines += runs.values()
+    falling = [[1]]
+    for c in range(1, p + 1):
+        prev = falling[-1] + [0]
+        falling.append([(prev[j - 1] if j else 0) - c * prev[j] for j in range(c + 1)])
+    lower = [[fact // factorial(c) * t for t in row] for c, row in enumerate(falling)]
+    upper = [[(-1) ** (j + k) * comb(j, k) for j in range(p + 1)] for k in range(p + 1)]
+    return index, weights, lines, lower, upper
+
+
+def _line_pass(values, lines, rows):
+    """Apply the 1-D transform ``rows`` (row k: the weights of positions 0, 1, ...) along every line, in place."""
+    for line in lines:
+        run = [values[i] for i in line]
+        for k, i in enumerate(line):
+            values[i] = sum(map(mul, rows[k], run))
 
 
 def solve_degree(p, g_p, nodes):
     """Coefficients xi_kp with sum_k xi_kp s_{a_k}^p = g_p, k = 1..len(nodes).
 
-    s_a = x1 + sum_i (a_i+1) x_{i+1}, so the coefficient of x^m in s_a^p is
-    multinomial(m) * prod_i (a_i+1)^(m_{i+1}).  One equation per monomial m
-    of degree p (missing monomials give a zero right-hand side, divided by
-    the multinomial coefficient up front); the square subsystem on the
-    first N_p = binom(p+d-1, d-1) nodes, the lattice levels <= p, is
-    unisolvent and solved exactly, and the remaining coefficients are zero.
+    nodes is ``lattice_nodes(n, d)`` for some n >= p.  s_a = x1 + sum_i
+    (a_i+1) x_{i+1}, so the coefficient of x^m in s_a^p is multinomial(m)
+    times prod_i (a_i+1)^(c_i) with c = (m_2, ..., m_d): one equation
+    sum_a xi_a (a+1)^c = r_c, r_c = coeff(m)/multinomial(m), per point c of
+    the simplex |c| <= p, on the unknowns of the first N_p = binom(p+d-1,
+    d-1) nodes, the same simplex (Chung & Yao 1977); the remaining
+    coefficients are zero.
+
+    Written in the binomial basis the system is unit upper triangular
+    (Newton interpolation on a lower set, Gasca & Sauer 2000), so it is
+    solved on the ints of one ``to_raw`` by two tensor-product transforms,
+    each applied one coordinate at a time along the lines of the simplex:
+    the lower one gives (p!)^(d-1) nu_c with nu_c = sum_a xi_a binom(a, c),
+    and the upper one inverts the binomial matrix,
+    xi_a = sum_(b >= a, |b| <= p) (-1)^|b-a| binom(b, a) nu_b.  Both stay in
+    the simplex because it is a lower set.
     """
     d = g_p.arity
     field = g_p.field
@@ -181,17 +248,24 @@ def solve_degree(p, g_p, nodes):
         raise ValueError("solve_degree handles degrees 2..n")
     if any(sum(m) != p for m in g_p.terms):
         raise ValueError("component is not homogeneous of the requested degree")
-    n_unknowns = len(nodes)
+    zero = field.zero()
     if g_p.is_zero():
-        return [field.zero()] * n_unknowns
-    block = comb(p + d - 1, d - 1)
-    monos, matrix = lattice_matrix(p, d, nodes[:block], field)
-    rhs = [g_p.coefficient(m) / field(multinomial(m)) for m in monos]
-    try:
-        solution = solve_square(matrix, rhs)
-    except SingularMatrixError as exc:  # impossible: the lattice levels <= p are unisolvent
-        raise InternalError(f"lattice subsystem reported singular: {exc}") from exc
-    return solution + [field.zero()] * (n_unknowns - block)
+        return [zero] * len(nodes)
+    index, weights, lines, lower, upper = _newton_plan(d, p)
+    den, ints = field.to_raw(g_p.terms.values())
+    values = [0] * len(weights)
+    for m, c in zip(g_p.terms, ints):
+        k = index[m]
+        values[k] = c * weights[k]
+    _line_pass(values, lines, lower)
+    _line_pass(values, lines, upper)
+    return field.from_raw(den * factorial(p) ** d, values) + [zero] * (len(nodes) - len(values))
+
+
+@cache
+def _power_terms(d, p):
+    """The degree-p monomials m of d variables with multinomial(m): the terms of (sum_i l_i x_i)^p."""
+    return [(m, multinomial(m)) for m in monomials_of_degree(d, p)]
 
 
 def decompose(f):
@@ -222,7 +296,20 @@ def decompose(f):
     beta = g.constant_term()
     nodes = lattice_nodes(n, d)
     xi_linear = assign_linear_coeffs(bound, delta, field)
-    xi = {p: solve_degree(p, g.homogeneous_component(p), nodes) for p in range(2, n + 1)}
+    xi = [solve_degree(p, g.homogeneous_component(p), nodes) for p in range(2, n + 1)]
+
+    # The rows of psi^-1 (the identity when it is None) as ints over psi_den:
+    # the summand is xi_k1 * row_1 + beta [k = 0] + sum_p xi_kp * L_k^p with
+    # L_k = s_(a_k) psi^-1, all over one denominator.
+    units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    if psi_inv is None:
+        psi_den, psi_rows = 1, units
+    else:
+        psi_den, flat = field.to_raw(psi_inv.matrix.entries)
+        psi_rows = [flat[j * d : (j + 1) * d] for j in range(d)]
+    psi_cols = list(zip(*psi_rows))
+    psi_powers = [psi_den**e for e in range(n + 1)]
+    power_terms = [_power_terms(d, p) for p in range(2, n + 1)]
 
     one, zero = field.one(), field.zero()
     e1 = [one] + [zero] * (d - 1)
@@ -231,21 +318,34 @@ def decompose(f):
         tail_terms = {}
         if k == 0 and not beta.is_zero():
             tail_terms[(0,) * d] = beta
-        for p in range(2, n + 1):
-            c = xi[p][k]
-            if not c.is_zero():
-                tail_terms[(0, p) + (0,) * (d - 2)] = c
+        for p, xi_p in enumerate(xi, start=2):
+            if not xi_p[k].is_zero():
+                tail_terms[(0, p) + (0,) * (d - 2)] = xi_p[k]
         theta = TriangularAuto(
             [xi_linear[k]] + [one] * (d - 1),
             [Polynomial(d, field, tail_terms)] + [Polynomial.zero(d, field)] * (d - 1),
         )
-        s_a = [one] + [field(a_i + 1) for a_i in nodes[k]]
-        phi = AffineAuto(basis_from_rows([e1, s_a], field))
+        s_a = [1] + [a_i + 1 for a_i in nodes[k]]
+        phi = AffineAuto(basis_from_rows([e1, [field(s) for s in s_a]], field))
         chain = [theta, phi]
         if psi_inv is not None:
             chain.append(psi_inv)
         cert = Certificate(chain, 1)
-        summands.append((certify_apply(cert, f), cert))
+
+        den, (lin, const, *coeffs) = field.to_raw(
+            [xi_linear[k], beta if k == 0 else zero] + [xi_p[k] for xi_p in xi]
+        )
+        form = [sum(map(mul, s_a, col)) for col in psi_cols]
+        powers = [[l**e for e in range(n + 1)] for l in form]
+        raw = {u: lin * psi_powers[n - 1] * c for u, c in zip(units, psi_rows[0])}
+        if const:
+            raw[(0,) * d] = const * psi_powers[n]
+        for p, c, terms in zip(range(2, n + 1), coeffs, power_terms):
+            if c:
+                scale = c * psi_powers[n - p]
+                for m, mult in terms:
+                    raw[m] = scale * mult * prod(map(getitem, powers, m))
+        summands.append((f._wrap_raw(den * psi_powers[n], raw), cert))
     return PolyDecomposition(f, FINITE, summands, bound=bound)
 
 

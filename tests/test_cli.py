@@ -1,5 +1,6 @@
 import json
 import platform
+from math import comb
 from time import perf_counter
 
 import pytest
@@ -7,9 +8,10 @@ import pytest
 from primlen import __version__
 from primlen.cli import main
 from primlen.document import dumps, loads, poly_document, verify_document
+from primlen.errors import UnsupportedInputError
 from primlen.field import QQ
 from primlen.parsing import parse_poly
-from primlen.polydecomp import MAX_DEGREE, MAX_NODES, MAX_POWER_BITS, decompose
+from primlen.polydecomp import MAX_DEGREE, MAX_NODES, MAX_POWER_BITS, MAX_TERMS, decompose, poly_bound
 from primlen.sparse import MAX_ARITY
 
 
@@ -124,6 +126,8 @@ def test_polynomials_at_the_size_ceilings_are_accepted():
 
 POWER_BITS_MESSAGE = f"a constant power of up to 199999999998 bits exceeds the ceiling of {MAX_POWER_BITS}"
 GROUPS_MESSAGE = "degree {} of parenthesised groups exceeds the ceiling of " + str(MAX_DEGREE)
+TERMS_MESSAGE = "{} terms of a product of parenthesised groups exceed the ceiling of " + str(MAX_TERMS)
+SUM_30 = "(" + "+".join(f"x{i}" for i in range(1, 31)) + ")"
 
 
 @pytest.mark.parametrize(
@@ -134,8 +138,10 @@ GROUPS_MESSAGE = "degree {} of parenthesised groups exceeds the ceiling of " + s
         (2, "(x1+x2)^100000", GROUPS_MESSAGE.format(100000)),
         (2, "(x1+x2)^9*(x1-x2)^8", GROUPS_MESSAGE.format(17)),
         (1, "(x1+1)^17", GROUPS_MESSAGE.format(17)),
+        (30, SUM_30 + "^4", TERMS_MESSAGE.format(4960)),  # would expand to 40,920 terms
+        (30, SUM_30 + "*" + SUM_30 + "^2*(x1-x2)", TERMS_MESSAGE.format(4960)),
     ],
-    ids=["number", "constant-group", "group", "group-product", "one-variable"],
+    ids=["number", "constant-group", "group", "group-product", "one-variable", "group-terms", "product-terms"],
 )
 def test_powers_above_the_reader_ceilings_are_unsupported(tmp_path, capsys, arity, expr, message):
     start = perf_counter()
@@ -156,6 +162,25 @@ def test_powers_at_the_reader_ceilings_are_accepted():
     assert parse_poly(f"2^{MAX_POWER_BITS // 2}", 1, QQ).constant_term() == QQ(2**(MAX_POWER_BITS // 2))
     assert parse_poly(f"(x1+1)^{MAX_DEGREE}", 1, QQ).total_degree() == MAX_DEGREE
     assert parse_poly(f"(x1+x2)^8*(x1-x2)^{MAX_DEGREE - 8}", 2, QQ).total_degree() == MAX_DEGREE
+    assert len(parse_poly(f"(x1+x2)^{MAX_DEGREE}", 2, QQ).terms) == MAX_DEGREE + 1
+    assert len(parse_poly("(x1+x2+x3+x4+x5+x6)^5", 6, QQ).terms) == 252
+
+
+def test_the_term_ceiling_holds_every_polynomial_the_bound_accepts():
+    # constant plus linear form in MAX_ARITY variables
+    assert MAX_TERMS == MAX_ARITY + 1
+    largest = 0
+    for d in range(2, MAX_ARITY + 1):
+        if comb(2 + d - 1, d - 1) > MAX_NODES:
+            break
+        for n in range(2, MAX_DEGREE + 1):
+            f = parse_poly(f"x1^{n} + x2", d, QQ)
+            try:
+                poly_bound(f)
+            except UnsupportedInputError:
+                break
+            largest = max(largest, comb(n + d, d))
+    assert largest == 969 < MAX_TERMS
 
 
 def test_a_document_above_the_degree_ceiling_fails_before_its_bound(tmp_path, capsys):
@@ -171,6 +196,19 @@ def test_a_document_above_the_degree_ceiling_fails_before_its_bound(tmp_path, ca
     degree = "1" + "0" * 5000
     assert capsys.readouterr().err == (
         f"verification failed: document rebuild failed: degree {degree} exceeds the ceiling of {MAX_DEGREE}\n"
+    )
+
+
+def test_a_recomputed_degree_past_the_digit_limit_is_reported_in_full(tmp_path, capsys):
+    # one variable: no ceiling applies, so the verifier recomputes a 5,001-digit degree
+    out, doc = _decompose_to(tmp_path, ["poly", "--vars", "1", "x1^2"])
+    doc["input"] = "x1^1" + "0" * 5000
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    degree = "1" + "0" * 5000
+    assert capsys.readouterr().err == (
+        f"verification failed: stats.degree 2 differs from the recomputed {degree}\n"
     )
 
 

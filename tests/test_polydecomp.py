@@ -1,20 +1,23 @@
 import random
-from math import comb
+from math import comb, prod
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from primlen import linalg, polydecomp
 from primlen.errors import UnsupportedInputError
 from primlen.field import GF, QQ
-from primlen.multipoly import Polynomial
+from primlen.multipoly import Polynomial, monomials_of_degree, multinomial
 from primlen.parsing import poly_to_str
-from primlen.polyauto import apply_auto, invert_auto, linearize
-from primlen.linalg import DenseMatrix, bareiss_determinant
+from primlen.polyauto import apply_auto, certify_apply, invert_auto, linearize
+from primlen.linalg import DenseMatrix, bareiss_determinant, solve_square
 from primlen.polydecomp import (
     FINITE,
     INFINITE,
+    MAX_DEGREE,
     assign_linear_coeffs,
     decompose,
-    lattice_matrix,
     lattice_nodes,
     plength_bound,
     poly_bound,
@@ -67,18 +70,54 @@ def test_lattice_nodes_levels(n, d):
         assert all(sum(a) > p for a in nodes[block:])
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_lattice_levels_are_unisolvent(d):
-    for n in range(2, 7):
-        nodes = lattice_nodes(n, d)
-        for p in range(2, n + 1):
-            block = comb(p + d - 1, d - 1)
-            _, matrix = lattice_matrix(p, d, nodes[:block])
+def reference_lattice_matrix(p, d, nodes):
+    """The degree-p monomials m and the matrix (prod_i (a_i+1)^(m_{i+1})), rows m, columns nodes a."""
+    monos = list(monomials_of_degree(d, p))
+    rows = [[prod((a_i + 1) ** e for a_i, e in zip(a, m[1:])) for a in nodes] for m in monos]
+    return monos, DenseMatrix.from_rows(QQ, rows)
+
+
+def lattice_levels(d):
+    """Every degree p >= 2 whose lattice levels <= p hold at most 84 nodes, the N of (4,6)."""
+    p = 2
+    while comb(p + d - 1, d - 1) <= 84:
+        yield p
+        p += 1
+
+
+def degree_components(rng, d, p):
+    """A random component of degree p, the zero component and a single monomial."""
+    monos = list(monomials_of_degree(d, p))
+    dense = {m: QQ(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for m in monos if rng.random() < 0.7}
+    single = {rng.choice(monos): QQ(rng.randint(1, 99), rng.randint(1, 99))}
+    return [Polynomial(d, QQ, terms) for terms in (dense, {}, single)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_solve_degree_matches_the_reference_elimination(d):
+    # The lattice levels <= p are unisolvent, so the Newton-basis solve must
+    # give exactly the Bareiss solution of the dense lattice system.  d = 2
+    # above MAX_DEGREE, where Bareiss takes seconds per system and decompose
+    # never goes, is checked by its exact residual instead.
+    rng = random.Random(76 + d)
+    for p in lattice_levels(d):
+        block = comb(p + d - 1, d - 1)
+        nodes = lattice_nodes(p + 1, d)
+        monos, matrix = reference_lattice_matrix(p, d, nodes[:block])
+        if p <= MAX_DEGREE:
             det, _ = bareiss_determinant(matrix)
-            assert not det.is_zero(), (d, n, p)
+            assert not det.is_zero(), (d, p)
             if block <= 10:
                 rows = [[matrix.get(i, j).value for j in range(block)] for i in range(block)]
                 assert cofactor_determinant(rows) == det.value
+        for g_p in degree_components(rng, d, p):
+            xi = solve_degree(p, g_p, nodes)
+            assert len(xi) == len(nodes) and all(c.is_zero() for c in xi[block:])
+            rhs = [g_p.coefficient(m) / QQ(multinomial(m)) for m in monos]
+            if p <= MAX_DEGREE:
+                assert xi[:block] == solve_square(matrix, rhs), (d, p)
+            else:
+                assert matrix.mul_vector(xi[:block]) == rhs, (d, p)
 
 
 def test_linearize_zero_linear_part():
@@ -256,3 +295,52 @@ def test_verify_detects_invalid_factor():
     result = verify(dec)
     assert not result.ok
     assert any("invalid elementary factor" in p for p in result.problems)
+
+
+def coefficients(digits):
+    return st.builds(
+        lambda num, den: QQ(num, den),
+        st.integers(-(10**digits), 10**digits),
+        st.integers(1, 10**digits),
+    )
+
+
+@st.composite
+def decomposable_polys(draw):
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 5))
+    coeff = coefficients(draw(st.sampled_from([2, 40])))
+    top = list(monomials_of_degree(d, n))
+    terms = {draw(st.sampled_from(top)): draw(coeff.filter(bool))}
+    for p in range(2, n):
+        for m in draw(st.lists(st.sampled_from(list(monomials_of_degree(d, p))), max_size=3)):
+            terms[m] = draw(coeff)
+    if draw(st.booleans()):
+        for m in draw(st.lists(st.sampled_from(list(monomials_of_degree(d, 1))), min_size=1, max_size=d)):
+            terms[m] = draw(coeff)
+    if draw(st.booleans()):
+        terms[(0,) * d] = draw(coeff)
+    return Polynomial(d, QQ, terms)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(decomposable_polys())
+def test_every_assembled_summand_is_its_certificate_replayed(f):
+    dec = decompose(f)
+    assert dec.count == plength_bound(f.total_degree(), f.arity)
+    for summand, cert in dec.summands:
+        assert certify_apply(cert, f) == summand
+    assert verify(dec).ok
+
+
+def test_decompose_neither_replays_nor_eliminates(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose must not call this")
+
+    assert not hasattr(polydecomp, "solve_square")
+    monkeypatch.setattr(polydecomp, "certify_apply", refuse)
+    monkeypatch.setattr(linalg, "solve_square", refuse)
+    rng = random.Random(35)
+    for d, n in [(2, 5), (3, 4), (4, 3), (5, 2)]:
+        f = rand_poly(rng, d, n, coeff_bound=10**40)
+        assert decompose(f).count == plength_bound(n, d)
