@@ -91,6 +91,12 @@ LIE_CORPUS = {
         4, "Q", "[x3,x1] + [x4,x1] + x1",
         "cd687fd7f43db0fb82b3fc8bea3c6945106adb21ebdbae456804e8d42914d44a",
     ),
+    # beta = (0, 1, 0) over F2: the last slots hold (1, 0), which depends on
+    # the first prime (1, 0), so the ``extra`` split takes z' = (0, 1).
+    "F2-d4-second-prime": (
+        4, "F2", "[x3,x1] + x1",
+        "ad3b02f8b1be22809f7d99146591e01550223e12fa925589b63e33dcc7125f69",
+    ),
 }
 
 
