@@ -18,27 +18,26 @@ from .errors import (
     UnsupportedInputError,
 )
 from .field import GF, QQ, FieldDescriptor, FieldScalar, field_from_flag
-from .liedecomp import LieDecomposition, decompose_lie, lie_bound, verify_lie
+from .liedecomp import decompose_lie, lie_bound, verify_lie
 from .linalg import DenseMatrix, OpCounter, bareiss_determinant, solve_square, vandermonde_power_matrix
 from .metalie import LieElement, bracket, inner_auto, normalize_word
 from .multipoly import Polynomial, multinomial
 from .parsing import lie_to_str, parse_lie, parse_poly, poly_to_str
-from .polydecomp import PolyDecomposition, decompose, plength_bound, verify
+from .polydecomp import Decomposition, decompose, plength_bound, verify
 
 __all__ = [
     "ArityMismatchError",
+    "Decomposition",
     "DegreeCapError",
     "DenseMatrix",
     "FieldDescriptor",
     "FieldMismatchError",
     "FieldScalar",
     "GF",
-    "LieDecomposition",
     "LieElement",
     "OpCounter",
     "ParseError",
     "Polynomial",
-    "PolyDecomposition",
     "PrimlenError",
     "QQ",
     "SingularMatrixError",

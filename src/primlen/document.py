@@ -15,10 +15,10 @@ import json
 from .errors import ParseError, PrimlenError
 from .field import field_from_flag, int_to_str, parse_scalar
 from .linalg import DenseMatrix
-from .liedecomp import InnerLieAuto, LieDecomposition, lie_bound, verify_lie
+from .liedecomp import InnerLieAuto, lie_bound, verify_lie
 from .parsing import lie_to_str, parse_lie, parse_poly, poly_to_str, scalar_to_str
 from .polyauto import AffineAuto, Certificate, TriangularAuto
-from .polydecomp import FINITE, INFINITE, PolyDecomposition, VerifyResult, poly_bound, verify
+from .polydecomp import Decomposition, VerifyResult, poly_bound, verify
 from .sparse import MAX_ARITY
 
 VERSION = "primlen/1"
@@ -32,9 +32,9 @@ def _matrix_to_json(matrix):
 
 
 def _matrix_from_json(rows, field):
-    if not rows:
+    if not _json_list(rows, "matrix"):
         raise PrimlenError("empty matrix")
-    parsed = [[parse_scalar(field, e) for e in row] for row in rows]
+    parsed = [[parse_scalar(field, e) for e in _json_list(row, "matrix row")] for row in rows]
     return DenseMatrix.from_rows(field, parsed)
 
 
@@ -66,19 +66,19 @@ def _factor_from_json(record, arity, field, lie):
     kind = record["kind"]
     if kind == ("linear" if lie else "affine"):
         matrix = _matrix_from_json(record["matrix"], field)
-        offset = None if lie else [parse_scalar(field, b) for b in record["offset"]]
+        offset = None if lie else [parse_scalar(field, b) for b in _json_list(record["offset"], "offset")]
         return AffineAuto(matrix, offset)
     if kind == "triangular":
         parse = parse_lie if lie else parse_poly
-        gammas = [parse_scalar(field, g) for g in record["gammas"]]
-        tails = [parse(t, arity, field) for t in record["tails"]]
-        return TriangularAuto(gammas, tails, record["ordering"] if lie else None)
+        gammas = [parse_scalar(field, g) for g in _json_list(record["gammas"], "gammas")]
+        tails = [parse(t, arity, field) for t in _json_list(record["tails"], "tails")]
+        return TriangularAuto(gammas, tails, _json_list(record["ordering"], "ordering") if lie else None)
     if lie and kind == "inner":
         return InnerLieAuto(parse_lie(record["element"], arity, field))
     raise PrimlenError(f"unknown {'Lie' if lie else 'polynomial'} automorphism kind {kind!r}")
 
 
-def _document(dec, algebra, status, degree, to_str):
+def _document(dec, algebra, degree, to_str):
     """The JSON-ready dict of a decomposition of either algebra."""
     lie = algebra == LIE
     summands = [
@@ -95,7 +95,7 @@ def _document(dec, algebra, status, degree, to_str):
         "field": dec.input.field.flag(),
         "arity": dec.input.arity,
         "input": to_str(dec.input),
-        "status": status,
+        "status": dec.status,
         "bound": dec.bound,
         "summands": summands,
         "stats": {"count": len(dec.summands), "degree": degree},
@@ -104,13 +104,13 @@ def _document(dec, algebra, status, degree, to_str):
 
 
 def poly_document(dec):
-    """Serialize a PolyDecomposition into a JSON-ready dict."""
-    return _document(dec, POLY, dec.status, dec.input.total_degree(), poly_to_str)
+    """Serialize a polynomial Decomposition into a JSON-ready dict."""
+    return _document(dec, POLY, dec.input.total_degree(), poly_to_str)
 
 
 def lie_document(dec):
-    """Serialize a LieDecomposition into a JSON-ready dict."""
-    return _document(dec, LIE, FINITE, dec.input.degree(), lie_to_str)
+    """Serialize a Lie Decomposition into a JSON-ready dict."""
+    return _document(dec, LIE, dec.input.degree(), lie_to_str)
 
 
 def dumps(doc):
@@ -135,6 +135,12 @@ def _json_int(value, name):
     return value
 
 
+def _json_list(value, name):
+    if type(value) is not list:
+        raise PrimlenError(f"{name} is not an array")
+    return value
+
+
 def _rebuild_parts(doc, lie):
     """The input and the (summand, Certificate) pairs of a document.
 
@@ -148,9 +154,10 @@ def _rebuild_parts(doc, lie):
     parse = parse_lie if lie else parse_poly
     input_element = parse(doc["input"], arity, field)
     summands = []
-    for record in doc["summands"]:
+    for record in _json_list(doc["summands"], "summands"):
         summand = parse(record["summand"], arity, field)
-        chain = [_factor_from_json(r, arity, field, lie) for r in record["certificate"]]
+        records = _json_list(record["certificate"], "certificate")
+        chain = [_factor_from_json(r, arity, field, lie) for r in records]
         summands.append((summand, Certificate(chain, _json_int(record["generator"], "generator"))))
     return input_element, summands
 
@@ -158,13 +165,14 @@ def _rebuild_parts(doc, lie):
 def rebuild_poly(doc):
     input_poly, summands = _rebuild_parts(doc, False)
     notes = list(doc.get("notes", []))
-    return PolyDecomposition(input_poly, doc["status"], summands, poly_bound(input_poly), notes)
+    return Decomposition(input_poly, summands, poly_bound(input_poly), doc["status"], notes)
 
 
 def rebuild_lie(doc):
     input_elem, summands = _rebuild_parts(doc, True)
     bound = lie_bound(input_elem.arity, input_elem.field)
-    return LieDecomposition(input_elem, summands, bound, list(doc.get("notes", [])))
+    notes = list(doc.get("notes", []))
+    return Decomposition(input_elem, summands, bound, doc["status"], notes)
 
 
 def _claim_text(value):
@@ -213,17 +221,7 @@ def verify_document(doc):
     """
     try:
         dec, problems = _rebuild(doc)
-        if doc["algebra"] != POLY:
-            if doc["status"] != FINITE:
-                problems.append(f"status {doc['status']!r} claimed for a Lie element")
-            problems += verify_lie(dec).problems
-        elif dec.status == INFINITE:
-            if dec.summands:
-                problems.append("infinite status with a nonempty summand list")
-            if dec.input.arity != 1 or (dec.input.total_degree() or 0) <= 1:
-                problems.append("infinite status claimed for a decomposable input")
-        else:
-            problems += verify(dec).problems
+        problems += (verify if doc["algebra"] == POLY else verify_lie)(dec).problems
         return VerifyResult(not problems, problems)
     except (ParseError, PrimlenError, KeyError, ValueError) as exc:
         return VerifyResult(False, [f"document rebuild failed: {exc}"])

@@ -16,8 +16,10 @@ normalization, is ``linalg.basis_from_rows``: the given rows, then the
 standard vectors off their pivot columns, in index order.  The pivot
 columns are the first columns on which the rows stay independent; one row
 pivots on its first nonzero coefficient.  The same elimination
-(``linalg.pivot_columns``) decides whether a candidate pair of linear
-coefficients is independent from the quadratic part.  The linear summands
+(``linalg.pivot_columns``) decides whether the linear coefficients (1, 1),
+and over GF(2) (1, 0), are independent from the quadratic part; on that
+answer ``choose_lie_coeffs`` follows the paper's case split, with no
+search.  The linear summands
 and the normalization use the builders the polynomial pipeline uses,
 ``polyauto.linear_certificate`` and ``polyauto.linearize``.
 
@@ -27,20 +29,20 @@ nothing when built; ``polyauto.validate_certificate``, which
 
 The pipeline normalizes the linear part to delta x1, splits off the
 commutator words containing x1, buckets them by a trailing generator that
-can be stripped, solves a tiny linear system for the remaining linear
-coefficients, and maps everything back.
+can be stripped, picks the remaining linear coefficients by that case
+split, and maps everything back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import UnsupportedInputError
 from .field import FieldScalar
 from .linalg import DenseMatrix, basis_from_rows, pivot_columns
 from .metalie import LieElement, bracket, inner_auto, split_parts
 from .polyauto import AffineAuto, Certificate, TriangularAuto, linear_certificate, linearize
-from .polydecomp import ZERO_NOTE, check_summands
+from .polydecomp import ZERO_NOTE, Decomposition, check_summands
 
 
 # -- the inner automorphism ----------------------------------------------------
@@ -65,18 +67,6 @@ class InnerLieAuto:
 
     def images(self, like):
         return inner_auto(self.element)
-
-
-@dataclass
-class LieDecomposition:
-    input: LieElement
-    summands: list  # of (LieElement, Certificate)
-    bound: int
-    notes: list = dc_field(default_factory=list)
-
-    @property
-    def count(self):
-        return len(self.summands)
 
 
 def lie_bound(d, field):
@@ -167,89 +157,47 @@ def _independent_from_beta(pair, beta, slots):
 
 
 def _nonzero_sum_pair(target, field):
-    """Two nonzero scalars summing to target, or None when impossible (GF(2))."""
+    """Two nonzero scalars summing to target, in a field with more than two elements."""
     one = field.one()
-    second = target - one
-    if not second.is_zero():
-        return one, second
-    two = field(2)
-    if two.is_zero():
-        return None
-    second = target - two
-    if second.is_zero():
-        return None
-    return two, second
+    if target != one:
+        return one, target - one
+    return field(2), target - field(2)
 
 
 def choose_lie_coeffs(d, delta, beta, field):
-    """Pick the free coefficients of the summand system deterministically.
+    """The free coefficients of the summand system, by the paper's case split.
 
-    Candidates are drawn from a fixed small list; the first pair passing
-    the nonzero and independence requirements wins.  Over a two-element
-    field the requirements may be unsatisfiable, in which case ``extra``
-    holds the (x_{d-1}, x_d) coefficients z' of the quadratic summand and
-    zeta - z' becomes one more linear summand; such a z' always exists.
+    The linear coefficients z of the quadratic summand on x_{d-1}, x_d must
+    be independent from beta, the coefficients of [x_j, x1] for j = 2..d:
+
+    * more than two elements: z = (1, 1), or (1, 2) when (1, 1) depends on
+      beta; beta is then a multiple of (..., 0, 1, 1), and
+      det[(1, 1), (1, 2)] = 1.  For d = 3 z is negated, as it is -(xi_2, xi_3);
+    * GF(2), where 2 = 0: for d = 3 when beta = (1, 1), and for d > 3
+      whenever beta != 0 (the nonzero eta + xi then force z = 0), ``extra``
+      holds the coefficients z' of the quadratic summand, (1, 0) or else
+      (0, 1), and zeta - z' becomes one more linear summand;
+    * d > 3 and beta = 0: there is no quadratic summand, and z = -2 with
+      eta = xi = (1, 1).
     """
-    if d < 3:
-        raise UnsupportedInputError("coefficients are defined for d >= 3")
-    one = field.one()
+    one, zero = field.one(), field.zero()
     delta = field(delta)
-    beta = [field(b) if not isinstance(b, FieldScalar) else b for b in beta]
     beta_zero = all(b.is_zero() for b in beta)
+    slots = (d - 1, d)
+    parallel = not beta_zero and not _independent_from_beta((one, one), beta, slots)
+    extra = None
+    if not field.has_more_than_two_elements() and (parallel or (d > 3 and not beta_zero)):
+        extra = (one, zero) if _independent_from_beta((one, zero), beta, slots) else (zero, one)
 
     if d == 3:
-        xi = one
-        xi_1 = one
-        zeta_1 = delta - xi - xi_1
-        candidates = [(one, one), (one, field(2)), (field(2), one)]
-        for xi_2, xi_3 in candidates:
-            if xi_2.is_zero() or xi_3.is_zero():
-                continue
-            pair = (-xi_2, -xi_3)
-            if beta_zero or _independent_from_beta(pair, beta, (2, 3)):
-                return D3Coefficients(xi, (xi_1, xi_2, xi_3), (zeta_1,) + pair)
-        # two-element field with beta matching the only available pair
-        xi_2 = xi_3 = one
-        zeta = (-one, -one)
-        for prime in [(one, field.zero()), (field.zero(), one)]:
-            if _independent_from_beta(prime, beta, (2, 3)):
-                return D3Coefficients(xi, (xi_1, xi_2, xi_3), (zeta_1,) + zeta, extra=prime)
-        raise UnsupportedInputError("no admissible coefficient choice found")  # unreachable
-
-    xi = one
-    zeta_1 = delta - xi
-    slots = (d - 1, d)
-    if beta_zero:
-        z = -(one + one)
-        return HighDCoefficients(xi, (one, one), (one, one), (zeta_1, z, z))
-    candidates = [
-        (one, one),
-        (one, field(2)),
-        (field(2), one),
-        (one, field.zero()),
-        (field.zero(), one),
-    ]
-    for z_pair in candidates:
-        if not _independent_from_beta(z_pair, beta, slots):
-            continue
-        first = _nonzero_sum_pair(-z_pair[0], field)
-        second = _nonzero_sum_pair(-z_pair[1], field)
-        if first is None or second is None:
-            continue
-        return HighDCoefficients(
-            xi,
-            (first[0], second[0]),
-            (first[1], second[1]),
-            (zeta_1,) + z_pair,
-        )
-    # two-element field: eta + xi forces zeta = 0, so add one linear summand
-    z = -(one + one)
-    for prime in [(one, field.zero()), (field.zero(), one), (one, one)]:
-        if _independent_from_beta(prime, beta, slots):
-            return HighDCoefficients(
-                xi, (one, one), (one, one), (zeta_1, z, z), extra=prime
-            )
-    raise UnsupportedInputError("no admissible coefficient choice found")  # unreachable
+        xi_3 = field(2) if parallel and extra is None else one
+        return D3Coefficients(one, (one, one, xi_3), (delta - one - one, -one, -xi_3), extra)
+    if beta_zero or extra is not None:
+        z = -field(2)
+        return HighDCoefficients(one, (one, one), (one, one), (delta - one, z, z), extra)
+    pair = (one, field(2)) if parallel else (one, one)
+    first, second = (_nonzero_sum_pair(-z, field) for z in pair)
+    return HighDCoefficients(one, (first[0], second[0]), (first[1], second[1]), (delta - one,) + pair)
 
 
 # -- certificates for the three summand shapes --------------------------------
@@ -300,15 +248,11 @@ def _quadratic_cert(zeta_coeffs, beta, d, field):
 def decompose_lie(f):
     """Decompose f into certified primitive summands within the table bound."""
     d, field = f.arity, f.field
-    if d < 3:
-        raise UnsupportedInputError(
-            "Lie decomposition is implemented for d >= 3 (d = 2 follows a different theory)"
-        )
     bound = lie_bound(d, field)
     if f.is_zero():
-        return LieDecomposition(f, [], bound, notes=[ZERO_NOTE])
+        return Decomposition(f, [], bound, notes=[ZERO_NOTE])
     if f.degree() == 1:
-        return LieDecomposition(f, [(f, linear_certificate(f))], bound)
+        return Decomposition(f, [(f, linear_certificate(f))], bound)
 
     rho_inv, g = linearize(f)
     delta = 0 if rho_inv is None else 1
@@ -356,7 +300,7 @@ def decompose_lie(f):
             (element.substitute(images), Certificate(cert.chain + [rho_inv], cert.generator_index))
             for element, cert in summands
         ]
-    return LieDecomposition(f, summands, bound)
+    return Decomposition(f, summands, bound)
 
 
 def verify_lie(dec):

@@ -99,11 +99,13 @@ MAX_POWER_BITS = 65536
 
 
 @dataclass
-class PolyDecomposition:
-    input: Polynomial
-    status: str
-    summands: list  # of (Polynomial, Certificate)
+class Decomposition:
+    """A decomposition of a polynomial or a Lie element; only a polynomial can be INFINITE."""
+
+    input: object  # Polynomial or LieElement
+    summands: list  # of (element, Certificate)
     bound: int | None
+    status: str = FINITE
     notes: list = dc_field(default_factory=list)
 
     @property
@@ -280,16 +282,16 @@ def decompose(f):
     n = f.total_degree()
     bound = poly_bound(f)
     if f.is_zero():
-        return PolyDecomposition(f, FINITE, [], bound=bound, notes=[ZERO_NOTE])
+        return Decomposition(f, [], bound, notes=[ZERO_NOTE])
     if n == 0:
         beta, one = f.constant_term(), field.one()
         first, second = f.linear_form([(1, one)], beta), f.linear_form([(1, -one)])
         summands = [(first, linear_certificate(first, beta)), (second, linear_certificate(second))]
-        return PolyDecomposition(f, FINITE, summands, bound=bound)
+        return Decomposition(f, summands, bound)
     if n == 1:
-        return PolyDecomposition(f, FINITE, [(f, linear_certificate(f, f.constant_term()))], bound=bound)
+        return Decomposition(f, [(f, linear_certificate(f, f.constant_term()))], bound)
     if d == 1:
-        return PolyDecomposition(f, INFINITE, [], bound=bound)
+        return Decomposition(f, [], bound, INFINITE)
 
     psi_inv, g = linearize(f)
     delta = 0 if psi_inv is None else 1
@@ -346,19 +348,29 @@ def decompose(f):
                 for m, mult in terms:
                     raw[m] = scale * mult * prod(map(getitem, powers, m))
         summands.append((f._wrap_raw(den * psi_powers[n], raw), cert))
-    return PolyDecomposition(f, FINITE, summands, bound=bound)
+    return Decomposition(f, summands, bound)
 
 
 def check_summands(dec):
-    """The four checks of a finite decomposition of either algebra.
+    """The checks of a decomposition of either algebra.
 
-    Validates every elementary factor, replays every certificate in the
-    algebra of the input, re-sums the summands and compares the count
-    against the bound.  Returns a VerifyResult carrying human-readable
-    diagnostics.
+    An INFINITE status needs an empty summand list and a univariate input
+    of degree > 1 (Lie inputs have at least three generators).  Otherwise
+    the status must be FINITE, and the checks validate every elementary
+    factor, replay every certificate in the algebra of the input, re-sum
+    the summands and compare the count against the bound.  Returns a
+    VerifyResult carrying human-readable diagnostics.
     """
     problems = []
     d, fld = dec.input.arity, dec.input.field
+    if dec.status == INFINITE:
+        if dec.summands:
+            problems.append("infinite status with a nonempty summand list")
+        if d != 1 or (dec.input.total_degree() or 0) <= 1:
+            problems.append("infinite status claimed for a decomposable input")
+        return VerifyResult(not problems, problems)
+    if dec.status != FINITE:
+        problems.append(f"status {dec.status!r} is neither {FINITE!r} nor {INFINITE!r}")
     for i, (summand, cert) in enumerate(dec.summands, start=1):
         issues = validate_certificate(cert, d)
         if issues:
@@ -377,7 +389,5 @@ def check_summands(dec):
 
 
 def verify(dec):
-    """Independent check of a finite polynomial decomposition (see check_summands)."""
-    if dec.status != FINITE:
-        raise ValueError("verify expects a finite decomposition")
+    """Independent check of a polynomial decomposition (see check_summands)."""
     return check_summands(dec)

@@ -418,6 +418,60 @@ def test_wrong_json_types_are_rebuild_failures(tmp_path, capsys, args, edit, val
     assert "document rebuild failed" in capsys.readouterr().err
 
 
+def _spell(values):
+    return "".join(map(str, values))
+
+
+def _spell_summands(doc):
+    doc["summands"] = _spell(doc["summands"])
+
+
+def _spell_certificate(doc):
+    doc["summands"][0]["certificate"] = _spell(doc["summands"][0]["certificate"])
+
+
+def _spell_matrix(doc):
+    record = _first_factor(doc, "matrix")
+    record["matrix"] = _spell(map(_spell, record["matrix"]))
+
+
+def _spell_matrix_rows(doc):
+    record = _first_factor(doc, "matrix")
+    record["matrix"] = [_spell(row) for row in record["matrix"]]
+
+
+def _spell_key(key):
+    def edit(doc):
+        record = _first_factor(doc, key)
+        record[key] = _spell(record[key])
+
+    return edit
+
+
+# Each array holds one-character entries, so its string spelling iterates to the same entries.
+SPELLED_ARRAYS = {
+    "summands": (["poly", "--vars", "2", "0"], _spell_summands),
+    "certificate": (["poly", "--vars", "1", "x1"], _spell_certificate),
+    "matrix": (["poly", "--vars", "1", "x1"], _spell_matrix),
+    "matrix row": (["poly", "--vars", "2", "x1^2 + x2"], _spell_matrix_rows),
+    "offset": (["poly", "--vars", "2", "x1^2 + x2"], _spell_key("offset")),
+    "gammas": (["poly", "--vars", "2", "x1^2 + x2"], _spell_key("gammas")),
+    "tails": (["lie", "--vars", "3", "[x2,x1] + x1"], _spell_key("tails")),
+    "ordering": (["lie", "--vars", "3", "[x2,x1] + x1"], _spell_key("ordering")),
+}
+
+
+@pytest.mark.parametrize("name", list(SPELLED_ARRAYS))
+def test_a_string_spelling_an_array_is_a_rebuild_failure(tmp_path, capsys, name):
+    args, edit = SPELLED_ARRAYS[name]
+    out, doc = _decompose_to(tmp_path, args)
+    edit(doc)
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert f"document rebuild failed: {name} is not an array" in capsys.readouterr().err
+
+
 def test_lie_document_must_claim_finite_status(tmp_path):
     _, doc = _decompose_to(tmp_path, ["lie", "--vars", "3", "[x2,x1] + x1"])
     doc["status"] = "infinite"

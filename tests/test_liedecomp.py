@@ -120,7 +120,7 @@ def test_choose_coeffs_d3_beta_dependence_rejection():
     coeffs = choose_lie_coeffs(3, 1, beta, QQ)
     check_d3_system(coeffs, 1, QQ)
     z2, z3 = coeffs.zeta[1], coeffs.zeta[2]
-    # the chosen pair is independent from beta: first candidate (-1,-1) fails
+    # (1, 1) depends on beta, so the pair is (1, 2), which is independent
     assert not (z2 * beta[1] - z3 * beta[0]).is_zero()
 
 
@@ -179,6 +179,106 @@ def test_choose_coeffs_matches_the_determinant_reference(monkeypatch, d, field):
     choices = [choose_lie_coeffs(d, delta, beta, field) for beta, delta in cases]
     monkeypatch.setattr(liedecomp, "_independent_from_beta", reference_independent_from_beta)
     assert choices == [choose_lie_coeffs(d, delta, beta, field) for beta, delta in cases]
+
+
+def reference_nonzero_sum_pair(target, field):
+    """Two nonzero scalars summing to target, or None when impossible (GF(2))."""
+    one = field.one()
+    second = target - one
+    if not second.is_zero():
+        return one, second
+    two = field(2)
+    if two.is_zero():
+        return None
+    second = target - two
+    if second.is_zero():
+        return None
+    return two, second
+
+
+def reference_choose_lie_coeffs(d, delta, beta, field):
+    """The candidate search choose_lie_coeffs ran before it followed the case split.
+
+    The first candidate pair passing the nonzero and independence
+    requirements wins; over GF(2) the first independent "prime" becomes
+    the ``extra`` split.
+    """
+    independent = liedecomp._independent_from_beta
+    one = field.one()
+    delta = field(delta)
+    beta_zero = all(b.is_zero() for b in beta)
+    if d == 3:
+        xi_1 = one
+        zeta_1 = delta - one - xi_1
+        for xi_2, xi_3 in [(one, one), (one, field(2)), (field(2), one)]:
+            if xi_2.is_zero() or xi_3.is_zero():
+                continue
+            pair = (-xi_2, -xi_3)
+            if beta_zero or independent(pair, beta, (2, 3)):
+                return D3Coefficients(one, (xi_1, xi_2, xi_3), (zeta_1,) + pair)
+        for prime in [(one, field.zero()), (field.zero(), one)]:
+            if independent(prime, beta, (2, 3)):
+                return D3Coefficients(one, (xi_1, one, one), (zeta_1, -one, -one), extra=prime)
+        raise AssertionError("no admissible coefficient choice found")
+    zeta_1 = delta - one
+    slots = (d - 1, d)
+    z = -(one + one)
+    if beta_zero:
+        return HighDCoefficients(one, (one, one), (one, one), (zeta_1, z, z))
+    candidates = [(one, one), (one, field(2)), (field(2), one), (one, field.zero()), (field.zero(), one)]
+    for z_pair in candidates:
+        if not independent(z_pair, beta, slots):
+            continue
+        first = reference_nonzero_sum_pair(-z_pair[0], field)
+        second = reference_nonzero_sum_pair(-z_pair[1], field)
+        if first is None or second is None:
+            continue
+        return HighDCoefficients(one, (first[0], second[0]), (first[1], second[1]), (zeta_1,) + z_pair)
+    for prime in [(one, field.zero()), (field.zero(), one), (one, one)]:
+        if independent(prime, beta, slots):
+            return HighDCoefficients(one, (one, one), (one, one), (zeta_1, z, z), extra=prime)
+    raise AssertionError("no admissible coefficient choice found")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_the_case_split_matches_the_candidate_search(d, p):
+    field = GF(p)
+    for beta in itertools.product(range(p), repeat=d - 1):
+        beta = [field(b) for b in beta]
+        for delta in (0, 1):
+            assert choose_lie_coeffs(d, delta, beta, field) == reference_choose_lie_coeffs(d, delta, beta, field)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=repr)
+def test_the_case_split_runs_at_most_two_eliminations(monkeypatch, field):
+    calls = []
+    real = liedecomp._independent_from_beta
+
+    def counted(pair, beta, slots):
+        calls.append(pair)
+        return real(pair, beta, slots)
+
+    monkeypatch.setattr(liedecomp, "_independent_from_beta", counted)
+    for d in (3, 4, 5):
+        for beta in itertools.product(range(field.p), repeat=d - 1):
+            calls.clear()
+            choose_lie_coeffs(d, 1, [field(b) for b in beta], field)
+            assert len(calls) <= 2, (d, beta)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_the_case_split_matches_the_candidate_search_over_q(d):
+    # betas parallel to (..., 0, 1, 1), (..., 0, 1, 2) and (1, 0, ...), plus random ones
+    rng = random.Random(56)
+    shapes = [(0,) * (d - 3) + (1, 1), (0,) * (d - 3) + (1, 2), (1,) + (0,) * (d - 2)]
+    for _ in range(200):
+        scale = QQ(rng.choice([-1, 1]) * rng.randint(1, 50), rng.randint(1, 50))
+        betas = [[scale * QQ(b) for b in shape] for shape in shapes]
+        betas.append([QQ(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d - 1)])
+        for beta in betas:
+            for delta in (0, 1):
+                assert choose_lie_coeffs(d, delta, beta, QQ) == reference_choose_lie_coeffs(d, delta, beta, QQ)
 
 
 def test_choose_coeffs_gf2_high_d_extra():

@@ -10,11 +10,13 @@ from primlen.errors import UnsupportedInputError
 from primlen.field import GF, QQ
 from primlen.multipoly import Polynomial, monomials_of_degree, multinomial
 from primlen.parsing import poly_to_str
-from primlen.polyauto import apply_auto, certify_apply, invert_auto, linearize
+from primlen.metalie import LieElement
+from primlen.polyauto import Certificate, apply_auto, certify_apply, invert_auto, linearize
 from primlen.linalg import DenseMatrix, bareiss_determinant, solve_square
 from primlen.polydecomp import (
     FINITE,
     INFINITE,
+    Decomposition,
     MAX_DEGREE,
     assign_linear_coeffs,
     decompose,
@@ -220,6 +222,28 @@ def test_decompose_constant_golden():
 def test_decompose_univariate_infinite():
     dec = decompose(Polynomial(1, QQ, {(2,): 1}))
     assert dec.status == INFINITE and dec.bound is None and not dec.summands
+    assert verify(dec).ok
+
+
+@pytest.mark.parametrize(
+    "dec, message",
+    [
+        (Decomposition(Polynomial(2, QQ, {(2, 0): 1}), [], None, INFINITE), "claimed for a decomposable input"),
+        (Decomposition(Polynomial(1, QQ, {(1,): 1}), [], None, INFINITE), "claimed for a decomposable input"),
+        (Decomposition(LieElement.generator(3, QQ, 1), [], 5, INFINITE), "claimed for a decomposable input"),
+        (Decomposition(Polynomial.zero(1, QQ), [], 1, "bogus"), "status 'bogus' is neither"),
+    ],
+    ids=["bivariate", "linear", "lie", "unknown"],
+)
+def test_check_summands_owns_the_status_rule(dec, message):
+    problems = verify(dec).problems
+    assert any(message in p for p in problems), problems
+
+
+def test_an_infinite_status_needs_an_empty_summand_list():
+    f = Polynomial(1, QQ, {(3,): 1})
+    dec = Decomposition(f, [(f, Certificate([], 1))], None, INFINITE)
+    assert verify(dec).problems == ["infinite status with a nonempty summand list"]
 
 
 def test_decompose_simple():
