@@ -31,11 +31,18 @@ def _matrix_to_json(matrix):
     return [[scalar_to_str(matrix.get(i, j)) for j in range(matrix.cols)] for i in range(matrix.rows)]
 
 
-def _matrix_from_json(rows, field):
+def _matrix_from_json(rows, texts):
+    """The DenseMatrix of a JSON matrix, its entries read through ``texts`` in one pass."""
     if not _json_list(rows, "matrix"):
         raise PrimlenError("empty matrix")
-    parsed = [[parse_scalar(field, e) for e in _json_list(row, "matrix row")] for row in rows]
-    return DenseMatrix.from_rows(field, parsed)
+    scalar = texts.scalar
+    entries = []
+    for row in rows:
+        entries += map(scalar, _json_list(row, "matrix row"))
+    cols = len(rows[0])
+    if any(len(row) != cols for row in rows):
+        raise ValueError("ragged rows")
+    return DenseMatrix(len(rows), cols, texts.field, entries)
 
 
 def _factor_to_json(auto, lie):
@@ -62,19 +69,19 @@ def _factor_to_json(auto, lie):
     return {"kind": "inner", "element": lie_to_str(auto.element)}
 
 
-def _factor_from_json(record, arity, field, lie):
+def _factor_from_json(record, texts):
+    lie = texts.lie
     kind = record["kind"]
     if kind == ("linear" if lie else "affine"):
-        matrix = _matrix_from_json(record["matrix"], field)
-        offset = None if lie else [parse_scalar(field, b) for b in _json_list(record["offset"], "offset")]
+        matrix = _matrix_from_json(record["matrix"], texts)
+        offset = None if lie else list(map(texts.scalar, _json_list(record["offset"], "offset")))
         return AffineAuto(matrix, offset)
     if kind == "triangular":
-        parse = parse_lie if lie else parse_poly
-        gammas = [parse_scalar(field, g) for g in _json_list(record["gammas"], "gammas")]
-        tails = [parse(t, arity, field) for t in _json_list(record["tails"], "tails")]
+        gammas = list(map(texts.scalar, _json_list(record["gammas"], "gammas")))
+        tails = list(map(texts.element, _json_list(record["tails"], "tails")))
         return TriangularAuto(gammas, tails, _json_list(record["ordering"], "ordering") if lie else None)
     if lie and kind == "inner":
-        return InnerLieAuto(parse_lie(record["element"], arity, field))
+        return InnerLieAuto(texts.element(record["element"]))
     raise PrimlenError(f"unknown {'Lie' if lie else 'polynomial'} automorphism kind {kind!r}")
 
 
@@ -141,37 +148,75 @@ def _json_list(value, name):
     return value
 
 
+class _Texts:
+    """The texts of one document, each distinct string parsed once.
+
+    ``scalar`` and ``element`` keep what they parse by its text, so a
+    document that repeats a matrix entry, a gamma or a tail pays for one
+    parse; scalars and elements are immutable, so the copies can share one
+    value.  Only successes are kept, and a value that is not a string goes
+    to the parser as it is, which refuses it as it would anywhere.
+    """
+
+    __slots__ = ("field", "arity", "lie", "parse", "scalars", "elements")
+
+    def __init__(self, field, arity, lie):
+        self.field = field
+        self.arity = arity
+        self.lie = lie
+        self.parse = parse_lie if lie else parse_poly
+        self.scalars = {}
+        self.elements = {}
+
+    def scalar(self, text):
+        if type(text) is not str:
+            return parse_scalar(self.field, text)
+        value = self.scalars.get(text)
+        if value is None:
+            value = self.scalars[text] = parse_scalar(self.field, text)
+        return value
+
+    def element(self, text):
+        if type(text) is not str:
+            return self.parse(text, self.arity, self.field)
+        value = self.elements.get(text)
+        if value is None:
+            value = self.elements[text] = self.parse(text, self.arity, self.field)
+        return value
+
+
 def _rebuild_parts(doc, lie):
     """The input and the (summand, Certificate) pairs of a document.
 
     Reads the field, the arity, the input and then the summands, in that
-    order.  The arity must be an integer in 1..MAX_ARITY.
+    order.  The arity must be an integer in 1..MAX_ARITY.  Every scalar
+    and element text goes through one ``_Texts`` for the document.
     """
     field = field_from_flag(doc["field"])
     arity = _json_int(doc["arity"], "arity")
     if not 1 <= arity <= MAX_ARITY:
         raise PrimlenError(f"arity {arity} is out of range")
-    parse = parse_lie if lie else parse_poly
-    input_element = parse(doc["input"], arity, field)
+    texts = _Texts(field, arity, lie)
+    input_element = texts.element(doc["input"])
     summands = []
     for record in _json_list(doc["summands"], "summands"):
-        summand = parse(record["summand"], arity, field)
+        summand = texts.element(record["summand"])
         records = _json_list(record["certificate"], "certificate")
-        chain = [_factor_from_json(r, arity, field, lie) for r in records]
+        chain = [_factor_from_json(r, texts) for r in records]
         summands.append((summand, Certificate(chain, _json_int(record["generator"], "generator"))))
     return input_element, summands
 
 
 def rebuild_poly(doc):
     input_poly, summands = _rebuild_parts(doc, False)
-    notes = list(doc.get("notes", []))
+    notes = list(_json_list(doc.get("notes", []), "notes"))
     return Decomposition(input_poly, summands, poly_bound(input_poly), doc["status"], notes)
 
 
 def rebuild_lie(doc):
     input_elem, summands = _rebuild_parts(doc, True)
     bound = lie_bound(input_elem.arity, input_elem.field)
-    notes = list(doc.get("notes", []))
+    notes = list(_json_list(doc.get("notes", []), "notes"))
     return Decomposition(input_elem, summands, bound, doc["status"], notes)
 
 

@@ -52,7 +52,7 @@ class DenseMatrix:
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
         for e in entries:
-            if not isinstance(e, FieldScalar) or e.field != field:
+            if not isinstance(e, FieldScalar) or (e.field is not field and e.field != field):
                 raise FieldMismatchError("matrix entry over wrong field")
         self.rows = rows
         self.cols = cols

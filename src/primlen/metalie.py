@@ -180,19 +180,13 @@ def _bracket_raw(tu, tv, cap, p):
     return terms
 
 
-def _raw_terms(element):
-    """(den, raw) with raw mapping each word of element to its int, as in ``to_raw``."""
-    den, ints = element.field.to_raw(element.terms.values())
-    return den, dict(zip(element.terms, ints))
-
-
 def bracket(u, v, cap=None):
     """The Lie bracket [u, v], rewritten into the normal-word basis."""
     u._check_compatible(v)
     if cap is None:
         cap = degree_cap()
-    den_u, tu = _raw_terms(u)
-    den_v, tv = _raw_terms(v)
+    den_u, tu = u._raw()
+    den_v, tv = v._raw()
     return u._wrap_raw(den_u * den_v, _bracket_raw(tu, tv, cap, u.field.p))
 
 

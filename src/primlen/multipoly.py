@@ -5,15 +5,19 @@ of nonnegative integers) to nonzero FieldScalar coefficients.  All
 operations are exact and return canonical values: zero coefficients are
 pruned eagerly, so two equal polynomials compare equal structurally.
 
-Products and substitution compute on plain ints: each operand's
-coefficients become one common denominator and integer numerators over Q,
-or residues over GF(p) (``FieldDescriptor.to_raw``), and one scalar is
-built per result coefficient (``SparseElement._wrap_raw``).
+Products and substitution compute on plain ints.  Each operand is read
+once into a (den, raw) pair (``FieldDescriptor.to_raw``): over Q one common
+denominator and a map from exponent vectors to integer numerators, over
+GF(p) den 1 and the residues.  Products of pairs multiply the
+denominators and convolve the maps, reduced mod p over GF(p).
+Substitution keeps every image, every power of an image and every
+monomial's image as such a pair, and only the result is turned into
+scalars, one per coefficient (``SparseElement._wrap_raw``).
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, lcm
 from operator import add
 
 from .errors import ArityMismatchError, FieldMismatchError
@@ -47,6 +51,22 @@ def monomials_of_degree(d, p):
 def grlex_key(mono):
     """Graded lexicographic sort key (degree first, then lex)."""
     return (sum(mono), mono)
+
+
+def _raw_product(a, b, p):
+    """The product of two (den, raw) pairs; over GF(p) (``p`` not None) reduced mod p."""
+    den_a, terms_a = a
+    den_b, terms_b = b
+    pairs_b = list(terms_b.items())
+    acc = {}
+    get = acc.get
+    for m1, c1 in terms_a.items():
+        for m2, c2 in pairs_b:
+            mono = tuple(map(add, m1, m2))
+            acc[mono] = get(mono, 0) + c1 * c2
+    if p is not None:
+        acc = {mono: r for mono, c in acc.items() if (r := c % p)}
+    return den_a * den_b, acc
 
 
 class Polynomial(SparseElement):
@@ -130,16 +150,8 @@ class Polynomial(SparseElement):
         if isinstance(other, (FieldScalar, int)):
             return self.scale(other)
         self._check_compatible(other)
-        den1, ints1 = self.field.to_raw(self.terms.values())
-        den2, ints2 = self.field.to_raw(other.terms.values())
-        pairs2 = list(zip(other.terms, ints2))
-        acc = {}
-        get = acc.get
-        for m1, c1 in zip(self.terms, ints1):
-            for m2, c2 in pairs2:
-                mono = tuple(map(add, m1, m2))
-                acc[mono] = get(mono, 0) + c1 * c2
-        return self._wrap_raw(den1 * den2, acc)
+        den, raw = _raw_product(self._raw(), other._raw(), self.field.p)
+        return self._wrap_raw(den, raw)
 
     __rmul__ = __mul__
 
@@ -155,11 +167,13 @@ class Polynomial(SparseElement):
         """Apply the ring endomorphism x_i -> images[i].
 
         ``images`` must be ``arity`` polynomials over the same field (their
-        common arity may differ from ``self.arity``).  Powers of each image
-        are cached, so repeated exponents cost one multiplication each.  The
-        image of each monomial is a product of those powers, and the
-        coefficient-weighted sum of the images is taken on integer
-        numerators over one common denominator.
+        common arity may differ from ``self.arity``).  Everything runs on
+        (den, int-dict) pairs: each image is read once with ``to_raw``, its
+        powers are cached, so repeated exponents cost one product each, and
+        the image of each monomial is a product of those powers, its
+        denominator the product of theirs.  The coefficient-weighted sum of
+        the monomial images is taken over the least common multiple of
+        their denominators, and scalars are built once, for the result.
         """
         if len(images) != self.arity:
             raise ArityMismatchError(f"expected {self.arity} images, got {len(images)}")
@@ -171,8 +185,10 @@ class Polynomial(SparseElement):
                 raise ArityMismatchError("images have mixed arities")
             if g.field != self.field:
                 raise FieldMismatchError("image field mismatch")
-        one = Polynomial.constant(target_arity, self.field, self.field.one())
-        power_cache = [{0: one, 1: g} for g in images]
+        p = self.field.p
+        one = (1, {(0,) * target_arity: 1})
+        raw_images = [g._raw() for g in images]
+        power_cache = [{0: one, 1: g} for g in raw_images]
 
         def img_power(i, e):
             cache = power_cache[i]
@@ -180,7 +196,7 @@ class Polynomial(SparseElement):
                 best = max(k for k in cache if k <= e)
                 acc = cache[best]
                 for k in range(best + 1, e + 1):
-                    acc = acc * images[i]
+                    acc = _raw_product(acc, raw_images[i], p)
                     cache[k] = acc
             return cache[e]
 
@@ -189,19 +205,17 @@ class Polynomial(SparseElement):
             piece = one
             for i, e in enumerate(mono):
                 if e:
-                    piece = img_power(i, e) if piece is one else piece * img_power(i, e)
+                    piece = img_power(i, e) if piece is one else _raw_product(piece, img_power(i, e), p)
             pieces.append(piece)
-        # One common denominator for the coefficients of self and one for
-        # those of all the pieces; the sum runs on their numerators.
         den, coeffs = self.field.to_raw(self.terms.values())
-        piece_den, piece_ints = self.field.to_raw(c for piece in pieces for c in piece.terms.values())
-        piece_ints = iter(piece_ints)
+        common = lcm(*(piece_den for piece_den, _ in pieces))
         acc = {}
         get = acc.get
-        for coeff, piece in zip(coeffs, pieces):
-            for mono, v in zip(piece.terms, piece_ints):
+        for coeff, (piece_den, piece) in zip(coeffs, pieces):
+            coeff *= common // piece_den
+            for mono, v in piece.items():
                 acc[mono] = get(mono, 0) + coeff * v
-        return one._wrap_raw(den * piece_den, acc)
+        return images[0]._wrap_raw(den * common, acc)
 
     def __repr__(self):
         from .parsing import poly_to_str

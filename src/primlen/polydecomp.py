@@ -18,8 +18,10 @@ construction:
 4. certify each summand u_k primitive as the image of x1 under the
    triangular automorphism theta: x1 -> xi_k1 x1 + beta [k = 1] +
    sum_p xi_kp x2^p (beta the constant term), followed by the linear map
-   phi with x2 -> s_{a_k} and then by psi^-1.  phi and psi^-1 are
-   ``linalg.basis_from_rows`` matrices, like every linear factor.  The
+   phi with x2 -> s_{a_k} and then by psi^-1.  psi^-1 is a
+   ``linalg.basis_from_rows`` matrix, like every linear factor, and phi is
+   the one that ``basis_from_rows([e_1, s_{a_k}])`` gives, written
+   directly (``lattice_phi``), since its pivots are known.  The
    summand is assembled from that closed form rather than by replaying
    the chain: u_k = xi_k1 l + beta [k = 1] + sum_p xi_kp L_k^p, with l the
    image of x1 under psi^-1 and L_k = s_{a_k} psi^-1, each power expanded
@@ -49,7 +51,7 @@ from operator import getitem, mul
 
 from .errors import UnsupportedInputError
 from .field import QQ, int_to_str
-from .linalg import basis_from_rows
+from .linalg import DenseMatrix
 from .multipoly import Polynomial, monomials_of_degree, multinomial
 from .polyauto import (
     AffineAuto,
@@ -60,7 +62,7 @@ from .polyauto import (
     linearize,
     validate_certificate,
 )
-from .sparse import MAX_ARITY
+from .sparse import MAX_ARITY, element_sum
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -69,15 +71,18 @@ ZERO_NOTE = "the zero element is reported as the empty sum (additive primitive l
 
 #: The largest degree, and the most summands N = binom(n+d-1, d-1), that
 #: poly_bound accepts for degree n > 1 in d > 1 variables, so that decompose
-#: and the verifier's rebuild refuse larger inputs at one site.  Decompose /
-#: verify of (d, n) with every monomial of degree <= n present (coefficients
-#: a/b with |a|, b <= 100), fractions backend, 2-vCPU container: (4,6)
-#: N = 84 0.04 / 0.13 s, (2,16) 0.01 / 0.02 s, (3,16) N = 153 0.5 / 1.4 s,
-#: (6,5) N = 252 0.3 / 0.9 s; above the caps (2,40) 0.3 / 0.5 s, (2,60)
-#: 0.8 / 1.5 s, (3,20) N = 231 1.6 / 4.0 s, (6,6) N = 462 1.1 / 3.3 s.
-#: Verify, which replays every certificate, dominates.  The degree cap is
-#: set by d = 3, where N stays under MAX_NODES up to degree 20; together the
-#: caps keep every accepted input to a few seconds.
+#: and the verifier's rebuild refuse larger inputs at one site.  decompose
+#: / verify_document of the loaded document for (d, n) with every monomial
+#: of degree <= n present (coefficients a/b with |a|, b <= 100), best of
+#: two, fractions backend, Python 3.11, 2-vCPU container: (4,6) N = 84
+#: 0.08 / 0.45 s, (2,16) 0.02 / 0.06 s, (3,16) N = 153 0.8 / 4.2 s, (6,5)
+#: N = 252 0.7 / 3.4 s; above the caps (2,40) 0.3 / 1.1 s, (2,60) 2.1 /
+#: 5.6 s, (3,20) N = 231 2.6 / 10.7 s, (6,6) N = 462 2.4 / 11.3 s.  Verify
+#: dominates, and reading the document dominates verify: at (3,16) the
+#: 15.6 MB document takes 2.6 s to rebuild, mostly parsing its summand
+#: strings, and 1.2 s to replay and re-sum.  The degree cap is set by
+#: d = 3, where N stays under MAX_NODES up to degree 20; together the caps
+#: keep every accepted input to a few seconds.
 MAX_DEGREE = 16
 MAX_NODES = 252
 
@@ -161,6 +166,21 @@ def lattice_nodes(n, d):
     are exactly the levels <= p.
     """
     return [a for q in range(n + 1) for a in monomials_of_degree(d - 1, q)]
+
+
+def lattice_phi(node, field):
+    """The matrix of phi for the lattice point a = node: rows e_1, s_a, e_3, ..., e_d.
+
+    This is ``basis_from_rows([e_1, s_a])`` without the elimination: the
+    pivots of e_1 and s_a are always the columns 1 and 2, because the
+    second entry of s_a is a_1 + 1 >= 1.
+    """
+    d = len(node) + 1
+    one, zero = field.one(), field.zero()
+    entries = [one] + [zero] * (d - 1) + [one] + [field(a_i + 1) for a_i in node]
+    for m in range(2, d):
+        entries += [one if i == m else zero for i in range(d)]
+    return DenseMatrix(d, d, field, entries)
 
 
 def assign_linear_coeffs(count, delta, field=QQ):
@@ -314,7 +334,6 @@ def decompose(f):
     power_terms = [_power_terms(d, p) for p in range(2, n + 1)]
 
     one, zero = field.one(), field.zero()
-    e1 = [one] + [zero] * (d - 1)
     summands = []
     for k in range(bound):
         tail_terms = {}
@@ -328,7 +347,7 @@ def decompose(f):
             [Polynomial(d, field, tail_terms)] + [Polynomial.zero(d, field)] * (d - 1),
         )
         s_a = [1] + [a_i + 1 for a_i in nodes[k]]
-        phi = AffineAuto(basis_from_rows([e1, [field(s) for s in s_a]], field))
+        phi = AffineAuto(lattice_phi(nodes[k], field))
         chain = [theta, phi]
         if psi_inv is not None:
             chain.append(psi_inv)
@@ -358,11 +377,12 @@ def check_summands(dec):
     of degree > 1 (Lie inputs have at least three generators).  Otherwise
     the status must be FINITE, and the checks validate every elementary
     factor, replay every certificate in the algebra of the input, re-sum
-    the summands and compare the count against the bound.  Returns a
-    VerifyResult carrying human-readable diagnostics.
+    the summands in one pass on ints (``sparse.element_sum``) and compare
+    the count against the bound.  Returns a VerifyResult carrying
+    human-readable diagnostics.
     """
     problems = []
-    d, fld = dec.input.arity, dec.input.field
+    d = dec.input.arity
     if dec.status == INFINITE:
         if dec.summands:
             problems.append("infinite status with a nonempty summand list")
@@ -378,10 +398,7 @@ def check_summands(dec):
             continue
         if certify_apply(cert, dec.input) != summand:
             problems.append(f"summand {i}: certificate replay mismatch")
-    total = dec.input.zero(d, fld)
-    for summand, _ in dec.summands:
-        total = total + summand
-    if total != dec.input:
+    if element_sum(dec.input, [summand for summand, _ in dec.summands]) != dec.input:
         problems.append("sum mismatch: summands do not add up to the input")
     if dec.bound is not None and len(dec.summands) > dec.bound:
         problems.append(f"count {len(dec.summands)} exceeds bound {dec.bound}")

@@ -102,6 +102,11 @@ class SparseElement:
         object.__setattr__(out, "terms", terms)
         return out
 
+    def _raw(self):
+        """(den, raw): raw maps each key of self to its int in the layout of ``FieldDescriptor.to_raw``."""
+        den, ints = self.field.to_raw(self.terms.values())
+        return den, dict(zip(self.terms, ints))
+
     def _wrap_raw(self, den, raw):
         """An element like self whose coefficient at each key of raw is raw[key] / den.
 
@@ -117,3 +122,21 @@ class SparseElement:
         return (self.arity, self.field, self.terms) == (other.arity, other.field, other.terms)
 
     __hash__ = None
+
+
+def element_sum(like, elements):
+    """The sum of elements, each of the type, arity and field of like, on ints.
+
+    One ``to_raw`` over all their coefficients, the ints added per key, and
+    one scalar per key of the result.
+    """
+    for element in elements:
+        like._check_compatible(element)
+    den, ints = like.field.to_raw([c for element in elements for c in element.terms.values()])
+    ints = iter(ints)
+    acc = {}
+    get = acc.get
+    for element in elements:
+        for key, v in zip(element.terms, ints):
+            acc[key] = get(key, 0) + v
+    return like._wrap_raw(den, acc)

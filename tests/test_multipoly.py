@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primlen.errors import ArityMismatchError, FieldMismatchError
 from primlen.field import GF, QQ
@@ -231,3 +233,61 @@ def test_substitute_cancelling_and_zero_images(field):
         zero3 = Polynomial.zero(3, field)
         assert_same(f.substitute([zero3, z]), reference_substitute(f, [zero3, z]))
         assert Polynomial.zero(2, field).substitute([z, z]) == zero3
+
+
+# -- substitution on (den, int-dict) pairs against plain ring operations -------
+
+
+def ring_substitute(f, images):
+    """x_i -> images[i] with nothing but +, * and scale on Polynomial values."""
+    target = images[0].arity
+    one = Polynomial.constant(target, f.field, f.field.one())
+    result = Polynomial.zero(target, f.field)
+    for mono, coeff in f.terms.items():
+        piece = one
+        for image, e in zip(images, mono):
+            for _ in range(e):
+                piece = piece * image
+        result = result + piece.scale(coeff)
+    return result
+
+
+@st.composite
+def field_scalars(draw, field):
+    """Small scalars; over Q with denominators from a short list, so images mix them."""
+    if field.is_rationals:
+        return field(draw(st.integers(-20, 20)), draw(st.sampled_from([1, 1, 2, 3, 4, 6, 7, 9])))
+    return field(draw(st.integers(0, field.p - 1)))
+
+
+@st.composite
+def polys(draw, arity, field, max_terms, max_exponent):
+    monos = st.tuples(*[st.integers(0, max_exponent)] * arity)
+    pairs = draw(st.lists(st.tuples(monos, field_scalars(field)), max_size=max_terms))
+    return Polynomial(arity, field, dict(pairs))
+
+
+@st.composite
+def substitutions(draw):
+    """(f, images): images of any shape, zero and constant ones included, in another arity."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(101)]))
+    d = draw(st.integers(1, 3))
+    target = draw(st.integers(1, 4))
+    f = draw(polys(d, field, 5, 3))
+    images = []
+    for _ in range(d):
+        shape = draw(st.sampled_from(["zero", "constant", "poly"]))
+        if shape == "zero":
+            images.append(Polynomial.zero(target, field))
+        elif shape == "constant":
+            images.append(Polynomial.constant(target, field, draw(field_scalars(field))))
+        else:
+            images.append(draw(polys(target, field, 3, 2)))
+    return f, images
+
+
+@settings(max_examples=200, deadline=None)
+@given(substitutions())
+def test_substitute_equals_the_ring_operations(case):
+    f, images = case
+    assert_same(f.substitute(images), ring_substitute(f, images))

@@ -21,6 +21,7 @@ from primlen.polydecomp import (
     assign_linear_coeffs,
     decompose,
     lattice_nodes,
+    lattice_phi,
     plength_bound,
     poly_bound,
     solve_degree,
@@ -368,3 +369,11 @@ def test_decompose_neither_replays_nor_eliminates(monkeypatch):
     for d, n in [(2, 5), (3, 4), (4, 3), (5, 2)]:
         f = rand_poly(rng, d, n, coeff_bound=10**40)
         assert decompose(f).count == plength_bound(n, d)
+
+
+@pytest.mark.parametrize("d, n", [(2, 6), (3, 6), (4, 6), (6, 5)])
+def test_lattice_phi_is_the_basis_completion_of_e1_and_s_a(d, n):
+    e1 = [QQ.one()] + [QQ.zero()] * (d - 1)
+    for node in lattice_nodes(n, d):
+        s_a = [QQ.one()] + [QQ(a_i + 1) for a_i in node]
+        assert lattice_phi(node, QQ) == linalg.basis_from_rows([e1, s_a], QQ)

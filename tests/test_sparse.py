@@ -1,10 +1,16 @@
 """The sparse container shared by Polynomial and LieElement."""
 
+from functools import reduce
+from operator import add
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primlen.field import GF, QQ
-from primlen.metalie import LieElement
+from primlen.metalie import LieElement, normalize_word
 from primlen.multipoly import Polynomial
+from primlen.sparse import element_sum
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2)], ids=["Q", "F2"])
@@ -38,3 +44,57 @@ def test_elements_are_immutable_and_unhashable():
             hash(element)
         assert not hasattr(element, "__dict__")
 
+
+# -- the one-pass re-sum of check_summands ------------------------------------
+
+
+@st.composite
+def summand_lists(draw):
+    """(zero, elements) in one algebra; some elements come with their negation, so sums cancel."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(101)]))
+    d = draw(st.integers(3, 4))
+    if field.is_rationals:
+        scalar = st.builds(field, st.integers(-30, 30), st.sampled_from([1, 2, 3, 5, 12]))
+    else:
+        scalar = st.builds(field, st.integers(0, field.p - 1))
+    if draw(st.booleans()):
+        zero = Polynomial.zero(d, field)
+        keys = st.tuples(*[st.integers(0, 2)] * d)
+
+        def element(pairs):
+            return Polynomial(d, field, dict(pairs))
+    else:
+        zero = LieElement.zero(d, field)
+        keys = st.lists(st.integers(1, d), min_size=1, max_size=4)
+
+        def element(pairs):
+            # the terms of a bracket of generators, rewritten to normal words, times c
+            return reduce(add, (normalize_word(w, d, field).scale(c) for w, c in pairs), zero)
+
+    elements = []
+    for pairs in draw(st.lists(st.lists(st.tuples(keys, scalar), max_size=4), max_size=6)):
+        elements.append(element(pairs))
+        if draw(st.booleans()):
+            elements.append(-elements[-1])
+    return zero, draw(st.permutations(elements))
+
+
+@settings(max_examples=200, deadline=None)
+@given(summand_lists())
+def test_element_sum_equals_the_sequential_sum(case):
+    zero, elements = case
+    expected = reduce(add, elements, zero)
+    total = element_sum(zero, elements)
+    assert total == expected
+    assert all(c for c in total.terms.values())
+    if zero.field.p is not None:
+        assert all(0 < c.value < zero.field.p for c in total.terms.values())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=["Q", "F2"])
+def test_element_sum_of_a_sum_and_its_negation_is_zero(field):
+    f = Polynomial(2, field, {(1, 0): field(1), (0, 2): field(1)})
+    assert element_sum(f, [f, -f]).is_zero()
+    assert element_sum(f, []).is_zero()
+    with pytest.raises(TypeError):
+        element_sum(f, [LieElement.generator(2, field, 1)])
