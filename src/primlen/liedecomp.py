@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from .errors import UnsupportedInputError
 from .field import FieldScalar
 from .linalg import DenseMatrix, basis_from_rows, pivot_columns
-from .metalie import LieElement, bracket, inner_auto, split_parts
-from .polyauto import AffineAuto, Certificate, TriangularAuto, linear_certificate, linearize
+from .metalie import LieElement, _inner_raw, bracket, degree_cap, split_parts
+from .polyauto import AffineAuto, Certificate, TriangularAuto, apply_images, linear_certificate, linearize
 from .polydecomp import ZERO_NOTE, Decomposition, check_summands
 
 
@@ -65,8 +65,8 @@ class InnerLieAuto:
             return ["inner automorphism element has a linear part"]
         return []
 
-    def images(self, like):
-        return inner_auto(self.element)
+    def raw_images(self, like):
+        return _inner_raw(self.element._raw(), self.arity, degree_cap(), like.field.p)
 
 
 def lie_bound(d, field):
@@ -295,9 +295,9 @@ def decompose_lie(f):
             summands.append((u4, linear_certificate(u4)))
 
     if rho_inv is not None:
-        images = rho_inv.images(f)
+        images = rho_inv.raw_images(f)
         summands = [
-            (element.substitute(images), Certificate(cert.chain + [rho_inv], cert.generator_index))
+            (apply_images(images, element), Certificate(cert.chain + [rho_inv], cert.generator_index))
             for element, cert in summands
         ]
     return Decomposition(f, summands, bound)

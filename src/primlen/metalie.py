@@ -24,7 +24,10 @@ Words are rewritten on ints: ``bracket``, ``normalize_word`` and
 ``FieldDescriptor.to_raw`` (over Q numerators over a common denominator,
 over GF(p) residues, reduced mod p at every step).  FieldScalar appears
 only at the boundary: the terms an operation reads and the element it
-returns, built once with ``_wrap_raw``.
+returns, built once with ``_wrap_raw``.  ``apply_endo`` and
+``inner_auto`` wrap raw cores (``_apply_endo_raw``, ``_inner_raw``) that
+take and return (den, raw) pairs; the certificate replay
+(``polyauto.certify_apply``) calls those cores directly.
 
 Results never exceed the configurable degree cap (default 12, overridden
 by the PRIMLEN_DEGREE_CAP environment variable); a bracket that would is
@@ -37,7 +40,7 @@ import os
 from bisect import insort
 
 from .errors import ArityMismatchError, DegreeCapError, FieldMismatchError
-from .sparse import SparseElement
+from .sparse import SparseElement, combine_raw
 
 DEFAULT_DEGREE_CAP = 12
 
@@ -116,18 +119,21 @@ class LieElement(SparseElement):
         """Whether the generator x_index occurs in any stored word."""
         return any(index in w for w in self.terms)
 
-    def linear_form(self, pairs, constant=None):
-        """sum c x_i over the (i, c) in pairs, from scalars over the field of self.
-
-        A Lie algebra has no constants, so ``constant`` must be zero or None.
-        """
-        if constant:
-            raise ValueError("a Lie element has no constant term")
-        return self._wrap({(i,): c for i, c in pairs if c})
-
     def substitute(self, images):
         """The image of self under the endomorphism x_i -> images[i - 1]."""
         return apply_endo(images, self)
+
+    def _endo_raw(self, raw, images):
+        """The (den, raw) image of the pair raw under the (den, raw) generator images."""
+        return _apply_endo_raw(raw, images, degree_cap(), self.field.p)
+
+    @staticmethod
+    def _generator_key(arity, index):
+        return (index,)
+
+    @staticmethod
+    def _constant_key(arity):
+        raise ValueError("a Lie element has no constant term")
 
     def iter_sorted(self):
         for word in sorted(self.terms, key=lambda w: (len(w), w)):
@@ -199,26 +205,44 @@ def normalize_word(indices, arity, field, cap=None):
         cap = degree_cap()
     if len(indices) > cap:
         raise DegreeCapError(f"word length {len(indices)} beyond the cap {cap}")
-    first = LieElement.generator(arity, field, indices[0])
-    for idx in indices[1:]:
+    for idx in indices:
         if not 1 <= idx <= arity:
             raise ArityMismatchError(f"generator x{idx} out of range for arity {arity}")
     if is_normal_word(indices):
-        return first._wrap({indices: field.one()})
+        return LieElement._new(arity, field, {indices: field.one()})
     terms = {indices[:1]: 1}
     for idx in indices[1:]:
         terms = _bracket_raw(terms, {(idx,): 1}, cap, field.p)
-    return first._wrap_raw(1, terms)
+    return LieElement._new(arity, field, {})._wrap_raw(1, terms)
+
+
+def _apply_endo_raw(u, images, cap, p):
+    """The (den, raw) pair of u under x_i -> images[i - 1], everything on ints.
+
+    u and every image are (den, raw) pairs over normal words.  The bracket
+    of the images along a word has the product of their denominators; the
+    coefficient-weighted sum of the words' pieces is taken over the least
+    common multiple of those (``sparse.combine_raw``).
+    """
+    den, terms = u
+    pieces = []
+    for word in terms:
+        piece_den, piece = images[word[0] - 1]
+        for idx in word[1:]:
+            img_den, img = images[idx - 1]
+            piece = _bracket_raw(piece, img, cap, p)
+            piece_den *= img_den
+        pieces.append((piece_den, piece))
+    return combine_raw(den, terms.values(), pieces, p)
 
 
 def apply_endo(images, u, cap=None):
     """Homomorphic image of u under x_i -> images[i - 1]: brackets are rebuilt from the images.
 
     There must be one image per generator of u, each with the arity and
-    field of u.  The images share one denominator D over Q, so the bracket
-    of the images along a word of length m has denominator D^m; every
-    word's piece is brought to D^L, L the longest word of u, before it is
-    added.
+    field of u.  Each image is read once with ``to_raw``,
+    ``_apply_endo_raw`` does the rest on ints, and scalars are built once,
+    for the result.
     """
     d, field = u.arity, u.field
     if len(images) != d:
@@ -230,23 +254,18 @@ def apply_endo(images, u, cap=None):
             raise FieldMismatchError("endomorphism and element over different fields")
     if cap is None:
         cap = degree_cap()
-    p = field.p
-    den, ints = field.to_raw([c for g in images for c in g.terms.values()])
-    raw_images, start = [], 0
-    for g in images:
-        raw_images.append(dict(zip(g.terms, ints[start : start + len(g.terms)])))
-        start += len(g.terms)
-    den_u, coeffs = field.to_raw(u.terms.values())
-    longest = max(map(len, u.terms), default=1)
-    result = {}
-    for word, c in zip(u.terms, coeffs):
-        piece = raw_images[word[0] - 1]
-        for idx in word[1:]:
-            piece = _bracket_raw(piece, raw_images[idx - 1], cap, p)
-        c *= den ** (longest - len(word))
-        for w, x in piece.items():
-            result[w] = result.get(w, 0) + c * x
-    return u._wrap_raw(den_u * den**longest, result)
+    return u._wrap_raw(*_apply_endo_raw(u._raw(), [g._raw() for g in images], cap, field.p))
+
+
+def _inner_raw(v, arity, cap, p):
+    """The (den, raw) images x_j -> x_j + [x_j, v] of exp(ad v), for v a (den, raw) pair."""
+    den, tv = v
+    images = []
+    for j in range(1, arity + 1):
+        image = _bracket_raw({(j,): 1}, tv, cap, p)
+        image[(j,)] = den
+        images.append((den, image))
+    return images
 
 
 def inner_auto(v):
@@ -258,12 +277,7 @@ def inner_auto(v):
     """
     if v.has_linear_part():
         raise ValueError("inner automorphisms need an element of the commutator ideal")
-    d, field = v.arity, v.field
-    images = []
-    for j in range(1, d + 1):
-        xj = LieElement.generator(d, field, j)
-        images.append(xj + bracket(xj, v))
-    return images
+    return [v._wrap_raw(*image) for image in _inner_raw(v._raw(), v.arity, degree_cap(), v.field.p)]
 
 
 def split_parts(u):

@@ -10,19 +10,23 @@ once into a (den, raw) pair (``FieldDescriptor.to_raw``): over Q one common
 denominator and a map from exponent vectors to integer numerators, over
 GF(p) den 1 and the residues.  Products of pairs multiply the
 denominators and convolve the maps, reduced mod p over GF(p).
-Substitution keeps every image, every power of an image and every
-monomial's image as such a pair, and only the result is turned into
-scalars, one per coefficient (``SparseElement._wrap_raw``).
+Substitution has one raw core, ``_substitute_raw``, which takes the
+element and the images as such pairs and returns one; it keeps every
+power of an image and every monomial's image as a pair too.
+``Polynomial.substitute`` wraps it for scalars in and out, and the
+certificate replay (``polyauto.certify_apply``) calls it directly, so only
+a result is turned into scalars, one per nonzero coefficient
+(``SparseElement._wrap_raw``).
 """
 
 from __future__ import annotations
 
-from math import comb, lcm
+from math import comb
 from operator import add
 
 from .errors import ArityMismatchError, FieldMismatchError
 from .field import FieldScalar
-from .sparse import SparseElement
+from .sparse import SparseElement, combine_raw
 
 
 def multinomial(mono):
@@ -69,6 +73,41 @@ def _raw_product(a, b, p):
     return den_a * den_b, acc
 
 
+def _substitute_raw(f, images, arity, p):
+    """The (den, raw) pair of f under x_i -> images[i - 1], everything on ints.
+
+    f and every image are (den, raw) pairs, the images in ``arity``
+    variables; over GF(p) (``p`` not None) products are reduced mod p.
+    The powers of each image are cached, so repeated exponents cost one
+    product each, and the image of each monomial is a product of those
+    powers, its denominator the product of theirs.  The coefficient-weighted
+    sum of the monomial images is taken over the least common multiple of
+    their denominators (``sparse.combine_raw``).
+    """
+    den, terms = f
+    one = (1, {(0,) * arity: 1})
+    power_cache = [{0: one, 1: g} for g in images]
+
+    def img_power(i, e):
+        cache = power_cache[i]
+        if e not in cache:
+            best = max(k for k in cache if k <= e)
+            acc = cache[best]
+            for k in range(best + 1, e + 1):
+                acc = _raw_product(acc, images[i], p)
+                cache[k] = acc
+        return cache[e]
+
+    pieces = []
+    for mono in terms:
+        piece = one
+        for i, e in enumerate(mono):
+            if e:
+                piece = img_power(i, e) if piece is one else _raw_product(piece, img_power(i, e), p)
+        pieces.append(piece)
+    return combine_raw(den, terms.values(), pieces, p)
+
+
 class Polynomial(SparseElement):
     """Immutable sparse polynomial in ``arity`` variables over ``field``."""
 
@@ -94,8 +133,7 @@ class Polynomial(SparseElement):
         """The generator x_index (1-based)."""
         if not 1 <= index <= arity:
             raise ArityMismatchError(f"variable x{index} out of range for arity {arity}")
-        mono = tuple(1 if i == index - 1 else 0 for i in range(arity))
-        return cls(arity, field, {mono: field.one()})
+        return cls(arity, field, {cls._generator_key(arity, index): field.one()})
 
     # -- helpers -----------------------------------------------------------
 
@@ -127,22 +165,10 @@ class Polynomial(SparseElement):
         """Whether the variable x_index occurs in any stored monomial."""
         return any(mono[index - 1] for mono in self.terms)
 
-    def linear_form(self, pairs, constant=None):
-        """constant + sum c x_i over the (i, c) in pairs, from scalars over the field of self."""
-        d = self.arity
-        terms = {(0,) * d: constant} if constant else {}
-        for i, c in pairs:
-            if c:
-                terms[tuple(int(m == i) for m in range(1, d + 1))] = c
-        return self._wrap(terms)
-
     def linear_coefficients(self):
         """Coefficients (c_1, ..., c_d) of the degree-1 component."""
-        coeffs = []
-        for i in range(self.arity):
-            mono = tuple(1 if j == i else 0 for j in range(self.arity))
-            coeffs.append(self.terms.get(mono, self.field.zero()))
-        return coeffs
+        zero, d = self.field.zero(), self.arity
+        return [self.terms.get(self._generator_key(d, i), zero) for i in range(1, d + 1)]
 
     # -- ring operations ---------------------------------------------------
 
@@ -167,13 +193,9 @@ class Polynomial(SparseElement):
         """Apply the ring endomorphism x_i -> images[i].
 
         ``images`` must be ``arity`` polynomials over the same field (their
-        common arity may differ from ``self.arity``).  Everything runs on
-        (den, int-dict) pairs: each image is read once with ``to_raw``, its
-        powers are cached, so repeated exponents cost one product each, and
-        the image of each monomial is a product of those powers, its
-        denominator the product of theirs.  The coefficient-weighted sum of
-        the monomial images is taken over the least common multiple of
-        their denominators, and scalars are built once, for the result.
+        common arity may differ from ``self.arity``).  Each is read once
+        with ``to_raw``, ``_substitute_raw`` does the rest on ints, and
+        scalars are built once, for the result.
         """
         if len(images) != self.arity:
             raise ArityMismatchError(f"expected {self.arity} images, got {len(images)}")
@@ -185,37 +207,20 @@ class Polynomial(SparseElement):
                 raise ArityMismatchError("images have mixed arities")
             if g.field != self.field:
                 raise FieldMismatchError("image field mismatch")
-        p = self.field.p
-        one = (1, {(0,) * target_arity: 1})
-        raw_images = [g._raw() for g in images]
-        power_cache = [{0: one, 1: g} for g in raw_images]
+        raw = _substitute_raw(self._raw(), [g._raw() for g in images], target_arity, self.field.p)
+        return images[0]._wrap_raw(*raw)
 
-        def img_power(i, e):
-            cache = power_cache[i]
-            if e not in cache:
-                best = max(k for k in cache if k <= e)
-                acc = cache[best]
-                for k in range(best + 1, e + 1):
-                    acc = _raw_product(acc, raw_images[i], p)
-                    cache[k] = acc
-            return cache[e]
+    def _endo_raw(self, raw, images):
+        """The (den, raw) image of the pair raw under the (den, raw) generator images, in d = arity."""
+        return _substitute_raw(raw, images, self.arity, self.field.p)
 
-        pieces = []
-        for mono in self.terms:
-            piece = one
-            for i, e in enumerate(mono):
-                if e:
-                    piece = img_power(i, e) if piece is one else _raw_product(piece, img_power(i, e), p)
-            pieces.append(piece)
-        den, coeffs = self.field.to_raw(self.terms.values())
-        common = lcm(*(piece_den for piece_den, _ in pieces))
-        acc = {}
-        get = acc.get
-        for coeff, (piece_den, piece) in zip(coeffs, pieces):
-            coeff *= common // piece_den
-            for mono, v in piece.items():
-                acc[mono] = get(mono, 0) + coeff * v
-        return images[0]._wrap_raw(den * common, acc)
+    @staticmethod
+    def _generator_key(arity, index):
+        return (0,) * (index - 1) + (1,) + (0,) * (arity - index)
+
+    @staticmethod
+    def _constant_key(arity):
+        return (0,) * arity
 
     def __repr__(self):
         from .parsing import poly_to_str

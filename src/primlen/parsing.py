@@ -46,7 +46,7 @@ import re
 
 from .errors import ParseError, UnsupportedInputError
 from .field import int_to_str, str_to_int
-from .metalie import LieElement, normalize_word
+from .metalie import LieElement, degree_cap, normalize_word
 from .multipoly import Polynomial
 from .polydecomp import MAX_DEGREE, MAX_POWER_BITS, MAX_TERMS
 
@@ -266,9 +266,11 @@ def parse_poly(src, arity, field):
 
 
 def parse_lie(src, arity, field):
+    """The LieElement of src; the degree cap is read once, at the first bracket."""
     r = _Reader(src, arity, field)
     tokens = r.tokens
     zero = LieElement.zero(arity, field)
+    cap = None
 
     def lexpr():
         return r.read_sum(lterm, zero)
@@ -307,6 +309,7 @@ def parse_lie(src, arity, field):
         return {word: coeff * c for word, coeff in atom_terms.items()}
 
     def latom():
+        nonlocal cap
         kind, text, pos = tokens[r.i]
         if kind == "name":
             index = r.variable_index(tokens[r.i])
@@ -321,7 +324,9 @@ def parse_lie(src, arity, field):
             r.expect("]")
             if len(indices) < 2:
                 raise ParseError("a bracket needs at least two entries", pos)
-            return normalize_word(indices, arity, field).terms
+            if cap is None:
+                cap = degree_cap()
+            return normalize_word(indices, arity, field, cap).terms
         if kind == "(":
             r.i += 1
             value = lexpr()

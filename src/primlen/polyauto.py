@@ -14,16 +14,27 @@ Factors are plain records: constructing one checks nothing.  Each lists
 its own problems in ``validate()``, and ``validate_certificate``, which the
 verifier runs before any replay, is the only place that calls it.
 
-A factor does not know its algebra: ``images(like)`` gives the images of
-the generators in the algebra of the element ``like``, and an element's
-``substitute`` applies them.  A certificate is a chain of factors plus a
+A factor does not know its algebra: ``raw_images(like)`` gives the images
+of the generators in the algebra of the element ``like`` as (den, raw)
+pairs, ints over one denominator in the layout of
+``FieldDescriptor.to_raw``, read with one ``to_raw`` per factor: an affine
+factor from its matrix and offset, a triangular factor from its gammas and
+tails, an inner factor from its element.  ``apply_images`` applies them
+with the element's raw core (``multipoly._substitute_raw`` or
+``metalie._apply_endo_raw``).  A certificate is a chain of factors plus a
 generator index; replaying the chain (innermost first) on that generator
-reproduces a primitive element.  Both pipelines build their linear factors
-with ``linalg.basis_from_rows``: ``linearize`` for the map that sends a
-linear part to x1, ``linear_certificate`` for a summand of degree 1.
+reproduces a primitive element.  ``certify_apply`` replays on ints from
+the factors' entries to the result: runs of consecutive affine factors are
+composed on their int rows, every intermediate element stays a (den, raw)
+pair, and scalars are built once, for the result.  Both pipelines build
+their linear factors with ``linalg.basis_from_rows``: ``linearize`` for
+the map that sends a linear part to x1, ``linear_certificate`` for a
+summand of degree 1.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .errors import ArityMismatchError
 from .linalg import basis_from_rows, matrix_inverse, matrix_problems
@@ -31,7 +42,41 @@ from .linalg import basis_from_rows, matrix_inverse, matrix_problems
 
 def _generator(like, index):
     """x_index in the algebra of like."""
-    return like.linear_form([(index, like.field.one())])
+    return like._wrap({like._generator_key(like.arity, index): like.field.one()})
+
+
+def _affine_images(raw, like):
+    """The (den, raw) generator images, keyed for like, of the affine map raw = (den, rows, offset)."""
+    den, rows, offset = raw
+    d = like.arity
+    keys = [like._generator_key(d, i) for i in range(1, d + 1)]
+    images = []
+    for row, b in zip(rows, offset):
+        image = {key: c for key, c in zip(keys, row) if c}
+        if b:
+            image[like._constant_key(d)] = b
+        images.append((den, image))
+    return images
+
+
+def _compose_raw(outer, inner, p):
+    """The raw affine map (den, rows, offset) equal to outer applied after inner, on ints.
+
+    With images in rows, substituting outer into inner's images gives the
+    matrix inner * outer over the product of the denominators, and the
+    offset inner.offset * den(outer) + inner.matrix * outer.offset; over
+    GF(p) (``p`` not None) every entry is reduced mod p, which keeps the
+    ints of a long run small.
+    """
+    den_in, rows_in, offset_in = inner
+    den_out, rows_out, offset_out = outer
+    cols = list(zip(*rows_out))
+    rows = [[sum(map(mul, row, col)) for col in cols] for row in rows_in]
+    offset = [b * den_out + sum(map(mul, row, offset_out)) for row, b in zip(rows_in, offset_in)]
+    if p is not None:
+        rows = [[c % p for c in row] for row in rows]
+        offset = [b % p for b in offset]
+    return den_in * den_out, rows, offset
 
 
 class AffineAuto:
@@ -56,8 +101,14 @@ class AffineAuto:
             problems.insert(0, "offset has wrong length")
         return problems
 
-    def images(self, like):
-        return [like.linear_form(enumerate(self.matrix.row(j), 1), b) for j, b in enumerate(self.offset)]
+    def raw(self):
+        """(den, rows, offset): the matrix rows and the offset as ints over one denominator."""
+        n, m = self.matrix.rows, self.matrix.cols
+        den, ints = self.matrix.field.to_raw(self.matrix.entries + self.offset)
+        return den, [ints[j * m : (j + 1) * m] for j in range(n)], ints[n * m :]
+
+    def raw_images(self, like):
+        return _affine_images(self.raw(), like)
 
 
 class TriangularAuto:
@@ -99,18 +150,30 @@ class TriangularAuto:
                     break
         return problems
 
-    def images(self, like):
-        out = [None] * self.arity
-        for gen, gamma, tail in zip(self.ordering, self.gammas, self.tails):
-            out[gen - 1] = tail.linear_form([(gen, gamma)]) + tail
-        return out
+    def raw_images(self, like):
+        """The images gamma x_gen + tail; a tail never mentions its own generator (``validate``)."""
+        d = like.arity
+        den, ints = like.field.to_raw(self.gammas + [c for tail in self.tails for c in tail.terms.values()])
+        rest = iter(ints[len(self.gammas) :])
+        images = [None] * d
+        for gen, gamma, tail in zip(self.ordering, ints, self.tails):
+            image = dict(zip(tail.terms, rest))
+            if gamma:
+                image[like._generator_key(d, gen)] = gamma
+            images[gen - 1] = (den, image)
+        return images
+
+
+def apply_images(images, f):
+    """The image of the element f under the (den, raw) generator images, in the algebra of f."""
+    return f._wrap_raw(*f._endo_raw(f._raw(), images))
 
 
 def apply_auto(auto, f):
     """Image of the element f under an elementary automorphism, in the algebra of f."""
     if auto.arity != f.arity:
         raise ArityMismatchError("automorphism arity mismatch")
-    return f.substitute(auto.images(f))
+    return apply_images(auto.raw_images(f), f)
 
 
 def invert_auto(auto):
@@ -134,18 +197,6 @@ def invert_auto(auto):
         gammas.append(inv_gamma)
         tails.append(inv_images[gen - 1] - x.scale(inv_gamma))
     return TriangularAuto(gammas[::-1], tails[::-1], auto.ordering)
-
-
-def compose_affine(outer, inner):
-    """The affine automorphism equal to outer applied after inner.
-
-    With images in rows, substituting outer into inner's images gives the
-    matrix inner * outer and the offset inner.offset + inner.matrix * outer.offset.
-    """
-    matrix = inner.matrix.mul_matrix(outer.matrix)
-    shifted = inner.matrix.mul_vector(outer.offset)
-    offset = [inner.offset[j] + shifted[j] for j in range(outer.arity)]
-    return AffineAuto(matrix, offset)
 
 
 class Certificate:
@@ -190,30 +241,33 @@ def linear_certificate(f, constant=None):
 
 
 def certify_apply(cert, like):
-    """Replay the certificate chain on its generator, in the algebra of ``like``.
+    """Replay the certificate chain on its generator, in the algebra of ``like``, on ints.
 
-    Runs of consecutive affine factors are composed into a single affine
-    map before substitution; by associativity the result is identical and
-    the expansion of large intermediate elements happens only once.
+    The element being replayed stays a (den, raw) pair from the generator
+    to the result.  Runs of consecutive affine factors are composed on
+    their int rows (``_compose_raw``) before substitution; by associativity
+    the result is identical and the expansion of large intermediate
+    elements happens only once.  Scalars are built once, for the result.
     """
-    arity = like.arity
+    arity, p = like.arity, like.field.p
     if not 1 <= cert.generator_index <= arity:
         raise ArityMismatchError("generator index out of range")
-    f = _generator(like, cert.generator_index)
+    f = (1, {like._generator_key(arity, cert.generator_index): 1})
     pending = None
     for auto in cert.chain:
         if auto.arity != arity:
             raise ArityMismatchError("certificate chain arity mismatch")
         if isinstance(auto, AffineAuto):
-            pending = auto if pending is None else compose_affine(auto, pending)
+            raw = auto.raw()
+            pending = raw if pending is None else _compose_raw(raw, pending, p)
             continue
         if pending is not None:
-            f = apply_auto(pending, f)
+            f = like._endo_raw(f, _affine_images(pending, like))
             pending = None
-        f = apply_auto(auto, f)
+        f = like._endo_raw(f, auto.raw_images(like))
     if pending is not None:
-        f = apply_auto(pending, f)
-    return f
+        f = like._endo_raw(f, _affine_images(pending, like))
+    return like._wrap_raw(*f)
 
 
 def validate_certificate(cert, arity):

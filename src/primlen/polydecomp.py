@@ -304,9 +304,9 @@ def decompose(f):
     if f.is_zero():
         return Decomposition(f, [], bound, notes=[ZERO_NOTE])
     if n == 0:
-        beta, one = f.constant_term(), field.one()
-        first, second = f.linear_form([(1, one)], beta), f.linear_form([(1, -one)])
-        summands = [(first, linear_certificate(first, beta)), (second, linear_certificate(second))]
+        x1 = Polynomial.variable(d, field, 1)
+        first, second = x1 + f, -x1
+        summands = [(first, linear_certificate(first, f.constant_term())), (second, linear_certificate(second))]
         return Decomposition(f, summands, bound)
     if n == 1:
         return Decomposition(f, [(f, linear_certificate(f, f.constant_term()))], bound)

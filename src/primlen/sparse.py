@@ -9,6 +9,8 @@ compare equal structurally.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .errors import ArityMismatchError, FieldMismatchError, UnsupportedInputError
 from .field import FieldScalar
 
@@ -94,13 +96,18 @@ class SparseElement:
             return self._wrap({})
         return self._wrap({k: c * v for k, v in self.terms.items()})
 
-    def _wrap(self, terms):
-        """An element like self holding terms, which must already be canonical and nonzero."""
-        out = object.__new__(type(self))
-        object.__setattr__(out, "arity", self.arity)
-        object.__setattr__(out, "field", self.field)
+    @classmethod
+    def _new(cls, arity, field, terms):
+        """An element holding terms, which must already be canonical and nonzero; nothing is checked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "arity", arity)
+        object.__setattr__(out, "field", field)
         object.__setattr__(out, "terms", terms)
         return out
+
+    def _wrap(self, terms):
+        """An element like self holding terms, which must already be canonical and nonzero."""
+        return self._new(self.arity, self.field, terms)
 
     def _raw(self):
         """(den, raw): raw maps each key of self to its int in the layout of ``FieldDescriptor.to_raw``."""
@@ -111,10 +118,11 @@ class SparseElement:
         """An element like self whose coefficient at each key of raw is raw[key] / den.
 
         raw maps keys to ints in the layout of ``FieldDescriptor.to_raw``;
-        zero coefficients are dropped.
+        zero coefficients are dropped on the ints, so one scalar is built
+        per term of the result.
         """
-        scalars = self.field.from_raw(den, raw.values())
-        return self._wrap({key: c for key, c in zip(raw, scalars) if c})
+        raw = prune_raw(raw, self.field.p)
+        return self._wrap(dict(zip(raw, self.field.from_raw(den, raw.values()))))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -122,6 +130,30 @@ class SparseElement:
         return (self.arity, self.field, self.terms) == (other.arity, other.field, other.terms)
 
     __hash__ = None
+
+
+def prune_raw(raw, p):
+    """raw without its zero coefficients; over GF(p) (``p`` not None) reduced mod p first."""
+    if p is None:
+        return {key: v for key, v in raw.items() if v}
+    return {key: r for key, v in raw.items() if (r := v % p)}
+
+
+def combine_raw(den, coeffs, pieces, p):
+    """The (den, raw) pair of sum_k coeffs[k] / den * pieces[k].
+
+    ``coeffs`` are ints over ``den`` and each piece is a (den, raw) pair;
+    the sum is taken over the least common multiple of the piece
+    denominators and returned pruned (``prune_raw``).
+    """
+    common = lcm(*(piece_den for piece_den, _ in pieces))
+    acc = {}
+    get = acc.get
+    for c, (piece_den, piece) in zip(coeffs, pieces):
+        c *= common // piece_den
+        for key, v in piece.items():
+            acc[key] = get(key, 0) + c * v
+    return den * common, prune_raw(acc, p)
 
 
 def element_sum(like, elements):

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from primlen.errors import ParseError
+from primlen import parsing
+from primlen.errors import ArityMismatchError, DegreeCapError, ParseError
 from primlen.field import GF, QQ
 from primlen.metalie import LieElement, normalize_word
+from primlen.sparse import SparseElement
 from primlen.multipoly import Polynomial, monomials_of_degree
 from primlen.parsing import lie_to_str, parse_lie, parse_poly, poly_to_str
 
@@ -298,3 +300,54 @@ def test_round_trip_beyond_the_digit_limit(digits):
     assert parse_poly(poly_to_str(f), 2, QQ) == f
     u = LieElement(3, QQ, {(2, 1): QQ(big, 7), (1,): QQ(-1, big)})
     assert parse_lie(lie_to_str(u), 3, QQ) == u
+
+
+# -- the degree cap and the bracket words of the Lie reader ---------------------
+
+
+def test_parse_lie_reads_the_degree_cap_once_at_its_first_bracket(monkeypatch):
+    reads = []
+
+    def counting_cap():
+        reads.append(1)
+        return 12
+
+    monkeypatch.setattr(parsing, "degree_cap", counting_cap)
+    u = parse_lie("[x2,x1,x3] + 2*[x3,x1] - ([x3,x2,x2] + x1)", 3, QQ)
+    assert len(reads) == 1
+    assert lie_to_str(u) == "-x1 + 2*[x3,x1] + [x2,x1,x3] - [x3,x2,x2]"
+    reads.clear()
+    parse_lie("x1 - 2*x3 + (x2 + x1)", 3, QQ)
+    assert reads == []
+
+
+def test_normalize_word_builds_no_validated_element(monkeypatch):
+    words = [(2, 1), (2, 1, 3, 3), (1, 2), (3, 1, 2), (1, 2, 3, 1), (2, 2, 1)]
+    expected = {w: parse_lie("[" + ",".join(f"x{i}" for i in w) + "]", 3, GF(3)) for w in words}
+    built = []
+    init = SparseElement.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SparseElement, "__init__", counting)
+    for w in words:
+        assert normalize_word(w, 3, GF(3)) == expected[w]
+    assert built == []
+
+
+def test_bracket_word_errors_are_unchanged(monkeypatch):
+    with pytest.raises(DegreeCapError, match=r"^word length 13 beyond the cap 12$"):
+        parse_lie("[x2" + ",x1" * 12 + "]", 3, QQ)
+    with pytest.raises(ArityMismatchError, match=r"^generator x9 out of range for arity 3$"):
+        normalize_word((9, 1), 3, QQ)
+    with pytest.raises(ArityMismatchError, match=r"^generator x4 out of range for arity 3$"):
+        normalize_word((2, 1, 4), 3, QQ)
+    monkeypatch.setenv("PRIMLEN_DEGREE_CAP", "3")
+    with pytest.raises(DegreeCapError, match=r"^word length 4 beyond the cap 3$"):
+        parse_lie("x1 + [x2,x1,x1,x1]", 3, QQ)
+    monkeypatch.setenv("PRIMLEN_DEGREE_CAP", "abc")
+    assert parse_lie("x1 + x2", 3, QQ) == parse_lie("x2 + x1", 3, QQ)
+    with pytest.raises(ValueError):
+        parse_lie("x1 + [x2,x1]", 3, QQ)

@@ -1,10 +1,17 @@
 import random
 
-from primlen.field import GF, QQ
-from primlen.liedecomp import InnerLieAuto
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from primlen import field as field_module
+from primlen.field import GF, QQ, FieldScalar, field_from_flag
+from primlen.liedecomp import InnerLieAuto, decompose_lie
 from primlen.linalg import DenseMatrix, bareiss_determinant
-from primlen.metalie import LieElement, normalize_word
+from primlen.metalie import LieElement, bracket, normalize_word
 from primlen.multipoly import Polynomial
+from primlen.parsing import parse_lie, parse_poly
+from primlen.polydecomp import decompose
 from primlen.polyauto import (
     AffineAuto,
     Certificate,
@@ -34,7 +41,7 @@ def tri_example():
 
 
 def images_equal(a, b):
-    return a.arity == b.arity and all(p == q for p, q in zip(a.images(x1), b.images(x1)))
+    return a.arity == b.arity and all(apply_auto(a, x) == apply_auto(b, x) for x in (x1, x2))
 
 
 def test_apply_affine():
@@ -252,3 +259,140 @@ def test_validate_certificate_reports():
     problems = validate_certificate(Certificate([bad], 1), d)
     assert problems and "gamma" in problems[0]
     assert validate_certificate(Certificate([], 9), d)
+
+
+# -- the int replay against a factor-by-factor scalar reference ---------------
+
+
+def scalar_images(auto, like):
+    """The generator images of one factor, built with scalar arithmetic alone."""
+    d, field = like.arity, like.field
+    gens = [generator(like, i) for i in range(1, d + 1)]
+    if isinstance(auto, AffineAuto):
+        images = []
+        for j, b in enumerate(auto.offset):
+            image = Polynomial.constant(d, field, b) if isinstance(like, Polynomial) else like.zero(d, field)
+            for i, x in enumerate(gens):
+                image = image + x.scale(auto.matrix.get(j, i))
+            images.append(image)
+        return images
+    if isinstance(auto, TriangularAuto):
+        images = list(gens)
+        for gen, gamma, tail in zip(auto.ordering, auto.gammas, auto.tails):
+            images[gen - 1] = gens[gen - 1].scale(gamma) + tail
+        return images
+    return [x + bracket(x, auto.element) for x in gens]
+
+
+def reference_replay(cert, like):
+    """Each factor in turn, by substitution of its scalar images; nothing is composed."""
+    f = generator(like, cert.generator_index)
+    for auto in cert.chain:
+        f = f.substitute(scalar_images(auto, like))
+    return f
+
+
+@st.composite
+def replay_scalars(draw, field, nonzero=False):
+    """Small scalars; over Q with denominators from a short list, so one factor mixes them."""
+    if field.is_rationals:
+        num = draw(st.integers(1, 20) if nonzero else st.integers(-20, 20))
+        return field(draw(st.sampled_from([1, -1])) * num, draw(st.sampled_from([1, 1, 2, 3, 4, 6, 9])))
+    return field(draw(st.integers(1 if nonzero else 0, field.p - 1)))
+
+
+@st.composite
+def replay_tail(draw, lie, d, field, allowed):
+    """A tail in the generators ``allowed``: a polynomial with a constant, or Lie words."""
+    if lie:
+        tail = LieElement.zero(d, field)
+        for _ in range(draw(st.integers(0, 2)) if allowed else 0):
+            word = draw(st.lists(st.sampled_from(allowed), min_size=1, max_size=3))
+            tail = tail + normalize_word(word, d, field).scale(draw(replay_scalars(field)))
+        return tail
+    terms = {(0,) * d: draw(replay_scalars(field))}
+    for _ in range(draw(st.integers(0, 2)) if allowed else 0):
+        mono = [0] * d
+        for gen in allowed:
+            mono[gen - 1] = draw(st.integers(0, 2))
+        terms[tuple(mono)] = draw(replay_scalars(field))
+    return Polynomial(d, field, terms)
+
+
+@st.composite
+def replay_chains(draw):
+    """(certificate, like): runs of 1-3 affine factors, triangular factors in random orderings, inner factors."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(101)]))
+    lie = draw(st.booleans())
+    d = draw(st.integers(3, 4) if lie else st.integers(1, 3))
+    like = LieElement.zero(d, field) if lie else Polynomial.zero(d, field)
+    chain = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["affine", "triangular", "inner"] if lie else ["affine", "triangular"]))
+        if kind == "affine":
+            for _ in range(draw(st.integers(1, 3))):
+                rows = [[draw(replay_scalars(field)) for _ in range(d)] for _ in range(d)]
+                offset = None if lie else [draw(replay_scalars(field)) for _ in range(d)]
+                chain.append(AffineAuto(DenseMatrix.from_rows(field, rows), offset))
+        elif kind == "triangular":
+            ordering = draw(st.permutations(range(1, d + 1)))
+            gammas = [draw(replay_scalars(field, nonzero=True)) for _ in range(d)]
+            tails = [draw(replay_tail(lie, d, field, ordering[j + 1 :])) for j in range(d)]
+            chain.append(TriangularAuto(gammas, tails, ordering))
+        else:
+            v = LieElement.zero(d, field)
+            for _ in range(draw(st.integers(0, 3))):
+                word = draw(st.lists(st.integers(1, d), min_size=2, max_size=3))
+                v = v + normalize_word(word, d, field).scale(draw(replay_scalars(field)))
+            chain.append(InnerLieAuto(v))
+    return Certificate(chain, draw(st.integers(1, d))), like
+
+
+@settings(max_examples=300, deadline=None)
+@given(replay_chains())
+def test_certify_apply_equals_the_factor_by_factor_reference(case):
+    cert, like = case
+    assert certify_apply(cert, like) == reference_replay(cert, like)
+
+
+# -- no scalar is built for an intermediate element -----------------------------
+
+
+def count_scalars(monkeypatch):
+    """A list that grows by one for every FieldScalar constructed from now on."""
+    built = []
+    init = FieldScalar.__init__
+
+    def counting(self, field, value):
+        built.append(value)
+        init(self, field, value)
+
+    monkeypatch.setattr(field_module.FieldScalar, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    "algebra, arity, flag, expr",
+    [
+        # the d5-n3-linear-part golden: a fractional psi^-1 after the lattice map
+        ("poly", 5, "Q", "x1^3 - 2*x2*x3*x5 + 3/2*x1*x4^2 + x5^3 + 3/2*x1 - x2 + 2/3*x4 + x5 - 1/7"),
+        # the Q-d3 golden: diagonal, inner and basis-change factors, then rho^-1
+        ("lie", 3, "Q", "[x2,x1,x3] - 3/2*[x3,x1] + x1 - 2*x3"),
+        ("lie", 5, "F101", "7*[x5,x1,x2] - [x3,x2] + 50*[x4,x1,x3,x3] + x1 + 3*x5"),
+    ],
+)
+def test_certify_apply_builds_scalars_only_for_its_result(monkeypatch, algebra, arity, flag, expr):
+    field = field_from_flag(flag)
+    if algebra == "poly":
+        f = parse_poly(expr, arity, field)
+        dec = decompose(f)
+    else:
+        f = parse_lie(expr, arity, field)
+        dec = decompose_lie(f)
+    assert any(len(cert.chain) > 1 for _, cert in dec.summands)
+    built = count_scalars(monkeypatch)
+    for summand, cert in dec.summands:
+        built.clear()
+        result = certify_apply(cert, f)
+        assert result == summand
+        assert len(built) <= len(result.terms)
