@@ -4,7 +4,9 @@ Documents are audit artifacts: they carry the input, every summand with its
 certificate chain, the bound, and the summand count and input degree, all
 with exact textual scalars, so an independent checker can replay and
 recompute everything.  Keys are emitted in sorted order for reproducible
-output.  Documents written before ``stats.ops`` was dropped still load and
+output, without indentation or spaces after separators, so the C encoder
+of the json module writes them; indented documents (written before the
+compact form) are the same JSON value and load and verify alike.  Documents written before ``stats.ops`` was dropped still load and
 verify: the verifier ignores that field.
 """
 
@@ -121,7 +123,8 @@ def lie_document(dec):
 
 
 def dumps(doc):
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The document as compact JSON text with sorted keys and a trailing newline."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def loads(text):

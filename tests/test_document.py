@@ -143,3 +143,14 @@ def test_a_document_without_notes_still_verifies():
     doc = golden("d2-n3")
     del doc["notes"]
     assert verify_document(copy.deepcopy(doc)).ok
+
+
+@pytest.mark.parametrize("name", sorted(POLY_CORPUS) + sorted(LIE_CORPUS))
+def test_documents_are_compact_and_indented_ones_still_verify(name):
+    doc = golden(name)
+    text = document.dumps(doc)
+    assert text.endswith("\n") and "\n" not in text[:-1]
+    assert ", " not in text and '": ' not in text
+    indented = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert document.loads(indented) == document.loads(text)
+    assert verify_document(document.loads(indented)).ok
