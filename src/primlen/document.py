@@ -6,8 +6,9 @@ with exact textual scalars, so an independent checker can replay and
 recompute everything.  Keys are emitted in sorted order for reproducible
 output, without indentation or spaces after separators, so the C encoder
 of the json module writes them; indented documents (written before the
-compact form) are the same JSON value and load and verify alike.  Documents written before ``stats.ops`` was dropped still load and
-verify: the verifier ignores that field.
+compact form) are the same JSON value and load and verify alike.
+Documents written before ``stats.ops`` was dropped still load and verify:
+the verifier ignores that field.
 """
 
 from __future__ import annotations

@@ -305,7 +305,7 @@ def decompose(f):
         return Decomposition(f, [], bound, notes=[ZERO_NOTE])
     if n == 0:
         x1 = Polynomial.variable(d, field, 1)
-        first, second = x1 + f, -x1
+        first, second = x1 + f, -x1  # f is the constant
         summands = [(first, linear_certificate(first, f.constant_term())), (second, linear_certificate(second))]
         return Decomposition(f, summands, bound)
     if n == 1:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primlen import field as field_module
 from primlen.field import GF, QQ, FieldScalar, field_from_flag
 from primlen.liedecomp import InnerLieAuto, decompose_lie
 from primlen.linalg import DenseMatrix, bareiss_determinant
@@ -23,6 +22,7 @@ from primlen.polyauto import (
 )
 
 from conftest import rand_lie, rand_nonzero_scalar, rand_poly, rand_scalar
+from test_golden import LIE_CORPUS, POLY_CORPUS
 
 d = 2
 x1 = Polynomial.variable(d, QQ, 1)
@@ -321,7 +321,8 @@ def replay_tail(draw, lie, d, field, allowed):
 
 @st.composite
 def replay_chains(draw):
-    """(certificate, like): runs of 1-3 affine factors, triangular factors in random orderings, inner factors."""
+    """(certificate, like): runs of 1-3 affine factors, triangular factors in random
+    orderings and, for Lie elements, inner factors."""
     field = draw(st.sampled_from([QQ, GF(2), GF(101)]))
     lie = draw(st.booleans())
     d = draw(st.integers(3, 4) if lie else st.integers(1, 3))
@@ -367,27 +368,21 @@ def count_scalars(monkeypatch):
         built.append(value)
         init(self, field, value)
 
-    monkeypatch.setattr(field_module.FieldScalar, "__init__", counting)
+    monkeypatch.setattr(FieldScalar, "__init__", counting)
     return built
 
 
-@pytest.mark.parametrize(
-    "algebra, arity, flag, expr",
-    [
-        # the d5-n3-linear-part golden: a fractional psi^-1 after the lattice map
-        ("poly", 5, "Q", "x1^3 - 2*x2*x3*x5 + 3/2*x1*x4^2 + x5^3 + 3/2*x1 - x2 + 2/3*x4 + x5 - 1/7"),
-        # the Q-d3 golden: diagonal, inner and basis-change factors, then rho^-1
-        ("lie", 3, "Q", "[x2,x1,x3] - 3/2*[x3,x1] + x1 - 2*x3"),
-        ("lie", 5, "F101", "7*[x5,x1,x2] - [x3,x2] + 50*[x4,x1,x3,x3] + x1 + 3*x5"),
-    ],
-)
-def test_certify_apply_builds_scalars_only_for_its_result(monkeypatch, algebra, arity, flag, expr):
-    field = field_from_flag(flag)
-    if algebra == "poly":
-        f = parse_poly(expr, arity, field)
+@pytest.mark.parametrize("name", ["d5-n3-linear-part", "Q-d3", "F101-d5"])
+def test_certify_apply_builds_scalars_only_for_its_result(monkeypatch, name):
+    """d5-n3-linear-part puts a fractional psi^-1 after each lattice map; the
+    Lie goldens carry diagonal, inner and basis-change factors, then rho^-1."""
+    if name in POLY_CORPUS:
+        arity, expr, _ = POLY_CORPUS[name]
+        f = parse_poly(expr, arity, QQ)
         dec = decompose(f)
     else:
-        f = parse_lie(expr, arity, field)
+        arity, flag, expr, _ = LIE_CORPUS[name]
+        f = parse_lie(expr, arity, field_from_flag(flag))
         dec = decompose_lie(f)
     assert any(len(cert.chain) > 1 for _, cert in dec.summands)
     built = count_scalars(monkeypatch)
