@@ -322,7 +322,8 @@ def replay_tail(draw, lie, d, field, allowed):
 @st.composite
 def replay_chains(draw):
     """(certificate, like): runs of 1-3 affine factors, triangular factors in random
-    orderings and, for Lie elements, inner factors."""
+    orderings and, for Lie elements, inner factors.  A matrix may be singular: the
+    replay must equal the reference for any affine map."""
     field = draw(st.sampled_from([QQ, GF(2), GF(101)]))
     lie = draw(st.booleans())
     d = draw(st.integers(3, 4) if lie else st.integers(1, 3))
