@@ -14,6 +14,7 @@ the verifier ignores that field.
 from __future__ import annotations
 
 import json
+from functools import partial
 
 from .errors import ParseError, PrimlenError
 from .field import field_from_flag, int_to_str, parse_scalar
@@ -48,8 +49,8 @@ def _matrix_from_json(rows, texts):
     return DenseMatrix(len(rows), cols, texts.field, entries)
 
 
-def _factor_to_json(auto, lie):
-    """The JSON record of one factor.
+def _factor_to_json(auto, lie, to_str):
+    """The JSON record of one factor, its elements printed with ``to_str``.
 
     A Lie document spells an affine factor as "linear", without the offset
     (it is zero), and gives every triangular factor its ordering; the
@@ -64,12 +65,12 @@ def _factor_to_json(auto, lie):
         record = {
             "kind": "triangular",
             "gammas": [scalar_to_str(g) for g in auto.gammas],
-            "tails": [(lie_to_str if lie else poly_to_str)(t) for t in auto.tails],
+            "tails": [to_str(t) for t in auto.tails],
         }
         if lie:
             record["ordering"] = list(auto.ordering)
         return record
-    return {"kind": "inner", "element": lie_to_str(auto.element)}
+    return {"kind": "inner", "element": to_str(auto.element)}
 
 
 def _factor_from_json(record, texts):
@@ -89,13 +90,18 @@ def _factor_from_json(record, texts):
 
 
 def _document(dec, algebra, degree, to_str):
-    """The JSON-ready dict of a decomposition of either algebra."""
+    """The JSON-ready dict of a decomposition of either algebra.
+
+    Every element is printed with ``to_str`` through one table of key
+    texts for the document.
+    """
     lie = algebra == LIE
+    to_str = partial(to_str, table={})
     summands = [
         {
             "summand": to_str(summand),
             "generator": cert.generator_index,
-            "certificate": [_factor_to_json(a, lie) for a in cert.chain],
+            "certificate": [_factor_to_json(a, lie, to_str) for a in cert.chain],
         }
         for summand, cert in dec.summands
     ]
@@ -168,7 +174,7 @@ class _Texts:
         self.field = field
         self.arity = arity
         self.lie = lie
-        self.parse = parse_lie if lie else parse_poly
+        self.parse = parse_lie if lie else partial(parse_poly, table={})
         self.scalars = {}
         self.elements = {}
 

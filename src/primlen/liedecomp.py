@@ -65,8 +65,8 @@ class InnerLieAuto:
             return ["inner automorphism element has a linear part"]
         return []
 
-    def raw_images(self, like):
-        return _inner_raw(self.element._raw(), self.arity, degree_cap(), like.field.p)
+    def raw_images(self, like, cap):
+        return _inner_raw(self.element._raw(), self.arity, cap, like.field.p)
 
 
 def lie_bound(d, field):
@@ -295,9 +295,10 @@ def decompose_lie(f):
             summands.append((u4, linear_certificate(u4)))
 
     if rho_inv is not None:
-        images = rho_inv.raw_images(f)
+        cap = degree_cap()
+        images = rho_inv.raw_images(f, cap)
         summands = [
-            (apply_images(images, element), Certificate(cert.chain + [rho_inv], cert.generator_index))
+            (apply_images(images, element, cap), Certificate(cert.chain + [rho_inv], cert.generator_index))
             for element, cert in summands
         ]
     return Decomposition(f, summands, bound)

@@ -276,14 +276,15 @@ def matrix_inverse(matrix):
     return DenseMatrix(n, n, field, flat)
 
 
-def matrix_problems(matrix):
-    """Why matrix cannot be the matrix of an automorphism, as strings."""
-    if matrix.rows != matrix.cols:
-        return ["matrix is not square"]
-    det, _ = bareiss_determinant(matrix)
-    if det.is_zero():
-        return ["matrix is singular"]
-    return []
+def is_singular(rows, p):
+    """Whether the square matrix of int rows is singular.
+
+    The rows are in the layout of ``FieldDescriptor.to_raw`` (``p`` None
+    over Q, else the characteristic); one fraction-free elimination of a
+    copy of them finds fewer pivots than rows exactly when it is.
+    """
+    _, pivots = _bareiss_forward([list(row) for row in rows], len(rows), p, OpCounter())
+    return len(pivots) < len(rows)
 
 
 def pivot_columns(rows, field):

@@ -123,9 +123,14 @@ class LieElement(SparseElement):
         """The image of self under the endomorphism x_i -> images[i - 1]."""
         return apply_endo(images, self)
 
-    def _endo_raw(self, raw, images):
-        """The (den, raw) image of the pair raw under the (den, raw) generator images."""
-        return _apply_endo_raw(raw, images, degree_cap(), self.field.p)
+    def _endo_raw(self, raw, images, cap):
+        """The (den, raw) image of the pair raw under the (den, raw) generator images, within cap."""
+        return _apply_endo_raw(raw, images, cap, self.field.p)
+
+    @staticmethod
+    def _endo_cap():
+        """The degree cap of ``_endo_raw``, read once per replay."""
+        return degree_cap()
 
     @staticmethod
     def _generator_key(arity, index):

@@ -49,6 +49,7 @@ from .field import int_to_str, str_to_int
 from .metalie import LieElement, degree_cap, normalize_word
 from .multipoly import Polynomial
 from .polydecomp import MAX_DEGREE, MAX_POWER_BITS, MAX_TERMS
+from .sparse import MAX_ARITY
 
 # One token per match: leading whitespace, then a number, a variable name
 # (its index may be missing, which is reported), a symbol, any other
@@ -169,7 +170,89 @@ class _Reader:
         return value
 
 
-def parse_poly(src, arity, field):
+# One term in the shape the printer writes, then the separator after it: an
+# optional '-', a coefficient a or a/b and '*'-joined factors x<i> or
+# x<i>^<e> (at least one of the two), then " + ", " - " or the end of the
+# text.  The groups are the '-', a, b, the factors after a coefficient, the
+# factors alone and the sign of the next term.
+_FACTORS = r"x[0-9]+(?:\^[0-9]+)?(?:\*x[0-9]+(?:\^[0-9]+)?)*"
+_PRINTED_TERM = re.compile(rf"(-)?(?:([0-9]+)(?:/([0-9]+))?(?:\*({_FACTORS}))?|({_FACTORS}))(?: ([-+]) |\Z)")
+
+
+def _monomial_key(text, arity):
+    """The exponent tuple of the factors text, or None when an index is outside 1..arity."""
+    exps = [0] * arity
+    if text:
+        for factor in text.split("*"):
+            name, _, e = factor.partition("^")
+            index = str_to_int(name[1:])
+            if not 1 <= index <= arity:
+                return None
+            exps[index - 1] += str_to_int(e) if e else 1
+    return tuple(exps)
+
+
+def _read_printed(src, arity, field, table):
+    """The terms dict of src read one printed-shape term at a time, or None.
+
+    Each term builds one scalar, and its monomial text is looked up in
+    ``table`` (text -> exponent tuple), which it enters, range-checked, on
+    first sight.  None means that some term is not in the printed shape,
+    names a variable outside 1..arity or divides by zero: the token grammar
+    then reads the text, or reports the error.
+    """
+    p = field.p
+    terms = {}
+    negative = False
+    pos = 0
+    match = _PRINTED_TERM.match
+    while True:
+        m = match(src, pos)
+        if m is None:
+            return None
+        minus, a, b, factors, alone, sign = m.groups()
+        if minus:
+            negative = not negative
+        text = factors or alone or ""
+        key = table.get(text)
+        if key is None:
+            key = _monomial_key(text, arity)
+            if key is None:
+                return None
+            table[text] = key
+        num = 1 if a is None else str_to_int(a)
+        den = None if b is None else str_to_int(b)
+        if den is not None and (den if p is None else den % p) == 0:
+            return None
+        if num if p is None else num % p:
+            c = field(-num if negative else num, den)
+            acc = terms.get(key)
+            if acc is None:
+                terms[key] = c
+            else:
+                c = acc + c
+                if c.is_zero():
+                    del terms[key]
+                else:
+                    terms[key] = c
+        if sign is None:
+            return terms
+        negative = sign == "-"
+        pos = m.end()
+
+
+def parse_poly(src, arity, field, table=None):
+    """The Polynomial that src spells in ``arity`` variables over ``field``.
+
+    A text made of printed-shape terms is read through ``_read_printed``,
+    its monomial texts through ``table``: one dict per document, shared by
+    all its texts, or a fresh one when None.  Every other text goes to the
+    token grammar, so values and errors do not depend on the table.
+    """
+    if 1 <= arity <= MAX_ARITY:
+        terms = _read_printed(src, arity, field, {} if table is None else table)
+        if terms is not None:
+            return Polynomial._new(arity, field, terms)
     r = _Reader(src, arity, field)
     tokens = r.tokens
     zero = Polynomial.zero(arity, field)
@@ -344,10 +427,6 @@ def scalar_to_str(c):
     return str(c)
 
 
-def _is_negative(c):
-    return c.field.is_rationals and c.value < 0
-
-
 def _mono_to_str(mono):
     pieces = []
     for i, e in enumerate(mono):
@@ -358,26 +437,40 @@ def _mono_to_str(mono):
     return "*".join(pieces)
 
 
-def _term_str(coeff, body):
-    if not body:
-        return scalar_to_str(coeff)
-    if coeff.is_one():
-        return body
-    return f"{scalar_to_str(coeff)}*{body}"
+def _to_str(element, key_to_str, table):
+    """Signed terms of a Polynomial or LieElement in its iter_sorted order.
 
-
-def _to_str(element, key_to_str):
-    """Signed terms of a Polynomial or LieElement in its iter_sorted order."""
+    Each key's text comes from ``table`` (key -> text), which it enters on
+    first sight: one dict per document, or a fresh one when None.  Each
+    coefficient is printed from its value: a sign, then the numerator and
+    the denominator of its absolute value (residues are never negative).
+    """
     if element.is_zero():
         return "0"
+    if table is None:
+        table = {}
+    rationals = element.field.p is None
     out = []
     for key, coeff in element.iter_sorted():
-        negative = _is_negative(coeff)
-        body = _term_str(-coeff if negative else coeff, key_to_str(key))
-        if not out:
-            out.append(f"-{body}" if negative else body)
+        body = table.get(key)
+        if body is None:
+            body = table[key] = key_to_str(key)
+        value = coeff.value
+        num, den = (value.numerator, value.denominator) if rationals else (value, 1)
+        negative = num < 0
+        if negative:
+            num = -num
+        if den != 1:
+            scalar = f"{int_to_str(num)}/{int_to_str(den)}"
+        elif num != 1 or not body:
+            scalar = int_to_str(num)
         else:
-            out.append(f" - {body}" if negative else f" + {body}")
+            scalar = ""
+        term = f"{scalar}*{body}" if scalar and body else scalar or body
+        if not out:
+            out.append(f"-{term}" if negative else term)
+        else:
+            out.append(f" - {term}" if negative else f" + {term}")
     return "".join(out)
 
 
@@ -387,9 +480,11 @@ def _word_to_str(word):
     return "[" + ",".join(f"x{i}" for i in word) + "]"
 
 
-def poly_to_str(f):
-    return _to_str(f, _mono_to_str)
+def poly_to_str(f, table=None):
+    """The canonical text of f; ``table`` keeps the monomial texts of one document."""
+    return _to_str(f, _mono_to_str, table)
 
 
-def lie_to_str(u):
-    return _to_str(u, _word_to_str)
+def lie_to_str(u, table=None):
+    """The canonical text of u; ``table`` keeps the word texts of one document."""
+    return _to_str(u, _word_to_str, table)

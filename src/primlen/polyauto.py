@@ -14,14 +14,16 @@ Factors are plain records: constructing one checks nothing.  Each lists
 its own problems in ``validate()``, and ``validate_certificate``, which the
 verifier runs before any replay, is the only place that calls it.
 
-A factor does not know its algebra: ``raw_images(like)`` gives the images
-of the generators in the algebra of the element ``like`` as (den, raw)
-pairs, ints over one denominator in the layout of
+A factor does not know its algebra: ``raw_images(like, cap)`` gives the
+images of the generators in the algebra of the element ``like`` as (den,
+raw) pairs, ints over one denominator in the layout of
 ``FieldDescriptor.to_raw``, read with one ``to_raw`` per factor: an affine
-factor from its matrix and offset, a triangular factor from its gammas and
-tails, an inner factor from its element.  ``apply_images`` applies them
-with the element's raw core (``multipoly._substitute_raw`` or
-``metalie._apply_endo_raw``).  A certificate is a chain of factors plus a
+factor from its matrix and offset (the read its invertibility check also
+runs on), a triangular factor from its gammas and tails, an inner factor
+from its element.  ``apply_images`` applies them with the element's raw
+core (``multipoly._substitute_raw`` or ``metalie._apply_endo_raw``).
+``cap`` is the Lie degree cap, None for polynomials
+(``like._endo_cap()``), read once per replay.  A certificate is a chain of factors plus a
 generator index; replaying the chain (innermost first) on that generator
 reproduces a primitive element.  ``certify_apply`` replays on ints from
 the factors' entries to the result: runs of consecutive affine factors are
@@ -37,7 +39,7 @@ from __future__ import annotations
 from operator import mul
 
 from .errors import ArityMismatchError
-from .linalg import basis_from_rows, matrix_inverse, matrix_problems
+from .linalg import basis_from_rows, is_singular, matrix_inverse
 
 
 def _generator(like, index):
@@ -82,32 +84,40 @@ def _compose_raw(outer, inner, p):
 class AffineAuto:
     """x_j -> offset[j] + sum_i matrix[j][i] * x_i (row j holds the image of x_j).
 
-    The offset defaults to zero, which makes the map linear.
+    The offset defaults to zero, which makes the map linear.  The matrix
+    and the offset are read to ints once (``raw``), on first use, and the
+    invertibility check and the replay both run on that read.
     """
 
-    __slots__ = ("matrix", "offset")
+    __slots__ = ("matrix", "offset", "_ints")
 
     def __init__(self, matrix, offset=None):
         self.matrix = matrix
         self.offset = [matrix.field.zero()] * matrix.rows if offset is None else list(offset)
+        self._ints = None
 
     @property
     def arity(self):
         return self.matrix.rows
 
     def validate(self):
-        problems = matrix_problems(self.matrix)
-        if self.matrix.rows == self.matrix.cols and len(self.offset) != self.matrix.rows:
-            problems.insert(0, "offset has wrong length")
+        matrix = self.matrix
+        if matrix.rows != matrix.cols:
+            return ["matrix is not square"]
+        problems = [] if len(self.offset) == matrix.rows else ["offset has wrong length"]
+        if is_singular(self.raw()[1], matrix.field.p):
+            problems.append("matrix is singular")
         return problems
 
     def raw(self):
         """(den, rows, offset): the matrix rows and the offset as ints over one denominator."""
-        n, m = self.matrix.rows, self.matrix.cols
-        den, ints = self.matrix.field.to_raw(self.matrix.entries + self.offset)
-        return den, [ints[j * m : (j + 1) * m] for j in range(n)], ints[n * m :]
+        if self._ints is None:
+            n, m = self.matrix.rows, self.matrix.cols
+            den, ints = self.matrix.field.to_raw(self.matrix.entries + self.offset)
+            self._ints = den, [ints[j * m : (j + 1) * m] for j in range(n)], ints[n * m :]
+        return self._ints
 
-    def raw_images(self, like):
+    def raw_images(self, like, cap):
         return _affine_images(self.raw(), like)
 
 
@@ -150,7 +160,7 @@ class TriangularAuto:
                     break
         return problems
 
-    def raw_images(self, like):
+    def raw_images(self, like, cap):
         """The images gamma x_gen + tail; a tail never mentions its own generator (``validate``)."""
         d = like.arity
         den, ints = like.field.to_raw(self.gammas + [c for tail in self.tails for c in tail.terms.values()])
@@ -164,16 +174,17 @@ class TriangularAuto:
         return images
 
 
-def apply_images(images, f):
+def apply_images(images, f, cap):
     """The image of the element f under the (den, raw) generator images, in the algebra of f."""
-    return f._wrap_raw(*f._endo_raw(f._raw(), images))
+    return f._wrap_raw(*f._endo_raw(f._raw(), images, cap))
 
 
 def apply_auto(auto, f):
     """Image of the element f under an elementary automorphism, in the algebra of f."""
     if auto.arity != f.arity:
         raise ArityMismatchError("automorphism arity mismatch")
-    return apply_images(auto.raw_images(f), f)
+    cap = f._endo_cap()
+    return apply_images(auto.raw_images(f, cap), f, cap)
 
 
 def invert_auto(auto):
@@ -247,11 +258,13 @@ def certify_apply(cert, like):
     to the result.  Runs of consecutive affine factors are composed on
     their int rows (``_compose_raw``) before substitution; by associativity
     the result is identical and the expansion of large intermediate
-    elements happens only once.  Scalars are built once, for the result.
+    elements happens only once.  Scalars are built once, for the result,
+    and the degree cap is read once, before the first factor.
     """
     arity, p = like.arity, like.field.p
     if not 1 <= cert.generator_index <= arity:
         raise ArityMismatchError("generator index out of range")
+    cap = like._endo_cap()
     f = (1, {like._generator_key(arity, cert.generator_index): 1})
     pending = None
     for auto in cert.chain:
@@ -262,11 +275,11 @@ def certify_apply(cert, like):
             pending = raw if pending is None else _compose_raw(raw, pending, p)
             continue
         if pending is not None:
-            f = like._endo_raw(f, _affine_images(pending, like))
+            f = like._endo_raw(f, _affine_images(pending, like), cap)
             pending = None
-        f = like._endo_raw(f, auto.raw_images(like))
+        f = like._endo_raw(f, auto.raw_images(like, cap), cap)
     if pending is not None:
-        f = like._endo_raw(f, _affine_images(pending, like))
+        f = like._endo_raw(f, _affine_images(pending, like), cap)
     return like._wrap_raw(*f)
 
 

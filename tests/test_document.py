@@ -54,9 +54,9 @@ def test_verify_parses_each_distinct_text_at_most_once(monkeypatch, name):
     seen = Counter()
 
     def counting(reader, position):
-        def read(*args):
+        def read(*args, **kwargs):
             seen[reader, args[position]] += 1
-            return original(*args)
+            return original(*args, **kwargs)
 
         original = getattr(document, reader)
         return read
