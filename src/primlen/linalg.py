@@ -20,6 +20,7 @@ a nonzero entry in column order, so elimination is deterministic.
 
 from __future__ import annotations
 
+from math import gcd
 from operator import mul
 
 from .errors import FieldMismatchError, InternalError, SingularMatrixError
@@ -281,9 +282,15 @@ def is_singular(rows, p):
 
     The rows are in the layout of ``FieldDescriptor.to_raw`` (``p`` None
     over Q, else the characteristic); one fraction-free elimination of a
-    copy of them finds fewer pivots than rows exactly when it is.
+    copy of them finds fewer pivots than rows exactly when it is.  Over Q
+    each row is first divided by the gcd of its entries, so a row that the
+    common denominator scaled up enters the elimination at its own size.
     """
-    _, pivots = _bareiss_forward([list(row) for row in rows], len(rows), p, OpCounter())
+    if p is None:
+        rows = [[v // g for v in row] if (g := gcd(*row)) > 1 else list(row) for row in rows]
+    else:
+        rows = [list(row) for row in rows]
+    _, pivots = _bareiss_forward(rows, len(rows), p, OpCounter())
     return len(pivots) < len(rows)
 
 

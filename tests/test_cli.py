@@ -1,5 +1,6 @@
 import json
 import platform
+import tracemalloc
 from math import comb
 from time import perf_counter
 
@@ -9,7 +10,7 @@ from primlen import __version__
 from primlen.cli import main
 from primlen.document import dumps, loads, poly_document, verify_document
 from primlen.errors import UnsupportedInputError
-from primlen.field import QQ
+from primlen.field import MAX_RAW_BITS, QQ, _is_prime
 from primlen.parsing import parse_poly
 from primlen.polydecomp import MAX_DEGREE, MAX_NODES, MAX_POWER_BITS, MAX_TERMS, decompose, poly_bound
 from primlen.sparse import MAX_ARITY
@@ -635,3 +636,55 @@ def test_one_verify_loop_reports_the_same_diagnostics(tmp_path, args, factor, ta
     _, doc = _decompose_to(tmp_path, args)
     expected = tamper(doc, factor)
     assert verify_document(loads(json.dumps(doc))).problems == expected
+
+
+def _primes(count, start):
+    """The first count primes from start on, by a sieve of [start, 2 * start)."""
+    sieve = bytearray([1]) * (2 * start)
+    for i in range(2, int((2 * start) ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, 2 * start, i)))
+    return [q for q in range(start, 2 * start) if sieve[q]][:count]
+
+
+def test_a_decompose_above_the_common_denominator_ceiling_is_unsupported(capsys):
+    # a linear form in 1,024 variables whose coefficients have coprime 250-bit denominators
+    primes = [q for q in range(2, 9000) if _is_prime(q)][:MAX_ARITY]
+    expr = " + ".join(f"x{k}/{q}^40" for k, q in enumerate(primes, start=1))
+    start = perf_counter()
+    assert run(["decompose", "poly", "--vars", str(MAX_ARITY), expr]) == 3
+    assert perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prefix = f"unsupported input: {MAX_ARITY} nonzero scalars over a common denominator of at least "
+    assert captured.err.startswith(prefix)
+    assert captured.err.endswith(f" bits exceed the ceiling of {MAX_RAW_BITS} bits\n")
+
+
+def test_a_summand_above_the_common_denominator_ceiling_fails_in_bounded_memory(tmp_path, capsys):
+    # 16,000 terms whose denominators are distinct primes near 2^20: re-summing
+    # them over their common denominator took 11.6 s and 1.39 GB without the ceiling
+    count = 16000
+    side = int(count**0.5) + 1
+    monomials = [(i, j) for i in range(side) for j in range(side)][:count]
+    terms = [f"1/{q}*x1^{i}*x2^{j}" for q, (i, j) in zip(_primes(count, 1 << 20), monomials)]
+    out, doc = _decompose_to(tmp_path, ["poly", "--vars", "2", "x1"])
+    doc["summands"][0]["summand"] = " - ".join(terms)
+    text = json.dumps(doc)
+    tracemalloc.start()
+    try:
+        start = perf_counter()
+        problems = verify_document(loads(text)).problems
+        seconds = perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(problems) == 1
+    prefix = f"document rebuild failed: {count} nonzero scalars over a common denominator of at least "
+    assert problems[0].startswith(prefix)
+    assert problems[0].endswith(f" bits exceed the ceiling of {MAX_RAW_BITS} bits")
+    assert seconds < 10 and peak < 64 * 2**20
+    out.write_text(text)
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert capsys.readouterr().err == f"verification failed: {problems[0]}\n"

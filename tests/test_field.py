@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from primlen.errors import FieldMismatchError, ParseError, UnsupportedInputError
+from primlen import field
 from primlen.field import GF, QQ, FieldDescriptor, _is_prime, field_from_flag, int_to_str, parse_scalar, str_to_int
 
 from conftest import rand_scalar
@@ -178,3 +179,18 @@ def test_pow():
     assert QQ(2) ** 10 == QQ(1024)
     assert QQ(2) ** -1 == QQ(1, 2)
     assert GF(5)(2) ** 4 == GF(5)(1)
+
+
+def test_to_raw_refuses_a_common_denominator_past_its_ceiling(monkeypatch):
+    monkeypatch.setattr(field, "MAX_RAW_BITS", 100)
+    assert QQ.to_raw([QQ(1, 2**24)] * 3 + [QQ(5)]) == (2**24, [1, 1, 1, 5 * 2**24])  # 25 bits x 4
+    message = r"^{} nonzero scalars over a common denominator of at least {} bits exceed the ceiling of 100 bits$"
+    with pytest.raises(UnsupportedInputError, match=message.format(4, 26)):
+        QQ.to_raw([QQ(1, 2**25)] * 3 + [QQ(5)])
+    with pytest.raises(UnsupportedInputError, match=message.format(3, 47)):
+        QQ.to_raw([QQ(1, 3**12), QQ(1, 5**12), QQ(1, 7)])
+    # zeros need no scaling: 2 nonzero values of 48 bits pass
+    den = 15**12
+    assert QQ.to_raw([QQ(1, 3**12), QQ(0), QQ(1, 5**12), QQ(0)]) == (den, [den // 3**12, 0, den // 5**12, 0])
+    F = GF(2**61 - 1)
+    assert F.to_raw([F(2**60)] * 4) == (1, [2**60] * 4)

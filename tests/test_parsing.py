@@ -1,16 +1,23 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primlen import parsing
+from primlen.document import dumps, lie_document, loads, poly_document, verify_document
 from primlen.errors import ArityMismatchError, DegreeCapError, ParseError
-from primlen.field import GF, QQ
+from primlen.field import GF, QQ, field_from_flag
+from primlen.liedecomp import decompose_lie
 from primlen.metalie import LieElement, normalize_word
 from primlen.sparse import SparseElement
 from primlen.multipoly import Polynomial, monomials_of_degree
 from primlen.parsing import lie_to_str, parse_lie, parse_poly, poly_to_str
+from primlen.polydecomp import decompose
 
-from conftest import rand_lie, rand_poly
+from conftest import rand_lie, rand_poly, rand_wide_scalar
+from test_golden import LIE_CORPUS, POLY_CORPUS
 
 
 def test_parse_poly_example():
@@ -246,6 +253,8 @@ MALFORMED = [
     ("poly", "3 x1", 2, QQ, "expected 'end', found 'x1'", 2),
     ("poly", "x1 + 2/x2 + $", 2, QQ, "unexpected character '$'", 12),
     ("poly", "()", 2, QQ, "unexpected ')'", 1),
+    ("poly", "x1 - 3/0*x2", 2, QQ, "division is only defined by a nonzero constant", 6),
+    ("poly", "2/5*x1", 2, GF(5), "division is only defined by a nonzero constant", 1),
     ("lie", "[x1,x2", 3, QQ, "expected ']', found 'end of input'", 6),
     ("lie", "[x1,2]", 3, QQ, "expected 'name', found '2'", 4),
     ("lie", "1/x2*x1", 3, QQ, "expected 'number', found 'x2'", 2),
@@ -351,3 +360,159 @@ def test_bracket_word_errors_are_unchanged(monkeypatch):
     assert parse_lie("x1 + x2", 3, QQ) == parse_lie("x2 + x1", 3, QQ)
     with pytest.raises(ValueError):
         parse_lie("x1 + [x2,x1]", 3, QQ)
+
+
+# -- one key table per document -------------------------------------------------
+
+
+def _spell(draw, f):
+    """A text whose value is f, respelled in ways the printer never writes.
+
+    Terms come in any order, with "1*", unreduced a/b, residues >= p,
+    x1*x1 for x1^2, x_i^0 factors, zero coefficients, pairs of terms that
+    cancel and, sometimes, other spacing around the signs.
+    """
+    field, arity = f.field, f.arity
+    p = field.p
+    signed = []  # (negative, coefficient text or None, exponents)
+    for mono, c in f.terms.items():
+        num, den = (c.value.numerator, c.value.denominator) if p is None else (c.value, 1)
+        k = draw(st.integers(1, 3))
+        if p is None:
+            text = f"{abs(num) * k}/{den * k}" if k > 1 or den != 1 else str(abs(num))
+        else:
+            text = str(num + (k - 1) * p)
+        if text == "1" and draw(st.booleans()):
+            text = None
+        signed.append((num < 0, text, mono))
+    for _ in range(draw(st.integers(0, 2))):
+        mono = draw(st.tuples(*[st.integers(0, 2)] * arity))
+        if draw(st.booleans()):
+            signed.append((False, "0", mono))
+        else:
+            n = draw(st.integers(1, 9))
+            signed += [(False, str(n), mono), (True, str(n), mono)]
+    signed = draw(st.permutations(signed))
+    plus, minus = draw(st.sampled_from([(" + ", " - "), (" + ", " - "), ("+", "-"), ("  +\t", " -  ")]))
+    pieces = []
+    for negative, text, mono in signed:
+        factors = []
+        for i, e in enumerate(mono, start=1):
+            if e > 1 and draw(st.booleans()):
+                factors += [f"x{i}"] * e
+            elif e:
+                factors.append(f"x{i}" if e == 1 else f"x{i}^{e}")
+            elif draw(st.integers(0, 4)) == 0:
+                factors.append(f"x{i}^0")
+        body = "*".join(([] if text is None else [text]) + factors) or "1"
+        if pieces:
+            pieces.append((minus if negative else plus) + body)
+        else:
+            pieces.append(("-" if negative else "") + body)
+    return "".join(pieces) or "0"
+
+
+@st.composite
+def spelled_polys(draw):
+    """(arity, field, [(text, value)]): canonical prints of random polynomials and respellings."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(101)]))
+    arity = draw(st.integers(1, 3))
+    if field.p is None:
+        coeffs = st.builds(field, st.integers(-20, 20), st.integers(1, 20))
+    else:
+        coeffs = st.builds(field, st.integers(0, field.p - 1))
+    cases = []
+    for _ in range(draw(st.integers(1, 4))):
+        terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * arity), coeffs, max_size=5))
+        f = Polynomial(arity, field, terms)
+        cases += [(poly_to_str(f), f), (_spell(draw, f), f)]
+    return arity, field, cases
+
+
+@settings(max_examples=200, deadline=None)
+@given(spelled_polys())
+def test_a_shared_table_reads_what_each_text_alone_reads(case):
+    arity, field, cases = case
+    table = {}
+    for text, value in cases:
+        assert parse_poly(text, arity, field) == value, text
+        assert parse_poly(text, arity, field, table=table) == value, text
+
+
+def _outcome(text, arity, field, **table):
+    try:
+        return parse_poly(text, arity, field, **table)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+MALFORMED_POLYS = [(text, arity, field) for reader, text, arity, field, _, _ in MALFORMED if reader == "poly"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(spelled_polys(), st.sampled_from(MALFORMED_POLYS), st.booleans())
+def test_a_malformed_text_fails_alike_with_and_without_a_table(case, malformed, before):
+    arity, field, cases = case
+    fragment = malformed[0]
+    table = {}
+    for text, _ in cases:
+        joined = f"{fragment} + {text}" if before else f"{text} + {fragment}"
+        alone = _outcome(joined, arity, field)
+        assert _outcome(joined, arity, field, table=table) == alone
+        parse_poly(text, arity, field, table=table)
+
+
+@pytest.mark.parametrize("text, arity, field, message, position", [m[1:] for m in MALFORMED if m[0] == "poly"])
+def test_malformed_positions_hold_through_a_filled_table(text, arity, field, message, position):
+    table = {}
+    parse_poly("x1^2 + 3*x1*x2 - x2 + 1", 2, field, table=table)
+    with pytest.raises(ParseError) as info:
+        parse_poly(text, arity, field, table=table)
+    assert message in str(info.value)
+    assert info.value.position == position
+
+
+def test_an_index_outside_the_arity_never_enters_the_table():
+    table = {}
+    with pytest.raises(ParseError, match=r"variable x3 is outside x1..x2 \(at position 5\)"):
+        parse_poly("x1 + x3^2", 2, QQ, table=table)
+    assert "x3^2" not in table
+
+
+def test_printing_through_a_shared_table_is_printing_alone():
+    rng = random.Random(74)
+    for field in (QQ, GF(2), GF(101)):
+        polys = [rand_poly(rng, rng.randint(1, 3), rng.randint(0, 4), field=field) for _ in range(40)]
+        polys.append(Polynomial(2, field, {(2, 1): rand_wide_scalar(rng, field), (0, 0): field(-1)}))
+        table = {}
+        assert [poly_to_str(f, table=table) for f in polys] == [poly_to_str(f) for f in polys]
+        lies = [rand_lie(rng, rng.randint(2, 4), rng.randint(1, 4), field=field) for _ in range(40)]
+        table = {}
+        assert [lie_to_str(u, table=table) for u in lies] == [lie_to_str(u) for u in lies]
+
+
+@pytest.mark.parametrize("name", ["Q-d3", "d5-n3-linear-part"])
+def test_each_key_text_is_made_once_per_document(monkeypatch, name):
+    made = Counter()
+    for attr in ("_mono_to_str", "_word_to_str", "_monomial_key"):
+
+        def counting(key, *rest, original=getattr(parsing, attr)):
+            made[key] += 1
+            return original(key, *rest)
+
+        monkeypatch.setattr(parsing, attr, counting)
+    if name in POLY_CORPUS:
+        arity, expr, _ = POLY_CORPUS[name]
+        dec = decompose(parse_poly(expr, arity, QQ))
+        made.clear()
+        doc = poly_document(dec)
+    else:
+        arity, flag, expr, _ = LIE_CORPUS[name]
+        dec = decompose_lie(parse_lie(expr, arity, field_from_flag(flag)))
+        made.clear()
+        doc = lie_document(dec)
+    assert made and max(made.values()) == 1  # each key printed once
+    made.clear()
+    assert verify_document(loads(dumps(doc))).ok
+    if name in POLY_CORPUS:
+        assert made and max(made.values()) == 1  # each monomial text read once

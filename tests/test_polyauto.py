@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primlen.field import GF, QQ, FieldScalar, field_from_flag
+from primlen.field import GF, QQ, FieldDescriptor, FieldScalar, field_from_flag
 from primlen.liedecomp import InnerLieAuto, decompose_lie
 from primlen.linalg import DenseMatrix, bareiss_determinant
 from primlen.metalie import LieElement, bracket, normalize_word
@@ -21,7 +21,7 @@ from primlen.polyauto import (
     validate_certificate,
 )
 
-from conftest import rand_lie, rand_nonzero_scalar, rand_poly, rand_scalar
+from conftest import KERNEL_FIELDS, rand_lie, rand_nonzero_scalar, rand_poly, rand_scalar
 from test_golden import LIE_CORPUS, POLY_CORPUS
 
 d = 2
@@ -392,3 +392,45 @@ def test_certify_apply_builds_scalars_only_for_its_result(monkeypatch, name):
         result = certify_apply(cert, f)
         assert result == summand
         assert len(built) <= len(result.terms)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_the_invertibility_check_agrees_with_the_determinant(field):
+    rng = random.Random(77)
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        rows = [[rand_scalar(rng, field, 3) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.4:  # a row that depends on two others
+            a, b = rand_scalar(rng, field, 3), rand_scalar(rng, field, 3)
+            rows[rng.randrange(n)] = [a * u + b * v for u, v in zip(rows[0], rows[-1])]
+        matrix = DenseMatrix.from_rows(field, rows)
+        singular = bareiss_determinant(matrix)[0].is_zero()
+        offset = [rand_scalar(rng, field, 3) for _ in range(n)]
+        assert AffineAuto(matrix, offset).validate() == (["matrix is singular"] if singular else [])
+        assert AffineAuto(matrix, offset[1:]).validate()[0] == "offset has wrong length"
+
+
+def test_an_affine_factor_is_read_to_ints_once(monkeypatch):
+    # the invertibility check and every replay run on one read of the matrix and the offset
+    matrix = DenseMatrix.from_rows(QQ, [[QQ(1, 2), 1, 0], [0, QQ(2, 3), 1], [1, 0, 5]])
+    offset = [QQ(1, 7), QQ(0), QQ(3)]
+    zero = Polynomial.zero(3, QQ)
+    theta = TriangularAuto([QQ(2), QQ(1), QQ(-1)], [Polynomial(3, QQ, {(0, 1, 2): QQ(1)}), zero, zero])
+    like = Polynomial.variable(3, QQ, 1)
+    expected = certify_apply_plain(Certificate([AffineAuto(matrix, offset), theta, AffineAuto(matrix, offset)], 2), like)
+    auto = AffineAuto(matrix, offset)
+    cert = Certificate([auto, theta, auto], 2)
+    reads = []
+    to_raw = FieldDescriptor.to_raw
+
+    def counting(field, scalars):
+        reads.append(len(scalars))
+        return to_raw(field, scalars)
+
+    monkeypatch.setattr(FieldDescriptor, "to_raw", counting)
+    assert validate_certificate(cert, 3) == []
+    assert certify_apply(cert, like) == expected
+    assert certify_apply(cert, like) == expected
+    assert reads.count(12) == 1  # the 9 entries and the 3 offsets
+    assert AffineAuto(matrix, [QQ(0), QQ(0)]).validate() == ["offset has wrong length"]
+    assert AffineAuto(DenseMatrix.from_rows(QQ, [[1, 2]])).validate() == ["matrix is not square"]
