@@ -15,7 +15,8 @@ error (a PRIMLEN_DEGREE_CAP that is not a positive integer included), 3
 unsupported input (positive characteristic for poly, d < 3 for lie, more
 than MAX_ARITY generators, a polynomial above polydecomp.MAX_DEGREE or
 MAX_NODES, a constant power above MAX_POWER_BITS or parenthesised groups
-above MAX_DEGREE or MAX_TERMS in the reader, degree cap exceeded).
+above MAX_DEGREE or MAX_TERMS in the reader, scalars whose common
+denominator passes field.MAX_RAW_BITS, degree cap exceeded).
 """
 
 from __future__ import annotations

@@ -165,7 +165,9 @@ class _Texts:
     document that repeats a matrix entry, a gamma or a tail pays for one
     parse; scalars and elements are immutable, so the copies can share one
     value.  Only successes are kept, and a value that is not a string goes
-    to the parser as it is, which refuses it as it would anywhere.
+    to the parser as it is, which refuses it as it would anywhere.  The
+    polynomial texts share one table of monomial texts (``parse_poly``),
+    so each distinct monomial text of the document becomes a key once.
     """
 
     __slots__ = ("field", "arity", "lie", "parse", "scalars", "elements")

@@ -34,15 +34,17 @@ big_int = _INT
 
 #: ``FieldDescriptor.to_raw`` refuses a run of scalars when the bit length
 #: of their common denominator times the number of nonzero ones, about the
-#: bits of the ints it would return, exceeds this (2^28 bits are 32 MB).
+#: bits of the ints it would return, exceeds this (2^29 bits are 64 MB).
 #: The check runs as the denominator grows, before any numerator is scaled.
-#: Peaks of the bit length times the number of all the scalars over
-#: decompose and verify, fractions backend: seed 43 poly-small 176,001,
-#: poly-large 505,505, lie-mixed 2,988; every monomial present at (3,16)
-#: 51.5 M and at (6,5) 36.9 M (coefficients a/b, |a|, b <= 100).  One
-#: summand of 16,000 terms with distinct prime denominators near 2^20 would
-#: reach 5.1 G: its verify re-sum took 11.6 s and 1.39 GB without the check.
-MAX_RAW_BITS = 1 << 28
+#: Peaks of that product over decompose and verify, fractions backend:
+#: seed 43 poly-small 176,001, poly-large 505,505, lie-mixed 2,988 (counting
+#: zeros too); with every monomial present and coefficients a/b, |a|, b <= B,
+#: at (6,5) 36.9 M (B = 100) and 216 M (B = 10^4), at (3,16) 51.5 M, 181 M,
+#: 409 M and 737 M for B = 100, 10^3, 10^4 and 10^5, all in the verifier's
+#: re-sum; the last, refused, took 26 s to produce and verify without the
+#: check.  One summand of 16,000 terms with distinct prime denominators near
+#: 2^20 would reach 5.1 G: its re-sum took 11.6 s and 1.39 GB.
+MAX_RAW_BITS = 1 << 29
 
 
 def _is_prime(p):

@@ -29,20 +29,34 @@ multiplication at a time and refused as soon as it holds more than
 ``polydecomp.MAX_TERMS`` terms, so ``(x1+...+x30)^4`` stops at its third
 factor.  A power of a variable costs nothing and is not bounded here.
 
-Reading is linear in the text for sums of monomial terms (the shape the
-printer writes): a term made of numbers, variables, powers, unary minus and
-division by numbers is assembled directly as one coefficient times one
-exponent vector, and every sum accumulates into one terms dict in place.
-Polynomial arithmetic runs only for a parenthesised group or a power of one.
+Reading is linear in the text for sums of monomial terms.  A polynomial
+text is first read one term at a time, each term in the shape the printer
+writes taken in one regex match: an optional coefficient a or a/b, then
+factors x<i> or x<i>^<e> joined by '*', then " + ", " - " or the end.  The
+coefficient becomes one scalar, and the monomial text is looked up in a
+table from text to exponent tuple, which it enters, its indices
+range-checked, on first sight; the document reader keeps one table for a
+whole document (``parse_poly(..., table=...)``).  Any other text (groups,
+powers of numbers, unary-minus chains, other spacing, malformed text) goes
+to the token grammar above, so values and errors do not depend on the
+shape or the table.  There a term made of numbers, variables, powers,
+unary minus and division by numbers is assembled directly as one
+coefficient times one exponent vector, every sum accumulates into one
+terms dict in place, and polynomial arithmetic runs only for a
+parenthesised group or a power of one.  The Lie reader uses the token
+grammar only.
 
 Printing uses graded-lexicographic order (highest degree first) for
 polynomials and (length, word) order for Lie elements; parse(print(e))
-always reproduces e.
+always reproduces e.  Each key's text comes from a table, which the
+document writer keeps for a whole document, and each coefficient is
+written from its value.
 """
 
 from __future__ import annotations
 
 import re
+from functools import cache
 
 from .errors import ParseError, UnsupportedInputError
 from .field import int_to_str, str_to_int
@@ -170,13 +184,17 @@ class _Reader:
         return value
 
 
-# One term in the shape the printer writes, then the separator after it: an
-# optional '-', a coefficient a or a/b and '*'-joined factors x<i> or
-# x<i>^<e> (at least one of the two), then " + ", " - " or the end of the
-# text.  The groups are the '-', a, b, the factors after a coefficient, the
-# factors alone and the sign of the next term.
-_FACTORS = r"x[0-9]+(?:\^[0-9]+)?(?:\*x[0-9]+(?:\^[0-9]+)?)*"
-_PRINTED_TERM = re.compile(rf"(-)?(?:([0-9]+)(?:/([0-9]+))?(?:\*({_FACTORS}))?|({_FACTORS}))(?: ([-+]) |\Z)")
+@cache
+def _printed_term():
+    """The pattern of one printed term, compiled on first use (at import it would slow every start).
+
+    It matches an optional '-', a coefficient a or a/b and '*'-joined
+    factors x<i> or x<i>^<e> (at least one of the two), then " + ", " - "
+    or the end of the text.  The groups are the '-', a, b, the factors
+    after a coefficient, the factors alone and the sign of the next term.
+    """
+    factors = r"x[0-9]+(?:\^[0-9]+)?(?:\*x[0-9]+(?:\^[0-9]+)?)*"
+    return re.compile(rf"(-)?(?:([0-9]+)(?:/([0-9]+))?(?:\*({factors}))?|({factors}))(?: ([-+]) |\Z)")
 
 
 def _monomial_key(text, arity):
@@ -205,7 +223,7 @@ def _read_printed(src, arity, field, table):
     terms = {}
     negative = False
     pos = 0
-    match = _PRINTED_TERM.match
+    match = _printed_term().match
     while True:
         m = match(src, pos)
         if m is None:
@@ -458,15 +476,13 @@ def _to_str(element, key_to_str, table):
         value = coeff.value
         num, den = (value.numerator, value.denominator) if rationals else (value, 1)
         negative = num < 0
-        if negative:
-            num = -num
-        if den != 1:
-            scalar = f"{int_to_str(num)}/{int_to_str(den)}"
-        elif num != 1 or not body:
-            scalar = int_to_str(num)
+        scalar = int_to_str(abs(num)) if den == 1 else f"{int_to_str(abs(num))}/{int_to_str(den)}"
+        if not body:
+            term = scalar
+        elif scalar == "1":
+            term = body
         else:
-            scalar = ""
-        term = f"{scalar}*{body}" if scalar and body else scalar or body
+            term = f"{scalar}*{body}"
         if not out:
             out.append(f"-{term}" if negative else term)
         else:

@@ -21,17 +21,17 @@ raw) pairs, ints over one denominator in the layout of
 factor from its matrix and offset (the read its invertibility check also
 runs on), a triangular factor from its gammas and tails, an inner factor
 from its element.  ``apply_images`` applies them with the element's raw
-core (``multipoly._substitute_raw`` or ``metalie._apply_endo_raw``).
-``cap`` is the Lie degree cap, None for polynomials
-(``like._endo_cap()``), read once per replay.  A certificate is a chain of factors plus a
-generator index; replaying the chain (innermost first) on that generator
-reproduces a primitive element.  ``certify_apply`` replays on ints from
-the factors' entries to the result: runs of consecutive affine factors are
-composed on their int rows, every intermediate element stays a (den, raw)
-pair, and scalars are built once, for the result.  Both pipelines build
-their linear factors with ``linalg.basis_from_rows``: ``linearize`` for
-the map that sends a linear part to x1, ``linear_certificate`` for a
-summand of degree 1.
+core (``multipoly._substitute_raw`` or ``metalie._apply_endo_raw``);
+``cap`` is the Lie degree cap, read once per replay with
+``like._endo_cap()``, which is None for polynomials.  A certificate is a
+chain of factors plus a generator index; replaying the chain (innermost
+first) on that generator reproduces a primitive element.
+``certify_apply`` replays on ints from the factors' entries to the
+result: runs of consecutive affine factors are composed on their int rows,
+every intermediate element stays a (den, raw) pair, and scalars are built
+once, for the result.  Both pipelines build their linear factors with
+``linalg.basis_from_rows``: ``linearize`` for the map that sends a linear
+part to x1, ``linear_certificate`` for a summand of degree 1.
 """
 
 from __future__ import annotations

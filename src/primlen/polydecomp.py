@@ -75,14 +75,14 @@ ZERO_NOTE = "the zero element is reported as the empty sum (additive primitive l
 #: / verify_document of the loaded document for (d, n) with every monomial
 #: of degree <= n present (coefficients a/b with |a|, b <= 100), best of
 #: two, fractions backend, Python 3.11, 2-vCPU container: (4,6) N = 84
-#: 0.08 / 0.45 s, (2,16) 0.02 / 0.06 s, (3,16) N = 153 0.8 / 4.2 s, (6,5)
-#: N = 252 0.7 / 3.4 s; above the caps (2,40) 0.3 / 1.1 s, (2,60) 2.1 /
-#: 5.6 s, (3,20) N = 231 2.6 / 10.7 s, (6,6) N = 462 2.4 / 11.3 s.  Verify
-#: dominates, and reading the document dominates verify: at (3,16) the
-#: 15.6 MB document takes 2.6 s to rebuild, mostly parsing its summand
-#: strings, and 1.2 s to replay and re-sum.  The degree cap is set by
-#: d = 3, where N stays under MAX_NODES up to degree 20; together the caps
-#: keep every accepted input to a few seconds.
+#: 0.11 / 0.27 s, (2,16) 0.02 / 0.04 s, (3,16) N = 153 0.9 / 2.8 s, (6,5)
+#: N = 252 0.5 / 1.5 s; above the caps, measured before the term reader,
+#: (2,40) 0.3 / 1.1 s, (2,60) 2.1 / 5.6 s, (3,20) N = 231 2.6 / 10.7 s,
+#: (6,6) N = 462 2.4 / 11.3 s.  Verify dominates: at (3,16) the 18.8 MB
+#: document takes 1.0 s to rebuild (2.55 s before the term reader) and
+#: the rest to replay and re-sum.  The degree cap is set by d = 3, where N
+#: stays under MAX_NODES up to degree 20; together the caps keep every
+#: accepted input to a few seconds.
 MAX_DEGREE = 16
 MAX_NODES = 252
 

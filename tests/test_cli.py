@@ -648,9 +648,9 @@ def _primes(count, start):
 
 
 def test_a_decompose_above_the_common_denominator_ceiling_is_unsupported(capsys):
-    # a linear form in 1,024 variables whose coefficients have coprime 250-bit denominators
+    # a linear form in 1,024 variables whose coefficients have coprime 500- to 1,000-bit denominators
     primes = [q for q in range(2, 9000) if _is_prime(q)][:MAX_ARITY]
-    expr = " + ".join(f"x{k}/{q}^40" for k, q in enumerate(primes, start=1))
+    expr = " + ".join(f"x{k}/{q}^80" for k, q in enumerate(primes, start=1))
     start = perf_counter()
     assert run(["decompose", "poly", "--vars", str(MAX_ARITY), expr]) == 3
     assert perf_counter() - start < 5
