@@ -170,7 +170,7 @@ class FieldDescriptor:
             if d != 1 and den % d:
                 den = den // gcd(den, d) * d
                 if den.bit_length() * count > MAX_RAW_BITS:
-                    count = sum(1 for v in values if v)
+                    count = sum(1 for x in values if x)
                     if den.bit_length() * count > MAX_RAW_BITS:
                         raise UnsupportedInputError(
                             f"{count} nonzero scalars over a common denominator of at least "
