@@ -211,13 +211,10 @@ def _monomial_key(text, arity):
 
 
 def _read_printed(src, arity, field, table):
-    """The terms dict of src read one printed-shape term at a time, or None.
+    """The terms dict of src read one printed-shape term, and one scalar, at a time.
 
-    Each term builds one scalar, and its monomial text is looked up in
-    ``table`` (text -> exponent tuple), which it enters, range-checked, on
-    first sight.  None means that some term is not in the printed shape,
-    names a variable outside 1..arity or divides by zero: the token grammar
-    then reads the text, or reports the error.
+    None when some term is not in that shape, names a variable outside
+    1..arity (such a text never enters ``table``) or divides by zero.
     """
     p = field.p
     terms = {}
@@ -262,10 +259,9 @@ def _read_printed(src, arity, field, table):
 def parse_poly(src, arity, field, table=None):
     """The Polynomial that src spells in ``arity`` variables over ``field``.
 
-    A text made of printed-shape terms is read through ``_read_printed``,
-    its monomial texts through ``table``: one dict per document, shared by
-    all its texts, or a fresh one when None.  Every other text goes to the
-    token grammar, so values and errors do not depend on the table.
+    ``table`` maps monomial texts to exponent tuples for the texts of one
+    document (a fresh one when None).  Any text ``_read_printed`` declines,
+    and any arity out of range, goes to the token grammar, which reports it.
     """
     if 1 <= arity <= MAX_ARITY:
         terms = _read_printed(src, arity, field, {} if table is None else table)

@@ -253,13 +253,13 @@ MALFORMED = [
     ("poly", "3 x1", 2, QQ, "expected 'end', found 'x1'", 2),
     ("poly", "x1 + 2/x2 + $", 2, QQ, "unexpected character '$'", 12),
     ("poly", "()", 2, QQ, "unexpected ')'", 1),
-    ("poly", "x1 - 3/0*x2", 2, QQ, "division is only defined by a nonzero constant", 6),
-    ("poly", "2/5*x1", 2, GF(5), "division is only defined by a nonzero constant", 1),
     ("lie", "[x1,x2", 3, QQ, "expected ']', found 'end of input'", 6),
     ("lie", "[x1,2]", 3, QQ, "expected 'name', found '2'", 4),
     ("lie", "1/x2*x1", 3, QQ, "expected 'number', found 'x2'", 2),
     ("lie", "x1 * x2", 3, QQ, "expected 'end', found '*'", 3),
     ("lie", "[x2,x1] + ", 3, QQ, "unexpected 'end of input'", 10),
+    ("poly", "x1 - 3/0*x2", 2, QQ, "division is only defined by a nonzero constant", 6),
+    ("poly", "2/5*x1", 2, GF(5), "division is only defined by a nonzero constant", 1),
 ]
 
 
