@@ -36,14 +36,15 @@ big_int = _INT
 #: of their common denominator times the number of nonzero ones, about the
 #: bits of the ints it would return, exceeds this (2^29 bits are 64 MB).
 #: The check runs as the denominator grows, before any numerator is scaled.
-#: Peaks of that product over decompose and verify, fractions backend:
-#: seed 43 poly-small 176,001, poly-large 505,505, lie-mixed 2,988 (counting
-#: zeros too); with every monomial present and coefficients a/b, |a|, b <= B,
-#: at (6,5) 36.9 M (B = 100) and 216 M (B = 10^4), at (3,16) 51.5 M, 181 M,
-#: 409 M and 737 M for B = 100, 10^3, 10^4 and 10^5, all in the verifier's
-#: re-sum; the last, refused, took 26 s to produce and verify without the
-#: check.  One summand of 16,000 terms with distinct prime denominators near
-#: 2^20 would reach 5.1 G: its re-sum took 11.6 s and 1.39 GB.
+#: Peaks of that product, fractions backend, in decompose / in verify: seed
+#: 43 poly-small 588 / 1,988, poly-large 392 / 3,519, lie-mixed 806 / 910;
+#: with every monomial present and coefficients a/b, |a|, b <= B, at (6,5)
+#: 0.06 M / 0.05 M (B = 100) and 0.93 M / 0.41 M (B = 10^4), at (3,16)
+#: 0.13 M / 0.07 M up to 6.3 M / 0.35 M (B = 10^5: decompose 8.2 s, verify
+#: 10.6 s).  The verifier's re-sum adds by key (``sparse.element_sum``);
+#: over one common denominator it reached 737 M at (3,16), B = 10^5.  A
+#: triangular tail of 16,000 terms with distinct prime denominators near
+#: 2^20 would reach 5.1 G; it is refused in under a second.
 MAX_RAW_BITS = 1 << 29
 
 

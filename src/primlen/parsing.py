@@ -49,14 +49,13 @@ grammar only.
 Printing uses graded-lexicographic order (highest degree first) for
 polynomials and (length, word) order for Lie elements; parse(print(e))
 always reproduces e.  Each key's text comes from a table, which the
-document writer keeps for a whole document, and each coefficient is
-written from its value.
+document writer keeps for a whole document, and each coefficient's sign
+is taken off its text, so no negated scalar is built.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cache
 
 from .errors import ParseError, UnsupportedInputError
 from .field import int_to_str, str_to_int
@@ -69,6 +68,13 @@ from .sparse import MAX_ARITY
 # (its index may be missing, which is reported), a symbol, any other
 # character (reported), or the end of the text.
 _TOKEN = re.compile(r"\s*(?:([0-9]+)|(x[0-9]*)|([-+*/^()\[\],])|(\S)|\Z)")
+
+# One printed term: an optional '-', a coefficient a or a/b and '*'-joined
+# factors x<i> or x<i>^<e> (at least one of the two), then " + ", " - " or
+# the end of the text.  The groups are the '-', a, b, the factors after a
+# coefficient, the factors alone and the sign of the next term.
+_FACTORS = r"x[0-9]+(?:\^[0-9]+)?(?:\*x[0-9]+(?:\^[0-9]+)?)*"
+_PRINTED_TERM = re.compile(rf"(-)?(?:([0-9]+)(?:/([0-9]+))?(?:\*({_FACTORS}))?|({_FACTORS}))(?: ([-+]) |\Z)")
 
 _NO_DIVISION = "division is only defined by a nonzero constant"
 
@@ -184,19 +190,6 @@ class _Reader:
         return value
 
 
-@cache
-def _printed_term():
-    """The pattern of one printed term, compiled on first use (at import it would slow every start).
-
-    It matches an optional '-', a coefficient a or a/b and '*'-joined
-    factors x<i> or x<i>^<e> (at least one of the two), then " + ", " - "
-    or the end of the text.  The groups are the '-', a, b, the factors
-    after a coefficient, the factors alone and the sign of the next term.
-    """
-    factors = r"x[0-9]+(?:\^[0-9]+)?(?:\*x[0-9]+(?:\^[0-9]+)?)*"
-    return re.compile(rf"(-)?(?:([0-9]+)(?:/([0-9]+))?(?:\*({factors}))?|({factors}))(?: ([-+]) |\Z)")
-
-
 def _monomial_key(text, arity):
     """The exponent tuple of the factors text, or None when an index is outside 1..arity."""
     exps = [0] * arity
@@ -220,7 +213,7 @@ def _read_printed(src, arity, field, table):
     terms = {}
     negative = False
     pos = 0
-    match = _printed_term().match
+    match = _PRINTED_TERM.match
     while True:
         m = match(src, pos)
         if m is None:
@@ -455,24 +448,23 @@ def _to_str(element, key_to_str, table):
     """Signed terms of a Polynomial or LieElement in its iter_sorted order.
 
     Each key's text comes from ``table`` (key -> text), which it enters on
-    first sight: one dict per document, or a fresh one when None.  Each
-    coefficient is printed from its value: a sign, then the numerator and
-    the denominator of its absolute value (residues are never negative).
+    first sight: one dict per document, or a fresh one when None.  A
+    coefficient's sign is taken off its text (``scalar_to_str``), so no
+    negated scalar is built.
     """
     if element.is_zero():
         return "0"
     if table is None:
         table = {}
-    rationals = element.field.p is None
     out = []
     for key, coeff in element.iter_sorted():
         body = table.get(key)
         if body is None:
             body = table[key] = key_to_str(key)
-        value = coeff.value
-        num, den = (value.numerator, value.denominator) if rationals else (value, 1)
-        negative = num < 0
-        scalar = int_to_str(abs(num)) if den == 1 else f"{int_to_str(abs(num))}/{int_to_str(den)}"
+        scalar = scalar_to_str(coeff)
+        negative = scalar[0] == "-"
+        if negative:
+            scalar = scalar[1:]
         if not body:
             term = scalar
         elif scalar == "1":

@@ -75,11 +75,11 @@ ZERO_NOTE = "the zero element is reported as the empty sum (additive primitive l
 #: / verify_document of the loaded document for (d, n) with every monomial
 #: of degree <= n present (coefficients a/b with |a|, b <= 100), best of
 #: two, fractions backend, Python 3.11, 2-vCPU container: (4,6) N = 84
-#: 0.11 / 0.27 s, (2,16) 0.02 / 0.04 s, (3,16) N = 153 0.9 / 2.8 s, (6,5)
-#: N = 252 0.5 / 1.5 s; above the caps, measured before the term reader,
+#: 0.06 / 0.26 s, (2,16) 0.02 / 0.04 s, (3,16) N = 153 0.7 / 1.9 s, (6,5)
+#: N = 252 0.4 / 1.3 s; above the caps, measured before the term reader,
 #: (2,40) 0.3 / 1.1 s, (2,60) 2.1 / 5.6 s, (3,20) N = 231 2.6 / 10.7 s,
-#: (6,6) N = 462 2.4 / 11.3 s.  Verify dominates: at (3,16) the 18.8 MB
-#: document takes 1.0 s to rebuild (2.55 s before the term reader) and
+#: (6,6) N = 462 2.4 / 11.3 s.  Verify dominates: at (3,16) the 15.9 MB
+#: document takes 0.8 s to rebuild (2.55 s before the term reader) and
 #: the rest to replay and re-sum.  The degree cap is set by d = 3, where N
 #: stays under MAX_NODES up to degree 20; together the caps keep every
 #: accepted input to a few seconds.
@@ -377,7 +377,7 @@ def check_summands(dec):
     of degree > 1 (Lie inputs have at least three generators).  Otherwise
     the status must be FINITE, and the checks validate every elementary
     factor, replay every certificate in the algebra of the input, re-sum
-    the summands in one pass on ints (``sparse.element_sum``) and compare
+    the summands by key on ints (``sparse.element_sum``) and compare
     the count against the bound.  Returns a VerifyResult carrying
     human-readable diagnostics.
     """

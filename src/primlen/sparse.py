@@ -159,16 +159,29 @@ def combine_raw(den, coeffs, pieces, p):
 def element_sum(like, elements):
     """The sum of elements, each of the type, arity and field of like, on ints.
 
-    One ``to_raw`` over all their coefficients, the ints added per key, and
-    one scalar per key of the result.
+    The coefficients are gathered by key: a key held by one element keeps
+    its scalar, and the coefficients of a shared key are added on the ints
+    of one ``to_raw``.  So a common denominator spans the coefficients of
+    one key, never those of all keys.
     """
     for element in elements:
         like._check_compatible(element)
-    den, ints = like.field.to_raw([c for element in elements for c in element.terms.values()])
-    ints = iter(ints)
-    acc = {}
-    get = acc.get
+    runs = {}
     for element in elements:
-        for key, v in zip(element.terms, ints):
-            acc[key] = get(key, 0) + v
-    return like._wrap_raw(den, acc)
+        for key, coeff in element.terms.items():
+            run = runs.get(key)
+            if run is None:
+                runs[key] = [coeff]
+            else:
+                run.append(coeff)
+    field = like.field
+    terms = {}
+    for key, run in runs.items():
+        if len(run) == 1:
+            terms[key] = run[0]
+            continue
+        den, ints = field.to_raw(run)
+        (total,) = field.from_raw(den, [sum(ints)])
+        if not total.is_zero():
+            terms[key] = total
+    return like._wrap(terms)

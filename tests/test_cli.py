@@ -1,17 +1,19 @@
 import json
 import platform
+import random
 import tracemalloc
 from math import comb
 from time import perf_counter
 
 import pytest
 
-from primlen import __version__
+from primlen import __version__, field
 from primlen.cli import main
 from primlen.document import dumps, loads, poly_document, verify_document
 from primlen.errors import UnsupportedInputError
-from primlen.field import MAX_RAW_BITS, QQ, _is_prime
-from primlen.parsing import parse_poly
+from primlen.field import MAX_RAW_BITS, QQ, FieldDescriptor, _is_prime
+from primlen.multipoly import Polynomial, monomials_of_degree
+from primlen.parsing import parse_poly, poly_to_str
 from primlen.polydecomp import MAX_DEGREE, MAX_NODES, MAX_POWER_BITS, MAX_TERMS, decompose, poly_bound
 from primlen.sparse import MAX_ARITY
 
@@ -661,15 +663,30 @@ def test_a_decompose_above_the_common_denominator_ceiling_is_unsupported(capsys)
     assert captured.err.endswith(f" bits exceed the ceiling of {MAX_RAW_BITS} bits\n")
 
 
-def test_a_summand_above_the_common_denominator_ceiling_fails_in_bounded_memory(tmp_path, capsys):
-    # 16,000 terms whose denominators are distinct primes near 2^20: re-summing
-    # them over their common denominator took 11.6 s and 1.39 GB without the ceiling
+def _place_in_summand(doc, text):
+    doc["summands"][0]["summand"] = text
+    return ["summand 1: certificate replay mismatch", "sum mismatch: summands do not add up to the input"]
+
+
+def _place_in_tail(doc, text):
+    doc["summands"][0]["certificate"][0]["tails"][0] = text
+    prefix = "document rebuild failed: 16003 nonzero scalars over a common denominator of at least 33568 bits"
+    return [f"{prefix} exceed the ceiling of {MAX_RAW_BITS} bits"]
+
+
+@pytest.mark.parametrize("place", [_place_in_summand, _place_in_tail], ids=["summand", "tail"])
+def test_many_distinct_denominators_are_verified_in_bounded_memory(tmp_path, capsys, place):
+    # 16,000 terms in x2, x3 whose denominators are distinct primes near 2^20.
+    # A summand is re-summed by key, so no denominator spans two of its terms
+    # (over one common denominator that took 11.6 s and 1.39 GB); a tail is
+    # read with the gammas of its factor by one to_raw, which refuses them.
     count = 16000
     side = int(count**0.5) + 1
     monomials = [(i, j) for i in range(side) for j in range(side)][:count]
-    terms = [f"1/{q}*x1^{i}*x2^{j}" for q, (i, j) in zip(_primes(count, 1 << 20), monomials)]
-    out, doc = _decompose_to(tmp_path, ["poly", "--vars", "2", "x1"])
-    doc["summands"][0]["summand"] = " - ".join(terms)
+    terms = [f"1/{q}*x2^{i}*x3^{j}" for q, (i, j) in zip(_primes(count, 1 << 20), monomials)]
+    out, doc = _decompose_to(tmp_path, ["poly", "--vars", "3", "x1^2 + x2"])
+    assert doc["summands"][0]["certificate"][0]["kind"] == "triangular"
+    expected = place(doc, " - ".join(terms))
     text = json.dumps(doc)
     tracemalloc.start()
     try:
@@ -679,12 +696,39 @@ def test_a_summand_above_the_common_denominator_ceiling_fails_in_bounded_memory(
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(problems) == 1
-    prefix = f"document rebuild failed: {count} nonzero scalars over a common denominator of at least "
-    assert problems[0].startswith(prefix)
-    assert problems[0].endswith(f" bits exceed the ceiling of {MAX_RAW_BITS} bits")
+    assert problems == expected
     assert seconds < 10 and peak < 64 * 2**20
     out.write_text(text)
     capsys.readouterr()
     assert run(["verify", str(out)]) == 1
-    assert capsys.readouterr().err == f"verification failed: {problems[0]}\n"
+    assert capsys.readouterr().err == "".join(f"verification failed: {problem}\n" for problem in problems)
+
+
+def test_a_document_decompose_writes_at_its_tightest_ceiling_verifies(tmp_path, monkeypatch):
+    # Every monomial of degree <= 6 in 3 variables, coefficients a/b with
+    # |a|, b <= 10^5.  The ceiling is lowered to the largest den bits x
+    # nonzero scalars that decompose reaches (70,308); the summands over one
+    # common denominator would reach 2.2 M.
+    rng = random.Random(1)
+    terms = {
+        m: QQ(rng.choice([-1, 1]) * rng.randint(1, 10**5), rng.randint(1, 10**5))
+        for n in range(7)
+        for m in monomials_of_degree(3, n)
+    }
+    args = ["poly", "--vars", "3", poly_to_str(Polynomial(3, QQ, terms))]
+    peak = 0
+    to_raw = FieldDescriptor.to_raw
+
+    def measured(self, scalars):
+        nonlocal peak
+        den, ints = to_raw(self, scalars)
+        peak = max(peak, den.bit_length() * sum(1 for v in ints if v))
+        return den, ints
+
+    monkeypatch.setattr(FieldDescriptor, "to_raw", measured)
+    out, doc = _decompose_to(tmp_path, args)
+    monkeypatch.setattr(field, "MAX_RAW_BITS", peak - 1)
+    assert run(["decompose", *args]) == 3
+    monkeypatch.setattr(field, "MAX_RAW_BITS", peak)
+    assert _decompose_to(tmp_path, args)[1] == doc
+    assert run(["verify", str(out)]) == 0

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primlen.field import GF, QQ
+from primlen import field
+from primlen.errors import UnsupportedInputError
+from primlen.field import GF, QQ, _is_prime
 from primlen.metalie import LieElement, normalize_word
 from primlen.multipoly import Polynomial
 from primlen.sparse import element_sum
@@ -98,3 +100,16 @@ def test_element_sum_of_a_sum_and_its_negation_is_zero(field):
     assert element_sum(f, []).is_zero()
     with pytest.raises(TypeError):
         element_sum(f, [LieElement.generator(2, field, 1)])
+
+
+def test_element_sum_puts_no_two_keys_over_one_denominator(monkeypatch):
+    # two elements on 40 keys whose denominators are powers q^8 of distinct
+    # primes (up to 60 bits): over one common denominator the 80 scalars would
+    # hold 1,814 bits each; added by key, each run is 2 scalars of <= 60 bits
+    monkeypatch.setattr(field, "MAX_RAW_BITS", 400)
+    primes = [q for q in range(2, 200) if _is_prime(q)][:40]
+    elements = [Polynomial(1, QQ, {(k,): QQ(1, q**8) for k, q in enumerate(primes)}) for _ in range(2)]
+    total = element_sum(elements[0], elements)
+    assert total.terms == {(k,): QQ(2, q**8) for k, q in enumerate(primes)}
+    with pytest.raises(UnsupportedInputError):
+        QQ.to_raw(list(total.terms.values()))
