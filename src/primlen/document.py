@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from functools import partial
 
-from .errors import ParseError, PrimlenError
+from .errors import ParseError, PrimlenError, UnsupportedInputError
 from .field import field_from_flag, int_to_str, parse_scalar
 from .linalg import DenseMatrix
 from .liedecomp import InnerLieAuto, lie_bound, verify_lie
@@ -89,6 +89,22 @@ def _factor_from_json(record, texts):
     raise PrimlenError(f"unknown {'Lie' if lie else 'polynomial'} automorphism kind {kind!r}")
 
 
+def _json_degree(degree):
+    """The degree for ``stats.degree``; UnsupportedInputError when JSON cannot write it.
+
+    ``json`` writes and reads an int through str() and int(), which refuse
+    more digits than the interpreter's limit (4,300 by default), so a
+    one-variable input such as x1^(10^5000) has no document.
+    """
+    try:
+        str(degree)
+    except ValueError:
+        raise UnsupportedInputError(
+            f"a degree of {len(int_to_str(degree))} digits is too long for a JSON number"
+        ) from None
+    return degree
+
+
 def _document(dec, algebra, degree, to_str):
     """The JSON-ready dict of a decomposition of either algebra.
 
@@ -114,7 +130,7 @@ def _document(dec, algebra, degree, to_str):
         "status": dec.status,
         "bound": dec.bound,
         "summands": summands,
-        "stats": {"count": len(dec.summands), "degree": degree},
+        "stats": {"count": len(dec.summands), "degree": _json_degree(degree)},
         "notes": list(dec.notes),
     }
 
@@ -166,8 +182,9 @@ class _Texts:
     parse; scalars and elements are immutable, so the copies can share one
     value.  Only successes are kept, and a value that is not a string goes
     to the parser as it is, which refuses it as it would anywhere.  The
-    polynomial texts share one table of monomial texts (``parse_poly``),
-    so each distinct monomial text of the document becomes a key once.
+    element texts share one table of monomial or word texts
+    (``parse_poly``, ``parse_lie``), so each distinct key text of the
+    document becomes a key once.
     """
 
     __slots__ = ("field", "arity", "lie", "parse", "scalars", "elements")
@@ -176,7 +193,7 @@ class _Texts:
         self.field = field
         self.arity = arity
         self.lie = lie
-        self.parse = parse_lie if lie else partial(parse_poly, table={})
+        self.parse = partial(parse_lie if lie else parse_poly, table={})
         self.scalars = {}
         self.elements = {}
 

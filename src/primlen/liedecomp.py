@@ -215,10 +215,8 @@ def _triangular_cert(gen, gamma, tail):
 def _inner_cert(gen, gamma, w):
     """Certificate for gamma x_gen + [w, x_gen]: diagonal linear then inner."""
     d, field = w.arity, w.field
-    diag = DenseMatrix.from_rows(
-        field,
-        [[gamma if i == j else field.zero() for i in range(d)] for j in range(d)],
-    )
+    zero = field.zero()
+    diag = DenseMatrix.from_rows(field, [[gamma if i == j else zero for i in range(d)] for j in range(d)])
     inner = InnerLieAuto(w.scale(-gamma.inverse()))
     return Certificate([AffineAuto(diag), inner], gen)
 

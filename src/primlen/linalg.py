@@ -92,19 +92,6 @@ class DenseMatrix:
         out = [sum(map(mul, a[i * m : (i + 1) * m], v)) for i in range(self.rows)]
         return field.from_raw(den_a * den_v, out)
 
-    def mul_matrix(self, other):
-        if self.cols != other.rows:
-            raise ValueError("inner dimension mismatch")
-        if other.field != self.field:
-            raise FieldMismatchError("matrices over different fields")
-        field = self.field
-        den_a, a = field.to_raw(self.entries)
-        den_b, b = field.to_raw(other.entries)
-        m, q = self.cols, other.cols
-        b_cols = [b[j::q] for j in range(q)]
-        flat = [sum(map(mul, a[i * m : (i + 1) * m], col)) for i in range(self.rows) for col in b_cols]
-        return DenseMatrix(self.rows, q, field, field.from_raw(den_a * den_b, flat))
-
     def __eq__(self, other):
         if not isinstance(other, DenseMatrix):
             return NotImplemented
@@ -317,9 +304,10 @@ def basis_from_rows(rows, field):
     pivots = pivot_columns(rows, field)
     if len(pivots) < len(rows):
         raise ValueError("rows to complete to a basis are linearly dependent")
+    one, zero = field.one(), field.zero()
     for m in range(d):
         if m not in pivots:
-            rows.append([field.one() if i == m else field.zero() for i in range(d)])
+            rows.append([one if i == m else zero for i in range(d)])
     return DenseMatrix.from_rows(field, rows)
 
 

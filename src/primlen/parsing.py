@@ -29,22 +29,25 @@ multiplication at a time and refused as soon as it holds more than
 ``polydecomp.MAX_TERMS`` terms, so ``(x1+...+x30)^4`` stops at its third
 factor.  A power of a variable costs nothing and is not bounded here.
 
-Reading is linear in the text for sums of monomial terms.  A polynomial
+Reading is linear in the text for sums of monomial and word terms.  A
 text is first read one term at a time, each term in the shape the printer
 writes taken in one regex match: an optional coefficient a or a/b, then
-factors x<i> or x<i>^<e> joined by '*', then " + ", " - " or the end.  The
-coefficient becomes one scalar, and the monomial text is looked up in a
-table from text to exponent tuple, which it enters, its indices
-range-checked, on first sight; the document reader keeps one table for a
-whole document (``parse_poly(..., table=...)``).  Any other text (groups,
-powers of numbers, unary-minus chains, other spacing, malformed text) goes
-to the token grammar above, so values and errors do not depend on the
-shape or the table.  There a term made of numbers, variables, powers,
-unary minus and division by numbers is assembled directly as one
+factors x<i> or x<i>^<e> joined by '*' (a polynomial) or one word x<i> or
+[x<i>,x<j>,...] after a '*' (a Lie element), then " + ", " - " or the end.
+The coefficient becomes one scalar, and the key text is looked up in a
+table, which it enters on first sight, its indices range-checked; the
+document reader keeps one table for a whole document (``table=``).  A
+monomial text enters as its exponent tuple.  A word text enters as its
+index tuple when the word is normal, and otherwise as the terms of
+``normalize_word``, which the term's scalar multiplies; a bracket's length
+is checked against the degree cap at every use.  Any other text (groups,
+powers of numbers, unary-minus chains, other spacing, "0", malformed text)
+goes to the token grammar above, so values and errors do not depend on the
+shape or the table.  There a polynomial term made of numbers, variables,
+powers, unary minus and division by numbers is assembled directly as one
 coefficient times one exponent vector, every sum accumulates into one
 terms dict in place, and polynomial arithmetic runs only for a
-parenthesised group or a power of one.  The Lie reader uses the token
-grammar only.
+parenthesised group or a power of one.
 
 Printing uses graded-lexicographic order (highest degree first) for
 polynomials and (length, word) order for Lie elements; parse(print(e))
@@ -59,7 +62,7 @@ import re
 
 from .errors import ParseError, UnsupportedInputError
 from .field import int_to_str, str_to_int
-from .metalie import LieElement, degree_cap, normalize_word
+from .metalie import LieElement, degree_cap, is_normal_word, normalize_word
 from .multipoly import Polynomial
 from .polydecomp import MAX_DEGREE, MAX_POWER_BITS, MAX_TERMS
 from .sparse import MAX_ARITY
@@ -75,6 +78,12 @@ _TOKEN = re.compile(r"\s*(?:([0-9]+)|(x[0-9]*)|([-+*/^()\[\],])|(\S)|\Z)")
 # coefficient, the factors alone and the sign of the next term.
 _FACTORS = r"x[0-9]+(?:\^[0-9]+)?(?:\*x[0-9]+(?:\^[0-9]+)?)*"
 _PRINTED_TERM = re.compile(rf"(-)?(?:([0-9]+)(?:/([0-9]+))?(?:\*({_FACTORS}))?|({_FACTORS}))(?: ([-+]) |\Z)")
+
+# The same for a Lie term, whose key is one word: a generator x<i> or a
+# bracket [x<i>,x<j>,...] of two or more entries, after "a*" or "a/b*" or
+# alone.  The groups are laid out as in _PRINTED_TERM.
+_WORD = r"x[0-9]+|\[x[0-9]+(?:,x[0-9]+)+\]"
+_PRINTED_LIE_TERM = re.compile(rf"(-)?(?:([0-9]+)(?:/([0-9]+))?\*({_WORD})|({_WORD}))(?: ([-+]) |\Z)")
 
 _NO_DIVISION = "division is only defined by a nonzero constant"
 
@@ -104,6 +113,18 @@ def _tokenize(src):
             raise ParseError(f"unexpected character {text!r}", pos)
     append(("end", "", len(src)))
     return tokens
+
+
+def _accumulate(terms, pairs):
+    """Add the (key, coefficient) pairs into the terms dict, dropping each key whose sum is zero."""
+    for key, coeff in pairs:
+        acc = terms.get(key)
+        if acc is not None:
+            coeff = acc + coeff
+        if coeff.is_zero():
+            terms.pop(key, None)
+        else:
+            terms[key] = coeff
 
 
 class _Reader:
@@ -162,14 +183,7 @@ class _Reader:
         terms = {}
         negative = False
         while True:
-            for key, coeff in read_term(negative).items():
-                acc = terms.get(key)
-                if acc is not None:
-                    coeff = acc + coeff
-                if coeff.is_zero():
-                    terms.pop(key, None)
-                else:
-                    terms[key] = coeff
+            _accumulate(terms, read_term(negative).items())
             kind = self.tokens[self.i][0]
             if kind != "+" and kind != "-":
                 return zero._wrap(terms)
@@ -203,46 +217,57 @@ def _monomial_key(text, arity):
     return tuple(exps)
 
 
-def _read_printed(src, arity, field, table):
+def _word_key(text, arity):
+    """The index tuple of a word text x<i> or [x<i>,...], or None when an index is outside 1..arity."""
+    word = tuple(map(str_to_int, text[2:-1].split(",x"))) if text[0] == "[" else (str_to_int(text[1:]),)
+    return word if all(1 <= i <= arity for i in word) else None
+
+
+def _read_printed(src, pattern, field, get, enter):
     """The terms dict of src read one printed-shape term, and one scalar, at a time.
 
-    None when some term is not in that shape, names a variable outside
-    1..arity (such a text never enters ``table``) or divides by zero.
+    ``pattern`` matches one term, with the groups of ``_PRINTED_TERM``.  A
+    term's key text gives its entry by get(text) or, when that is None, by
+    enter(text): a key, which takes the term's scalar, or a terms dict,
+    whose coefficients the scalar multiplies.  None when some term is not
+    in that shape, divides by zero or has a text that enter declines.
     """
     p = field.p
     terms = {}
     negative = False
     pos = 0
-    match = _PRINTED_TERM.match
+    match = pattern.match
     while True:
         m = match(src, pos)
         if m is None:
             return None
-        minus, a, b, factors, alone, sign = m.groups()
+        minus, a, b, after, alone, sign = m.groups()
         if minus:
             negative = not negative
-        text = factors or alone or ""
-        key = table.get(text)
-        if key is None:
-            key = _monomial_key(text, arity)
-            if key is None:
-                return None
-            table[text] = key
         num = 1 if a is None else str_to_int(a)
         den = None if b is None else str_to_int(b)
         if den is not None and (den if p is None else den % p) == 0:
             return None
+        text = after or alone or ""
+        entry = get(text)
+        if entry is None:
+            entry = enter(text)
+            if entry is None:
+                return None
         if num if p is None else num % p:
             c = field(-num if negative else num, den)
-            acc = terms.get(key)
-            if acc is None:
-                terms[key] = c
+            if type(entry) is dict:  # a word that is not normal: its normal terms, scaled
+                _accumulate(terms, [(key, coeff * c) for key, coeff in entry.items()])
             else:
-                c = acc + c
-                if c.is_zero():
-                    del terms[key]
+                acc = terms.get(entry)
+                if acc is None:
+                    terms[entry] = c
                 else:
-                    terms[key] = c
+                    c = acc + c
+                    if c.is_zero():
+                        del terms[entry]
+                    else:
+                        terms[entry] = c
         if sign is None:
             return terms
         negative = sign == "-"
@@ -253,11 +278,21 @@ def parse_poly(src, arity, field, table=None):
     """The Polynomial that src spells in ``arity`` variables over ``field``.
 
     ``table`` maps monomial texts to exponent tuples for the texts of one
-    document (a fresh one when None).  Any text ``_read_printed`` declines,
-    and any arity out of range, goes to the token grammar, which reports it.
+    document, so of one arity (a fresh one when None).  Any text
+    ``_read_printed`` declines, and any arity out of range, goes to the
+    token grammar, which reports it.
     """
     if 1 <= arity <= MAX_ARITY:
-        terms = _read_printed(src, arity, field, {} if table is None else table)
+        if table is None:
+            table = {}
+
+        def enter(text):
+            key = _monomial_key(text, arity)
+            if key is not None:
+                table[text] = key
+            return key
+
+        terms = _read_printed(src, _PRINTED_TERM, field, table.get, enter)
         if terms is not None:
             return Polynomial._new(arity, field, terms)
     r = _Reader(src, arity, field)
@@ -355,12 +390,46 @@ def parse_poly(src, arity, field, table=None):
     return r.read_all(expr)
 
 
-def parse_lie(src, arity, field):
-    """The LieElement of src; the degree cap is read once, at the first bracket."""
+def parse_lie(src, arity, field, table=None):
+    """The LieElement of src; the degree cap is read once, at the first bracket.
+
+    ``table`` maps word texts to entries for the texts of one document, so
+    of one arity and field (a fresh one when None): the index tuple of a
+    normal word, and the terms of ``normalize_word`` for any other.  Any text ``_read_printed``
+    declines, and any arity out of range, goes to the token grammar, which
+    reports it and reads the cap only if the reader above has not.
+    """
+    cap = None
+    if 1 <= arity <= MAX_ARITY:
+        if table is None:
+            table = {}
+
+        def within_cap(text):
+            """Whether the bracket text has at most cap entries; the cap is read on the first call."""
+            nonlocal cap
+            if cap is None:
+                cap = degree_cap()
+            return text.count(",") < cap
+
+        def get(text):
+            entry = table.get(text)
+            if entry is None or text[0] != "[" or within_cap(text):
+                return entry
+            return None
+
+        def enter(text):
+            word = _word_key(text, arity)
+            if word is None or len(word) > 1 and not within_cap(text):
+                return None
+            entry = table[text] = word if is_normal_word(word) else normalize_word(word, arity, field, cap).terms
+            return entry
+
+        terms = _read_printed(src, _PRINTED_LIE_TERM, field, get, enter)
+        if terms is not None:
+            return LieElement._new(arity, field, terms)
     r = _Reader(src, arity, field)
     tokens = r.tokens
     zero = LieElement.zero(arity, field)
-    cap = None
 
     def lexpr():
         return r.read_sum(lterm, zero)
@@ -440,7 +509,7 @@ def _mono_to_str(mono):
         if e == 1:
             pieces.append(f"x{i + 1}")
         elif e > 1:
-            pieces.append(f"x{i + 1}^{e}")
+            pieces.append(f"x{i + 1}^{int_to_str(e)}")
     return "*".join(pieces)
 
 

@@ -215,6 +215,21 @@ def test_a_recomputed_degree_past_the_digit_limit_is_reported_in_full(tmp_path, 
     )
 
 
+def test_a_degree_past_the_digit_limit_has_no_document(capsys):
+    # one variable: the status is infinite, so no ceiling applies before the document
+    expr = "x1^1" + "0" * 5000
+    start = perf_counter()
+    assert run(["decompose", "poly", "--vars", "1", expr]) == 3
+    assert perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "unsupported input: a degree of 5001 digits is too long for a JSON number\n"
+    f = parse_poly(expr, 1, QQ)
+    assert poly_to_str(f) == expr
+    assert run(["decompose", "poly", "--vars", "1", "x1^1" + "0" * 4299]) == 0
+    assert json.loads(capsys.readouterr().out)["stats"]["degree"] == 10**4299
+
+
 def test_vars_at_the_arity_ceiling_are_accepted(capsys):
     assert run(["bound", "lie", "--vars", str(MAX_ARITY)]) == 0
     assert capsys.readouterr().out == "6\n"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from primlen import parsing
 from primlen.document import dumps, lie_document, loads, poly_document, verify_document
-from primlen.errors import ArityMismatchError, DegreeCapError, ParseError
+from primlen.errors import ArityMismatchError, DegreeCapError, ParseError, PrimlenError
 from primlen.field import GF, QQ, field_from_flag
 from primlen.liedecomp import decompose_lie
 from primlen.metalie import LieElement, normalize_word
@@ -260,6 +260,12 @@ MALFORMED = [
     ("lie", "[x2,x1] + ", 3, QQ, "unexpected 'end of input'", 10),
     ("poly", "x1 - 3/0*x2", 2, QQ, "division is only defined by a nonzero constant", 6),
     ("poly", "2/5*x1", 2, GF(5), "division is only defined by a nonzero constant", 1),
+    ("lie", "x1 + 2*[x3,x4]", 3, QQ, "variable x4 is outside x1..x3", 11),
+    ("lie", "[x2,x1] - 3*[x1]", 3, QQ, "a bracket needs at least two entries", 12),
+    ("lie", "[x2,x1] - 3/0*[x3,x1]", 3, QQ, "division is only defined by a nonzero constant", 11),
+    ("lie", "x1 + 1/2*[x2,x1] + 0", 3, GF(2), "division is only defined by a nonzero constant", 6),
+    ("lie", "-[x2,x1] - x", 3, QQ, "variable name needs an index", 11),
+    ("lie", "[x2,x1] + 2", 3, QQ, "expected '*', found 'end of input'", 11),
 ]
 
 
@@ -429,37 +435,134 @@ def spelled_polys(draw):
     return arity, field, cases
 
 
-@settings(max_examples=200, deadline=None)
-@given(spelled_polys())
+@st.composite
+def normal_words(draw, arity):
+    """A generator (i,) or a normal word i1 > i2 <= i3 <= ... of length up to 4."""
+    length = draw(st.integers(1, 4))
+    if length == 1:
+        return (draw(st.integers(1, arity)),)
+    i2 = draw(st.integers(1, arity - 1))
+    i1 = draw(st.integers(i2 + 1, arity))
+    tail = draw(st.lists(st.integers(i2, arity), min_size=length - 2, max_size=length - 2))
+    return (i1, i2, *sorted(tail))
+
+
+def _respell_word(draw, word):
+    """(sign, text) of a word equal to sign * word: first two entries swapped, the tail in any order."""
+    if len(word) == 1:
+        return 1, f"x{word[0]}"
+    sign = 1
+    head = list(word[:2])
+    if draw(st.booleans()):
+        head.reverse()
+        sign = -1
+    tail = draw(st.permutations(word[2:]))
+    return sign, "[" + ",".join(f"x{i}" for i in head + list(tail)) + "]"
+
+
+def _spell_lie(draw, u):
+    """A text whose value is u, respelled in ways the printer never writes.
+
+    Terms come in any order, with "1*", unreduced a/b, residues >= p, words
+    that are not normal (the first two entries swapped, the sign flipped;
+    the tail in any order), zero coefficients, pairs of terms on one word,
+    spelled alike or not, that cancel and, sometimes, other spacing around
+    the signs.
+    """
+    field, arity = u.field, u.arity
+    p = field.p
+    signed = []  # (negative, coefficient text or None, word text)
+    for word, c in u.terms.items():
+        num, den = (c.value.numerator, c.value.denominator) if p is None else (c.value, 1)
+        sign, text_word = _respell_word(draw, word)
+        if p is not None and sign < 0:
+            num = (-num) % p
+        k = draw(st.integers(1, 3))
+        if p is None:
+            text = f"{abs(num) * k}/{den * k}" if k > 1 or den != 1 else str(abs(num))
+        else:
+            text = str(num + (k - 1) * p)
+        if text == "1" and draw(st.booleans()):
+            text = None
+        signed.append(((num < 0) != (sign < 0 and p is None), text, text_word))
+    for _ in range(draw(st.integers(0, 2))):
+        word = draw(normal_words(arity))
+        if draw(st.booleans()):
+            signed.append((False, "0", _respell_word(draw, word)[1]))
+        else:
+            n = draw(st.integers(1, 9))
+            sign, first = _respell_word(draw, word)
+            second_sign, second = _respell_word(draw, word)
+            signed += [(False, str(n), first), (sign == second_sign, str(n), second)]
+    signed = draw(st.permutations(signed))
+    plus, minus = draw(st.sampled_from([(" + ", " - "), (" + ", " - "), ("+", "-"), ("  +\t", " -  ")]))
+    pieces = []
+    for negative, text, word in signed:
+        body = word if text is None else f"{text}*{word}"
+        if pieces:
+            pieces.append((minus if negative else plus) + body)
+        else:
+            pieces.append(("-" if negative else "") + body)
+    return "".join(pieces) or "0"
+
+
+@st.composite
+def spelled_lies(draw):
+    """(arity, field, [(text, value)]): canonical prints of random Lie elements and respellings."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(101)]))
+    arity = draw(st.integers(2, 4))
+    if field.p is None:
+        coeffs = st.builds(field, st.integers(-20, 20), st.integers(1, 20))
+    else:
+        coeffs = st.builds(field, st.integers(0, field.p - 1))
+    cases = []
+    for _ in range(draw(st.integers(1, 4))):
+        u = LieElement(arity, field, draw(st.dictionaries(normal_words(arity), coeffs, max_size=5)))
+        cases += [(lie_to_str(u), u), (_spell_lie(draw, u), u)]
+    return arity, field, cases
+
+
+READERS = {"poly": parse_poly, "lie": parse_lie}
+
+
+@st.composite
+def spelled_texts(draw):
+    """(reader, arity, field, [(text, value)]) of polynomial or Lie texts."""
+    if draw(st.booleans()):
+        return ("poly", *draw(spelled_polys()))
+    return ("lie", *draw(spelled_lies()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spelled_texts())
 def test_a_shared_table_reads_what_each_text_alone_reads(case):
-    arity, field, cases = case
+    reader, arity, field, cases = case
+    parse = READERS[reader]
     table = {}
     for text, value in cases:
-        assert parse_poly(text, arity, field) == value, text
-        assert parse_poly(text, arity, field, table=table) == value, text
+        assert parse(text, arity, field) == value, text
+        assert parse(text, arity, field, table=table) == value, text
 
 
-def _outcome(text, arity, field, **table):
+def _outcome(parse, text, arity, field, **table):
     try:
-        return parse_poly(text, arity, field, **table)
-    except ParseError as exc:
-        return str(exc), exc.position
+        return parse(text, arity, field, **table)
+    except PrimlenError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
 
 
-MALFORMED_POLYS = [(text, arity, field) for reader, text, arity, field, _, _ in MALFORMED if reader == "poly"]
-
-
-@settings(max_examples=200, deadline=None)
-@given(spelled_polys(), st.sampled_from(MALFORMED_POLYS), st.booleans())
-def test_a_malformed_text_fails_alike_with_and_without_a_table(case, malformed, before):
-    arity, field, cases = case
-    fragment = malformed[0]
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.booleans())
+def test_a_malformed_text_fails_alike_with_and_without_a_table(data, before):
+    reader, arity, field, cases = data.draw(spelled_texts())
+    fragment = data.draw(st.sampled_from([m[1] for m in MALFORMED if m[0] == reader]))
+    parse = READERS[reader]
     table = {}
     for text, _ in cases:
         joined = f"{fragment} + {text}" if before else f"{text} + {fragment}"
-        alone = _outcome(joined, arity, field)
-        assert _outcome(joined, arity, field, table=table) == alone
-        parse_poly(text, arity, field, table=table)
+        alone = _outcome(parse, joined, arity, field)
+        assert _outcome(parse, joined, arity, field, table=table) == alone
+        parse(text, arity, field, table=table)
 
 
 @pytest.mark.parametrize("text, arity, field, message, position", [m[1:] for m in MALFORMED if m[0] == "poly"])
@@ -477,6 +580,13 @@ def test_an_index_outside_the_arity_never_enters_the_table():
     with pytest.raises(ParseError, match=r"variable x3 is outside x1..x2 \(at position 5\)"):
         parse_poly("x1 + x3^2", 2, QQ, table=table)
     assert "x3^2" not in table
+    table = {}
+    with pytest.raises(ParseError, match=r"variable x4 is outside x1..x3 \(at position 9\)"):
+        parse_lie("x1 + [x2,x4,x1]", 3, QQ, table=table)
+    assert "[x2,x4,x1]" not in table
+    with pytest.raises(ParseError, match=r"variable x9 is outside x1..x3 \(at position 0\)"):
+        parse_lie("x9 - [x2,x1]", 3, QQ, table=table)
+    assert "x9" not in table
 
 
 def test_printing_through_a_shared_table_is_printing_alone():
@@ -491,10 +601,10 @@ def test_printing_through_a_shared_table_is_printing_alone():
         assert [lie_to_str(u, table=table) for u in lies] == [lie_to_str(u) for u in lies]
 
 
-@pytest.mark.parametrize("name", ["Q-d3", "d5-n3-linear-part"])
+@pytest.mark.parametrize("name", ["Q-d3", "d5-n3-linear-part", "F2-d4"])
 def test_each_key_text_is_made_once_per_document(monkeypatch, name):
     made = Counter()
-    for attr in ("_mono_to_str", "_word_to_str", "_monomial_key"):
+    for attr in ("_mono_to_str", "_word_to_str", "_monomial_key", "_word_key"):
 
         def counting(key, *rest, original=getattr(parsing, attr)):
             made[key] += 1
@@ -513,6 +623,51 @@ def test_each_key_text_is_made_once_per_document(monkeypatch, name):
         doc = lie_document(dec)
     assert made and max(made.values()) == 1  # each key printed once
     made.clear()
+    tokenized = []
+    tokenize = parsing._tokenize
+    monkeypatch.setattr(parsing, "_tokenize", lambda src: tokenized.append(src) or tokenize(src))
     assert verify_document(loads(dumps(doc))).ok
-    if name in POLY_CORPUS:
-        assert made and max(made.values()) == 1  # each monomial text read once
+    assert made and max(made.values()) == 1  # each monomial or word text read once
+    assert set(tokenized) <= {"0"}  # only texts outside the printed shape reach the grammar
+
+
+# -- the Lie term reader ----------------------------------------------------------
+
+
+def test_words_that_are_not_normal_repeat_and_cancel():
+    table = {}
+    # [x1,x2] = -[x2,x1]; [x3,x1,x3,x2] = [x3,x1,x2,x3]; [x1,x1] = 0
+    text = "[x1,x2] + 2*[x2,x1] + [x3,x1,x3,x2] - [x3,x1,x2,x3] + 5*[x1,x1] + x1 - x1"
+    for _ in range(2):
+        assert parse_lie(text, 3, QQ, table=table) == normalize_word((2, 1), 3, QQ)
+    assert parse_lie("3*[x1,x2,x3] + 3*[x2,x1,x3]", 3, GF(101), table={}).is_zero()
+    assert parse_lie("1/2*[x1,x2] - 1/2*[x1,x2]", 3, QQ).is_zero()
+    assert table["[x1,x2]"] == {(2, 1): QQ(-1)}
+    assert table["[x2,x1]"] == (2, 1)
+    assert table["[x1,x1]"] == {}
+
+
+@pytest.mark.parametrize("text, arity, field, message, position", [m[1:] for m in MALFORMED if m[0] == "lie"])
+def test_malformed_lie_positions_hold_through_a_filled_table(text, arity, field, message, position):
+    table = {}
+    parse_lie("[x2,x1,x3] + 3*[x3,x1] - x2 + [x1,x2] + [x3,x1,x2]", 3, field, table=table)
+    with pytest.raises(ParseError) as info:
+        parse_lie(text, arity, field, table=table)
+    assert message in str(info.value)
+    assert info.value.position == position
+
+
+def test_a_table_hit_reads_and_checks_the_degree_cap_of_its_call(monkeypatch):
+    table = {}
+    long_word = "[x2" + ",x1" * 4 + "]"
+    parse_lie(f"x1 + {long_word} + [x1,x2,x1]", 3, QQ, table=table)
+    assert long_word in table
+    monkeypatch.setenv("PRIMLEN_DEGREE_CAP", "3")
+    for texts in ({}, table):
+        with pytest.raises(DegreeCapError, match=r"^word length 5 beyond the cap 3$"):
+            parse_lie(f"x1 + {long_word}", 3, QQ, table=texts)
+    monkeypatch.setenv("PRIMLEN_DEGREE_CAP", "abc")
+    for texts in ({}, table):
+        assert parse_lie("x1 + x2", 3, QQ, table=texts) == parse_lie("x2 + x1", 3, QQ)
+        with pytest.raises(ValueError):
+            parse_lie("x1 + [x1,x2,x1]", 3, QQ, table=texts)
