@@ -31,12 +31,12 @@ factor.  A power of a variable costs nothing and is not bounded here.
 
 Reading is linear in the text for sums of monomial and word terms.  A
 text is first read one term at a time, each term in the shape the printer
-writes taken in one regex match: an optional coefficient a or a/b, then
-factors x<i> or x<i>^<e> joined by '*' (a polynomial) or one word x<i> or
-[x<i>,x<j>,...] after a '*' (a Lie element), then " + ", " - " or the end.
-The coefficient becomes one scalar, and the key text is looked up in a
-table, which it enters on first sight, its indices range-checked; the
-document reader keeps one table for a whole document (``table=``).  A
+writes taken in one regex match: an optional coefficient a or a/b, then,
+joined to it by '*', factors x<i> or x<i>^<e> joined by '*' (a polynomial)
+or one word x<i> or [x<i>,x<j>,...] (a Lie element), then " + ", " - " or
+the end.  The coefficient becomes one scalar, and the key text is looked
+up in a table, which it enters on first sight, its indices range-checked;
+the document reader keeps one table for a whole document (``table=``).  A
 monomial text enters as its exponent tuple.  A word text enters as its
 index tuple when the word is normal, and otherwise as the terms of
 ``normalize_word``, which the term's scalar multiplies; a bracket's length
