@@ -20,7 +20,7 @@ from .errors import ParseError, PrimlenError, UnsupportedInputError
 from .field import field_from_flag, int_to_str, parse_scalar
 from .linalg import DenseMatrix
 from .liedecomp import InnerLieAuto, lie_bound, verify_lie
-from .parsing import lie_to_str, parse_lie, parse_poly, poly_to_str, scalar_to_str
+from .parsing import lie_to_str, parse_lie, parse_poly, poly_to_str
 from .polyauto import AffineAuto, Certificate, TriangularAuto
 from .polydecomp import Decomposition, VerifyResult, poly_bound, verify
 from .sparse import MAX_ARITY
@@ -29,10 +29,6 @@ VERSION = "primlen/1"
 
 POLY = "polynomial"
 LIE = "metabelian-lie"
-
-
-def _matrix_to_json(matrix):
-    return [[scalar_to_str(matrix.get(i, j)) for j in range(matrix.cols)] for i in range(matrix.rows)]
 
 
 def _matrix_from_json(rows, texts):
@@ -57,14 +53,15 @@ def _factor_to_json(auto, lie, to_str):
     triangular factors of polynomial certificates keep the ordering 1..d.
     """
     if isinstance(auto, AffineAuto):
-        record = {"kind": "linear" if lie else "affine", "matrix": _matrix_to_json(auto.matrix)}
+        rows = [list(map(str, auto.matrix.row(i))) for i in range(auto.arity)]
+        record = {"kind": "linear" if lie else "affine", "matrix": rows}
         if not lie:
-            record["offset"] = [scalar_to_str(b) for b in auto.offset]
+            record["offset"] = list(map(str, auto.offset))
         return record
     if isinstance(auto, TriangularAuto):
         record = {
             "kind": "triangular",
-            "gammas": [scalar_to_str(g) for g in auto.gammas],
+            "gammas": list(map(str, auto.gammas)),
             "tails": [to_str(t) for t in auto.tails],
         }
         if lie:

@@ -216,7 +216,7 @@ def _inner_cert(gen, gamma, w):
     """Certificate for gamma x_gen + [w, x_gen]: diagonal linear then inner."""
     d, field = w.arity, w.field
     zero = field.zero()
-    diag = DenseMatrix.from_rows(field, [[gamma if i == j else zero for i in range(d)] for j in range(d)])
+    diag = DenseMatrix(d, d, field, [gamma if i == j else zero for j in range(d) for i in range(d)])
     inner = InnerLieAuto(w.scale(-gamma.inverse()))
     return Certificate([AffineAuto(diag), inner], gen)
 

@@ -268,17 +268,34 @@ def is_singular(rows, p):
     """Whether the square matrix of int rows is singular.
 
     The rows are in the layout of ``FieldDescriptor.to_raw`` (``p`` None
-    over Q, else the characteristic); one fraction-free elimination of a
-    copy of them finds fewer pivots than rows exactly when it is.  Over Q
-    each row is first divided by the gcd of its entries, so a row that the
-    common denominator scaled up enters the elimination at its own size.
+    over Q, else the characteristic).  Every row with exactly one nonzero
+    entry is struck first, with that entry's column: by Laplace expansion
+    along the row this changes the determinant only by a nonzero factor,
+    and a second such row on a struck column makes the matrix singular.
+    So a basis change of k given rows and unit rows costs one reading of
+    its entries and a k x k elimination.  One fraction-free elimination of
+    what is left finds fewer pivots than rows exactly when it is singular.
+    Over Q each row left is first divided by the gcd of its entries, so a
+    row that the common denominator scaled up enters at its own size.
     """
+    struck = set()
+    rest = []
+    for row in rows:
+        if len(row) - row.count(0) == 1:
+            column = row.index(max(row) or min(row))  # the one nonzero entry, of either sign
+            if column in struck:
+                return True
+            struck.add(column)
+        else:
+            rest.append(row)
+    if not rest:
+        return False
+    keep = [j for j in range(len(rows)) if j not in struck]
+    rest = [[row[j] for j in keep] for row in rest]
     if p is None:
-        rows = [[v // g for v in row] if (g := gcd(*row)) > 1 else list(row) for row in rows]
-    else:
-        rows = [list(row) for row in rows]
-    _, pivots = _bareiss_forward(rows, len(rows), p, OpCounter())
-    return len(pivots) < len(rows)
+        rest = [[v // g for v in row] if (g := gcd(*row)) > 1 else row for row in rest]
+    _, pivots = _bareiss_forward(rest, len(rest), p, OpCounter())
+    return len(pivots) < len(rest)
 
 
 def pivot_columns(rows, field):
@@ -299,16 +316,16 @@ def basis_from_rows(rows, field):
     follow in index order.  Raises ValueError when the rows are linearly
     dependent.
     """
-    rows = [list(r) for r in rows]
     d = len(rows[0])
     pivots = pivot_columns(rows, field)
     if len(pivots) < len(rows):
         raise ValueError("rows to complete to a basis are linearly dependent")
+    entries = [c for row in rows for c in row]
     one, zero = field.one(), field.zero()
     for m in range(d):
         if m not in pivots:
-            rows.append([one if i == m else zero for i in range(d)])
-    return DenseMatrix.from_rows(field, rows)
+            entries += [zero] * m + [one] + [zero] * (d - m - 1)
+    return DenseMatrix(d, d, field, entries)
 
 
 def vandermonde_power_matrix(alphas, exponents):

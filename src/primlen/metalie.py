@@ -115,9 +115,9 @@ class LieElement(SparseElement):
     def has_linear_part(self):
         return any(len(w) == 1 for w in self.terms)
 
-    def mentions(self, index):
-        """Whether the generator x_index occurs in any stored word."""
-        return any(index in w for w in self.terms)
+    def mentioned(self):
+        """The indices of the generators that occur in a stored word."""
+        return {i for w in self.terms for i in w}
 
     def substitute(self, images):
         """The image of self under the endomorphism x_i -> images[i - 1]."""

@@ -21,6 +21,7 @@ a result is turned into scalars, one per nonzero coefficient
 
 from __future__ import annotations
 
+from itertools import compress, count
 from math import comb
 from operator import add
 
@@ -161,9 +162,9 @@ class Polynomial(SparseElement):
             {m: c for m, c in self.terms.items() if sum(m) == p},
         )
 
-    def mentions(self, index):
-        """Whether the variable x_index occurs in any stored monomial."""
-        return any(mono[index - 1] for mono in self.terms)
+    def mentioned(self):
+        """The indices of the variables that occur in a stored monomial."""
+        return {i for mono in self.terms for i in compress(count(1), mono)}
 
     def linear_coefficients(self):
         """Coefficients (c_1, ..., c_d) of the degree-1 component."""

@@ -499,10 +499,6 @@ def parse_lie(src, arity, field, table=None):
 # -- printing ----------------------------------------------------------------
 
 
-def scalar_to_str(c):
-    return str(c)
-
-
 def _mono_to_str(mono):
     pieces = []
     for i, e in enumerate(mono):
@@ -518,8 +514,8 @@ def _to_str(element, key_to_str, table):
 
     Each key's text comes from ``table`` (key -> text), which it enters on
     first sight: one dict per document, or a fresh one when None.  A
-    coefficient's sign is taken off its text (``scalar_to_str``), so no
-    negated scalar is built.
+    coefficient's sign is taken off its text (``str``), so no negated
+    scalar is built.
     """
     if element.is_zero():
         return "0"
@@ -530,7 +526,7 @@ def _to_str(element, key_to_str, table):
         body = table.get(key)
         if body is None:
             body = table[key] = key_to_str(key)
-        scalar = scalar_to_str(coeff)
+        scalar = str(coeff)
         negative = scalar[0] == "-"
         if negative:
             scalar = scalar[1:]

@@ -36,7 +36,7 @@ part to x1, ``linear_certificate`` for a summand of degree 1.
 
 from __future__ import annotations
 
-from operator import mul
+from itertools import compress
 
 from .errors import ArityMismatchError
 from .linalg import basis_from_rows, is_singular, matrix_inverse
@@ -66,15 +66,24 @@ def _compose_raw(outer, inner, p):
 
     With images in rows, substituting outer into inner's images gives the
     matrix inner * outer over the product of the denominators, and the
-    offset inner.offset * den(outer) + inner.matrix * outer.offset; over
+    offset inner.offset * den(outer) + inner.matrix * outer.offset.  Each
+    inner row combines the outer rows at its nonzero entries only, so a
+    unit row of a basis change costs one pass over one outer row.  Over
     GF(p) (``p`` not None) every entry is reduced mod p, which keeps the
     ints of a long run small.
     """
     den_in, rows_in, offset_in = inner
     den_out, rows_out, offset_out = outer
-    cols = list(zip(*rows_out))
-    rows = [[sum(map(mul, row, col)) for col in cols] for row in rows_in]
-    offset = [b * den_out + sum(map(mul, row, offset_out)) for row, b in zip(rows_in, offset_in)]
+    width = len(rows_out[0])
+    rows, offset = [], []
+    for row, b in zip(rows_in, offset_in):
+        acc = [0] * width
+        b *= den_out
+        for c, out_row, out_b in compress(zip(row, rows_out, offset_out), row):
+            acc = [a + c * v for a, v in zip(acc, out_row)]
+            b += c * out_b
+        rows.append(acc)
+        offset.append(b)
     if p is not None:
         rows = [[c % p for c in row] for row in rows]
         offset = [b % p for b in offset]
@@ -149,15 +158,14 @@ class TriangularAuto:
         for gen, g in zip(self.ordering, self.gammas):
             if g.is_zero():
                 problems.append(f"triangular gamma of x{gen} is zero")
+        position = {gen: j for j, gen in enumerate(self.ordering)}
         for j, (gen, tail) in enumerate(zip(self.ordering, self.tails)):
             if tail.arity != d:
                 problems.append(f"tail of x{gen} has wrong arity")
                 continue
-            allowed = set(self.ordering[j + 1 :])
-            for i in range(1, d + 1):
-                if i not in allowed and tail.mentions(i):
-                    problems.append(f"tail of x{gen} mentions forbidden generator x{i}")
-                    break
+            forbidden = [i for i in tail.mentioned() if position[i] <= j]
+            if forbidden:
+                problems.append(f"tail of x{gen} mentions forbidden generator x{min(forbidden)}")
         return problems
 
     def raw_images(self, like, cap):
@@ -228,16 +236,31 @@ class Certificate:
 def linearize(f):
     """(psi^-1, psi(f)) for the linear automorphism psi sending the linear part of f to x1.
 
-    psi^-1 is the basis change x1 -> the linear part,
-    ``basis_from_rows([f_1])``, so only psi takes an inverse.  It is
-    returned whenever the linear part f_1 is nonzero, the identity
-    included; without a linear part psi is the identity and psi^-1 is None.
+    psi^-1 is the basis change x1 -> the linear part l,
+    ``basis_from_rows([l])``: the row l, then the unit rows e_m for every
+    column m off the pivot (the first nonzero l_i), in index order.  So psi
+    is read off its ints without an inverse: x_m -> x_j where e_m is row j,
+    and x_pivot -> (x1 - sum_j l_(m_j) x_j) / l_pivot.  psi^-1 is returned
+    whenever l is nonzero, the identity included; without a linear part psi
+    is the identity and psi^-1 is None.
     """
     coeffs = f.linear_coefficients()
     if not any(coeffs):
         return None, f
     psi_inv = AffineAuto(basis_from_rows([coeffs], f.field))
-    return psi_inv, apply_auto(AffineAuto(matrix_inverse(psi_inv.matrix)), f)
+    den, (ell, *_), _ = psi_inv.raw()
+    d = f.arity
+    key = [f._generator_key(d, i) for i in range(1, d + 1)]
+    pivot = next(m for m, c in enumerate(ell) if c)
+    sign = -1 if ell[pivot] < 0 else 1  # a positive denominator, as in the layout of to_raw
+    solved = {key[0]: sign * den}
+    images = [None] * d
+    for j, m in enumerate((m for m in range(d) if m != pivot), start=1):
+        images[m] = (1, {key[j]: 1})
+        if ell[m]:
+            solved[key[j]] = -sign * ell[m]
+    images[pivot] = (sign * ell[pivot], solved)
+    return psi_inv, apply_images(images, f, f._endo_cap())
 
 
 def linear_certificate(f, constant=None):

@@ -18,14 +18,14 @@ construction:
 4. certify each summand u_k primitive as the image of x1 under the
    triangular automorphism theta: x1 -> xi_k1 x1 + beta [k = 1] +
    sum_p xi_kp x2^p (beta the constant term), followed by the linear map
-   phi with x2 -> s_{a_k} and then by psi^-1.  psi^-1 is a
-   ``linalg.basis_from_rows`` matrix, like every linear factor, and phi is
-   the one that ``basis_from_rows([e_1, s_{a_k}])`` gives, written
-   directly (``lattice_phi``), since its pivots are known.  The
-   summand is assembled from that closed form rather than by replaying
-   the chain: u_k = xi_k1 l + beta [k = 1] + sum_p xi_kp L_k^p, with l the
-   image of x1 under psi^-1 and L_k = s_{a_k} psi^-1, each power expanded
-   by the multinomial theorem on ints over one denominator.
+   phi with x2 -> s_{a_k} and then by psi^-1.  Both are
+   ``linalg.basis_from_rows`` matrices, like every linear factor; phi is
+   ``basis_from_rows([e_1, s_{a_k}])``, built once per (d, n)
+   (``_lattice_phis``).  The summand is assembled from that closed form
+   rather than by replaying the chain: u_k = xi_k1 l + beta [k = 1] +
+   sum_p xi_kp L_k^p, with l the image of x1 under psi^-1 and
+   L_k = s_{a_k} psi^-1, each power expanded by the multinomial theorem
+   on the ints of psi^-1 (``AffineAuto.raw``) over one denominator.
 
 The factors are plain records, checked by nothing when built, and the
 producer never replays them: ``check_summands`` runs
@@ -51,7 +51,7 @@ from operator import getitem, mul
 
 from .errors import UnsupportedInputError
 from .field import QQ, int_to_str
-from .linalg import DenseMatrix
+from .linalg import basis_from_rows
 from .multipoly import Polynomial, monomials_of_degree, multinomial
 from .polyauto import (
     AffineAuto,
@@ -168,21 +168,6 @@ def lattice_nodes(n, d):
     return [a for q in range(n + 1) for a in monomials_of_degree(d - 1, q)]
 
 
-def lattice_phi(node, field):
-    """The matrix of phi for the lattice point a = node: rows e_1, s_a, e_3, ..., e_d.
-
-    This is ``basis_from_rows([e_1, s_a])`` without the elimination: the
-    pivots of e_1 and s_a are always the columns 1 and 2, because the
-    second entry of s_a is a_1 + 1 >= 1.
-    """
-    d = len(node) + 1
-    one, zero = field.one(), field.zero()
-    entries = [one] + [zero] * (d - 1) + [one] + [field(a_i + 1) for a_i in node]
-    for m in range(2, d):
-        entries += [one if i == m else zero for i in range(d)]
-    return DenseMatrix(d, d, field, entries)
-
-
 def assign_linear_coeffs(count, delta, field=QQ):
     """count nonzero scalars summing to delta (delta in {0, 1})."""
     if not field.is_rationals:
@@ -290,6 +275,17 @@ def _power_terms(d, p):
     return [(m, multinomial(m)) for m in monomials_of_degree(d, p)]
 
 
+@cache
+def _lattice_phis(d, n):
+    """The factor phi, ``basis_from_rows([e_1, s_a])``, of each point a of ``lattice_nodes(n, d)``.
+
+    Factors are immutable records, so every decomposition shares them.
+    """
+    e1 = [QQ.one()] + [QQ.zero()] * (d - 1)
+    forms = [[QQ.one()] + [QQ(a_i + 1) for a_i in a] for a in lattice_nodes(n, d)]
+    return [AffineAuto(basis_from_rows([e1, s_a], QQ)) for s_a in forms]
+
+
 def decompose(f):
     """Decompose f into certified primitive summands within the binomial bound."""
     d, field = f.arity, f.field
@@ -317,6 +313,7 @@ def decompose(f):
     delta = 0 if psi_inv is None else 1
     beta = g.constant_term()
     nodes = lattice_nodes(n, d)
+    phis = _lattice_phis(d, n)
     xi_linear = assign_linear_coeffs(bound, delta, field)
     xi = [solve_degree(p, g.homogeneous_component(p), nodes) for p in range(2, n + 1)]
 
@@ -327,8 +324,7 @@ def decompose(f):
     if psi_inv is None:
         psi_den, psi_rows = 1, units
     else:
-        psi_den, flat = field.to_raw(psi_inv.matrix.entries)
-        psi_rows = [flat[j * d : (j + 1) * d] for j in range(d)]
+        psi_den, psi_rows, _ = psi_inv.raw()
     psi_cols = list(zip(*psi_rows))
     psi_powers = [psi_den**e for e in range(n + 1)]
     power_terms = [_power_terms(d, p) for p in range(2, n + 1)]
@@ -347,8 +343,7 @@ def decompose(f):
             [Polynomial(d, field, tail_terms)] + [Polynomial.zero(d, field)] * (d - 1),
         )
         s_a = [1] + [a_i + 1 for a_i in nodes[k]]
-        phi = AffineAuto(lattice_phi(nodes[k], field))
-        chain = [theta, phi]
+        chain = [theta, phis[k]]
         if psi_inv is not None:
             chain.append(psi_inv)
         cert = Certificate(chain, 1)

@@ -6,7 +6,9 @@ output with ``check``; both reach primlen through module attributes
 and the rest).  These tests import the harness and its generator without
 writing to their directory, and run the first instances of each workload
 through those two functions, so a refactor that breaks one of those calls
-fails here rather than in a benchmark run.
+fails here rather than in a benchmark run.  They also run one traced pass
+(``--trace 1``) of each workload, which wraps primlen's functions by name,
+and check that it fails nothing and reports every per-layer metric.
 """
 
 import importlib
@@ -39,3 +41,11 @@ def test_the_first_instances_of_each_workload_pass_the_harness_check(harness, wo
         rec = run.run_instance(pl, inst)
         assert run.check(pl, inst, rec) == [], inst["id"]
         assert rec["ok"] and rec["count"] <= run.own_bound(inst)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_a_traced_pass_of_each_workload_reports_every_per_layer_metric(harness, workload):
+    run, gen, pl = harness
+    record = run.measure(pl, gen.instances(workload, 1)[:3], 0, True)
+    assert record["failed"] == 0, record["failures"]
+    assert set(run.PER_LAYER) <= set(record["metrics"])

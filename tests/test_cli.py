@@ -1,12 +1,17 @@
 import json
+import os
 import platform
 import random
+import subprocess
+import sys
 import tracemalloc
 from math import comb
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 
+import primlen
 from primlen import __version__, field
 from primlen.cli import main
 from primlen.document import dumps, loads, poly_document, verify_document
@@ -228,6 +233,24 @@ def test_a_degree_past_the_digit_limit_has_no_document(capsys):
     assert poly_to_str(f) == expr
     assert run(["decompose", "poly", "--vars", "1", "x1^1" + "0" * 4299]) == 0
     assert json.loads(capsys.readouterr().out)["stats"]["degree"] == 10**4299
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["poly", "--vars", "1024", "x1"], ["lie", "--vars", "384", "x1 + [x2,x1] + 3*[x3,x2,x2]"]],
+    ids=["poly-1024", "lie-384"],
+)
+def test_a_basis_change_at_a_legal_arity_is_decomposed_and_verified_in_seconds(tmp_path, args):
+    # every linear factor is a d x d matrix of given rows and unit rows; a producer or an
+    # invertibility check cubic in d takes from 7 s to a minute here, so each run of the
+    # CLI gets a timeout that fails the test rather than letting it hang
+    out = tmp_path / "doc.json"
+    src = str(Path(primlen.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cli = [sys.executable, "-c", "import sys; from primlen.cli import main; sys.exit(main(sys.argv[1:]))"]
+    for command in (["decompose", *args, "--out", str(out)], ["verify", str(out)]):
+        done = subprocess.run(cli + command, env=env, capture_output=True, text=True, timeout=10)
+        assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_vars_at_the_arity_ceiling_are_accepted(capsys):
@@ -574,6 +597,13 @@ def _forbidden_tail(doc):
     return "tail of x1 mentions forbidden generator x1"
 
 
+def _two_forbidden_in_the_last_tail(doc):
+    # the last tail may mention no generator; the message names the smallest it does mention
+    record = _first_factor(doc, "tails")
+    record["tails"][-1] = "x3 + x2"
+    return f"tail of x{record.get('ordering', [1, 2, 3])[-1]} mentions forbidden generator x2"
+
+
 def _repeated_ordering(doc):
     _first_factor(doc, "ordering")["ordering"] = [1, 1, 3]
     return "ordering (1, 1, 3) is not a permutation of 1..3"
@@ -595,9 +625,11 @@ LIE_ARGS = ["lie", "--vars", "3", "[x2,x1,x3] - 3/2*[x3,x1] + x1 - 2*x3"]
         (POLY_ARGS, _short_offset),
         (POLY_ARGS, _zero_gamma),
         (POLY_ARGS, _forbidden_tail),
+        (POLY_ARGS, _two_forbidden_in_the_last_tail),
         (LIE_ARGS, _singular_matrix),
         (LIE_ARGS, _zero_gamma),
         (LIE_ARGS, _forbidden_tail),
+        (LIE_ARGS, _two_forbidden_in_the_last_tail),
         (LIE_ARGS, _repeated_ordering),
         (LIE_ARGS, _linear_inner_element),
     ],

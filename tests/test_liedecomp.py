@@ -76,11 +76,11 @@ def test_bucket_dgt3_examples():
 
     t = word((4, 1, 2), d)
     w1, w2, w3, w4 = bucket_dgt3(t, d)
-    assert w3 == t and not w3.mentions(3)
+    assert w3 == t and 3 not in w3.mentioned()
 
     t = word((3, 1, 2), d)
     w1, w2, w3, w4 = bucket_dgt3(t, d)
-    assert w4 == t and not w4.mentions(4)
+    assert w4 == t and 4 not in w4.mentioned()
 
 
 def test_bucket_dgt3_resums_and_constraints():
@@ -95,8 +95,8 @@ def test_bucket_dgt3_resums_and_constraints():
         w1, w2, w3, w4 = bucket_dgt3(t, d)
         rebuilt = bracket(w1, gen(d, d)) + bracket(w2, gen(d - 1, d)) + w3 + w4
         assert rebuilt == t
-        assert not w3.mentions(d - 1)
-        assert not w4.mentions(d)
+        assert d - 1 not in w3.mentioned()
+        assert d not in w4.mentioned()
 
 
 def check_d3_system(coeffs, delta, field):

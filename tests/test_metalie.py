@@ -183,7 +183,7 @@ def test_split_parts_random_resum():
         u = rand_lie(rng, 4, 5)
         a, b, c = split_parts(u)
         assert a + b + c == u
-        assert not c.mentions(1)
+        assert 1 not in c.mentioned()
 
 
 def test_degree_cap(monkeypatch):

@@ -322,8 +322,9 @@ def replay_tail(draw, lie, d, field, allowed):
 @st.composite
 def replay_chains(draw):
     """(certificate, like): runs of 1-3 affine factors, triangular factors in random
-    orderings and, for Lie elements, inner factors.  A matrix may be singular: the
-    replay must equal the reference for any affine map."""
+    orderings and, for Lie elements, inner factors.  An affine factor's last rows may
+    have one entry each, as the unit rows of a basis change do, and a matrix may be
+    singular: the replay must equal the reference for any affine map."""
     field = draw(st.sampled_from([QQ, GF(2), GF(101)]))
     lie = draw(st.booleans())
     d = draw(st.integers(3, 4) if lie else st.integers(1, 3))
@@ -334,6 +335,9 @@ def replay_chains(draw):
         if kind == "affine":
             for _ in range(draw(st.integers(1, 3))):
                 rows = [[draw(replay_scalars(field)) for _ in range(d)] for _ in range(d)]
+                for j in range(draw(st.integers(0, d)), d):  # mostly unit rows, as in a basis change
+                    rows[j] = [field.zero()] * d
+                    rows[j][draw(st.integers(0, d - 1))] = draw(replay_scalars(field))
                 offset = None if lie else [draw(replay_scalars(field)) for _ in range(d)]
                 chain.append(AffineAuto(DenseMatrix.from_rows(field, rows), offset))
         elif kind == "triangular":
@@ -394,20 +398,47 @@ def test_certify_apply_builds_scalars_only_for_its_result(monkeypatch, name):
         assert len(built) <= len(result.terms)
 
 
+def plant_single_entry_rows(rng, field, rows):
+    """Give some rows exactly one nonzero entry, scaled and at any column.
+
+    Sometimes two of them share a column, and sometimes two other rows are
+    made equal off the planted columns: a singular block that is left over
+    once the planted rows and their columns are struck.
+    """
+    n = len(rows)
+    planted = rng.sample(range(n), rng.choice([1, n // 2, n - 1, n]))
+    columns = rng.sample(range(n), len(planted))
+    if len(planted) > 1 and rng.random() < 0.3:  # two on one column
+        columns[-1] = columns[0]
+    rest = [r for r in range(n) if r not in planted]
+    if len(rest) > 1 and rng.random() < 0.4:
+        u, w = rng.sample(rest, 2)
+        scale = rand_nonzero_scalar(rng, field, 3)
+        rows[w] = [rand_scalar(rng, field, 3) if j in columns else scale * c for j, c in enumerate(rows[u])]
+    for r, c in zip(planted, columns):
+        rows[r] = [field.zero()] * n
+        rows[r][c] = rand_nonzero_scalar(rng, field, 3)
+
+
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
 def test_the_invertibility_check_agrees_with_the_determinant(field):
     rng = random.Random(77)
-    for _ in range(80):
-        n = rng.randint(1, 5)
+    outcomes = set()
+    for case in range(380):
+        n = rng.randint(1, 5 if case < 80 else 8)
         rows = [[rand_scalar(rng, field, 3) for _ in range(n)] for _ in range(n)]
         if n > 1 and rng.random() < 0.4:  # a row that depends on two others
             a, b = rand_scalar(rng, field, 3), rand_scalar(rng, field, 3)
             rows[rng.randrange(n)] = [a * u + b * v for u, v in zip(rows[0], rows[-1])]
+        if case >= 80:
+            plant_single_entry_rows(rng, field, rows)
         matrix = DenseMatrix.from_rows(field, rows)
         singular = bareiss_determinant(matrix)[0].is_zero()
+        outcomes.add((case >= 80, singular))
         offset = [rand_scalar(rng, field, 3) for _ in range(n)]
         assert AffineAuto(matrix, offset).validate() == (["matrix is singular"] if singular else [])
         assert AffineAuto(matrix, offset[1:]).validate()[0] == "offset has wrong length"
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_an_affine_factor_is_read_to_ints_once(monkeypatch):

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from primlen import linalg, polydecomp
+from primlen import linalg, polyauto, polydecomp
 from primlen.errors import UnsupportedInputError
 from primlen.field import GF, QQ
+from primlen.liedecomp import decompose_lie, lie_bound
 from primlen.multipoly import Polynomial, monomials_of_degree, multinomial
-from primlen.parsing import poly_to_str
+from primlen.parsing import parse_lie, parse_poly, poly_to_str
 from primlen.metalie import LieElement
 from primlen.polyauto import Certificate, apply_auto, certify_apply, invert_auto, linearize
 from primlen.linalg import DenseMatrix, bareiss_determinant, solve_square
@@ -21,14 +22,13 @@ from primlen.polydecomp import (
     assign_linear_coeffs,
     decompose,
     lattice_nodes,
-    lattice_phi,
     plength_bound,
     poly_bound,
     solve_degree,
     verify,
 )
 
-from conftest import cofactor_determinant, rand_poly
+from conftest import cofactor_determinant, rand_lie, rand_poly
 
 
 def poly(text_terms, d=2):
@@ -130,11 +130,24 @@ def test_linearize_zero_linear_part():
 
 
 def test_linearize_sends_linear_part_to_x1():
-    f = poly({(0, 1): 3, (2, 0): 1})  # 3 x2 + x1^2
-    psi_inv, g = linearize(f)
-    assert g.homogeneous_component(1) == Polynomial.variable(2, QQ, 1)
-    assert apply_auto(invert_auto(psi_inv), f) == g
-    assert apply_auto(psi_inv, g) == f
+    # pivots past column 1, with negative and fractional l_pivot, and Lie elements over Q, F2 and F101
+    cases = [
+        (parse_poly, 2, QQ, "3*x2 + x1^2"),
+        (parse_poly, 3, QQ, "-x1 + x2 + x2*x3"),
+        (parse_poly, 3, QQ, "-2/3*x2 + 5*x3 + x1*x2 + x3^2"),
+        (parse_poly, 4, QQ, "1 - 1/2*x3 + 7/3*x4 - x1*x4 + x2^3"),
+        (parse_poly, 3, QQ, "4/5*x3 + x1^2"),
+        (parse_lie, 4, QQ, "-3/2*x2 + x4 + [x2,x1] + [x3,x1,x2]"),
+        (parse_lie, 3, GF(2), "x3 + [x2,x1] + [x3,x2,x1]"),
+        (parse_lie, 4, GF(101), "-5*x3 + 7*x4 + [x4,x3] + 2*[x3,x1,x4]"),
+        (parse_lie, 3, GF(101), "x2 - x3 + [x3,x1]"),
+    ]
+    for parse, arity, field, text in cases:
+        f = parse(text, arity, field)
+        psi_inv, g = linearize(f)
+        assert g.linear_coefficients() == [field.one()] + [field.zero()] * (arity - 1), text
+        assert apply_auto(invert_auto(psi_inv), f) == g
+        assert apply_auto(psi_inv, g) == f
 
 
 def test_linearize_already_normalized():
@@ -365,15 +378,14 @@ def test_decompose_neither_replays_nor_eliminates(monkeypatch):
     assert not hasattr(polydecomp, "solve_square")
     monkeypatch.setattr(polydecomp, "certify_apply", refuse)
     monkeypatch.setattr(linalg, "solve_square", refuse)
+    monkeypatch.setattr(polyauto, "matrix_inverse", refuse)  # psi is read off psi^-1
     rng = random.Random(35)
     for d, n in [(2, 5), (3, 4), (4, 3), (5, 2)]:
         f = rand_poly(rng, d, n, coeff_bound=10**40)
         assert decompose(f).count == plength_bound(n, d)
-
-
-@pytest.mark.parametrize("d, n", [(2, 6), (3, 6), (4, 6), (6, 5)])
-def test_lattice_phi_is_the_basis_completion_of_e1_and_s_a(d, n):
-    e1 = [QQ.one()] + [QQ.zero()] * (d - 1)
-    for node in lattice_nodes(n, d):
-        s_a = [QQ.one()] + [QQ(a_i + 1) for a_i in node]
-        assert lattice_phi(node, QQ) == linalg.basis_from_rows([e1, s_a], QQ)
+        g = f + Polynomial.variable(d, QQ, d)  # a linear part, so decompose runs linearize
+        assert decompose(g).count == plength_bound(n, d)
+    for field in (QQ, GF(2), GF(101)):
+        f = rand_lie(rng, 4, 4, field) + LieElement.generator(4, field, 2)
+        assert any(f.linear_coefficients())
+        assert decompose_lie(f).count <= lie_bound(4, field)
