@@ -20,7 +20,7 @@ from .errors import ParseError, PrimlenError, UnsupportedInputError
 from .field import field_from_flag, int_to_str, parse_scalar
 from .linalg import DenseMatrix
 from .liedecomp import InnerLieAuto, lie_bound, verify_lie
-from .parsing import lie_to_str, parse_lie, parse_poly, poly_to_str
+from .parsing import lie_pairs, lie_to_str, parse_lie, parse_poly, poly_pairs, poly_to_str
 from .polyauto import AffineAuto, Certificate, TriangularAuto
 from .polydecomp import Decomposition, VerifyResult, poly_bound, verify
 from .sparse import MAX_ARITY
@@ -171,44 +171,47 @@ def _json_list(value, name):
     return value
 
 
-class _Texts:
-    """The texts of one document, each distinct string parsed once.
+def _each_once(parse):
+    """parse(text), kept by text, so each distinct string is parsed once.
 
-    ``scalar`` and ``element`` keep what they parse by its text, so a
-    document that repeats a matrix entry, a gamma or a tail pays for one
+    Only successes are kept, and a value that is not a string goes to
+    parse as it is, which refuses it as it would anywhere.
+    """
+    values = {}
+
+    def read(text):
+        if type(text) is not str:
+            return parse(text)
+        value = values.get(text)
+        if value is None:
+            value = values[text] = parse(text)
+        return value
+
+    return read
+
+
+class _Texts:
+    """The texts of one document, each distinct string parsed once (``_each_once``).
+
+    A document that repeats a matrix entry, a gamma or a tail pays for one
     parse; scalars and elements are immutable, so the copies can share one
-    value.  Only successes are kept, and a value that is not a string goes
-    to the parser as it is, which refuses it as it would anywhere.  The
-    element texts share one table of monomial or word texts
-    (``parse_poly``, ``parse_lie``), so each distinct key text of the
-    document becomes a key once.
+    value.  ``summand`` reads a summand text with the loop that reads
+    elements into the {key: (num, den)} map the verifier compares
+    (``poly_pairs``, ``lie_pairs``), so no scalar is built for its terms.
+    The element and summand texts share one table of monomial or word
+    texts, so each distinct key text of the document becomes a key once.
     """
 
-    __slots__ = ("field", "arity", "lie", "parse", "scalars", "elements")
+    __slots__ = ("field", "lie", "scalar", "element", "summand")
 
     def __init__(self, field, arity, lie):
         self.field = field
-        self.arity = arity
         self.lie = lie
-        self.parse = partial(parse_lie if lie else parse_poly, table={})
-        self.scalars = {}
-        self.elements = {}
-
-    def scalar(self, text):
-        if type(text) is not str:
-            return parse_scalar(self.field, text)
-        value = self.scalars.get(text)
-        if value is None:
-            value = self.scalars[text] = parse_scalar(self.field, text)
-        return value
-
-    def element(self, text):
-        if type(text) is not str:
-            return self.parse(text, self.arity, self.field)
-        value = self.elements.get(text)
-        if value is None:
-            value = self.elements[text] = self.parse(text, self.arity, self.field)
-        return value
+        table = {}
+        element, pairs = (parse_lie, lie_pairs) if lie else (parse_poly, poly_pairs)
+        self.scalar = _each_once(partial(parse_scalar, field))
+        self.element = _each_once(partial(element, arity=arity, field=field, table=table))
+        self.summand = _each_once(partial(pairs, arity=arity, field=field, table=table))
 
 
 def _rebuild_parts(doc, lie):
@@ -216,7 +219,8 @@ def _rebuild_parts(doc, lie):
 
     Reads the field, the arity, the input and then the summands, in that
     order.  The arity must be an integer in 1..MAX_ARITY.  Every scalar
-    and element text goes through one ``_Texts`` for the document.
+    and element text goes through one ``_Texts`` for the document, and a
+    summand is the {key: (num, den)} map of its text (``_Texts.summand``).
     """
     field = field_from_flag(doc["field"])
     arity = _json_int(doc["arity"], "arity")
@@ -226,7 +230,7 @@ def _rebuild_parts(doc, lie):
     input_element = texts.element(doc["input"])
     summands = []
     for record in _json_list(doc["summands"], "summands"):
-        summand = texts.element(record["summand"])
+        summand = texts.summand(record["summand"])
         records = _json_list(record["certificate"], "certificate")
         chain = [_factor_from_json(r, texts) for r in records]
         summands.append((summand, Certificate(chain, _json_int(record["generator"], "generator"))))

@@ -35,17 +35,29 @@ big_int = _INT
 #: ``FieldDescriptor.to_raw`` refuses a run of scalars when the bit length
 #: of their common denominator times the number of nonzero ones, about the
 #: bits of the ints it would return, exceeds this (2^29 bits are 64 MB).
-#: The check runs as the denominator grows, before any numerator is scaled.
-#: Peaks of that product, fractions backend, in decompose / in verify: seed
-#: 43 poly-small 588 / 1,988, poly-large 392 / 3,519, lie-mixed 806 / 910;
+#: The check runs as the denominator grows, before any numerator is scaled
+#: (``check_raw_bits``); the verifier's re-sum (``sparse.pairs_sum``) holds
+#: the run of one key's summand coefficients to it as well.  Peaks of that
+#: product, fractions backend, in decompose / in verify: seed 43
+#: poly-small 588 / 1,988, poly-large 392 / 3,519, lie-mixed 806 / 910;
 #: with every monomial present and coefficients a/b, |a|, b <= B, at (6,5)
 #: 0.06 M / 0.05 M (B = 100) and 0.93 M / 0.41 M (B = 10^4), at (3,16)
-#: 0.13 M / 0.07 M up to 6.3 M / 0.35 M (B = 10^5: decompose 8.2 s, verify
-#: 10.6 s).  The verifier's re-sum adds by key (``sparse.element_sum``);
-#: over one common denominator it reached 737 M at (3,16), B = 10^5.  A
-#: triangular tail of 16,000 terms with distinct prime denominators near
+#: 0.13 M / 0.07 M (B = 100), 3.19 M / 0.25 M (B = 10^4), up to
+#: 6.3 M / 0.35 M (B = 10^5: decompose 6.5-8.5 s, verify 6.8 s).  The verify
+#: peaks of the polynomial workloads are those of the re-sum, which adds by
+#: key; over one common denominator it reached 737 M at (3,16), B = 10^5.
+#: A triangular tail of 16,000 terms with distinct prime denominators near
 #: 2^20 would reach 5.1 G; it is refused in under a second.
 MAX_RAW_BITS = 1 << 29
+
+
+def check_raw_bits(den, count):
+    """Raise UnsupportedInputError when count nonzero ints over den pass MAX_RAW_BITS."""
+    if den.bit_length() * count > MAX_RAW_BITS:
+        raise UnsupportedInputError(
+            f"{count} nonzero scalars over a common denominator of at least "
+            f"{den.bit_length()} bits exceed the ceiling of {MAX_RAW_BITS} bits"
+        )
 
 
 def _is_prime(p):
@@ -172,11 +184,7 @@ class FieldDescriptor:
                 den = den // gcd(den, d) * d
                 if den.bit_length() * count > MAX_RAW_BITS:
                     count = sum(1 for x in values if x)
-                    if den.bit_length() * count > MAX_RAW_BITS:
-                        raise UnsupportedInputError(
-                            f"{count} nonzero scalars over a common denominator of at least "
-                            f"{den.bit_length()} bits exceed the ceiling of {MAX_RAW_BITS} bits"
-                        )
+                    check_raw_bits(den, count)
         if den == 1:
             return 1, [v.numerator for v in values]
         return den, [v.numerator * (den // v.denominator) for v in values]

@@ -35,14 +35,11 @@ split, and maps everything back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import UnsupportedInputError
-from .field import FieldScalar
 from .linalg import DenseMatrix, basis_from_rows, pivot_columns
 from .metalie import LieElement, _inner_raw, bracket, degree_cap, split_parts
 from .polyauto import AffineAuto, Certificate, TriangularAuto, apply_images, linear_certificate, linearize
-from .polydecomp import ZERO_NOTE, Decomposition, check_summands
+from .polydecomp import ZERO_NOTE, Decomposition, Record, check_summands
 
 
 # -- the inner automorphism ----------------------------------------------------
@@ -126,21 +123,25 @@ def bucket_dgt3(t, d):
 # -- coefficient selection ---------------------------------------------------
 
 
-@dataclass
-class D3Coefficients:
-    xi: FieldScalar
-    xi_by_gen: tuple  # (xi_1, xi_2, xi_3), all nonzero
-    zeta: tuple  # (zeta_1, zeta_2, zeta_3)
-    extra: tuple | None = None  # (z'_2, z'_3) when the last summand splits, over two-element fields
+class D3Coefficients(Record):
+    __slots__ = ("xi", "xi_by_gen", "zeta", "extra")
+
+    def __init__(self, xi, xi_by_gen, zeta, extra=None):
+        self.xi = xi  # a FieldScalar
+        self.xi_by_gen = xi_by_gen  # (xi_1, xi_2, xi_3), all nonzero
+        self.zeta = zeta  # (zeta_1, zeta_2, zeta_3)
+        self.extra = extra  # (z'_2, z'_3) when the last summand splits, over two-element fields
 
 
-@dataclass
-class HighDCoefficients:
-    xi: FieldScalar
-    eta_pair: tuple  # (eta_{d-1}, eta_d), nonzero
-    xi_pair: tuple  # (xi_{d-1}, xi_d), nonzero
-    zeta: tuple  # (zeta_1, zeta_{d-1}, zeta_d)
-    extra: tuple | None = None  # (z'_{d-1}, z'_d) when one more linear summand is needed
+class HighDCoefficients(Record):
+    __slots__ = ("xi", "eta_pair", "xi_pair", "zeta", "extra")
+
+    def __init__(self, xi, eta_pair, xi_pair, zeta, extra=None):
+        self.xi = xi  # a FieldScalar
+        self.eta_pair = eta_pair  # (eta_{d-1}, eta_d), nonzero
+        self.xi_pair = xi_pair  # (xi_{d-1}, xi_d), nonzero
+        self.zeta = zeta  # (zeta_1, zeta_{d-1}, zeta_d)
+        self.extra = extra  # (z'_{d-1}, z'_d) when one more linear summand is needed
 
 
 def _independent_from_beta(pair, beta, slots):

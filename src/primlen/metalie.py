@@ -27,7 +27,7 @@ only at the boundary: the terms an operation reads and the element it
 returns, built once with ``_wrap_raw``.  ``apply_endo`` and
 ``inner_auto`` wrap raw cores (``_apply_endo_raw``, ``_inner_raw``) that
 take and return (den, raw) pairs; the certificate replay
-(``polyauto.certify_apply``) calls those cores directly.
+(``polyauto.replay_raw``) calls those cores directly.
 
 Results never exceed the configurable degree cap (default 12, overridden
 by the PRIMLEN_DEGREE_CAP environment variable); a bracket that would is
@@ -215,10 +215,20 @@ def normalize_word(indices, arity, field, cap=None):
             raise ArityMismatchError(f"generator x{idx} out of range for arity {arity}")
     if is_normal_word(indices):
         return LieElement._new(arity, field, {indices: field.one()})
+    return LieElement._new(arity, field, {})._wrap_raw(1, _normalize_raw(indices, cap, field.p))
+
+
+def _normalize_raw(indices, cap, p):
+    """The normal terms of the word ``indices``, a tuple, as a map to ints.
+
+    The left-normed bracket of generators has integer coefficients, so
+    this is the (1, raw) pair of ``normalize_word``, residues over GF(p)
+    (``p`` not None); nothing is checked.
+    """
     terms = {indices[:1]: 1}
     for idx in indices[1:]:
-        terms = _bracket_raw(terms, {(idx,): 1}, cap, field.p)
-    return LieElement._new(arity, field, {})._wrap_raw(1, terms)
+        terms = _bracket_raw(terms, {(idx,): 1}, cap, p)
+    return terms
 
 
 def _apply_endo_raw(u, images, cap, p):

@@ -14,9 +14,9 @@ Substitution has one raw core, ``_substitute_raw``, which takes the
 element and the images as such pairs and returns one; it keeps every
 power of an image and every monomial's image as a pair too.
 ``Polynomial.substitute`` wraps it for scalars in and out, and the
-certificate replay (``polyauto.certify_apply``) calls it directly, so only
-a result is turned into scalars, one per nonzero coefficient
-(``SparseElement._wrap_raw``).
+certificate replay (``polyauto.replay_raw``) calls it directly, so a
+replay builds no scalar; ``polyauto.certify_apply`` turns its result into
+scalars, one per nonzero coefficient (``SparseElement._wrap_raw``).
 """
 
 from __future__ import annotations

@@ -34,13 +34,16 @@ text is first read one term at a time, each term in the shape the printer
 writes taken in one regex match: an optional coefficient a or a/b, then,
 joined to it by '*', factors x<i> or x<i>^<e> joined by '*' (a polynomial)
 or one word x<i> or [x<i>,x<j>,...] (a Lie element), then " + ", " - " or
-the end.  The coefficient becomes one scalar, and the key text is looked
-up in a table, which it enters on first sight, its indices range-checked;
-the document reader keeps one table for a whole document (``table=``).  A
-monomial text enters as its exponent tuple.  A word text enters as its
-index tuple when the word is normal, and otherwise as the terms of
-``normalize_word``, which the term's scalar multiplies; a bracket's length
-is checked against the degree cap at every use.  Any other text (groups,
+the end.  The coefficient becomes one scalar (``parse_poly``,
+``parse_lie``) or one (num, den) pair of ints (``poly_pairs``,
+``lie_pairs``, which the verifier reads summand texts with), and the key
+text is looked up in a table, which it enters on first sight, its indices
+range-checked; the document reader keeps one table for a whole document
+(``table=``).  A monomial text enters as its exponent tuple.  A word text
+enters as its index tuple when the word is normal, and otherwise as the
+integer coefficients of its normal terms, which multiply the term's
+coefficient; a bracket's length is checked against the degree cap at
+every use.  Any other text (groups,
 powers of numbers, unary-minus chains, other spacing, "0", malformed text)
 goes to the token grammar above, so values and errors do not depend on the
 shape or the table.  There a polynomial term made of numbers, variables,
@@ -59,13 +62,15 @@ is taken off its text, so no negated scalar is built.
 from __future__ import annotations
 
 import re
+from functools import cache
+from math import gcd
 
 from .errors import ParseError, UnsupportedInputError
 from .field import int_to_str, str_to_int
-from .metalie import LieElement, degree_cap, is_normal_word, normalize_word
+from .metalie import LieElement, _normalize_raw, degree_cap, is_normal_word, normalize_word
 from .multipoly import Polynomial
 from .polydecomp import MAX_DEGREE, MAX_POWER_BITS, MAX_TERMS
-from .sparse import MAX_ARITY
+from .sparse import MAX_ARITY, element_pairs
 
 # One token per match: leading whitespace, then a number, a variable name
 # (its index may be missing, which is reported), a symbol, any other
@@ -115,14 +120,58 @@ def _tokenize(src):
     return tokens
 
 
-def _accumulate(terms, pairs):
-    """Add the (key, coefficient) pairs into the terms dict, dropping each key whose sum is zero."""
+def _add_scalars(a, b):
+    """a + b for scalars, or None when the sum is zero."""
+    total = a + b
+    return None if total.is_zero() else total
+
+
+@cache
+def _pair_rule(p):
+    """(coefficient, add) for terms held as (num, den) pairs of ints, as ``_read_printed`` takes them.
+
+    Over Q (``p`` None) a pair is in lowest terms with den > 0, reduced
+    with ``math.gcd`` wherever ``Fraction`` would reduce; over GF(p) it is
+    a residue over 1.  ``add`` returns None for a zero sum.
+    """
+    if p is None:
+
+        def coefficient(num, den):
+            if den is None:
+                return num, 1
+            g = gcd(num, den)
+            return num // g, den // g
+
+        def add(a, b):
+            num = a[0] * b[1] + b[0] * a[1]
+            if not num:
+                return None
+            den = a[1] * b[1]
+            g = gcd(num, den)
+            return num // g, den // g
+
+    else:
+
+        def coefficient(num, den):
+            return (num if den is None else num * pow(den, -1, p)) % p, 1
+
+        def add(a, b):
+            residue = (a[0] + b[0]) % p
+            return (residue, 1) if residue else None
+
+    return coefficient, add
+
+
+def _accumulate(terms, pairs, add):
+    """Add the (key, coefficient) pairs into the terms dict; add(a, b) is None where a key's sum is zero."""
     for key, coeff in pairs:
         acc = terms.get(key)
-        if acc is not None:
-            coeff = acc + coeff
-        if coeff.is_zero():
-            terms.pop(key, None)
+        if acc is None:
+            terms[key] = coeff
+            continue
+        coeff = add(acc, coeff)
+        if coeff is None:
+            del terms[key]
         else:
             terms[key] = coeff
 
@@ -183,7 +232,7 @@ class _Reader:
         terms = {}
         negative = False
         while True:
-            _accumulate(terms, read_term(negative).items())
+            _accumulate(terms, read_term(negative).items(), _add_scalars)
             kind = self.tokens[self.i][0]
             if kind != "+" and kind != "-":
                 return zero._wrap(terms)
@@ -223,16 +272,22 @@ def _word_key(text, arity):
     return word if all(1 <= i <= arity for i in word) else None
 
 
-def _read_printed(src, pattern, field, get, enter):
-    """The terms dict of src read one printed-shape term, and one scalar, at a time.
+def _read_printed(src, pattern, p, rule, get, enter):
+    """The terms dict of src read one printed-shape term, and one coefficient, at a time.
 
-    ``pattern`` matches one term, with the groups of ``_PRINTED_TERM``.  A
-    term's key text gives its entry by get(text) or, when that is None, by
-    enter(text): a key, which takes the term's scalar, or a terms dict,
-    whose coefficients the scalar multiplies.  None when some term is not
-    in that shape, divides by zero or has a text that enter declines.
+    ``pattern`` matches one term, with the groups of ``_PRINTED_TERM``.
+    ``rule`` is (coefficient, add): coefficient(num, den) builds a term's
+    coefficient from its ints (den None for none), and add(a, b) sums two,
+    None when the sum is zero; so one loop reads scalars, with the rule
+    (field, ``_add_scalars``), and (num, den) pairs, with
+    ``_pair_rule(p)``.  A term's key text gives its entry by get(text) or,
+    when that is None, by enter(text): a key, which takes the term's
+    coefficient, or a dict of keys to ints, the terms of a word that is
+    not normal, each of which takes the coefficient times its int.  None
+    when some term is not in that shape, divides by zero or has a text that
+    enter declines.
     """
-    p = field.p
+    coefficient, add = rule
     terms = {}
     negative = False
     pos = 0
@@ -255,16 +310,18 @@ def _read_printed(src, pattern, field, get, enter):
             if entry is None:
                 return None
         if num if p is None else num % p:
-            c = field(-num if negative else num, den)
-            if type(entry) is dict:  # a word that is not normal: its normal terms, scaled
-                _accumulate(terms, [(key, coeff * c) for key, coeff in entry.items()])
+            if negative:
+                num = -num
+            if type(entry) is dict:  # a word that is not normal: its normal terms, times ints
+                _accumulate(terms, [(key, coefficient(num * n, den)) for key, n in entry.items()], add)
             else:
+                c = coefficient(num, den)
                 acc = terms.get(entry)
                 if acc is None:
                     terms[entry] = c
                 else:
-                    c = acc + c
-                    if c.is_zero():
+                    c = add(acc, c)
+                    if c is None:
                         del terms[entry]
                     else:
                         terms[entry] = c
@@ -274,27 +331,55 @@ def _read_printed(src, pattern, field, get, enter):
         pos = m.end()
 
 
+def _printed_poly(src, arity, field, table, rule):
+    """The terms of src by ``_read_printed`` under rule, through the monomial table; None when it declines.
+
+    ``table`` maps monomial texts to exponent tuples for the texts of one
+    document, so of one arity (a fresh one when None).  An arity out of
+    range is declined too.
+    """
+    if not 1 <= arity <= MAX_ARITY:
+        return None
+    if table is None:
+        table = {}
+
+    def enter(text):
+        key = _monomial_key(text, arity)
+        if key is not None:
+            table[text] = key
+        return key
+
+    return _read_printed(src, _PRINTED_TERM, field.p, rule, table.get, enter)
+
+
 def parse_poly(src, arity, field, table=None):
     """The Polynomial that src spells in ``arity`` variables over ``field``.
 
-    ``table`` maps monomial texts to exponent tuples for the texts of one
-    document, so of one arity (a fresh one when None).  Any text
+    ``table`` is the monomial table of ``_printed_poly``.  Any text
     ``_read_printed`` declines, and any arity out of range, goes to the
     token grammar, which reports it.
     """
-    if 1 <= arity <= MAX_ARITY:
-        if table is None:
-            table = {}
+    terms = _printed_poly(src, arity, field, table, (field, _add_scalars))
+    if terms is not None:
+        return Polynomial._new(arity, field, terms)
+    return _poly_grammar(src, arity, field)
 
-        def enter(text):
-            key = _monomial_key(text, arity)
-            if key is not None:
-                table[text] = key
-            return key
 
-        terms = _read_printed(src, _PRINTED_TERM, field, table.get, enter)
-        if terms is not None:
-            return Polynomial._new(arity, field, terms)
+def poly_pairs(src, arity, field, table=None):
+    """The terms of the polynomial src spells as a {monomial: (num, den)} map (``_pair_rule``).
+
+    It builds no scalar for a text ``_read_printed`` reads; any other goes
+    to the token grammar of ``parse_poly``, and its terms are read off the
+    Polynomial (``sparse.element_pairs``).
+    """
+    terms = _printed_poly(src, arity, field, table, _pair_rule(field.p))
+    if terms is not None:
+        return terms
+    return element_pairs(_poly_grammar(src, arity, field))
+
+
+def _poly_grammar(src, arity, field):
+    """The Polynomial of src by the token grammar."""
     r = _Reader(src, arity, field)
     tokens = r.tokens
     zero = Polynomial.zero(arity, field)
@@ -390,43 +475,73 @@ def parse_poly(src, arity, field, table=None):
     return r.read_all(expr)
 
 
-def parse_lie(src, arity, field, table=None):
-    """The LieElement of src; the degree cap is read once, at the first bracket.
+def _printed_lie(src, arity, field, table, rule):
+    """(terms, cap): the terms of src by ``_read_printed`` under rule, through the word table, or None.
 
     ``table`` maps word texts to entries for the texts of one document, so
     of one arity and field (a fresh one when None): the index tuple of a
-    normal word, and the terms of ``normalize_word`` for any other.  Any text ``_read_printed``
-    declines, and any arity out of range, goes to the token grammar, which
-    reports it and reads the cap only if the reader above has not.
+    normal word, and the ints of its normal terms (``metalie._normalize_raw``)
+    for any other.  The degree cap is read at the first bracket, hit or
+    miss, and every bracket's length is checked against it; cap is the
+    value read, or None.  An arity out of range is declined.
     """
     cap = None
-    if 1 <= arity <= MAX_ARITY:
-        if table is None:
-            table = {}
+    if not 1 <= arity <= MAX_ARITY:
+        return None, cap
+    if table is None:
+        table = {}
 
-        def within_cap(text):
-            """Whether the bracket text has at most cap entries; the cap is read on the first call."""
-            nonlocal cap
-            if cap is None:
-                cap = degree_cap()
-            return text.count(",") < cap
+    def within_cap(text):
+        """Whether the bracket text has at most cap entries; the cap is read on the first call."""
+        nonlocal cap
+        if cap is None:
+            cap = degree_cap()
+        return text.count(",") < cap
 
-        def get(text):
-            entry = table.get(text)
-            if entry is None or text[0] != "[" or within_cap(text):
-                return entry
-            return None
-
-        def enter(text):
-            word = _word_key(text, arity)
-            if word is None or len(word) > 1 and not within_cap(text):
-                return None
-            entry = table[text] = word if is_normal_word(word) else normalize_word(word, arity, field, cap).terms
+    def get(text):
+        entry = table.get(text)
+        if entry is None or text[0] != "[" or within_cap(text):
             return entry
+        return None
 
-        terms = _read_printed(src, _PRINTED_LIE_TERM, field, get, enter)
-        if terms is not None:
-            return LieElement._new(arity, field, terms)
+    def enter(text):
+        word = _word_key(text, arity)
+        if word is None or len(word) > 1 and not within_cap(text):
+            return None
+        entry = table[text] = word if is_normal_word(word) else _normalize_raw(word, cap, field.p)
+        return entry
+
+    return _read_printed(src, _PRINTED_LIE_TERM, field.p, rule, get, enter), cap
+
+
+def parse_lie(src, arity, field, table=None):
+    """The LieElement of src; the degree cap is read once, at the first bracket.
+
+    ``table`` is the word table of ``_printed_lie``.  Any text
+    ``_read_printed`` declines, and any arity out of range, goes to the
+    token grammar, which reports it and reads the cap only if the reader
+    above has not.
+    """
+    terms, cap = _printed_lie(src, arity, field, table, (field, _add_scalars))
+    if terms is not None:
+        return LieElement._new(arity, field, terms)
+    return _lie_grammar(src, arity, field, cap)
+
+
+def lie_pairs(src, arity, field, table=None):
+    """The terms of the Lie element src spells as a {word: (num, den)} map (``_pair_rule``).
+
+    As ``poly_pairs``: no scalar for a text ``_read_printed`` reads, and
+    the token grammar of ``parse_lie`` for any other.
+    """
+    terms, cap = _printed_lie(src, arity, field, table, _pair_rule(field.p))
+    if terms is not None:
+        return terms
+    return element_pairs(_lie_grammar(src, arity, field, cap))
+
+
+def _lie_grammar(src, arity, field, cap):
+    """The LieElement of src by the token grammar; the cap is read at its first bracket when None."""
     r = _Reader(src, arity, field)
     tokens = r.tokens
     zero = LieElement.zero(arity, field)

@@ -26,10 +26,12 @@ core (``multipoly._substitute_raw`` or ``metalie._apply_endo_raw``);
 ``like._endo_cap()``, which is None for polynomials.  A certificate is a
 chain of factors plus a generator index; replaying the chain (innermost
 first) on that generator reproduces a primitive element.
-``certify_apply`` replays on ints from the factors' entries to the
-result: runs of consecutive affine factors are composed on their int rows,
-every intermediate element stays a (den, raw) pair, and scalars are built
-once, for the result.  Both pipelines build their linear factors with
+``replay_raw`` replays on ints from the factors' entries to the result:
+runs of consecutive affine factors are composed on their int rows, and
+every element, the result included, stays a (den, raw) pair.  The
+verifier compares that pair with its summand on ints and builds no scalar;
+``certify_apply`` wraps it for callers that want the element, with one
+scalar per term of the result.  Both pipelines build their linear factors with
 ``linalg.basis_from_rows``: ``linearize`` for the map that sends a linear
 part to x1, ``linear_certificate`` for a summand of degree 1.
 """
@@ -274,15 +276,15 @@ def linear_certificate(f, constant=None):
     return Certificate([AffineAuto(basis_from_rows([f.linear_coefficients()], field), offset)], 1)
 
 
-def certify_apply(cert, like):
-    """Replay the certificate chain on its generator, in the algebra of ``like``, on ints.
+def replay_raw(cert, like):
+    """The (den, raw) pair of the certificate chain replayed on its generator, in the algebra of ``like``.
 
     The element being replayed stays a (den, raw) pair from the generator
     to the result.  Runs of consecutive affine factors are composed on
     their int rows (``_compose_raw``) before substitution; by associativity
     the result is identical and the expansion of large intermediate
-    elements happens only once.  Scalars are built once, for the result,
-    and the degree cap is read once, before the first factor.
+    elements happens only once.  No scalar is built, and the degree cap is
+    read once, before the first factor.
     """
     arity, p = like.arity, like.field.p
     if not 1 <= cert.generator_index <= arity:
@@ -303,7 +305,15 @@ def certify_apply(cert, like):
         f = like._endo_raw(f, auto.raw_images(like, cap), cap)
     if pending is not None:
         f = like._endo_raw(f, _affine_images(pending, like), cap)
-    return like._wrap_raw(*f)
+    return f
+
+
+def certify_apply(cert, like):
+    """The element the certificate chain replays to, in the algebra of ``like`` (``replay_raw``).
+
+    Scalars are built once, for the result.
+    """
+    return like._wrap_raw(*replay_raw(cert, like))
 
 
 def validate_certificate(cert, arity):

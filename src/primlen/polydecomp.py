@@ -30,7 +30,10 @@ construction:
 The factors are plain records, checked by nothing when built, and the
 producer never replays them: ``check_summands`` runs
 ``polyauto.validate_certificate`` on every certificate before it replays
-it, and that is the only validity check.
+it, and that is the only validity check.  The verifier, the same
+``check_summands`` for both algebras, compares on ints and builds no
+scalar: each replay and the re-sum are set against the summands' and the
+input's (num, den) pairs by cross-multiplication.
 
 The paper's proof uses nodes alpha = 2..N+1 and the forms
 s(alpha) = x1 + sum_i alpha^((n+1)^(i-2)) x_i instead; those work too but
@@ -44,7 +47,6 @@ with an explanatory note.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from functools import cache
 from math import comb, factorial, prod
 from operator import getitem, mul
@@ -57,12 +59,12 @@ from .polyauto import (
     AffineAuto,
     Certificate,
     TriangularAuto,
-    certify_apply,
     linear_certificate,
     linearize,
+    replay_raw,
     validate_certificate,
 )
-from .sparse import MAX_ARITY, element_sum
+from .sparse import MAX_ARITY, element_pairs, pairs_equal, pairs_sum, prune_raw
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -103,25 +105,58 @@ MAX_TERMS = MAX_ARITY + 1
 MAX_POWER_BITS = 65536
 
 
-@dataclass
-class Decomposition:
-    """A decomposition of a polynomial or a Lie element; only a polynomial can be INFINITE."""
+class Record:
+    """A plain record: its ``__slots__`` are its fields, compared by ``==`` and listed by ``repr``.
 
-    input: object  # Polynomial or LieElement
-    summands: list  # of (element, Certificate)
-    bound: int | None
-    status: str = FINITE
-    notes: list = dc_field(default_factory=list)
+    It stands in for a dataclass, whose module costs about half the import
+    time of the package.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+
+class Decomposition(Record):
+    """A decomposition of a polynomial or a Lie element; only a polynomial can be INFINITE.
+
+    ``summands`` lists (summand, Certificate) pairs.  A producer's summand
+    is an element; a summand read from a document is the terms of its text
+    as a {key: (num, den)} map (``parsing.poly_pairs``,
+    ``parsing.lie_pairs``), which is all the verifier compares.
+    """
+
+    __slots__ = ("input", "summands", "bound", "status", "notes")
+
+    def __init__(self, input, summands, bound, status=FINITE, notes=None):
+        self.input = input  # Polynomial or LieElement
+        self.summands = summands
+        self.bound = bound  # int or None
+        self.status = status
+        self.notes = [] if notes is None else notes
 
     @property
     def count(self):
         return len(self.summands)
 
 
-@dataclass
-class VerifyResult:
-    ok: bool
-    problems: list
+class VerifyResult(Record):
+    __slots__ = ("ok", "problems")
+
+    def __init__(self, ok, problems):
+        self.ok = ok
+        self.problems = problems
 
     def __bool__(self):
         return self.ok
@@ -372,28 +407,42 @@ def check_summands(dec):
     of degree > 1 (Lie inputs have at least three generators).  Otherwise
     the status must be FINITE, and the checks validate every elementary
     factor, replay every certificate in the algebra of the input, re-sum
-    the summands by key on ints (``sparse.element_sum``) and compare
-    the count against the bound.  Returns a VerifyResult carrying
-    human-readable diagnostics.
+    the summands and compare the count against the bound.  Returns a
+    VerifyResult carrying human-readable diagnostics.
+
+    Everything is compared on ints, with no scalar built.  A summand is a
+    {key: (num, den)} map, as a document's summand texts are read, or an
+    element of the input's algebra, as ``decompose`` writes it, whose terms
+    are read into such a map (``sparse.element_pairs``).  Each replay
+    (``polyauto.replay_raw``, a (den, raw) pair) and the re-sum of the
+    summand maps by key (``sparse.pairs_sum``) are compared with the
+    summand and the input by cross-multiplication (``sparse.pairs_equal``).
     """
     problems = []
-    d = dec.input.arity
+    like = dec.input
+    d, p = like.arity, like.field.p
     if dec.status == INFINITE:
         if dec.summands:
             problems.append("infinite status with a nonempty summand list")
-        if d != 1 or (dec.input.total_degree() or 0) <= 1:
+        if d != 1 or (like.total_degree() or 0) <= 1:
             problems.append("infinite status claimed for a decomposable input")
         return VerifyResult(not problems, problems)
     if dec.status != FINITE:
         problems.append(f"status {dec.status!r} is neither {FINITE!r} nor {INFINITE!r}")
+    maps = []
     for i, (summand, cert) in enumerate(dec.summands, start=1):
+        if type(summand) is not dict:
+            like._check_compatible(summand)
+            summand = element_pairs(summand)
+        maps.append(summand)
         issues = validate_certificate(cert, d)
         if issues:
             problems.append(f"summand {i}: invalid elementary factor ({'; '.join(issues)})")
             continue
-        if certify_apply(cert, dec.input) != summand:
+        den, raw = replay_raw(cert, like)
+        if not pairs_equal({key: (n, den) for key, n in prune_raw(raw, p).items()}, summand, p):
             problems.append(f"summand {i}: certificate replay mismatch")
-    if element_sum(dec.input, [summand for summand, _ in dec.summands]) != dec.input:
+    if not pairs_equal(pairs_sum(maps, p), element_pairs(like), p):
         problems.append("sum mismatch: summands do not add up to the input")
     if dec.bound is not None and len(dec.summands) > dec.bound:
         problems.append(f"count {len(dec.summands)} exceeds bound {dec.bound}")

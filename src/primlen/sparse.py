@@ -5,14 +5,18 @@ field, in a fixed number of generators: exponent vectors for a Polynomial,
 normal words for a LieElement.  Everything that does not look inside a key
 lives here.  Zero coefficients are pruned eagerly, so two equal elements
 compare equal structurally.
+
+The verifier's summand check runs on ints, on terms held as maps from keys
+to (num, den) pairs (``element_pairs``): ``pairs_sum`` re-sums summands
+by key and ``pairs_equal`` compares two such maps by cross-multiplication.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 
 from .errors import ArityMismatchError, FieldMismatchError, UnsupportedInputError
-from .field import FieldScalar
+from .field import FieldScalar, check_raw_bits
 
 #: The most generators an element may have.  Every key of a polynomial is
 #: an exponent vector with one slot per generator, so this bounds the memory
@@ -156,32 +160,63 @@ def combine_raw(den, coeffs, pieces, p):
     return den * common, prune_raw(acc, p)
 
 
-def element_sum(like, elements):
-    """The sum of elements, each of the type, arity and field of like, on ints.
+def element_pairs(element):
+    """The terms of element as a {key: (num, den)} map: each coefficient's numerator and denominator.
 
-    The coefficients are gathered by key: a key held by one element keeps
-    its scalar, and the coefficients of a shared key are added on the ints
-    of one ``to_raw``.  So a common denominator spans the coefficients of
-    one key, never those of all keys.
+    Over GF(p) that is its residue over 1.  It is the form in which the
+    verifier reads summand texts (``parsing.poly_pairs``, ``parsing.lie_pairs``).
     """
-    for element in elements:
-        like._check_compatible(element)
+    return {key: (c.numerator, c.denominator) for key, c in element.terms.items()}
+
+
+def pairs_sum(maps, p):
+    """The sum of {key: (num, den)} maps without zero pairs, by key, as one such map without zeros.
+
+    A key held by one map keeps its pair.  The pairs of a shared key are
+    added over the least common multiple of their denominators, under the
+    ceiling of ``FieldDescriptor.to_raw`` (``field.check_raw_bits``), so a
+    denominator spans the pairs of one key, never those of two.  Over
+    GF(p) (``p`` not None) a sum is reduced mod p.
+    """
     runs = {}
-    for element in elements:
-        for key, coeff in element.terms.items():
+    for pairs in maps:
+        for key, pair in pairs.items():
             run = runs.get(key)
             if run is None:
-                runs[key] = [coeff]
+                runs[key] = [pair]
             else:
-                run.append(coeff)
-    field = like.field
-    terms = {}
+                run.append(pair)
+    total = {}
     for key, run in runs.items():
         if len(run) == 1:
-            terms[key] = run[0]
+            total[key] = run[0]
             continue
-        den, ints = field.to_raw(run)
-        (total,) = field.from_raw(den, [sum(ints)])
-        if not total.is_zero():
-            terms[key] = total
-    return like._wrap(terms)
+        common = 1
+        for _, den in run:
+            if den != 1 and common % den:
+                common = common // gcd(common, den) * den
+                check_raw_bits(common, len(run))
+        num = sum(n * (common // den) for n, den in run)
+        if p is not None:
+            num %= p
+        if num:
+            total[key] = (num, common)
+    return total
+
+
+def pairs_equal(a, b, p):
+    """Whether two {key: (num, den)} maps without zeros hold equal coefficients.
+
+    They must have the same keys, and at each key n_a * d_b = n_b * d_a,
+    over GF(p) (``p`` not None) mod p.  This is the verifier's one
+    comparison, of a replay with its summand and of the re-sum with the
+    input.
+    """
+    if a.keys() != b.keys():
+        return False
+    for key, (num, den) in a.items():
+        other_num, other_den = b[key]
+        diff = num * other_den - other_num * den
+        if diff if p is None else diff % p:
+            return False
+    return True

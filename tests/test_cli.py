@@ -253,6 +253,18 @@ def test_a_basis_change_at_a_legal_arity_is_decomposed_and_verified_in_seconds(t
         assert (done.returncode, done.stderr) == (0, "")
 
 
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    # dataclasses imports inspect, ast, dis and tokenize: about half the
+    # cold-start time of `import primlen`, which every CLI run pays
+    src = str(Path(primlen.__file__).resolve().parents[1])
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import primlen.cli; print(*sorted(sys.modules))"
+    done = subprocess.run([sys.executable, "-I", "-c", probe, src], capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    modules = set(done.stdout.split())
+    assert "primlen.document" in modules
+    assert not modules & {"dataclasses", "inspect"}
+
+
 def test_vars_at_the_arity_ceiling_are_accepted(capsys):
     assert run(["bound", "lie", "--vars", str(MAX_ARITY)]) == 0
     assert capsys.readouterr().out == "6\n"

@@ -2,18 +2,27 @@
 
 import copy
 import json
+import random
+import re
 from collections import Counter
+from functools import reduce
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primlen import document
 from primlen.cli import main
 from primlen.document import lie_document, poly_document, verify_document
-from primlen.field import field_from_flag
+from primlen.errors import PrimlenError
+from primlen.field import FieldDescriptor, FieldScalar, field_from_flag
 from primlen.liedecomp import decompose_lie
 from primlen.parsing import parse_lie, parse_poly
+from primlen.polyauto import certify_apply
 from primlen.polydecomp import decompose
 
+from conftest import rand_lie, rand_poly
 from test_golden import LIE_CORPUS, POLY_CORPUS
 
 
@@ -61,15 +70,65 @@ def test_verify_parses_each_distinct_text_at_most_once(monkeypatch, name):
         original = getattr(document, reader)
         return read
 
-    # parse_scalar(field, text); parse_poly and parse_lie(text, arity, field)
-    for reader, position in (("parse_scalar", 1), ("parse_poly", 0), ("parse_lie", 0)):
+    # parse_scalar(field, text); parse_poly, parse_lie, poly_pairs and lie_pairs(text, arity, field)
+    readers = ("parse_scalar", 1), ("parse_poly", 0), ("parse_lie", 0), ("poly_pairs", 0), ("lie_pairs", 0)
+    for reader, position in readers:
         monkeypatch.setattr(document, reader, counting(reader, position))
     assert verify_document(doc).ok
     texts = Counter(strings(doc))
     assert max(texts.values()) > 1  # the document repeats texts, or the check shows nothing
-    # "0" may be read once as a scalar and once as an element
+    # "0" may be read once as a scalar and once as an element, and a text
+    # once as an element and once as a summand
     assert seen and max(seen.values()) == 1
     assert {text for _, text in seen} <= set(texts)
+    # every summand text is read to (num, den) pairs, and only that way
+    # unless it is also the input or a tail
+    pairs_reader = "lie_pairs" if name in LIE_CORPUS else "poly_pairs"
+    summands = {s["summand"] for s in doc["summands"]}
+    assert summands == {text for reader, text in seen if reader == pairs_reader}
+    elements = set(strings([doc["input"], [s["certificate"] for s in doc["summands"]]]))
+    assert all(text in elements for reader, text in seen if reader in ("parse_poly", "parse_lie"))
+
+
+def respelled(text, extra):
+    """text with every term t spelled "t + |t| - |t|" (so each key repeats), then ``extra``."""
+    out = []
+    for term in re.split(r" (?=[-+] )", text):
+        body = term.lstrip("-+ ")
+        out.append(f"{term} + {body} - {body}")
+    return " ".join(out) + extra
+
+
+@pytest.mark.parametrize("name, extra", [("d3-n4", " + x1 - x1"), ("F101-d5", " + [x1,x2] + [x2,x1]")])
+def test_verify_builds_no_scalar_for_summands(monkeypatch, name, extra):
+    # The summand terms, the replays and the re-sum stay on ints: no scalar
+    # is built from a replay (from_raw), and spelling every summand three
+    # times as long, with repeated keys and a word that is not normal,
+    # builds no more scalars than the canonical document does.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verifier built scalars from ints")
+
+    built = 0
+    init = FieldScalar.__init__
+
+    def counted(self, field, value):
+        nonlocal built
+        built += 1
+        init(self, field, value)
+
+    doc = golden(name)
+    long = copy.deepcopy(doc)
+    for record in long["summands"]:
+        record["summand"] = respelled(record["summand"], extra)
+    monkeypatch.setattr(FieldDescriptor, "from_raw", refuse)
+    monkeypatch.setattr(FieldScalar, "__init__", counted)
+    counts = []
+    for d in (doc, long):
+        built = 0
+        assert verify_document(d).ok
+        counts.append(built)
+    assert sum(len(s["summand"]) for s in long["summands"]) > 3 * sum(len(s["summand"]) for s in doc["summands"])
+    assert counts[0] == counts[1]
 
 
 def test_a_corrupted_repeated_matrix_entry_still_fails():
@@ -154,3 +213,106 @@ def test_documents_are_compact_and_indented_ones_still_verify(name):
     indented = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert document.loads(indented) == document.loads(text)
     assert verify_document(document.loads(indented)).ok
+
+
+# -- the int check against the element reference --------------------------------
+
+_BODY = re.compile(r"(?:([0-9]+)(?:/([0-9]+))?(?:\*|$))?(.*)")
+
+
+def _split(text):
+    """A printed text as [negative, num, den, key] terms; key is "" for a constant."""
+    terms = []
+    for term in re.split(r" (?=[-+] )", text):
+        negative = term.startswith("-")
+        num, den, key = _BODY.fullmatch(term.lstrip("-+ ")).groups()
+        terms.append([negative, int(num or 1), int(den or 1), key])
+    return terms
+
+
+def _join(terms):
+    out = []
+    for negative, num, den, key in terms:
+        coeff = f"{num}/{den}" if den != 1 else str(num)
+        body = key if coeff == "1" and key else coeff if not key else f"{coeff}*{key}"
+        out.append(("- " if out else "-") + body if negative else ("+ " if out else "") + body)
+    return " ".join(out)
+
+
+def _edit(text, kind, a, b, k, flag, p):
+    """text respelled (the same value) or tampered, by kind."""
+    terms = _split(text)
+    t = terms[a % len(terms)]
+    if kind == "unreduced":
+        t[1], t[2] = t[1] * k, t[2] * k
+    elif kind == "repeat":
+        terms[a % len(terms) + 1 : a % len(terms) + 1] = [[False] + t[1:], [True] + t[1:]]
+    elif kind == "cancel":
+        return text + " + x1 - x1"
+    elif kind == "zero":
+        terms.append([flag, 0 if p is None else p * (k - 1), 1, t[3] or "x1"])
+    elif kind == "digit":
+        digits = [i for i, c in enumerate(text) if c.isdigit()]
+        i = digits[b % len(digits)]
+        return text[:i] + str((int(text[i]) + k) % 10) + text[i + 1 :]
+    elif kind == "swap" and t[3].startswith("["):  # [xa,xb,...] -> [xb,xa,...], which is -[xa,xb,...]
+        first, second, *rest = t[3][1:-1].split(",")
+        t[3] = "[" + ",".join([second, first, *rest]) + "]"
+        t[0] ^= flag  # with the sign fixed, the same value
+    elif kind == "tail" and t[3].count(",") >= 2:  # the ad-operators after the first bracket commute
+        first, second, *rest = t[3][1:-1].split(",")
+        t[3] = "[" + ",".join([first, second, *rest[::-1]]) + "]"
+    return _join(terms)
+
+
+def _reference_problems(dec, doc, parse):
+    """The problems the element route finds: parse, certify_apply ==, and the sequential sum."""
+    f = dec.input
+    try:
+        summands = [parse(record["summand"], f.arity, f.field) for record in doc["summands"]]
+    except PrimlenError as exc:
+        return [f"document rebuild failed: {exc}"]
+    problems = [
+        f"summand {i}: certificate replay mismatch"
+        for i, (summand, (_, cert)) in enumerate(zip(summands, dec.summands), start=1)
+        if certify_apply(cert, f) != summand
+    ]
+    if reduce(add, summands, f.zero(f.arity, f.field)) != f:
+        problems.append("sum mismatch: summands do not add up to the input")
+    return problems
+
+
+_EDITS = st.tuples(
+    st.sampled_from(["unreduced", "repeat", "cancel", "zero", "digit", "swap", "tail"]),
+    st.integers(0, 99),
+    st.integers(0, 999),
+    st.integers(1, 5),
+    st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([("poly", "Q"), ("lie", "Q"), ("lie", "F2"), ("lie", "F101")]),
+    st.integers(0, 2**32),
+    st.lists(st.tuples(st.integers(0, 99), _EDITS), min_size=1, max_size=4),
+)
+def test_the_int_check_agrees_with_the_element_reference(algebra_field, seed, edits):
+    algebra, flag = algebra_field
+    field = field_from_flag(flag)
+    rng = random.Random(seed)
+    if algebra == "poly":
+        d = rng.randint(2, 3)
+        dec = decompose(rand_poly(rng, d, rng.randint(2, 3), coeff_bound=6, extra_terms=4))
+        doc, parse = poly_document(dec), parse_poly
+    else:
+        d = rng.randint(3, 4)
+        dec = decompose_lie(rand_lie(rng, d, 4, field, terms=4))
+        doc, parse = lie_document(dec), parse_lie
+    doc = json.loads(json.dumps(doc))
+    if not doc["summands"]:
+        return
+    for index, edit in edits:
+        record = doc["summands"][index % len(doc["summands"])]
+        record["summand"] = _edit(record["summand"], *edit, field.p)
+    assert verify_document(doc).problems == _reference_problems(dec, doc, parse)

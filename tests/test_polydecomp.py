@@ -376,7 +376,8 @@ def test_decompose_neither_replays_nor_eliminates(monkeypatch):
         raise AssertionError("decompose must not call this")
 
     assert not hasattr(polydecomp, "solve_square")
-    monkeypatch.setattr(polydecomp, "certify_apply", refuse)
+    monkeypatch.setattr(polydecomp, "replay_raw", refuse)
+    monkeypatch.setattr(polyauto, "replay_raw", refuse)  # certify_apply replays through it
     monkeypatch.setattr(linalg, "solve_square", refuse)
     monkeypatch.setattr(polyauto, "matrix_inverse", refuse)  # psi is read off psi^-1
     rng = random.Random(35)

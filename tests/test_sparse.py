@@ -1,5 +1,6 @@
 """The sparse container shared by Polynomial and LieElement."""
 
+from fractions import Fraction
 from functools import reduce
 from operator import add
 
@@ -12,7 +13,9 @@ from primlen.errors import UnsupportedInputError
 from primlen.field import GF, QQ, _is_prime
 from primlen.metalie import LieElement, normalize_word
 from primlen.multipoly import Polynomial
-from primlen.sparse import element_sum
+from primlen.polyauto import Certificate
+from primlen.polydecomp import Decomposition, verify
+from primlen.sparse import element_pairs, pairs_equal, pairs_sum
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2)], ids=["Q", "F2"])
@@ -47,7 +50,7 @@ def test_elements_are_immutable_and_unhashable():
         assert not hasattr(element, "__dict__")
 
 
-# -- the one-pass re-sum of check_summands ------------------------------------
+# -- the re-sum of check_summands, on (num, den) pairs ------------------------
 
 
 @st.composite
@@ -83,33 +86,55 @@ def summand_lists(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(summand_lists())
-def test_element_sum_equals_the_sequential_sum(case):
+def test_pairs_sum_equals_the_sequential_sum(case):
     zero, elements = case
     expected = reduce(add, elements, zero)
-    total = element_sum(zero, elements)
-    assert total == expected
-    assert all(c for c in total.terms.values())
-    if zero.field.p is not None:
-        assert all(0 < c.value < zero.field.p for c in total.terms.values())
+    p = zero.field.p
+    total = pairs_sum([element_pairs(e) for e in elements], p)
+    assert pairs_equal(total, element_pairs(expected), p)
+    assert total.keys() == expected.terms.keys()
+    for key, (num, den) in total.items():
+        assert num and den > 0
+        if p is None:
+            assert Fraction(num, den) == expected.terms[key].value
+        else:
+            assert den == 1 and 0 < num < p and num == expected.terms[key].value
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2)], ids=["Q", "F2"])
-def test_element_sum_of_a_sum_and_its_negation_is_zero(field):
+def test_pairs_sum_of_a_sum_and_its_negation_is_zero(field):
     f = Polynomial(2, field, {(1, 0): field(1), (0, 2): field(1)})
-    assert element_sum(f, [f, -f]).is_zero()
-    assert element_sum(f, []).is_zero()
+    assert pairs_sum([element_pairs(f), element_pairs(-f)], field.p) == {}
+    assert pairs_sum([], field.p) == {}
+    # a summand of the other algebra is refused before its terms are read
+    dec = Decomposition(f, [(LieElement.generator(2, field, 1), Certificate([], 1))], 3)
     with pytest.raises(TypeError):
-        element_sum(f, [LieElement.generator(2, field, 1)])
+        verify(dec)
 
 
-def test_element_sum_puts_no_two_keys_over_one_denominator(monkeypatch):
-    # two elements on 40 keys whose denominators are powers q^8 of distinct
-    # primes (up to 60 bits): over one common denominator the 80 scalars would
-    # hold 1,814 bits each; added by key, each run is 2 scalars of <= 60 bits
+def test_pairs_sum_puts_no_two_keys_over_one_denominator(monkeypatch):
+    # two maps on 40 keys whose denominators are powers q^8 of distinct
+    # primes (up to 60 bits): over one common denominator the 80 pairs would
+    # hold 1,814 bits each; added by key, each run is 2 pairs of <= 60 bits
     monkeypatch.setattr(field, "MAX_RAW_BITS", 400)
     primes = [q for q in range(2, 200) if _is_prime(q)][:40]
-    elements = [Polynomial(1, QQ, {(k,): QQ(1, q**8) for k, q in enumerate(primes)}) for _ in range(2)]
-    total = element_sum(elements[0], elements)
-    assert total.terms == {(k,): QQ(2, q**8) for k, q in enumerate(primes)}
+    maps = [{(k,): (1, q**8) for k, q in enumerate(primes)} for _ in range(2)]
+    total = pairs_sum(maps, None)
+    assert pairs_equal(total, {(k,): (2, q**8) for k, q in enumerate(primes)}, None)
     with pytest.raises(UnsupportedInputError):
-        QQ.to_raw(list(total.terms.values()))
+        QQ.to_raw([QQ(num, den) for num, den in total.values()])
+    # the ceiling holds for one key's run as it does for one to_raw
+    run = [{(0,): (1, q**8)} for q in primes]
+    with pytest.raises(UnsupportedInputError, match="40 nonzero scalars"):
+        pairs_sum(run, None)
+
+
+def test_pairs_equal_compares_by_cross_multiplication():
+    assert pairs_equal({(1,): (2, 4)}, {(1,): (1, 2)}, None)
+    assert pairs_equal({(1,): (-6, 3)}, {(1,): (2, -1)}, None)
+    assert not pairs_equal({(1,): (1, 2)}, {(1,): (1, 3)}, None)
+    assert not pairs_equal({(1,): (1, 2)}, {(2,): (1, 2)}, None)
+    assert not pairs_equal({(1,): (1, 2)}, {(1,): (1, 2), (2,): (1, 1)}, None)
+    assert pairs_equal({(1,): (102, 1)}, {(1,): (1, 1)}, 101)
+    assert pairs_equal({(1,): (3, 1)}, {(1,): (1, 1)}, 2)
+    assert not pairs_equal({(1,): (2, 1)}, {(1,): (1, 1)}, 101)
