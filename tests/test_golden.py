@@ -40,6 +40,17 @@ POLY_CORPUS = {
         3, "2*x1 - x2 + 3/5*x3 + 1",
         "35461380907565f86fc1f6372831eb8a9de75793d0da45371d062c08784ee4c9",
     ),
+    # Every monomial of degree <= 4 present: every lattice node keeps a
+    # tail, so one summand per node, the full bound of 15.
+    "d3-n4-dense": (
+        3,
+        "-2*x1^4 + 3/2*x1^3*x2 - 4/3*x1^3*x3 + 5*x1^2*x2^2 - 1/2*x1^2*x2*x3 + 2/3*x1^2*x3^2"
+        " - 3*x1*x2^3 + 2*x1*x2^2*x3 - 5/3*x1*x2*x3^2 + x1*x3^3 - x2^4 + x2^3*x3 - 4*x2^2*x3^2"
+        " + 5/2*x2*x3^3 - 1/3*x3^4 - 2/3*x1^3 + 3*x1^2*x2 - 2*x1^2*x3 + 5/3*x1*x2^2 - x1*x2*x3"
+        " + x1*x3^2 - x2^3 + 4*x2^2*x3 - 5/2*x2*x3^2 + 1/3*x3^3 - 1/3*x1^2 + 2*x1*x2"
+        " - 3/2*x1*x3 + 4/3*x2^2 - 5*x2*x3 + 1/2*x3^2 + x1 - 4*x2 + 5/2*x3 - 1",
+        "b176f896ba1f4febbbe63b9ce01f75117c7908cb3d0cc7c74fa4f6a08e4a2a4b",
+    ),
     # Coefficients of 40 digits and their reciprocals: every replayed
     # polynomial and affine matrix carries large common denominators.
     "d3-n4-tiny-coefficients": (
