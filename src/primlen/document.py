@@ -214,6 +214,25 @@ class _Texts:
         self.summand = _each_once(partial(pairs, arity=arity, field=field, table=table))
 
 
+def _affine_key(record, lie):
+    """The matrix and offset texts of an affine (Lie: linear) record as nested tuples, else None.
+
+    Rows and offset must be JSON arrays, so a string cannot spell the same
+    key as an array of its characters.  A record is read only when all its
+    entries are strings, and a string equals no other JSON value, so two
+    records that read to a factor have equal keys exactly when their
+    entries are equal.
+    """
+    if type(record) is not dict or record.get("kind") != ("linear" if lie else "affine"):
+        return None
+    rows, offset = record.get("matrix"), record.get("offset")
+    if type(rows) is not list or any(type(row) is not list for row in rows):
+        return None
+    if lie:
+        return tuple(map(tuple, rows))
+    return (tuple(map(tuple, rows)), tuple(offset)) if type(offset) is list else None
+
+
 def _rebuild_parts(doc, lie):
     """The input and the (summand, Certificate) pairs of a document.
 
@@ -221,18 +240,36 @@ def _rebuild_parts(doc, lie):
     order.  The arity must be an integer in 1..MAX_ARITY.  Every scalar
     and element text goes through one ``_Texts`` for the document, and a
     summand is the {key: (num, den)} map of its text (``_Texts.summand``).
+    Copies of one affine or linear record share one factor object
+    (``_affine_key``), which the verifier reads to ints and validates once;
+    a record without such a key, or with an entry that is not hashable, is
+    read on its own.
     """
     field = field_from_flag(doc["field"])
     arity = _json_int(doc["arity"], "arity")
     if not 1 <= arity <= MAX_ARITY:
         raise PrimlenError(f"arity {arity} is out of range")
     texts = _Texts(field, arity, lie)
+    affine = {}
+
+    def factor(record):
+        key = _affine_key(record, lie)
+        try:
+            auto = affine.get(key)
+        except TypeError:  # an entry that is not hashable
+            return _factor_from_json(record, texts)
+        if auto is None:
+            auto = _factor_from_json(record, texts)
+            if key is not None:
+                affine[key] = auto
+        return auto
+
     input_element = texts.element(doc["input"])
     summands = []
     for record in _json_list(doc["summands"], "summands"):
         summand = texts.summand(record["summand"])
         records = _json_list(record["certificate"], "certificate")
-        chain = [_factor_from_json(r, texts) for r in records]
+        chain = [factor(r) for r in records]
         summands.append((summand, Certificate(chain, _json_int(record["generator"], "generator"))))
     return input_element, summands
 

@@ -316,8 +316,15 @@ def certify_apply(cert, like):
     return like._wrap_raw(*replay_raw(cert, like))
 
 
-def validate_certificate(cert, arity):
-    """Structural problems of the generator index and of every elementary factor, as strings."""
+def validate_certificate(cert, arity, checked=None):
+    """Structural problems of the generator index and of every elementary factor, as strings.
+
+    ``checked`` maps id(factor) to the factor's own problems.  Certificates
+    that share factor objects and pass one such dict run ``validate()``
+    once per object, and each still reports the problems at its own
+    position.
+    """
+    checked = {} if checked is None else checked
     problems = []
     if not 1 <= cert.generator_index <= arity:
         problems.append("generator index out of range")
@@ -325,6 +332,9 @@ def validate_certificate(cert, arity):
         if auto.arity != arity:
             problems.append(f"factor {pos + 1} has wrong arity")
             continue
-        for msg in auto.validate():
+        key = id(auto)
+        if key not in checked:
+            checked[key] = auto.validate()
+        for msg in checked[key]:
             problems.append(f"factor {pos + 1}: {msg}")
     return problems

@@ -15,9 +15,16 @@ construction:
    the binomial basis of the lattice the system is unit triangular (Newton
    interpolation on a lower set), so ``solve_degree`` eliminates nothing:
    it runs two integer transforms, one coordinate at a time;
-4. certify each summand u_k primitive as the image of x1 under the
+4. keep the M nodes with a tail, some xi_kp != 0 for p >= 2; a node
+   without one would add only a multiple of the same linear form.  The
+   kept nodes get nonzero linear coefficients xi_k1 summing to delta
+   (``assign_linear_coeffs(M, delta)``), and the first of them the
+   constant beta.  When M = 1 and delta = 0 a second summand, -x1 with its
+   ``linear_certificate``, cancels the lone xi_k1.  So the count is M, or
+   2 in that case, at most N, and N when every node has a tail;
+5. certify each kept summand u_k primitive as the image of x1 under the
    triangular automorphism theta: x1 -> xi_k1 x1 + beta [k = 1] +
-   sum_p xi_kp x2^p (beta the constant term), followed by the linear map
+   sum_p xi_kp x2^p (k = 1 the first kept node), followed by the linear map
    phi with x2 -> s_{a_k} and then by psi^-1.  Both are
    ``linalg.basis_from_rows`` matrices, like every linear factor; phi is
    ``basis_from_rows([e_1, s_{a_k}])``, built once per (d, n)
@@ -204,7 +211,13 @@ def lattice_nodes(n, d):
 
 
 def assign_linear_coeffs(count, delta, field=QQ):
-    """count nonzero scalars summing to delta (delta in {0, 1})."""
+    """count nonzero scalars summing to delta (delta in {0, 1}).
+
+    They are 1, ..., 1 and a last one that makes the sum, with a 2 before
+    it when that last one would be zero.  ``decompose`` asks for one per
+    summand that carries a tail; one nonzero scalar cannot sum to 0, so a
+    lone tail with delta = 0 asks for two, the second for the summand -x1.
+    """
     if not field.is_rationals:
         raise UnsupportedInputError("linear coefficients are chosen over Q")
     delta = field(delta)
@@ -349,11 +362,14 @@ def decompose(f):
     beta = g.constant_term()
     nodes = lattice_nodes(n, d)
     phis = _lattice_phis(d, n)
-    xi_linear = assign_linear_coeffs(bound, delta, field)
     xi = [solve_degree(p, g.homogeneous_component(p), nodes) for p in range(2, n + 1)]
+    # One summand per node with a tail, and -x1 when a lone one has delta = 0.
+    kept = [k for k in range(bound) if any(not xi_p[k].is_zero() for xi_p in xi)]
+    extra = len(kept) == 1 and delta == 0
+    xi_linear = assign_linear_coeffs(len(kept) + extra, delta, field)
 
     # The rows of psi^-1 (the identity when it is None) as ints over psi_den:
-    # the summand is xi_k1 * row_1 + beta [k = 0] + sum_p xi_kp * L_k^p with
+    # the summand is xi_k1 * row_1 + beta [j = 0] + sum_p xi_kp * L_k^p with
     # L_k = s_(a_k) psi^-1, all over one denominator.
     units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
     if psi_inv is None:
@@ -366,15 +382,15 @@ def decompose(f):
 
     one, zero = field.one(), field.zero()
     summands = []
-    for k in range(bound):
+    for j, k in enumerate(kept):
         tail_terms = {}
-        if k == 0 and not beta.is_zero():
+        if j == 0 and not beta.is_zero():
             tail_terms[(0,) * d] = beta
         for p, xi_p in enumerate(xi, start=2):
             if not xi_p[k].is_zero():
                 tail_terms[(0, p) + (0,) * (d - 2)] = xi_p[k]
         theta = TriangularAuto(
-            [xi_linear[k]] + [one] * (d - 1),
+            [xi_linear[j]] + [one] * (d - 1),
             [Polynomial(d, field, tail_terms)] + [Polynomial.zero(d, field)] * (d - 1),
         )
         s_a = [1] + [a_i + 1 for a_i in nodes[k]]
@@ -384,7 +400,7 @@ def decompose(f):
         cert = Certificate(chain, 1)
 
         den, (lin, const, *coeffs) = field.to_raw(
-            [xi_linear[k], beta if k == 0 else zero] + [xi_p[k] for xi_p in xi]
+            [xi_linear[j], beta if j == 0 else zero] + [xi_p[k] for xi_p in xi]
         )
         form = [sum(map(mul, s_a, col)) for col in psi_cols]
         powers = [[l**e for e in range(n + 1)] for l in form]
@@ -397,6 +413,9 @@ def decompose(f):
                 for m, mult in terms:
                     raw[m] = scale * mult * prod(map(getitem, powers, m))
         summands.append((f._wrap_raw(den * psi_powers[n], raw), cert))
+    if extra:
+        minus_x1 = -Polynomial.variable(d, field, 1)
+        summands.append((minus_x1, linear_certificate(minus_x1)))
     return Decomposition(f, summands, bound)
 
 
@@ -406,8 +425,9 @@ def check_summands(dec):
     An INFINITE status needs an empty summand list and a univariate input
     of degree > 1 (Lie inputs have at least three generators).  Otherwise
     the status must be FINITE, and the checks validate every elementary
-    factor, replay every certificate in the algebra of the input, re-sum
-    the summands and compare the count against the bound.  Returns a
+    factor, once per factor object however many certificates share it,
+    replay every certificate in the algebra of the input, re-sum the
+    summands and compare the count against the bound.  Returns a
     VerifyResult carrying human-readable diagnostics.
 
     Everything is compared on ints, with no scalar built.  A summand is a
@@ -430,12 +450,13 @@ def check_summands(dec):
     if dec.status != FINITE:
         problems.append(f"status {dec.status!r} is neither {FINITE!r} nor {INFINITE!r}")
     maps = []
+    checked = {}
     for i, (summand, cert) in enumerate(dec.summands, start=1):
         if type(summand) is not dict:
             like._check_compatible(summand)
             summand = element_pairs(summand)
         maps.append(summand)
-        issues = validate_certificate(cert, d)
+        issues = validate_certificate(cert, d, checked)
         if issues:
             problems.append(f"summand {i}: invalid elementary factor ({'; '.join(issues)})")
             continue

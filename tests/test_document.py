@@ -17,10 +17,10 @@ from primlen.cli import main
 from primlen.document import lie_document, poly_document, verify_document
 from primlen.errors import PrimlenError
 from primlen.field import FieldDescriptor, FieldScalar, field_from_flag
-from primlen.liedecomp import decompose_lie
+from primlen.liedecomp import decompose_lie, verify_lie
 from primlen.parsing import parse_lie, parse_poly
-from primlen.polyauto import certify_apply
-from primlen.polydecomp import decompose
+from primlen.polyauto import AffineAuto, certify_apply
+from primlen.polydecomp import decompose, verify
 
 from conftest import rand_lie, rand_poly
 from test_golden import LIE_CORPUS, POLY_CORPUS
@@ -184,6 +184,50 @@ def test_malformed_matrices_keep_their_messages(matrix, message):
     doc = golden("Q-d3")
     factors(doc, "linear")[-1]["matrix"] = matrix
     assert rebuild_problems(doc) == [f"document rebuild failed: {message}"]
+
+
+@pytest.mark.parametrize("name", ["d5-n3-linear-part", "d4-n6", "Q-d3", "F2-d4-second-prime"])
+def test_copies_of_one_affine_record_share_one_factor_validated_once(monkeypatch, name):
+    doc = golden(name)
+    kind = "linear" if name in LIE_CORPUS else "affine"
+    distinct = {json.dumps(f, sort_keys=True) for f in factors(doc, kind)}
+    assert len(factors(doc, kind)) > len(distinct)  # the check shows nothing without copies
+    validated = Counter()
+    validate = AffineAuto.validate
+
+    def counted(self):
+        validated[id(self)] += 1
+        return validate(self)
+
+    monkeypatch.setattr(AffineAuto, "validate", counted)
+    dec = (document.rebuild_lie if kind == "linear" else document.rebuild_poly)(doc)
+    shared = {id(a) for _, cert in dec.summands for a in cert.chain if isinstance(a, AffineAuto)}
+    assert len(shared) == len(distinct)
+    assert (verify_lie if kind == "linear" else verify)(dec).ok
+    assert set(validated) == shared and set(validated.values()) == {1}
+
+
+def test_a_bad_shared_factor_is_reported_by_each_summand_that_holds_it():
+    singular = [["0"] * 5 for _ in range(5)]
+    doc = golden("d5-n3-linear-part")
+    for record in doc["summands"]:
+        record["certificate"][-1]["matrix"] = copy.deepcopy(singular)
+    count = len(doc["summands"])
+    message = "invalid elementary factor (factor 3: matrix is singular)"
+    assert rebuild_problems(doc) == [f"summand {i}: {message}" for i in range(1, count + 1)]
+    doc = golden("d5-n3-linear-part")
+    doc["summands"][1]["certificate"][-1]["matrix"] = singular
+    assert rebuild_problems(doc) == [f"summand 2: {message}"]
+
+
+def test_a_matrix_of_string_rows_is_not_taken_for_its_array_copy():
+    # psi^-1 of d3-n4 has one-character entries, so the string "071" and
+    # the row ["0", "7", "1"] have equal tuples.
+    doc = golden("d3-n4")
+    last = doc["summands"][-1]["certificate"][-1]
+    assert last == doc["summands"][0]["certificate"][-1]
+    last["matrix"] = ["".join(row) for row in last["matrix"]]
+    assert rebuild_problems(doc) == ["document rebuild failed: matrix row is not an array"]
 
 
 @pytest.mark.parametrize("notes", ["hello", {"a": 1}], ids=["string", "object"])

@@ -3,13 +3,18 @@
 A change that should leave the produced documents alone (a refactor, a
 faster codec, another scalar layer) must keep every digest below.  A
 change that alters documents on purpose updates the digests and says why.
+
+A polynomial document holds one summand per lattice node with a tail, so
+the sparse inputs below have fewer summands than their bound: d3-n4 and
+d3-n4-tiny-coefficients 14 of 15, d4-n6 55 of 84, d5-n3 22 of 35 and
+d5-n3-linear-part 24 of 35.  d2-n3 and d3-n4-dense keep every node.
 """
 
 import hashlib
 
 import pytest
 
-from primlen.document import dumps, lie_document, poly_document
+from primlen.document import dumps, lie_document, loads, poly_document, verify_document
 from primlen.field import field_from_flag
 from primlen.liedecomp import decompose_lie
 from primlen.parsing import parse_lie, parse_poly
@@ -22,15 +27,15 @@ POLY_CORPUS = {
     ),
     "d3-n4": (
         3, "x1^4 + x2^2*x3^2 - 5/2*x1*x2*x3 + x3^3 - x1^2 + 7*x2 + x3 - 1",
-        "fee74b11410b55a4fce9ed3fb99926a697ef3348cc8655eb30267eafd0171fd2",
+        "62415448e69f78c71a899b9817820c76d381fb6b1143270e3e2bfd0b6501343d",
     ),
     "d4-n6": (
         4, "x1^6 - 3*x2^5*x3 + 2/7*x1*x2*x3*x4^3 + x4^6 - x1^2*x3^2 + x2*x4 + 5*x3 - 1",
-        "0f64ae70a1b224c68cb434031a874a928485892b299a375c11471c73394324ea",
+        "5e535a0a4fe5ffe6f440d559f33b9acf72ef13ed7536a0181b346893dda2179a",
     ),
     "d5-n3": (
         5, "x1^3 + x2*x3*x4 - x5^3 + 3/4*x1*x5^2 + x2^2 - x4 + 2",
-        "5516386395ceed8398b5d13389c7d0bea520493613e25b8c70f93af8bdc47e72",
+        "c8b9a3f5cde83cc926390b8c2a2424e671b80e48ddc3b376f79b4c17d26015a7",
     ),
     "constant": (
         3, "-7/2",
@@ -56,13 +61,13 @@ POLY_CORPUS = {
     "d3-n4-tiny-coefficients": (
         3,
         f"1/{10**40}*x1^4 - 3/{10**41}*x1*x2^2*x3 + 7*x1*x3 + {10**40}*x3^2 - 1/{10**40}*x2 + 5/{10**39}",
-        "6018c10d774c7cc2425c953f7ffab8a72335da6ad7a359148a6a9b2e04fe42b7",
+        "2c5cb47aa8d55a59ae531c40ca925517a18f62a5c3b699e64cbc35db118eb6d6",
     ),
     # A linear part with fractional coefficients: psi^-1 is a non-identity
     # affine factor, so certificate replay composes it with the lattice map.
     "d5-n3-linear-part": (
         5, "x1^3 - 2*x2*x3*x5 + 3/2*x1*x4^2 + x5^3 + 3/2*x1 - x2 + 2/3*x4 + x5 - 1/7",
-        "87600bedff23483611285526b8a1cedfffea602ead500d72999e52b001b20d5d",
+        "ce89d36a45afa4a1bde0dbaae318f195348dbace47445e3090c4a39356e4285a",
     ),
 }
 
@@ -119,7 +124,9 @@ def digest(text):
 def test_polynomial_documents_are_pinned(name):
     arity, expr, expected = POLY_CORPUS[name]
     f = parse_poly(expr, arity, field_from_flag("Q"))
-    assert digest(dumps(poly_document(decompose(f)))) == expected
+    text = dumps(poly_document(decompose(f)))
+    assert digest(text) == expected
+    assert verify_document(loads(text)).ok
 
 
 @pytest.mark.parametrize("name", sorted(LIE_CORPUS))

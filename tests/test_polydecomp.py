@@ -6,13 +6,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from primlen import linalg, polyauto, polydecomp
+from primlen.document import dumps, loads, poly_document, verify_document
 from primlen.errors import UnsupportedInputError
 from primlen.field import GF, QQ
 from primlen.liedecomp import decompose_lie, lie_bound
 from primlen.multipoly import Polynomial, monomials_of_degree, multinomial
 from primlen.parsing import parse_lie, parse_poly, poly_to_str
 from primlen.metalie import LieElement
-from primlen.polyauto import Certificate, apply_auto, certify_apply, invert_auto, linearize
+from primlen.polyauto import Certificate, TriangularAuto, apply_auto, certify_apply, invert_auto, linearize
 from primlen.linalg import DenseMatrix, bareiss_determinant, solve_square
 from primlen.polydecomp import (
     FINITE,
@@ -28,7 +29,7 @@ from primlen.polydecomp import (
     verify,
 )
 
-from conftest import cofactor_determinant, rand_lie, rand_poly
+from conftest import cofactor_determinant, rand_lie, rand_nonzero_scalar, rand_poly
 
 
 def poly(text_terms, d=2):
@@ -361,14 +362,92 @@ def decomposable_polys(draw):
     return Polynomial(d, QQ, terms)
 
 
+def tailed_count(f):
+    """The summand count decompose reaches for f of degree n > 1 in d > 1 variables.
+
+    One summand per lattice node with a tail (some xi_kp != 0, p >= 2), and
+    one more, -x1, when a single node has a tail and f has no linear part.
+    """
+    n, d = f.total_degree(), f.arity
+    psi_inv, g = linearize(f)
+    nodes = lattice_nodes(n, d)
+    xi = [solve_degree(p, g.homogeneous_component(p), nodes) for p in range(2, n + 1)]
+    tailed = sum(any(not xi_p[k].is_zero() for xi_p in xi) for k in range(len(nodes)))
+    return tailed + (tailed == 1 and psi_inv is None)
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(decomposable_polys())
 def test_every_assembled_summand_is_its_certificate_replayed(f):
     dec = decompose(f)
-    assert dec.count == plength_bound(f.total_degree(), f.arity)
+    assert dec.count == tailed_count(f)
     for summand, cert in dec.summands:
         assert certify_apply(cert, f) == summand
     assert verify(dec).ok
+
+
+@st.composite
+def dense_polys(draw):
+    """Every monomial of degree <= n present, each with a nonzero coefficient."""
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 5))
+    coeff = coefficients(draw(st.sampled_from([2, 40]))).filter(bool)
+    return Polynomial(d, QQ, {m: draw(coeff) for p in range(n + 1) for m in monomials_of_degree(d, p)})
+
+
+def assert_verifies(dec):
+    result = verify(dec)
+    assert result.ok, result.problems
+    result = verify_document(loads(dumps(poly_document(dec))))
+    assert result.ok, result.problems
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.one_of(decomposable_polys(), dense_polys()))
+def test_the_count_is_the_number_of_nodes_with_a_tail(f):
+    dec = decompose(f)
+    assert dec.count == tailed_count(f) <= plength_bound(f.total_degree(), f.arity)
+    for _, cert in dec.summands:
+        if isinstance(cert.chain[0], TriangularAuto):
+            assert not any(gamma.is_zero() for gamma in cert.chain[0].gammas)
+    assert_verifies(dec)
+
+
+@pytest.mark.parametrize(
+    "arity, text, count, bound, shown",
+    [
+        (3, "x1*x2", 5, 6, None),
+        # One node and no linear part: -x1 cancels the node's linear coefficient.
+        (2, "(x1+x2)^2", 2, 3, ["x1^2 + 2*x1*x2 + x2^2 + x1", "-x1"]),
+        # The input is primitive, and its one summand is the input.
+        (2, "x1 + (x1+x2)^2", 1, 3, ["x1^2 + 2*x1*x2 + x2^2 + x1"]),
+        # The constant goes on the first kept node.
+        (2, "3 + (x1+x2)^2", 2, 3, ["x1^2 + 2*x1*x2 + x2^2 + x1 + 3", "-x1"]),
+        (4, "7 + x1*x2*x3*x4", 20, 35, None),
+        (3, "x1^3 + x2^3 + x3^3", 10, 10, None),
+        # Every monomial present, but the input is s_0^2 + s_1^2, so the
+        # node of s_2 = x1 + 3*x2 has no tail.
+        (2, "2*x1^2 + 6*x1*x2 + 5*x2^2", 2, 3, ["x1^2 + 2*x1*x2 + x2^2 + x1", "x1^2 + 4*x1*x2 + 4*x2^2 - x1"]),
+    ],
+)
+def test_only_the_nodes_with_a_tail_get_a_summand(arity, text, count, bound, shown):
+    dec = decompose(parse_poly(text, arity, QQ))
+    assert (dec.count, dec.bound) == (count, bound)
+    if shown is not None:
+        assert [poly_to_str(s) for s, _ in dec.summands] == shown
+    assert_verifies(dec)
+
+
+@pytest.mark.parametrize("d, n", [(2, 5), (3, 4), (4, 3), (3, 6), (4, 5)])
+def test_dense_inputs_with_large_coefficients_keep_every_node(d, n):
+    # A node loses its tail only when its xi_kp vanish for every p, which
+    # the seeded 9-digit coefficients below avoid; small coefficients do
+    # not (the pinned s_0^2 + s_1^2 above).
+    rng = random.Random(f"dense:{d}:{n}")
+    terms = {m: rand_nonzero_scalar(rng, QQ, 10**9) for p in range(n + 1) for m in monomials_of_degree(d, p)}
+    dec = decompose(Polynomial(d, QQ, terms))
+    assert dec.count == dec.bound == plength_bound(n, d)
+    assert_verifies(dec)
 
 
 def test_decompose_neither_replays_nor_eliminates(monkeypatch):
@@ -383,9 +462,9 @@ def test_decompose_neither_replays_nor_eliminates(monkeypatch):
     rng = random.Random(35)
     for d, n in [(2, 5), (3, 4), (4, 3), (5, 2)]:
         f = rand_poly(rng, d, n, coeff_bound=10**40)
-        assert decompose(f).count == plength_bound(n, d)
+        assert decompose(f).count == tailed_count(f)
         g = f + Polynomial.variable(d, QQ, d)  # a linear part, so decompose runs linearize
-        assert decompose(g).count == plength_bound(n, d)
+        assert decompose(g).count == tailed_count(g)
     for field in (QQ, GF(2), GF(101)):
         f = rand_lie(rng, 4, 4, field) + LieElement.generator(4, field, 2)
         assert any(f.linear_coefficients())
