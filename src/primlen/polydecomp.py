@@ -363,8 +363,11 @@ def decompose(f):
     nodes = lattice_nodes(n, d)
     phis = _lattice_phis(d, n)
     xi = [solve_degree(p, g.homogeneous_component(p), nodes) for p in range(2, n + 1)]
-    # One summand per node with a tail, and -x1 when a lone one has delta = 0.
-    kept = [k for k in range(bound) if any(not xi_p[k].is_zero() for xi_p in xi)]
+    # The tail sum_p xi_kp x2^p of each node; one summand per node with a
+    # tail, and -x1 when a lone one has delta = 0.
+    x2_powers = [(0, p) + (0,) * (d - 2) for p in range(2, n + 1)]
+    tails = [{m: c for m, c in zip(x2_powers, column) if not c.is_zero()} for column in zip(*xi)]
+    kept = [k for k, tail in enumerate(tails) if tail]
     extra = len(kept) == 1 and delta == 0
     xi_linear = assign_linear_coeffs(len(kept) + extra, delta, field)
 
@@ -383,12 +386,9 @@ def decompose(f):
     one, zero = field.one(), field.zero()
     summands = []
     for j, k in enumerate(kept):
-        tail_terms = {}
+        tail_terms = tails[k]
         if j == 0 and not beta.is_zero():
             tail_terms[(0,) * d] = beta
-        for p, xi_p in enumerate(xi, start=2):
-            if not xi_p[k].is_zero():
-                tail_terms[(0, p) + (0,) * (d - 2)] = xi_p[k]
         theta = TriangularAuto(
             [xi_linear[j]] + [one] * (d - 1),
             [Polynomial(d, field, tail_terms)] + [Polynomial.zero(d, field)] * (d - 1),
