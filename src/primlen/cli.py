@@ -11,18 +11,18 @@ Subcommands:
 and the Python version.
 
 Exit codes: 0 success or verified, 1 verification failure, 2 usage or parse
-error (a PRIMLEN_DEGREE_CAP that is not a positive integer included), 3
+error (a document that cannot be loaded or written included), 3
 unsupported input (positive characteristic for poly, d < 3 for lie, more
 than MAX_ARITY generators, a polynomial above polydecomp.MAX_DEGREE or
 MAX_NODES, a constant power above MAX_POWER_BITS or parenthesised groups
 above MAX_DEGREE or MAX_TERMS in the reader, scalars whose common
-denominator passes field.MAX_RAW_BITS, degree cap exceeded).
+denominator passes field.MAX_RAW_BITS, a Lie word longer than
+metalie.DEGREE_CAP).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import platform
 import sys
 
@@ -31,7 +31,6 @@ from .document import dumps, lie_document, loads, poly_document, verify_document
 from .errors import DegreeCapError, ParseError, PrimlenError, UnsupportedInputError
 from .field import big_int, field_from_flag
 from .liedecomp import decompose_lie, lie_bound
-from .metalie import degree_cap
 from .parsing import parse_lie, parse_poly
 from .polydecomp import decompose, plength_bound
 from .sparse import check_arity
@@ -76,11 +75,16 @@ def _build_parser():
 
 def _emit(document, out_path):
     text = dumps(document)
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write document: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 def _run_decompose(args):
@@ -105,8 +109,7 @@ def _run_decompose(args):
     except (UnsupportedInputError, DegreeCapError) as exc:
         print(f"unsupported input: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    _emit(document, args.out)
-    return EXIT_OK
+    return _emit(document, args.out)
 
 
 def _run_verify(args):
@@ -143,21 +146,8 @@ def _run_bound(args):
     return EXIT_OK
 
 
-def _degree_cap_is_valid():
-    try:
-        cap = degree_cap()
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raw = os.environ["PRIMLEN_DEGREE_CAP"]
-        print(f"error: PRIMLEN_DEGREE_CAP must be a positive integer, got {raw!r}", file=sys.stderr)
-    return cap >= 1
-
-
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    if not _degree_cap_is_valid():
-        return EXIT_USAGE
     if args.command == "decompose":
         return _run_decompose(args)
     if args.command == "verify":

@@ -147,15 +147,20 @@ def dumps(doc):
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _check_header(doc):
+    """PrimlenError unless doc is a JSON object of this ``VERSION`` with a known algebra."""
+    if not isinstance(doc, dict) or doc.get("version") != VERSION:
+        raise PrimlenError(f"not a {VERSION} document")
+    if doc.get("algebra") not in (POLY, LIE):
+        raise PrimlenError(f"unknown algebra {doc.get('algebra')!r}")
+
+
 def loads(text):
     try:
         doc = json.loads(text)
     except RecursionError:
         raise PrimlenError("the document is nested too deeply") from None
-    if not isinstance(doc, dict) or doc.get("version") != VERSION:
-        raise PrimlenError(f"not a {VERSION} document")
-    if doc.get("algebra") not in (POLY, LIE):
-        raise PrimlenError(f"unknown algebra {doc.get('algebra')!r}")
+    _check_header(doc)
     return doc
 
 
@@ -328,10 +333,13 @@ def _rebuild(doc):
 def verify_document(doc):
     """Re-verify a loaded document; parse failures count as verification failures.
 
+    The header is checked as ``loads`` checks it, so a document that did
+    not come through ``loads`` is held to the same version and algebra.
     The rebuild recomputes the bound from the input; the document's bound and
     its stats count and degree must match the recomputed values.
     """
     try:
+        _check_header(doc)
         dec, problems = _rebuild(doc)
         problems += (verify if doc["algebra"] == POLY else verify_lie)(dec).problems
         return VerifyResult(not problems, problems)

@@ -324,9 +324,6 @@ class FieldScalar:
     def is_zero(self):
         return self.value == 0
 
-    def is_one(self):
-        return self.value == 1
-
     def __bool__(self):
         return not self.is_zero()
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from .errors import UnsupportedInputError
 from .linalg import DenseMatrix, basis_from_rows, pivot_columns
-from .metalie import LieElement, _inner_raw, bracket, degree_cap, split_parts
+from .metalie import DEGREE_CAP, LieElement, _inner_raw, bracket, split_parts
 from .polyauto import AffineAuto, Certificate, TriangularAuto, apply_images, linear_certificate, linearize
 from .polydecomp import ZERO_NOTE, Decomposition, Record, check_summands
 
@@ -62,8 +62,8 @@ class InnerLieAuto:
             return ["inner automorphism element has a linear part"]
         return []
 
-    def raw_images(self, like, cap):
-        return _inner_raw(self.element._raw(), self.arity, cap, like.field.p)
+    def raw_images(self, like):
+        return _inner_raw(self.element._raw(), self.arity, DEGREE_CAP, like.field.p)
 
 
 def lie_bound(d, field):
@@ -294,10 +294,9 @@ def decompose_lie(f):
             summands.append((u4, linear_certificate(u4)))
 
     if rho_inv is not None:
-        cap = degree_cap()
-        images = rho_inv.raw_images(f, cap)
+        images = rho_inv.raw_images(f)
         summands = [
-            (apply_images(images, element, cap), Certificate(cert.chain + [rho_inv], cert.generator_index))
+            (apply_images(images, element), Certificate(cert.chain + [rho_inv], cert.generator_index))
             for element, cert in summands
         ]
     return Decomposition(f, summands, bound)

@@ -29,27 +29,21 @@ returns, built once with ``_wrap_raw``.  ``apply_endo`` and
 take and return (den, raw) pairs; the certificate replay
 (``polyauto.replay_raw``) calls those cores directly.
 
-Results never exceed the configurable degree cap (default 12, overridden
-by the PRIMLEN_DEGREE_CAP environment variable); a bracket that would is
-reported as an error instead of silently exploding.
+Results never exceed the degree cap ``DEGREE_CAP`` (12), an input
+ceiling like the others; a bracket that would is reported as an error
+instead of silently exploding.  ``bracket``, ``normalize_word`` and
+``apply_endo`` take a lower ``cap=`` for callers that want one.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import insort
 
 from .errors import ArityMismatchError, DegreeCapError, FieldMismatchError
 from .sparse import SparseElement, combine_raw
 
-DEFAULT_DEGREE_CAP = 12
-
-
-def degree_cap():
-    raw = os.environ.get("PRIMLEN_DEGREE_CAP")
-    if raw is None:
-        return DEFAULT_DEGREE_CAP
-    return int(raw)
+#: The longest word any Lie computation may produce.
+DEGREE_CAP = 12
 
 
 def is_normal_word(word):
@@ -123,14 +117,9 @@ class LieElement(SparseElement):
         """The image of self under the endomorphism x_i -> images[i - 1]."""
         return apply_endo(images, self)
 
-    def _endo_raw(self, raw, images, cap):
-        """The (den, raw) image of the pair raw under the (den, raw) generator images, within cap."""
-        return _apply_endo_raw(raw, images, cap, self.field.p)
-
-    @staticmethod
-    def _endo_cap():
-        """The degree cap of ``_endo_raw``, read once per replay."""
-        return degree_cap()
+    def _endo_raw(self, raw, images):
+        """The (den, raw) image of the pair raw under the (den, raw) generator images, within the cap."""
+        return _apply_endo_raw(raw, images, DEGREE_CAP, self.field.p)
 
     @staticmethod
     def _generator_key(arity, index):
@@ -191,23 +180,19 @@ def _bracket_raw(tu, tv, cap, p):
     return terms
 
 
-def bracket(u, v, cap=None):
+def bracket(u, v, cap=DEGREE_CAP):
     """The Lie bracket [u, v], rewritten into the normal-word basis."""
     u._check_compatible(v)
-    if cap is None:
-        cap = degree_cap()
     den_u, tu = u._raw()
     den_v, tv = v._raw()
     return u._wrap_raw(den_u * den_v, _bracket_raw(tu, tv, cap, u.field.p))
 
 
-def normalize_word(indices, arity, field, cap=None):
+def normalize_word(indices, arity, field, cap=DEGREE_CAP):
     """The left-normed bracket [x_{i1}, ..., x_{in}] as a normal-form element."""
     indices = tuple(indices)
     if not indices:
         raise ValueError("empty bracket word")
-    if cap is None:
-        cap = degree_cap()
     if len(indices) > cap:
         raise DegreeCapError(f"word length {len(indices)} beyond the cap {cap}")
     for idx in indices:
@@ -251,7 +236,7 @@ def _apply_endo_raw(u, images, cap, p):
     return combine_raw(den, terms.values(), pieces, p)
 
 
-def apply_endo(images, u, cap=None):
+def apply_endo(images, u, cap=DEGREE_CAP):
     """Homomorphic image of u under x_i -> images[i - 1]: brackets are rebuilt from the images.
 
     There must be one image per generator of u, each with the arity and
@@ -267,8 +252,6 @@ def apply_endo(images, u, cap=None):
             raise ArityMismatchError("endomorphism arity mismatch")
         if g.field != field:
             raise FieldMismatchError("endomorphism and element over different fields")
-    if cap is None:
-        cap = degree_cap()
     return u._wrap_raw(*_apply_endo_raw(u._raw(), [g._raw() for g in images], cap, field.p))
 
 
@@ -292,7 +275,7 @@ def inner_auto(v):
     """
     if v.has_linear_part():
         raise ValueError("inner automorphisms need an element of the commutator ideal")
-    return [v._wrap_raw(*image) for image in _inner_raw(v._raw(), v.arity, degree_cap(), v.field.p)]
+    return [v._wrap_raw(*image) for image in _inner_raw(v._raw(), v.arity, DEGREE_CAP, v.field.p)]
 
 
 def split_parts(u):

@@ -211,16 +211,9 @@ class Polynomial(SparseElement):
         raw = _substitute_raw(self._raw(), [g._raw() for g in images], target_arity, self.field.p)
         return images[0]._wrap_raw(*raw)
 
-    def _endo_raw(self, raw, images, cap):
-        """The (den, raw) image of the pair raw under the (den, raw) generator images, in d = arity.
-
-        Substitution has no degree cap; ``cap`` is None (``_endo_cap``).
-        """
+    def _endo_raw(self, raw, images):
+        """The (den, raw) image of the pair raw under the (den, raw) generator images, in d = arity."""
         return _substitute_raw(raw, images, self.arity, self.field.p)
-
-    @staticmethod
-    def _endo_cap():
-        return None
 
     @staticmethod
     def _generator_key(arity, index):

@@ -42,10 +42,10 @@ range-checked; the document reader keeps one table for a whole document
 (``table=``).  A monomial text enters as its exponent tuple.  A word text
 enters as its index tuple when the word is normal, and otherwise as the
 integer coefficients of its normal terms, which multiply the term's
-coefficient; a bracket's length is checked against the degree cap at
-every use.  Any other text (groups,
-powers of numbers, unary-minus chains, other spacing, "0", malformed text)
-goes to the token grammar above, so values and errors do not depend on the
+coefficient; a word longer than the degree cap never enters the table,
+so the grammar refuses it at every use.  Any other text (groups, powers
+of numbers, unary-minus chains, other spacing, "0", malformed text) goes
+to the token grammar above, so values and errors do not depend on the
 shape or the table.  There a polynomial term made of numbers, variables,
 powers, unary minus and division by numbers is assembled directly as one
 coefficient times one exponent vector, every sum accumulates into one
@@ -67,7 +67,7 @@ from math import gcd
 
 from .errors import ParseError, UnsupportedInputError
 from .field import int_to_str, str_to_int
-from .metalie import LieElement, _normalize_raw, degree_cap, is_normal_word, normalize_word
+from .metalie import DEGREE_CAP, LieElement, _normalize_raw, is_normal_word, normalize_word
 from .multipoly import Polynomial
 from .polydecomp import MAX_DEGREE, MAX_POWER_BITS, MAX_TERMS
 from .sparse import MAX_ARITY, element_pairs
@@ -476,56 +476,41 @@ def _poly_grammar(src, arity, field):
 
 
 def _printed_lie(src, arity, field, table, rule):
-    """(terms, cap): the terms of src by ``_read_printed`` under rule, through the word table, or None.
+    """The terms of src by ``_read_printed`` under rule, through the word table; None when it declines.
 
     ``table`` maps word texts to entries for the texts of one document, so
     of one arity and field (a fresh one when None): the index tuple of a
     normal word, and the ints of its normal terms (``metalie._normalize_raw``)
-    for any other.  The degree cap is read at the first bracket, hit or
-    miss, and every bracket's length is checked against it; cap is the
-    value read, or None.  An arity out of range is declined.
+    for any other.  A word longer than ``metalie.DEGREE_CAP`` never enters
+    the table, so every use of one is declined.  An arity out of range is
+    declined too.
     """
-    cap = None
     if not 1 <= arity <= MAX_ARITY:
-        return None, cap
+        return None
     if table is None:
         table = {}
 
-    def within_cap(text):
-        """Whether the bracket text has at most cap entries; the cap is read on the first call."""
-        nonlocal cap
-        if cap is None:
-            cap = degree_cap()
-        return text.count(",") < cap
-
-    def get(text):
-        entry = table.get(text)
-        if entry is None or text[0] != "[" or within_cap(text):
-            return entry
-        return None
-
     def enter(text):
         word = _word_key(text, arity)
-        if word is None or len(word) > 1 and not within_cap(text):
+        if word is None or len(word) > DEGREE_CAP:
             return None
-        entry = table[text] = word if is_normal_word(word) else _normalize_raw(word, cap, field.p)
+        entry = table[text] = word if is_normal_word(word) else _normalize_raw(word, DEGREE_CAP, field.p)
         return entry
 
-    return _read_printed(src, _PRINTED_LIE_TERM, field.p, rule, get, enter), cap
+    return _read_printed(src, _PRINTED_LIE_TERM, field.p, rule, table.get, enter)
 
 
 def parse_lie(src, arity, field, table=None):
-    """The LieElement of src; the degree cap is read once, at the first bracket.
+    """The LieElement that src spells in ``arity`` generators over ``field``.
 
     ``table`` is the word table of ``_printed_lie``.  Any text
-    ``_read_printed`` declines, and any arity out of range, goes to the
-    token grammar, which reports it and reads the cap only if the reader
-    above has not.
+    ``_read_printed`` declines, a word beyond the degree cap and any arity
+    out of range included, goes to the token grammar, which reports it.
     """
-    terms, cap = _printed_lie(src, arity, field, table, (field, _add_scalars))
+    terms = _printed_lie(src, arity, field, table, (field, _add_scalars))
     if terms is not None:
         return LieElement._new(arity, field, terms)
-    return _lie_grammar(src, arity, field, cap)
+    return _lie_grammar(src, arity, field)
 
 
 def lie_pairs(src, arity, field, table=None):
@@ -534,14 +519,14 @@ def lie_pairs(src, arity, field, table=None):
     As ``poly_pairs``: no scalar for a text ``_read_printed`` reads, and
     the token grammar of ``parse_lie`` for any other.
     """
-    terms, cap = _printed_lie(src, arity, field, table, _pair_rule(field.p))
+    terms = _printed_lie(src, arity, field, table, _pair_rule(field.p))
     if terms is not None:
         return terms
-    return element_pairs(_lie_grammar(src, arity, field, cap))
+    return element_pairs(_lie_grammar(src, arity, field))
 
 
-def _lie_grammar(src, arity, field, cap):
-    """The LieElement of src by the token grammar; the cap is read at its first bracket when None."""
+def _lie_grammar(src, arity, field):
+    """The LieElement of src by the token grammar."""
     r = _Reader(src, arity, field)
     tokens = r.tokens
     zero = LieElement.zero(arity, field)
@@ -583,7 +568,6 @@ def _lie_grammar(src, arity, field, cap):
         return {word: coeff * c for word, coeff in atom_terms.items()}
 
     def latom():
-        nonlocal cap
         kind, text, pos = tokens[r.i]
         if kind == "name":
             index = r.variable_index(tokens[r.i])
@@ -598,9 +582,7 @@ def _lie_grammar(src, arity, field, cap):
             r.expect("]")
             if len(indices) < 2:
                 raise ParseError("a bracket needs at least two entries", pos)
-            if cap is None:
-                cap = degree_cap()
-            return normalize_word(indices, arity, field, cap).terms
+            return normalize_word(indices, arity, field).terms
         if kind == "(":
             r.i += 1
             value = lexpr()

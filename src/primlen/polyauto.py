@@ -14,18 +14,17 @@ Factors are plain records: constructing one checks nothing.  Each lists
 its own problems in ``validate()``, and ``validate_certificate``, which the
 verifier runs before any replay, is the only place that calls it.
 
-A factor does not know its algebra: ``raw_images(like, cap)`` gives the
+A factor does not know its algebra: ``raw_images(like)`` gives the
 images of the generators in the algebra of the element ``like`` as (den,
 raw) pairs, ints over one denominator in the layout of
 ``FieldDescriptor.to_raw``, read with one ``to_raw`` per factor: an affine
 factor from its matrix and offset (the read its invertibility check also
 runs on), a triangular factor from its gammas and tails, an inner factor
 from its element.  ``apply_images`` applies them with the element's raw
-core (``multipoly._substitute_raw`` or ``metalie._apply_endo_raw``);
-``cap`` is the Lie degree cap, read once per replay with
-``like._endo_cap()``, which is None for polynomials.  A certificate is a
-chain of factors plus a generator index; replaying the chain (innermost
-first) on that generator reproduces a primitive element.
+core (``multipoly._substitute_raw`` or ``metalie._apply_endo_raw``,
+within ``metalie.DEGREE_CAP``).  A certificate is a chain of factors
+plus a generator index; replaying the chain (innermost first) on that
+generator reproduces a primitive element.
 ``replay_raw`` replays on ints from the factors' entries to the result:
 runs of consecutive affine factors are composed on their int rows, and
 every element, the result included, stays a (den, raw) pair.  The
@@ -128,7 +127,7 @@ class AffineAuto:
             self._ints = den, [ints[j * m : (j + 1) * m] for j in range(n)], ints[n * m :]
         return self._ints
 
-    def raw_images(self, like, cap):
+    def raw_images(self, like):
         return _affine_images(self.raw(), like)
 
 
@@ -170,7 +169,7 @@ class TriangularAuto:
                 problems.append(f"tail of x{gen} mentions forbidden generator x{min(forbidden)}")
         return problems
 
-    def raw_images(self, like, cap):
+    def raw_images(self, like):
         """The images gamma x_gen + tail; a tail never mentions its own generator (``validate``)."""
         d = like.arity
         den, ints = like.field.to_raw(self.gammas + [c for tail in self.tails for c in tail.terms.values()])
@@ -184,17 +183,16 @@ class TriangularAuto:
         return images
 
 
-def apply_images(images, f, cap):
+def apply_images(images, f):
     """The image of the element f under the (den, raw) generator images, in the algebra of f."""
-    return f._wrap_raw(*f._endo_raw(f._raw(), images, cap))
+    return f._wrap_raw(*f._endo_raw(f._raw(), images))
 
 
 def apply_auto(auto, f):
     """Image of the element f under an elementary automorphism, in the algebra of f."""
     if auto.arity != f.arity:
         raise ArityMismatchError("automorphism arity mismatch")
-    cap = f._endo_cap()
-    return apply_images(auto.raw_images(f, cap), f, cap)
+    return apply_images(auto.raw_images(f), f)
 
 
 def invert_auto(auto):
@@ -262,7 +260,7 @@ def linearize(f):
         if ell[m]:
             solved[key[j]] = -sign * ell[m]
     images[pivot] = (sign * ell[pivot], solved)
-    return psi_inv, apply_images(images, f, f._endo_cap())
+    return psi_inv, apply_images(images, f)
 
 
 def linear_certificate(f, constant=None):
@@ -283,13 +281,11 @@ def replay_raw(cert, like):
     to the result.  Runs of consecutive affine factors are composed on
     their int rows (``_compose_raw``) before substitution; by associativity
     the result is identical and the expansion of large intermediate
-    elements happens only once.  No scalar is built, and the degree cap is
-    read once, before the first factor.
+    elements happens only once.  No scalar is built.
     """
     arity, p = like.arity, like.field.p
     if not 1 <= cert.generator_index <= arity:
         raise ArityMismatchError("generator index out of range")
-    cap = like._endo_cap()
     f = (1, {like._generator_key(arity, cert.generator_index): 1})
     pending = None
     for auto in cert.chain:
@@ -300,11 +296,11 @@ def replay_raw(cert, like):
             pending = raw if pending is None else _compose_raw(raw, pending, p)
             continue
         if pending is not None:
-            f = like._endo_raw(f, _affine_images(pending, like), cap)
+            f = like._endo_raw(f, _affine_images(pending, like))
             pending = None
-        f = like._endo_raw(f, auto.raw_images(like, cap), cap)
+        f = like._endo_raw(f, auto.raw_images(like))
     if pending is not None:
-        f = like._endo_raw(f, _affine_images(pending, like), cap)
+        f = like._endo_raw(f, _affine_images(pending, like))
     return f
 
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import platform
@@ -265,6 +266,18 @@ def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
     assert not modules & {"dataclasses", "inspect"}
 
 
+def test_the_program_reads_no_environment_variable():
+    names = {"environ", "environb", "getenv", "getenvb"}
+    reads = []
+    for path in sorted(Path(primlen.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in names and getattr(node.value, "id", None) == "os":
+                reads.append((path.name, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [(path.name, node.lineno) for alias in node.names if alias.name in names]
+    assert reads == []
+
+
 def test_vars_at_the_arity_ceiling_are_accepted(capsys):
     assert run(["bound", "lie", "--vars", str(MAX_ARITY)]) == 0
     assert capsys.readouterr().out == "6\n"
@@ -363,10 +376,29 @@ def test_infinite_document_roundtrip(tmp_path):
 
 
 def test_degree_cap_env(tmp_path, monkeypatch):
+    """Lie words are capped at length 12 whatever PRIMLEN_DEGREE_CAP says."""
+    for value in (None, "3", "20"):
+        if value is not None:
+            monkeypatch.setenv("PRIMLEN_DEGREE_CAP", value)
+        assert run(["decompose", "lie", "--vars", "3", "[x2" + ",x1" * 12 + "]"]) == 3
+        assert run(["decompose", "lie", "--vars", "3", "[x2" + ",x1" * 11 + "]"]) == 0
+
+
+def test_a_long_lie_word_verifies_whatever_the_environment(tmp_path, monkeypatch):
+    out = tmp_path / "doc.json"
+    assert run(["decompose", "lie", "--vars", "3", "[x2,x1,x1,x1,x1] + x3", "--out", str(out)]) == 0
+    assert run(["verify", str(out)]) == 0
     monkeypatch.setenv("PRIMLEN_DEGREE_CAP", "3")
-    assert run(["decompose", "lie", "--vars", "3", "[x2,x1,x1,x1]"]) == 3
-    monkeypatch.delenv("PRIMLEN_DEGREE_CAP")
-    assert run(["decompose", "lie", "--vars", "3", "[x2,x1,x1,x1]"]) == 0
+    assert run(["verify", str(out)]) == 0
+
+
+def test_decompose_out_to_a_path_that_cannot_be_written(tmp_path, capsys):
+    out = tmp_path / "missing" / "doc.json"
+    assert run(["decompose", "poly", "--vars", "2", "x1^2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: cannot write document: ")
+    assert not out.exists()
 
 
 def test_document_round_trip_api():
@@ -391,10 +423,12 @@ def test_decompose_poly_d4_n6_small_document(tmp_path):
 
 @pytest.mark.parametrize("value", ["abc", "-1", "0", "", "1" * 5000])
 def test_invalid_degree_cap_env_is_a_usage_error(monkeypatch, capsys, value):
+    """Any PRIMLEN_DEGREE_CAP value leaves the exit code and the document as they are without it."""
+    assert run(["decompose", "lie", "--vars", "3", "[x2,x1]"]) == 0
+    expected = capsys.readouterr().out
     monkeypatch.setenv("PRIMLEN_DEGREE_CAP", value)
-    assert run(["decompose", "lie", "--vars", "3", "[x2,x1]"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "PRIMLEN_DEGREE_CAP" in err
+    assert run(["decompose", "lie", "--vars", "3", "[x2,x1]"]) == 0
+    assert capsys.readouterr() == (expected, "")
 
 
 def test_coefficients_beyond_the_digit_limit(tmp_path):

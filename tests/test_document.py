@@ -242,6 +242,23 @@ def test_notes_must_be_an_array(tmp_path, capsys, name, notes):
     assert capsys.readouterr().err == "verification failed: document rebuild failed: notes is not an array\n"
 
 
+@pytest.mark.parametrize("name", ["Q-d3", "F2-d4", "d5-n3-linear-part"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("version", "primlen/9"), ("version", None), ("algebra", "lie"), ("algebra", None), ("algebra", [document.LIE])],
+)
+def test_verify_document_checks_the_header_as_loads_does(name, key, value):
+    doc = golden(name)
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    with pytest.raises(PrimlenError) as info:
+        document.loads(json.dumps(doc))
+    assert rebuild_problems(doc) == [f"document rebuild failed: {info.value}"]
+    assert rebuild_problems([golden(name)]) == [f"document rebuild failed: not a {document.VERSION} document"]
+
+
 def test_a_document_without_notes_still_verifies():
     doc = golden("d2-n3")
     del doc["notes"]

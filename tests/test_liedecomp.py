@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from primlen import liedecomp, metalie
+from primlen import liedecomp
 from primlen.errors import DegreeCapError, UnsupportedInputError
 from primlen.field import GF, QQ
 from primlen.liedecomp import (
@@ -379,28 +379,15 @@ def test_certificate_replay_matches_summands():
             assert certify_apply(cert, f) == summand
 
 
-def test_a_replay_reads_the_degree_cap_once(monkeypatch):
+def test_a_replay_beyond_the_degree_cap_raises():
     f = word((2, 1, 3)) + word((3, 1)).scale(QQ(-3, 2)) + gen(1) + gen(3).scale(QQ(-2))
     dec = decompose_lie(f)
     assert any(isinstance(a, InnerLieAuto) for _, cert in dec.summands for a in cert.chain)
-    reads = []
-
-    def counting_cap():
-        reads.append(1)
-        return 12
-
-    monkeypatch.setattr(metalie, "degree_cap", counting_cap)
     for summand, cert in dec.summands:
         assert certify_apply(cert, f) == summand
-    assert len(reads) == dec.count
-    reads.clear()
     assert apply_auto(dec.summands[-1][1].chain[0], f) is not None
-    assert len(reads) == 1
-    reads.clear()
     x1 = Polynomial.variable(3, QQ, 1)
     assert apply_auto(AffineAuto(_identity_matrix(3)), x1) == x1  # polynomials have no cap
-    assert reads == []
-    monkeypatch.setattr(metalie, "degree_cap", lambda: 2)
-    with pytest.raises(DegreeCapError, match=r"^bracket would reach degree 3 beyond the cap 2$"):
-        for _, cert in dec.summands:
-            certify_apply(cert, f)
+    inner = InnerLieAuto(word((2,) + (1,) * 11))
+    with pytest.raises(DegreeCapError, match=r"^bracket would reach degree 13 beyond the cap 12$"):
+        certify_apply(Certificate([inner], 1), f)

@@ -5,10 +5,10 @@ import pytest
 from primlen.errors import ArityMismatchError, DegreeCapError, FieldMismatchError
 from primlen.field import GF, QQ
 from primlen.metalie import (
+    DEGREE_CAP,
     LieElement,
     apply_endo,
     bracket,
-    degree_cap,
     inner_auto,
     is_normal_word,
     normalize_word,
@@ -186,15 +186,11 @@ def test_split_parts_random_resum():
         assert 1 not in c.mentioned()
 
 
-def test_degree_cap(monkeypatch):
-    monkeypatch.setenv("PRIMLEN_DEGREE_CAP", "3")
-    assert degree_cap() == 3
-    u = word((2, 1, 3))
-    with pytest.raises(DegreeCapError):
-        bracket(u, gen(3))
-    monkeypatch.delenv("PRIMLEN_DEGREE_CAP")
-    assert degree_cap() == 12
-    bracket(u, gen(3))  # fine again
+def test_degree_cap():
+    assert DEGREE_CAP == 12
+    assert bracket(word((2,) + (1,) * 10), gen(3)).degree() == 12
+    with pytest.raises(DegreeCapError, match=r"^bracket would reach degree 13 beyond the cap 12$"):
+        bracket(word((2,) + (1,) * 11), gen(3))
 
 
 def test_index_out_of_range():

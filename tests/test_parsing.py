@@ -320,20 +320,10 @@ def test_round_trip_beyond_the_digit_limit(digits):
 # -- the degree cap and the bracket words of the Lie reader ---------------------
 
 
-def test_parse_lie_reads_the_degree_cap_once_at_its_first_bracket(monkeypatch):
-    reads = []
-
-    def counting_cap():
-        reads.append(1)
-        return 12
-
-    monkeypatch.setattr(parsing, "degree_cap", counting_cap)
+def test_parse_lie_reads_printed_words_and_groups():
     u = parse_lie("[x2,x1,x3] + 2*[x3,x1] - ([x3,x2,x2] + x1)", 3, QQ)
-    assert len(reads) == 1
     assert lie_to_str(u) == "-x1 + 2*[x3,x1] + [x2,x1,x3] - [x3,x2,x2]"
-    reads.clear()
-    parse_lie("x1 - 2*x3 + (x2 + x1)", 3, QQ)
-    assert reads == []
+    assert lie_to_str(parse_lie("x1 - 2*x3 + (x2 + x1)", 3, QQ)) == "2*x1 + x2 - 2*x3"
 
 
 def test_normalize_word_builds_no_validated_element(monkeypatch):
@@ -352,20 +342,13 @@ def test_normalize_word_builds_no_validated_element(monkeypatch):
     assert built == []
 
 
-def test_bracket_word_errors_are_unchanged(monkeypatch):
+def test_bracket_word_errors_are_unchanged():
     with pytest.raises(DegreeCapError, match=r"^word length 13 beyond the cap 12$"):
         parse_lie("[x2" + ",x1" * 12 + "]", 3, QQ)
     with pytest.raises(ArityMismatchError, match=r"^generator x9 out of range for arity 3$"):
         normalize_word((9, 1), 3, QQ)
     with pytest.raises(ArityMismatchError, match=r"^generator x4 out of range for arity 3$"):
         normalize_word((2, 1, 4), 3, QQ)
-    monkeypatch.setenv("PRIMLEN_DEGREE_CAP", "3")
-    with pytest.raises(DegreeCapError, match=r"^word length 4 beyond the cap 3$"):
-        parse_lie("x1 + [x2,x1,x1,x1]", 3, QQ)
-    monkeypatch.setenv("PRIMLEN_DEGREE_CAP", "abc")
-    assert parse_lie("x1 + x2", 3, QQ) == parse_lie("x2 + x1", 3, QQ)
-    with pytest.raises(ValueError):
-        parse_lie("x1 + [x2,x1]", 3, QQ)
 
 
 # -- one key table per document -------------------------------------------------
@@ -657,17 +640,15 @@ def test_malformed_lie_positions_hold_through_a_filled_table(text, arity, field,
     assert info.value.position == position
 
 
-def test_a_table_hit_reads_and_checks_the_degree_cap_of_its_call(monkeypatch):
+def test_a_word_beyond_the_degree_cap_never_enters_the_table():
     table = {}
-    long_word = "[x2" + ",x1" * 4 + "]"
-    parse_lie(f"x1 + {long_word} + [x1,x2,x1]", 3, QQ, table=table)
-    assert long_word in table
-    monkeypatch.setenv("PRIMLEN_DEGREE_CAP", "3")
-    for texts in ({}, table):
-        with pytest.raises(DegreeCapError, match=r"^word length 5 beyond the cap 3$"):
-            parse_lie(f"x1 + {long_word}", 3, QQ, table=texts)
-    monkeypatch.setenv("PRIMLEN_DEGREE_CAP", "abc")
-    for texts in ({}, table):
-        assert parse_lie("x1 + x2", 3, QQ, table=texts) == parse_lie("x2 + x1", 3, QQ)
-        with pytest.raises(ValueError):
-            parse_lie("x1 + [x1,x2,x1]", 3, QQ, table=texts)
+    at_cap, beyond = "[x2" + ",x1" * 11 + "]", "[x2" + ",x1" * 12 + "]"
+    parse_lie(f"x1 + {at_cap} + [x1,x2,x1]", 3, QQ, table=table)
+    assert at_cap in table
+    for _ in range(2):
+        with pytest.raises(DegreeCapError, match=r"^word length 13 beyond the cap 12$"):
+            parse_lie(f"x1 + {beyond}", 3, QQ, table=table)
+        with pytest.raises(DegreeCapError, match=r"^word length 13 beyond the cap 12$"):
+            parsing.lie_pairs(f"x1 + {beyond}", 3, QQ, table=table)
+        assert beyond not in table
+    assert parse_lie(f"x1 + {at_cap}", 3, QQ, table=table) == parse_lie(f"{at_cap} + x1", 3, QQ)
