@@ -14,8 +14,8 @@ Exit codes: 0 success or verified, 1 verification failure, 2 usage or parse
 error (a document that cannot be loaded or written included), 3
 unsupported input (positive characteristic for poly, d < 3 for lie, more
 than MAX_ARITY generators, a polynomial above polydecomp.MAX_DEGREE or
-MAX_NODES, a constant power above MAX_POWER_BITS or parenthesised groups
-above MAX_DEGREE or MAX_TERMS in the reader, scalars whose common
+MAX_NODES, a constant power or a bound above MAX_POWER_BITS, parenthesised
+groups above MAX_DEGREE or MAX_TERMS in the reader, scalars whose common
 denominator passes field.MAX_RAW_BITS, a Lie word longer than
 metalie.DEGREE_CAP).
 """
@@ -29,7 +29,7 @@ import sys
 from . import __version__
 from .document import dumps, lie_document, loads, poly_document, verify_document
 from .errors import DegreeCapError, ParseError, PrimlenError, UnsupportedInputError
-from .field import big_int, field_from_flag
+from .field import field_from_flag, int_to_str
 from .liedecomp import decompose_lie, lie_bound
 from .parsing import parse_lie, parse_poly
 from .polydecomp import decompose, plength_bound
@@ -43,8 +43,7 @@ EXIT_UNSUPPORTED = 3
 
 def _version_line():
     """The package version, the arithmetic backend and the Python version."""
-    backend = "fractions" if big_int is int else "gmpy2"
-    return f"primlen {__version__} ({backend} arithmetic, Python {platform.python_version()})"
+    return f"primlen {__version__} (fractions arithmetic, Python {platform.python_version()})"
 
 
 def _build_parser():
@@ -142,7 +141,7 @@ def _run_bound(args):
     except UnsupportedInputError as exc:
         print(f"unsupported input: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    print(value)
+    print(int_to_str(value))
     return EXIT_OK
 
 

@@ -80,7 +80,10 @@ def _factor_from_json(record, texts):
     if kind == "triangular":
         gammas = list(map(texts.scalar, _json_list(record["gammas"], "gammas")))
         tails = list(map(texts.element, _json_list(record["tails"], "tails")))
-        return TriangularAuto(gammas, tails, _json_list(record["ordering"], "ordering") if lie else None)
+        ordering = None
+        if lie:
+            ordering = [_json_int(i, "ordering entry") for i in _json_list(record["ordering"], "ordering")]
+        return TriangularAuto(gammas, tails, ordering)
     if lie and kind == "inner":
         return InnerLieAuto(texts.element(record["element"]))
     raise PrimlenError(f"unknown {'Lie' if lie else 'polynomial'} automorphism kind {kind!r}")

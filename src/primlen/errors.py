@@ -22,7 +22,7 @@ class SingularMatrixError(PrimlenError):
 
 
 class DegreeCapError(PrimlenError):
-    """A Lie computation would exceed the degree cap (``metalie.DEGREE_CAP`` by default)."""
+    """A Lie computation would exceed the degree cap (``metalie.DEGREE_CAP``)."""
 
 
 class ParseError(PrimlenError):

@@ -11,26 +11,19 @@ Bareiss elimination) do not compute on scalars.  ``FieldDescriptor.to_raw``
 turns a run of scalars into plain integers: over Q one common denominator
 and integer numerators, over GF(p) the residues.  The kernel works on those
 ints, and ``FieldDescriptor.from_raw`` builds one canonical scalar per
-result.  Only ``.numerator`` and ``.denominator`` of the rational type are
-used, so the same code serves ``fractions.Fraction`` and gmpy2's ``mpq``.
+result.
 """
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from math import gcd
 
 from .errors import FieldMismatchError, ParseError, UnsupportedInputError
 
-try:
-    from gmpy2 import mpq as _RAT, mpz as _INT
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as _RAT
-
-    _INT = int
-
-#: Integer constructor of the big-integer backend (gmpy2.mpz when available).
-big_int = _INT
+#: The integer type of the arithmetic; ``perfbench/run.py`` records the backend from it.
+big_int = int
 
 #: ``FieldDescriptor.to_raw`` refuses a run of scalars when the bit length
 #: of their common denominator times the number of nonzero ones, about the
@@ -159,7 +152,7 @@ class FieldDescriptor:
                 raise FieldMismatchError(f"scalar of {num.field} given to {self}")
             return num
         if self.p is None:
-            value = _RAT(num) if den is None else _RAT(num, den)
+            value = Fraction(num) if den is None else Fraction(num, den)
             return FieldScalar(self, value)
         if den not in (None, 1):
             return FieldScalar(self, num % self.p) / self(den)
@@ -198,8 +191,8 @@ class FieldDescriptor:
                 return [FieldScalar(self, n * inv % p) for n in ints]
             return [FieldScalar(self, n % p) for n in ints]
         if den == 1:
-            return [FieldScalar(self, _RAT(n)) for n in ints]
-        return [FieldScalar(self, _RAT(n, den)) for n in ints]
+            return [FieldScalar(self, Fraction(n)) for n in ints]
+        return [FieldScalar(self, Fraction(n, den)) for n in ints]
 
     def __eq__(self, other):
         return isinstance(other, FieldDescriptor) and self.p == other.p

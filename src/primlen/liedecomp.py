@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from .errors import UnsupportedInputError
 from .linalg import DenseMatrix, basis_from_rows, pivot_columns
-from .metalie import DEGREE_CAP, LieElement, _inner_raw, bracket, split_parts
+from .metalie import LieElement, _inner_raw, bracket, split_parts
 from .polyauto import AffineAuto, Certificate, TriangularAuto, apply_images, linear_certificate, linearize
 from .polydecomp import ZERO_NOTE, Decomposition, Record, check_summands
 
@@ -63,7 +63,7 @@ class InnerLieAuto:
         return []
 
     def raw_images(self, like):
-        return _inner_raw(self.element._raw(), self.arity, DEGREE_CAP, like.field.p)
+        return _inner_raw(self.element._raw(), self.arity, like.field.p)
 
 
 def lie_bound(d, field):

@@ -24,7 +24,7 @@ from math import gcd
 from operator import mul
 
 from .errors import FieldMismatchError, InternalError, SingularMatrixError
-from .field import FieldScalar, big_int
+from .field import FieldScalar
 
 
 class OpCounter:
@@ -125,7 +125,7 @@ def _bareiss_forward(aug, cols, p, counter, collect=None):
     """
     n = len(aug)
     width = len(aug[0])
-    prev = big_int(1)
+    prev = 1
     sign = 1
     pivots = []
     for c in range(cols):
@@ -160,7 +160,7 @@ def _bareiss_forward(aug, cols, p, counter, collect=None):
                 row_i[j] = q
             if collect is not None:
                 collect.extend(row_i[c + 1 :])
-            row_i[c] = big_int(0)
+            row_i[c] = 0
             counter.multiplications += 2 * (width - c - 1)
             counter.divisions += width - c - 1
             counter.additions += width - c - 1
@@ -183,7 +183,7 @@ def _back_substitute(aug, p, counter):
     inverses = None if p is None else [pow(aug[i][i], -1, p) for i in range(n)]
     columns = []
     for c in range(n, len(aug[0])):
-        ys = [big_int(0)] * n
+        ys = [0] * n
         for i in range(n - 1, -1, -1):
             row = aug[i]
             acc = det * row[c] - sum(map(mul, row[i + 1 : n], ys[i + 1 :]))

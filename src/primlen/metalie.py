@@ -31,8 +31,7 @@ take and return (den, raw) pairs; the certificate replay
 
 Results never exceed the degree cap ``DEGREE_CAP`` (12), an input
 ceiling like the others; a bracket that would is reported as an error
-instead of silently exploding.  ``bracket``, ``normalize_word`` and
-``apply_endo`` take a lower ``cap=`` for callers that want one.
+instead of silently exploding.
 """
 
 from __future__ import annotations
@@ -119,7 +118,7 @@ class LieElement(SparseElement):
 
     def _endo_raw(self, raw, images):
         """The (den, raw) image of the pair raw under the (den, raw) generator images, within the cap."""
-        return _apply_endo_raw(raw, images, DEGREE_CAP, self.field.p)
+        return _apply_endo_raw(raw, images, self.field.p)
 
     @staticmethod
     def _generator_key(arity, index):
@@ -139,7 +138,7 @@ class LieElement(SparseElement):
         return f"LieElement({self.arity}, {self.field!r}, {lie_to_str(self)!r})"
 
 
-def _bracket_raw(tu, tv, cap, p):
+def _bracket_raw(tu, tv, p):
     """[u, v] on raw coefficient maps (normal word -> int).
 
     ``tu`` and ``tv`` hold ints in the layout of ``FieldDescriptor.to_raw``
@@ -154,9 +153,9 @@ def _bracket_raw(tu, tv, cap, p):
             nv = len(wv)
             if nu >= 2 and nv >= 2:
                 continue
-            if nu + nv > cap:
+            if nu + nv > DEGREE_CAP:
                 raise DegreeCapError(
-                    f"bracket would reach degree {nu + nv} beyond the cap {cap}"
+                    f"bracket would reach degree {nu + nv} beyond the cap {DEGREE_CAP}"
                 )
             coeff = cu * cv
             if nu == 1 and nv == 1:
@@ -180,30 +179,30 @@ def _bracket_raw(tu, tv, cap, p):
     return terms
 
 
-def bracket(u, v, cap=DEGREE_CAP):
+def bracket(u, v):
     """The Lie bracket [u, v], rewritten into the normal-word basis."""
     u._check_compatible(v)
     den_u, tu = u._raw()
     den_v, tv = v._raw()
-    return u._wrap_raw(den_u * den_v, _bracket_raw(tu, tv, cap, u.field.p))
+    return u._wrap_raw(den_u * den_v, _bracket_raw(tu, tv, u.field.p))
 
 
-def normalize_word(indices, arity, field, cap=DEGREE_CAP):
+def normalize_word(indices, arity, field):
     """The left-normed bracket [x_{i1}, ..., x_{in}] as a normal-form element."""
     indices = tuple(indices)
     if not indices:
         raise ValueError("empty bracket word")
-    if len(indices) > cap:
-        raise DegreeCapError(f"word length {len(indices)} beyond the cap {cap}")
+    if len(indices) > DEGREE_CAP:
+        raise DegreeCapError(f"word length {len(indices)} beyond the cap {DEGREE_CAP}")
     for idx in indices:
         if not 1 <= idx <= arity:
             raise ArityMismatchError(f"generator x{idx} out of range for arity {arity}")
     if is_normal_word(indices):
         return LieElement._new(arity, field, {indices: field.one()})
-    return LieElement._new(arity, field, {})._wrap_raw(1, _normalize_raw(indices, cap, field.p))
+    return LieElement._new(arity, field, {})._wrap_raw(1, _normalize_raw(indices, field.p))
 
 
-def _normalize_raw(indices, cap, p):
+def _normalize_raw(indices, p):
     """The normal terms of the word ``indices``, a tuple, as a map to ints.
 
     The left-normed bracket of generators has integer coefficients, so
@@ -212,11 +211,11 @@ def _normalize_raw(indices, cap, p):
     """
     terms = {indices[:1]: 1}
     for idx in indices[1:]:
-        terms = _bracket_raw(terms, {(idx,): 1}, cap, p)
+        terms = _bracket_raw(terms, {(idx,): 1}, p)
     return terms
 
 
-def _apply_endo_raw(u, images, cap, p):
+def _apply_endo_raw(u, images, p):
     """The (den, raw) pair of u under x_i -> images[i - 1], everything on ints.
 
     u and every image are (den, raw) pairs over normal words.  The bracket
@@ -230,13 +229,13 @@ def _apply_endo_raw(u, images, cap, p):
         piece_den, piece = images[word[0] - 1]
         for idx in word[1:]:
             img_den, img = images[idx - 1]
-            piece = _bracket_raw(piece, img, cap, p)
+            piece = _bracket_raw(piece, img, p)
             piece_den *= img_den
         pieces.append((piece_den, piece))
     return combine_raw(den, terms.values(), pieces, p)
 
 
-def apply_endo(images, u, cap=DEGREE_CAP):
+def apply_endo(images, u):
     """Homomorphic image of u under x_i -> images[i - 1]: brackets are rebuilt from the images.
 
     There must be one image per generator of u, each with the arity and
@@ -252,15 +251,15 @@ def apply_endo(images, u, cap=DEGREE_CAP):
             raise ArityMismatchError("endomorphism arity mismatch")
         if g.field != field:
             raise FieldMismatchError("endomorphism and element over different fields")
-    return u._wrap_raw(*_apply_endo_raw(u._raw(), [g._raw() for g in images], cap, field.p))
+    return u._wrap_raw(*_apply_endo_raw(u._raw(), [g._raw() for g in images], field.p))
 
 
-def _inner_raw(v, arity, cap, p):
+def _inner_raw(v, arity, p):
     """The (den, raw) images x_j -> x_j + [x_j, v] of exp(ad v), for v a (den, raw) pair."""
     den, tv = v
     images = []
     for j in range(1, arity + 1):
-        image = _bracket_raw({(j,): 1}, tv, cap, p)
+        image = _bracket_raw({(j,): 1}, tv, p)
         image[(j,)] = den
         images.append((den, image))
     return images
@@ -275,7 +274,7 @@ def inner_auto(v):
     """
     if v.has_linear_part():
         raise ValueError("inner automorphisms need an element of the commutator ideal")
-    return [v._wrap_raw(*image) for image in _inner_raw(v._raw(), v.arity, DEGREE_CAP, v.field.p)]
+    return [v._wrap_raw(*image) for image in _inner_raw(v._raw(), v.arity, v.field.p)]
 
 
 def split_parts(u):

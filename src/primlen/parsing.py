@@ -494,7 +494,7 @@ def _printed_lie(src, arity, field, table, rule):
         word = _word_key(text, arity)
         if word is None or len(word) > DEGREE_CAP:
             return None
-        entry = table[text] = word if is_normal_word(word) else _normalize_raw(word, DEGREE_CAP, field.p)
+        entry = table[text] = word if is_normal_word(word) else _normalize_raw(word, field.p)
         return entry
 
     return _read_printed(src, _PRINTED_LIE_TERM, field.p, rule, table.get, enter)

@@ -281,7 +281,8 @@ def replay_raw(cert, like):
     to the result.  Runs of consecutive affine factors are composed on
     their int rows (``_compose_raw``) before substitution; by associativity
     the result is identical and the expansion of large intermediate
-    elements happens only once.  No scalar is built.
+    elements happens only once.  No scalar is built, and the raw map holds
+    no zero (the generator's, or pruned by ``sparse.combine_raw``).
     """
     arity, p = like.arity, like.field.p
     if not 1 <= cert.generator_index <= arity:

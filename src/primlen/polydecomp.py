@@ -71,7 +71,7 @@ from .polyauto import (
     replay_raw,
     validate_certificate,
 )
-from .sparse import MAX_ARITY, element_pairs, pairs_equal, pairs_sum, prune_raw
+from .sparse import MAX_ARITY, element_pairs, pairs_equal, pairs_sum
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -104,9 +104,10 @@ MAX_NODES = 252
 #: one variable has at most MAX_DEGREE + 1.
 MAX_TERMS = MAX_ARITY + 1
 
-#: The reader refuses a constant power a^k when k times the bit length of a
-#: exceeds this (a 65,536-bit number has 19,729 digits).  Produce plus
-#: verify of 2^m*x1^2 + x2 and 2^m*x1^3 + x1*x2 + x2^3, fractions backend,
+#: The reader refuses a constant power a^k, and ``plength_bound`` a bound
+#: binom(a, k) <= a^k, when k times the bit length of a exceeds this (a
+#: 65,536-bit number has 19,729 digits).  Produce plus verify of
+#: 2^m*x1^2 + x2 and 2^m*x1^3 + x1*x2 + x2^3, fractions backend,
 #: 2-vCPU container: m = 2^16 0.13-0.2 s, 2^18 2.0-3.3 s, 2^20 20-30 s
 #: (printing the coefficients dominates, and grows about quadratically).
 MAX_POWER_BITS = 65536
@@ -170,9 +171,14 @@ class VerifyResult(Record):
 
 
 def plength_bound(n, d):
-    """The bound binom(n+d-1, d-1) for degree n > 1 and arity d > 1."""
+    """The bound binom(n+d-1, d-1) for degree n > 1 and arity d > 1, refused past MAX_POWER_BITS."""
     if n <= 1 or d <= 1:
         raise UnsupportedInputError(f"bound needs degree > 1 and arity > 1, got n={n}, d={d}")
+    bits = (d - 1) * (n + d - 1).bit_length()
+    if bits > MAX_POWER_BITS:
+        raise UnsupportedInputError(
+            f"a bound of up to {bits} bits for {d} variables exceeds the ceiling of {MAX_POWER_BITS}"
+        )
     return comb(n + d - 1, d - 1)
 
 
@@ -210,29 +216,26 @@ def lattice_nodes(n, d):
     return [a for q in range(n + 1) for a in monomials_of_degree(d - 1, q)]
 
 
-def assign_linear_coeffs(count, delta, field=QQ):
-    """count nonzero scalars summing to delta (delta in {0, 1}).
+def assign_linear_coeffs(count, delta):
+    """count nonzero scalars of Q summing to delta (delta in {0, 1}).
 
     They are 1, ..., 1 and a last one that makes the sum, with a 2 before
     it when that last one would be zero.  ``decompose`` asks for one per
     summand that carries a tail; one nonzero scalar cannot sum to 0, so a
     lone tail with delta = 0 asks for two, the second for the summand -x1.
     """
-    if not field.is_rationals:
-        raise UnsupportedInputError("linear coefficients are chosen over Q")
-    delta = field(delta)
+    delta = QQ(delta)
     if count < 1:
         raise ValueError("need at least one coefficient")
     if count == 1:
         if delta.is_zero():
             raise ValueError("a single nonzero coefficient cannot sum to 0")
         return [delta]
-    one = field.one()
-    coeffs = [one] * (count - 1)
-    last = delta - field(count - 1)
+    coeffs = [QQ.one()] * (count - 1)
+    last = delta - QQ(count - 1)
     if last.is_zero():
-        coeffs[-1] = field(2)
-        last = delta - field(count)
+        coeffs[-1] = QQ(2)
+        last = delta - QQ(count)
     return coeffs + [last]
 
 
@@ -369,7 +372,7 @@ def decompose(f):
     tails = [{m: c for m, c in zip(x2_powers, column) if not c.is_zero()} for column in zip(*xi)]
     kept = [k for k, tail in enumerate(tails) if tail]
     extra = len(kept) == 1 and delta == 0
-    xi_linear = assign_linear_coeffs(len(kept) + extra, delta, field)
+    xi_linear = assign_linear_coeffs(len(kept) + extra, delta)
 
     # The rows of psi^-1 (the identity when it is None) as ints over psi_den:
     # the summand is xi_k1 * row_1 + beta [j = 0] + sum_p xi_kp * L_k^p with
@@ -461,7 +464,7 @@ def check_summands(dec):
             problems.append(f"summand {i}: invalid elementary factor ({'; '.join(issues)})")
             continue
         den, raw = replay_raw(cert, like)
-        if not pairs_equal({key: (n, den) for key, n in prune_raw(raw, p).items()}, summand, p):
+        if not pairs_equal({key: (n, den) for key, n in raw.items()}, summand, p):
             problems.append(f"summand {i}: certificate replay mismatch")
     if not pairs_equal(pairs_sum(maps, p), element_pairs(like), p):
         problems.append("sum mismatch: summands do not add up to the input")

@@ -1,8 +1,7 @@
 """Shared generators and independent oracles.
 
 The oracles work on plain ints and fractions.Fraction, so they share no
-code path with the package's gmpy2-backed arithmetic or its Bareiss
-elimination.
+code path with the package's scalar layer or its Bareiss elimination.
 """
 
 from fractions import Fraction

@@ -289,7 +289,7 @@ def test_version(capsys):
     assert exit_info.value.code == 0
     out = capsys.readouterr().out
     assert out.startswith(f"primlen {__version__} (")
-    assert "fractions" in out or "gmpy2" in out
+    assert " (fractions arithmetic, " in out
     assert f"Python {platform.python_version()}" in out
 
 
@@ -365,6 +365,26 @@ def test_bound_outputs(capsys):
     assert capsys.readouterr().out.strip() == "6"
     assert run(["bound", "lie", "--vars", "5", "--field", "F2"]) == 0
     assert capsys.readouterr().out.strip() == "7"
+
+
+def test_a_bound_past_the_digit_limit_is_printed_in_full(capsys):
+    assert run(["bound", "poly", "--vars", "1024", "--degree", str(10**9)]) == 0
+    out = capsys.readouterr().out
+    assert len(out) == 6571 + 1  # past the interpreter's 4,300-digit limit of str()
+    assert out == field.int_to_str(comb(10**9 + 1023, 1023)) + "\n"
+
+
+def test_a_bound_past_the_power_ceiling_is_refused_before_it_is_computed(capsys):
+    # 1023 times the 14,278 bits of a 4,299-digit degree; computing the binomial takes seconds
+    start = perf_counter()
+    assert run(["bound", "poly", "--vars", "1024", "--degree", "1" + "0" * 4298]) == 3
+    assert perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"unsupported input: a bound of up to {1023 * 14278} bits for 1024 variables "
+        f"exceeds the ceiling of {MAX_POWER_BITS}\n"
+    )
 
 
 def test_infinite_document_roundtrip(tmp_path):

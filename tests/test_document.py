@@ -170,6 +170,17 @@ def test_values_that_are_not_strings_are_refused_as_before():
     ]
 
 
+@pytest.mark.parametrize("entry", [True, 1.0], ids=["true", "float"])
+def test_an_ordering_entry_that_is_not_an_int_is_refused(entry):
+    # True == 1 and 1.0 == 1, so a permutation check alone would take either for the 1
+    doc = golden("Q-d3")
+    orderings = [f["ordering"] for f in factors(doc, "triangular")]
+    assert any(1 in ordering for ordering in orderings)
+    for ordering in orderings:
+        ordering[:] = [entry if i == 1 else i for i in ordering]
+    assert rebuild_problems(doc) == [f"document rebuild failed: ordering entry {entry!r} is not an integer"]
+
+
 @pytest.mark.parametrize(
     "matrix, message",
     [

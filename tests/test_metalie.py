@@ -309,45 +309,46 @@ def test_normal_words_normalize_to_themselves_with_coefficient_one(F):
 
 
 def test_reaching_the_cap_raises_the_same_message():
-    u = word((2, 1, 3))
-    message = "bracket would reach degree 4 beyond the cap 3"
+    u = word((2,) + (1,) * 10 + (3,))  # a normal word of length 12
+    message = "bracket would reach degree 13 beyond the cap 12"
     with pytest.raises(DegreeCapError, match=f"^{message}$"):
-        bracket(u, gen(3), cap=3)
+        bracket(u, gen(3))
     with pytest.raises(DegreeCapError, match=f"^{message}$"):
-        reference_bracket(u, gen(3), 3)
+        reference_bracket(u, gen(3), 12)
+    # x2 -> x2 + [x2,x1] lengthens the image of u by one
     endo = [gen(1), gen(2) + word((2, 1)), gen(3)]
-    for apply in (lambda: apply_endo(endo, u, cap=3), lambda: reference_apply_endo(endo, u, 3)):
+    for apply in (lambda: apply_endo(endo, u), lambda: reference_apply_endo(endo, u, 12)):
         with pytest.raises(DegreeCapError, match=f"^{message}$"):
             apply()
-    with pytest.raises(DegreeCapError, match=r"^word length 4 beyond the cap 3$"):
-        normalize_word((2, 1, 3, 3), 3, QQ, cap=3)
+    with pytest.raises(DegreeCapError, match=r"^word length 13 beyond the cap 12$"):
+        normalize_word((2,) + (1,) * 10 + (3, 3), 3, QQ)
 
 
 def test_a_coefficient_cancelling_mod_p_does_not_reach_the_cap():
-    # a = [x2,x1] + x3 and b = x3 - [x2,x1]: [a, b] = 2 [x2,x1,x3], which is zero over F2,
-    # so bracketing it once more with b stays below the cap there and nowhere else
-    u = (2, 1, 1)
+    # a = [x2,x1] + x3 and b = x3 - [x2,x1]: [a, b] = 2 [x2,x1,x3], which is zero over F2;
+    # bracketing it with b and then nine times with x3 reaches length 13 everywhere else
+    u = (2, 1, 1) + (3,) * 9
     for F in (QQ, GF(3)):
         a = word((2, 1), F=F) + gen(3, F=F)
         b = gen(3, F=F) - word((2, 1), F=F)
         endo = [b, a, gen(3, F=F)]
-        with pytest.raises(DegreeCapError, match="degree 4 beyond the cap 3"):
-            apply_endo(endo, LieElement(3, F, {u: F.one()}), cap=3)
+        with pytest.raises(DegreeCapError, match="degree 13 beyond the cap 12"):
+            apply_endo(endo, LieElement(3, F, {u: F.one()}))
     F = GF(2)
     a = word((2, 1), F=F) + gen(3, F=F)
     b = gen(3, F=F) - word((2, 1), F=F)
     endo = [b, a, gen(3, F=F)]
     element = LieElement(3, F, {u: F.one()})
-    assert apply_endo(endo, element, cap=3).is_zero()
-    assert reference_apply_endo(endo, element, 3).is_zero()
+    assert apply_endo(endo, element).is_zero()
+    assert reference_apply_endo(endo, element, 12).is_zero()
     # over F3, a = x3 - [x2,x1] and b = -a have residues (1, 2) and (2, 1), so
     # the integers sum to 2 * 2 - 1 = 3 on [x2,x1,x3]: only the reduction mod 3 prunes it
     F = GF(3)
     a = gen(3, F=F) - word((2, 1), F=F)
     endo = [-a, a, gen(3, F=F)]
     element = LieElement(3, F, {u: F.one()})
-    assert apply_endo(endo, element, cap=3).is_zero()
-    assert reference_apply_endo(endo, element, 3).is_zero()
+    assert apply_endo(endo, element).is_zero()
+    assert reference_apply_endo(endo, element, 12).is_zero()
 
 
 def test_index_out_of_range_message():

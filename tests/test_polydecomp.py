@@ -46,6 +46,14 @@ def test_plength_bound_values():
         plength_bound(3, 1)
 
 
+def test_plength_bound_is_refused_past_the_power_ceiling():
+    # binom(m, k) <= m^k: k times the bit length of m is held to MAX_POWER_BITS
+    top = 2**polydecomp.MAX_POWER_BITS
+    assert plength_bound(top - 2, 2) == top - 1
+    with pytest.raises(UnsupportedInputError, match=r"^a bound of up to 65537 bits for 2 variables"):
+        plength_bound(top - 1, 2)
+
+
 @pytest.mark.parametrize(
     "f, bound",
     [
