@@ -17,7 +17,8 @@ than MAX_ARITY generators, a polynomial above polydecomp.MAX_DEGREE or
 MAX_NODES, a constant power or a bound above MAX_POWER_BITS, parenthesised
 groups above MAX_DEGREE or MAX_TERMS in the reader, scalars whose common
 denominator passes field.MAX_RAW_BITS, a Lie word longer than
-metalie.DEGREE_CAP).
+metalie.DEGREE_CAP), 4 internal error (``errors.InternalError``: an
+invariant the algorithms guarantee failed, which is a bug).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import sys
 
 from . import __version__
 from .document import dumps, lie_document, loads, poly_document, verify_document
-from .errors import DegreeCapError, ParseError, PrimlenError, UnsupportedInputError
+from .errors import DegreeCapError, InternalError, ParseError, PrimlenError, UnsupportedInputError
 from .field import field_from_flag, int_to_str
 from .liedecomp import decompose_lie, lie_bound
 from .parsing import parse_lie, parse_poly
@@ -39,6 +40,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
+EXIT_INTERNAL = 4
 
 
 def _version_line():
@@ -147,11 +149,12 @@ def _run_bound(args):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    if args.command == "decompose":
-        return _run_decompose(args)
-    if args.command == "verify":
-        return _run_verify(args)
-    return _run_bound(args)
+    command = {"decompose": _run_decompose, "verify": _run_verify}.get(args.command, _run_bound)
+    try:
+        return command(args)
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

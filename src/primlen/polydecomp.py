@@ -1,38 +1,41 @@
 """Decomposition of polynomials into sums of certified primitive summands.
 
 Over a field of characteristic 0, a polynomial f of degree n > 1 in d > 1
-variables is a sum of at most binom(n+d-1, d-1) primitive polynomials.  The
+variables is a sum of at most n + 1 primitive polynomials; the paper's
+bound, binom(n+d-1, d-1), is the same at d = 2 and larger above it.  The
 construction:
 
 1. normalize the linear part to delta * x1 (delta in {0, 1}) by a linear
-   automorphism psi (``polyauto.linearize``);
-2. take the N = binom(n+d-1, d-1) points a of the principal lattice
-   {a in N^(d-1) : |a| <= n}, ordered by level |a|, and the linear forms
-   s_a = x1 + sum_i (a_i+1) x_{i+1};
-3. per degree p solve the square system on the lattice levels <= p, which
-   is unisolvent for degree p (Chung & Yao 1977), for coefficients xi_kp
-   with sum_k xi_kp s_{a_k}^p equal to the degree-p component.  Written in
-   the binomial basis of the lattice the system is unit triangular (Newton
-   interpolation on a lower set), so ``solve_degree`` eliminates nothing:
-   it runs two integer transforms, one coordinate at a time;
-4. keep the M nodes with a tail, some xi_kp != 0 for p >= 2; a node
-   without one would add only a multiple of the same linear form.  The
-   kept nodes get nonzero linear coefficients xi_k1 summing to delta
-   (``assign_linear_coeffs(M, delta)``), and the first of them the
-   constant beta.  When M = 1 and delta = 0 a second summand, -x1 with its
-   ``linear_certificate``, cancels the lone xi_k1.  So the count is M, or
-   2 in that case, at most N, and N when every node has a tail;
+   automorphism psi (``polyauto.linearize``), so g = f psi = delta x1 +
+   beta + G with G the terms of degree >= 2;
+2. group G's monomials x1^e1 x2^e2 m by q = e1 + e2 and by their part m in
+   x3..xd, so G = sum_(q, m) B_(q,m)(x1, x2) m with each B_(q,m) a binary
+   form of degree q;
+3. write each binary form on the d = 2 lattice forms s_k = x1 + (k+1) x2,
+   B_(q,m) = sum_(k <= q) lambda_(k,q,m) s_k^q.  The q+1 powers s_k^q are a
+   basis of the binary forms of degree q, and in the binomial basis the
+   system is unit triangular (Newton interpolation), so ``solve_degree``
+   eliminates nothing: it applies one cached int matrix per q;
+4. give node k = 0..n the tail T_k = sum_(q, m) lambda_(k,q,m) x2^q m, and
+   keep the M nodes with a tail.  The kept nodes get nonzero linear
+   coefficients xi_k1 summing to delta (``assign_linear_coeffs(M, delta)``),
+   and the first of them the constant beta.  When M = 1 and delta = 0 a
+   second summand, -x1 with its ``linear_certificate``, cancels the lone
+   xi_k1.  So the count is M <= n + 1, or 2 in that case;
 5. certify each kept summand u_k primitive as the image of x1 under the
-   triangular automorphism theta: x1 -> xi_k1 x1 + beta [k = 1] +
-   sum_p xi_kp x2^p (k = 1 the first kept node), followed by the linear map
-   phi with x2 -> s_{a_k} and then by psi^-1.  Both are
-   ``linalg.basis_from_rows`` matrices, like every linear factor; phi is
-   ``basis_from_rows([e_1, s_{a_k}])``, built once per (d, n)
-   (``_lattice_phis``).  The summand is assembled from that closed form
-   rather than by replaying the chain: u_k = xi_k1 l + beta [k = 1] +
-   sum_p xi_kp L_k^p, with l the image of x1 under psi^-1 and
-   L_k = s_{a_k} psi^-1, each power expanded by the multinomial theorem
-   on the ints of psi^-1 (``AffineAuto.raw``) over one denominator.
+   triangular automorphism theta: x1 -> xi_k1 x1 + beta [k = 1] + T_k
+   (k = 1 the first kept node), followed by the linear map phi with
+   x2 -> s_k and then by psi^-1.  Both are ``linalg.basis_from_rows``
+   matrices, like every linear factor; phi is ``basis_from_rows([e_1,
+   s_k])``, built once per (d, n) (``_lattice_phis``).  Rows 2..d of
+   psi^-1 are unit rows, so psi^-1 sends x2 to a variable y and a monomial
+   m in x3..xd to one monomial m'.  The summand is assembled from its
+   closed form rather than by replaying the chain: u_k = xi_k1 l +
+   beta [k = 1] + sum_(q, m) lambda_(k,q,m) L_k^q m', with l the image of
+   x1 under psi^-1 and L_k = l + (k+1) y the image of s_k, each power
+   expanded by the multinomial theorem on the ints of psi^-1
+   (``AffineAuto.raw``) over one denominator.  Summed over k the tails give
+   sum_(q, m) B_(q,m) m = G, so the summands add up to f.
 
 The factors are plain records, checked by nothing when built, and the
 producer never replays them: ``check_summands`` runs
@@ -42,11 +45,13 @@ it, and that is the only validity check.  The verifier, the same
 scalar: each replay and the re-sum are set against the summands' and the
 input's (num, den) pairs by cross-multiplication.
 
-The paper's proof uses nodes alpha = 2..N+1 and the forms
-s(alpha) = x1 + sum_i alpha^((n+1)^(i-2)) x_i instead; those work too but
-make coefficients thousands of digits long.  On the lattice every
-coefficient of s_a is at most n+1.  The bound, the certificate shape and
-the document format are the same either way.
+The paper's proof writes each homogeneous component on N = binom(n+d-1,
+d-1) forms s(alpha) = x1 + sum_i alpha^((n+1)^(i-2)) x_i in all d
+variables, alpha = 2..N+1, whose coefficients run to thousands of digits.
+Here the part in x3..xd rides in the tail of the triangular factor, so n+1
+forms in x1 and x2 suffice, with coefficients at most n+1.  A document's
+``bound`` is still the paper's binomial, and the certificate shape and the
+document format are the same.
 
 Only the empty sum represents 0, so zero inputs get an empty summand list
 with an explanatory note.
@@ -56,7 +61,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import comb, factorial, prod
-from operator import getitem, mul
+from operator import add, getitem
 
 from .errors import UnsupportedInputError
 from .field import QQ, int_to_str
@@ -78,20 +83,17 @@ INFINITE = "infinite"
 
 ZERO_NOTE = "the zero element is reported as the empty sum (additive primitive length 0)"
 
-#: The largest degree, and the most summands N = binom(n+d-1, d-1), that
+#: The largest degree, and the largest bound N = binom(n+d-1, d-1), that
 #: poly_bound accepts for degree n > 1 in d > 1 variables, so that decompose
 #: and the verifier's rebuild refuse larger inputs at one site.  decompose
 #: / verify_document of the loaded document for (d, n) with every monomial
 #: of degree <= n present (coefficients a/b with |a|, b <= 100), best of
-#: two, fractions backend, Python 3.11, 2-vCPU container: (4,6) N = 84
-#: 0.06 / 0.26 s, (2,16) 0.02 / 0.04 s, (3,16) N = 153 0.7 / 1.9 s, (6,5)
-#: N = 252 0.4 / 1.3 s; above the caps, measured before the term reader,
-#: (2,40) 0.3 / 1.1 s, (2,60) 2.1 / 5.6 s, (3,20) N = 231 2.6 / 10.7 s,
-#: (6,6) N = 462 2.4 / 11.3 s.  Verify dominates: at (3,16) the 15.9 MB
-#: document takes 0.8 s to rebuild (2.55 s before the term reader) and
-#: the rest to replay and re-sum.  The degree cap is set by d = 3, where N
-#: stays under MAX_NODES up to degree 20; together the caps keep every
-#: accepted input to a few seconds.
+#: two, fractions backend, Python 3.11, 2-vCPU container: (4,6) N = 84, 7
+#: summands, 98 KB, 0.014 / 0.015 s; (2,16) 17 summands, 0.29 MB, 0.012 /
+#: 0.017 s; (3,16) N = 153, 17 summands, 2.0 MB, 0.15 / 0.17 s; (6,5)
+#: N = 252, 6 summands, 0.20 MB, 0.04 / 0.04 s.  A decomposition holds at
+#: most n + 1 summands, so the work grows with the input's terms and the
+#: degree rather than with N.
 MAX_DEGREE = 16
 MAX_NODES = 252
 
@@ -183,7 +185,7 @@ def plength_bound(n, d):
 
 
 def poly_bound(f):
-    """The summand-count bound decompose reaches for f, or None when f has no finite length.
+    """The summand-count bound a decomposition of f states, or None when f has no finite length.
 
     1 for zero and for linear inputs, 2 for a nonzero constant, None for
     degree > 1 in one variable, binom(n+d-1, d-1) otherwise.  Raises
@@ -205,15 +207,6 @@ def poly_bound(f):
             f"{bound} summands for degree {n} in {d} variables exceed the ceiling of {MAX_NODES}"
         )
     return bound
-
-
-def lattice_nodes(n, d):
-    """The principal lattice {a in N^(d-1) : |a| <= n}, ordered by level |a|.
-
-    It has binom(n+d-1, d-1) points, and its first binom(p+d-1, d-1) points
-    are exactly the levels <= p.
-    """
-    return [a for q in range(n + 1) for a in monomials_of_degree(d - 1, q)]
 
 
 def assign_linear_coeffs(count, delta):
@@ -240,105 +233,82 @@ def assign_linear_coeffs(count, delta):
 
 
 @cache
-def _newton_plan(d, p):
-    """The integer data of solve_degree for degree p in d variables, built once.
+def _newton_plan(p):
+    """The int matrix of solve_degree for degree p, built once.
 
-    ``index`` maps each degree-p monomial m = x1^(p-|c|) x^c to its point c
-    of the simplex {c in N^(d-1) : |c| <= p}, in lattice order; ``weights``
-    holds p!/multinomial(m), which makes r_c an integer over p!; ``lines``
-    lists, axis after axis, the runs of points that differ only in that
-    axis's coordinate, in increasing order of it.  ``lower[c]`` is
-    p!/c! times the coefficients of (b-1)(b-2)...(b-c) in b^0..b^c, which
-    with b = a+1 turn the powers b^j into c! binom(a, c); ``upper[k]`` holds
-    (-1)^(j-k) binom(j, k) for j = 0..p (zero below k), the inverse binomial
-    matrix.
+    With c_e the coefficient of x1^(p-e) x2^e, sum_k lambda_k s_k^p = B asks
+    sum_k lambda_k (k+1)^e = r_e, r_e = c_e / binom(p, e), for e = 0..p: a
+    Vandermonde system on the nodes 1..p+1.  Written in the binomial basis
+    it is unit upper triangular (Newton interpolation).  ``lower`` row c,
+    p!/c! times the coefficients of (b-1)(b-2)...(b-c) in b^0..b^c, with
+    b = k+1 turns the powers b^e into c! binom(k, c), so it takes p! r to
+    (p!)^2 nu with nu_c = sum_k lambda_k binom(k, c); the upper matrix,
+    (-1)^(j-k) binom(j, k) for j >= k, inverts the binomial matrix.  The
+    plan is their product, its columns times the weights p!/binom(p, e), so
+    that it takes (c_0, ..., c_p) to (p!)^2 lambda.
     """
-    points = lattice_nodes(p, d)
     fact = factorial(p)
-    index = {(p - sum(c),) + c: k for k, c in enumerate(points)}
-    weights = [fact // multinomial(m) for m in index]
-    lines = []
-    for axis in range(d - 1):
-        runs = {}
-        for k, c in enumerate(points):
-            runs.setdefault(c[:axis] + c[axis + 1 :], []).append(k)
-        lines += runs.values()
     falling = [[1]]
     for c in range(1, p + 1):
         prev = falling[-1] + [0]
         falling.append([(prev[j - 1] if j else 0) - c * prev[j] for j in range(c + 1)])
-    lower = [[fact // factorial(c) * t for t in row] for c, row in enumerate(falling)]
-    upper = [[(-1) ** (j + k) * comb(j, k) for j in range(p + 1)] for k in range(p + 1)]
-    return index, weights, lines, lower, upper
+    weights = [fact // comb(p, e) for e in range(p + 1)]
+    lower = [[fact // factorial(c) * t * w for t, w in zip(row, weights)] for c, row in enumerate(falling)]
+    return [
+        [sum((-1) ** (j + k) * comb(j, k) * lower[j][e] for j in range(max(k, e), p + 1)) for e in range(p + 1)]
+        for k in range(p + 1)
+    ]
 
 
-def _line_pass(values, lines, rows):
-    """Apply the 1-D transform ``rows`` (row k: the weights of positions 0, 1, ...) along every line, in place."""
-    for line in lines:
-        run = [values[i] for i in line]
-        for k, i in enumerate(line):
-            values[i] = sum(map(mul, rows[k], run))
+def solve_degree(p, g_p):
+    """Coefficients lambda_0..lambda_p with sum_k lambda_k s_k^p = g_p, s_k = x1 + (k+1) x2.
 
-
-def solve_degree(p, g_p, nodes):
-    """Coefficients xi_kp with sum_k xi_kp s_{a_k}^p = g_p, k = 1..len(nodes).
-
-    nodes is ``lattice_nodes(n, d)`` for some n >= p.  s_a = x1 + sum_i
-    (a_i+1) x_{i+1}, so the coefficient of x^m in s_a^p is multinomial(m)
-    times prod_i (a_i+1)^(c_i) with c = (m_2, ..., m_d): one equation
-    sum_a xi_a (a+1)^c = r_c, r_c = coeff(m)/multinomial(m), per point c of
-    the simplex |c| <= p, on the unknowns of the first N_p = binom(p+d-1,
-    d-1) nodes, the same simplex (Chung & Yao 1977); the remaining
-    coefficients are zero.
-
-    Written in the binomial basis the system is unit upper triangular
-    (Newton interpolation on a lower set, Gasca & Sauer 2000), so it is
-    solved on the ints of one ``to_raw`` by two tensor-product transforms,
-    each applied one coordinate at a time along the lines of the simplex:
-    the lower one gives (p!)^(d-1) nu_c with nu_c = sum_a xi_a binom(a, c),
-    and the upper one inverts the binomial matrix,
-    xi_a = sum_(b >= a, |b| <= p) (-1)^|b-a| binom(b, a) nu_b.  Both stay in
-    the simplex because it is a lower set.
+    g_p is a binary form: a homogeneous polynomial of degree p >= 0 in two
+    variables.  The p+1 powers s_k^p are a basis of those forms, so the
+    coefficients exist and are unique.  Nothing is eliminated: they are the
+    plan of ``_newton_plan(p)`` applied to the ints of one ``to_raw``, over
+    its denominator times (p!)^2.
     """
-    d = g_p.arity
-    field = g_p.field
-    if p < 2:
-        raise ValueError("solve_degree handles degrees 2..n")
+    if g_p.arity != 2:
+        raise ValueError("solve_degree takes a form in two variables")
     if any(sum(m) != p for m in g_p.terms):
         raise ValueError("component is not homogeneous of the requested degree")
-    zero = field.zero()
+    field = g_p.field
     if g_p.is_zero():
-        return [zero] * len(nodes)
-    index, weights, lines, lower, upper = _newton_plan(d, p)
+        return [field.zero()] * (p + 1)
     den, ints = field.to_raw(g_p.terms.values())
-    values = [0] * len(weights)
-    for m, c in zip(g_p.terms, ints):
-        k = index[m]
-        values[k] = c * weights[k]
-    _line_pass(values, lines, lower)
-    _line_pass(values, lines, upper)
-    return field.from_raw(den * factorial(p) ** d, values) + [zero] * (len(nodes) - len(values))
+    column = [(e, c) for (_, e), c in zip(g_p.terms, ints)]
+    values = [sum(row[e] * c for e, c in column) for row in _newton_plan(p)]
+    return field.from_raw(den * factorial(p) ** 2, values)
 
 
 @cache
-def _power_terms(d, p):
-    """The degree-p monomials m of d variables with multinomial(m): the terms of (sum_i l_i x_i)^p."""
-    return [(m, multinomial(m)) for m in monomials_of_degree(d, p)]
+def _power_terms(s, q):
+    """The degree-q monomials m of s variables with multinomial(m): the terms of (sum_i a_i x_i)^q."""
+    return [(m, multinomial(m)) for m in monomials_of_degree(s, q)]
+
+
+def _spread(d, pairs):
+    """The exponent vector of d variables with exponent e at each (index, e) of pairs, 0 elsewhere."""
+    mono = [0] * d
+    for i, e in pairs:
+        mono[i] = e
+    return tuple(mono)
 
 
 @cache
 def _lattice_phis(d, n):
-    """The factor phi, ``basis_from_rows([e_1, s_a])``, of each point a of ``lattice_nodes(n, d)``.
+    """The factor phi_k, ``basis_from_rows([e_1, s_k])``, of each node k = 0..n in d variables.
 
     Factors are immutable records, so every decomposition shares them.
     """
-    e1 = [QQ.one()] + [QQ.zero()] * (d - 1)
-    forms = [[QQ.one()] + [QQ(a_i + 1) for a_i in a] for a in lattice_nodes(n, d)]
-    return [AffineAuto(basis_from_rows([e1, s_a], QQ)) for s_a in forms]
+    one, zero = QQ.one(), QQ.zero()
+    e1 = [one] + [zero] * (d - 1)
+    return [AffineAuto(basis_from_rows([e1, [one, QQ(k + 1)] + [zero] * (d - 2)], QQ)) for k in range(n + 1)]
 
 
 def decompose(f):
-    """Decompose f into certified primitive summands within the binomial bound."""
+    """Decompose f into certified primitive summands, at most n + 1 of them for degree n > 1."""
     d, field = f.arity, f.field
     if field.characteristic() != 0:
         raise UnsupportedInputError(
@@ -363,59 +333,73 @@ def decompose(f):
     psi_inv, g = linearize(f)
     delta = 0 if psi_inv is None else 1
     beta = g.constant_term()
-    nodes = lattice_nodes(n, d)
-    phis = _lattice_phis(d, n)
-    xi = [solve_degree(p, g.homogeneous_component(p), nodes) for p in range(2, n + 1)]
-    # The tail sum_p xi_kp x2^p of each node; one summand per node with a
-    # tail, and -x1 when a lone one has delta = 0.
-    x2_powers = [(0, p) + (0,) * (d - 2) for p in range(2, n + 1)]
-    tails = [{m: c for m, c in zip(x2_powers, column) if not c.is_zero()} for column in zip(*xi)]
+    # G, the terms of degree >= 2, as binary forms B(x1, x2) of degree
+    # q = e1 + e2 times monomials m in x3..xd; node k's tail is
+    # sum_(q, m) lambda_(k,q,m) x2^q m.  One summand per node with a tail,
+    # and -x1 when a lone one has delta = 0.
+    forms = {}
+    for (e1, e2, *m), c in g.terms.items():
+        if e1 + e2 + sum(m) >= 2:
+            forms.setdefault((e1 + e2, tuple(m)), {})[e1, e2] = c
+    tails = [{} for _ in range(n + 1)]
+    for (q, m), form in forms.items():
+        for tail, c in zip(tails, solve_degree(q, Polynomial._new(2, field, form))):
+            if not c.is_zero():
+                tail[(0, q) + m] = c
     kept = [k for k, tail in enumerate(tails) if tail]
     extra = len(kept) == 1 and delta == 0
     xi_linear = assign_linear_coeffs(len(kept) + extra, delta)
 
-    # The rows of psi^-1 (the identity when it is None) as ints over psi_den:
-    # the summand is xi_k1 * row_1 + beta [j = 0] + sum_p xi_kp * L_k^p with
-    # L_k = s_(a_k) psi^-1, all over one denominator.
+    # psi^-1 (the identity when it is None) as ints over psi_den.  Row 1 is
+    # l, and row j >= 2 the unit row of column cols[j - 2], so x2 -> y =
+    # x_(cols[0]) and a monomial m in x3..xd goes to the one monomial m'.
+    # Node k's summand is xi_k1 l + beta [j = 0] + sum lambda_(k,q,m) L_k^q m'
+    # with L_k = l + (k+1) y, over one denominator.
     units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
     if psi_inv is None:
         psi_den, psi_rows = 1, units
     else:
         psi_den, psi_rows, _ = psi_inv.raw()
-    psi_cols = list(zip(*psi_rows))
+    y, *cols = (next(i for i, v in enumerate(row) if v) for row in psi_rows[1:])
     psi_powers = [psi_den**e for e in range(n + 1)]
-    power_terms = [_power_terms(d, p) for p in range(2, n + 1)]
 
     one, zero = field.one(), field.zero()
+    origin = (0,) * d
+    expansions = {}  # (support, q) -> the terms of L^q for L supported there
     summands = []
     for j, k in enumerate(kept):
         tail_terms = tails[k]
+        den, (lin, const, *lams) = field.to_raw([xi_linear[j], beta if j == 0 else zero, *tail_terms.values()])
+        raw = {u: lin * psi_powers[n - 1] * c for u, c in zip(units, psi_rows[0]) if c}
+        if const:
+            raw[origin] = const * psi_powers[n]
+        form = [c1 + (k + 1) * c2 for c1, c2 in zip(*psi_rows[:2])]
+        support = tuple(i for i, c in enumerate(form) if c)
+        powers = [[form[i] ** e for e in range(n + 1)] for i in support]
+        get = raw.get
+        for (_, q, *m), lam in zip(tail_terms, lams):
+            scale = lam * psi_powers[n - q]
+            terms = expansions.get((support, q))
+            if terms is None:
+                terms = expansions[support, q] = [
+                    (_spread(d, zip(support, exps)), mult, exps) for exps, mult in _power_terms(len(support), q)
+                ]
+            shift = _spread(d, zip(cols, m)) if any(m) else None
+            for mono, mult, exps in terms:
+                if shift:
+                    mono = tuple(map(add, mono, shift))
+                raw[mono] = get(mono, 0) + scale * mult * prod(map(getitem, powers, exps))
+
         if j == 0 and not beta.is_zero():
-            tail_terms[(0,) * d] = beta
+            tail_terms[origin] = beta
         theta = TriangularAuto(
             [xi_linear[j]] + [one] * (d - 1),
             [Polynomial(d, field, tail_terms)] + [Polynomial.zero(d, field)] * (d - 1),
         )
-        s_a = [1] + [a_i + 1 for a_i in nodes[k]]
-        chain = [theta, phis[k]]
+        chain = [theta, _lattice_phis(d, n)[k]]
         if psi_inv is not None:
             chain.append(psi_inv)
-        cert = Certificate(chain, 1)
-
-        den, (lin, const, *coeffs) = field.to_raw(
-            [xi_linear[j], beta if j == 0 else zero] + [xi_p[k] for xi_p in xi]
-        )
-        form = [sum(map(mul, s_a, col)) for col in psi_cols]
-        powers = [[l**e for e in range(n + 1)] for l in form]
-        raw = {u: lin * psi_powers[n - 1] * c for u, c in zip(units, psi_rows[0])}
-        if const:
-            raw[(0,) * d] = const * psi_powers[n]
-        for p, c, terms in zip(range(2, n + 1), coeffs, power_terms):
-            if c:
-                scale = c * psi_powers[n - p]
-                for m, mult in terms:
-                    raw[m] = scale * mult * prod(map(getitem, powers, m))
-        summands.append((f._wrap_raw(den * psi_powers[n], raw), cert))
+        summands.append((f._wrap_raw(den * psi_powers[n], raw), Certificate(chain, 1)))
     if extra:
         minus_x1 = -Polynomial.variable(d, field, 1)
         summands.append((minus_x1, linear_certificate(minus_x1)))

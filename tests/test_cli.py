@@ -13,10 +13,10 @@ from time import perf_counter
 import pytest
 
 import primlen
-from primlen import __version__, field
+from primlen import __version__, cli, field
 from primlen.cli import main
 from primlen.document import dumps, loads, poly_document, verify_document
-from primlen.errors import UnsupportedInputError
+from primlen.errors import InternalError, UnsupportedInputError
 from primlen.field import MAX_RAW_BITS, QQ, FieldDescriptor, _is_prime
 from primlen.multipoly import Polynomial, monomials_of_degree
 from primlen.parsing import parse_poly, poly_to_str
@@ -421,6 +421,21 @@ def test_decompose_out_to_a_path_that_cannot_be_written(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("algebra, expr", [("poly", "x1^2"), ("lie", "[x2,x1]")])
+def test_an_internal_error_exits_4_with_one_line(monkeypatch, tmp_path, capsys, algebra, expr):
+    def fail(_):
+        raise InternalError("Bareiss intermediate is not an integer")
+
+    monkeypatch.setattr(cli, "decompose", fail)
+    monkeypatch.setattr(cli, "decompose_lie", fail)
+    out = tmp_path / "doc.json"
+    assert run(["decompose", algebra, "--vars", "3", expr, "--out", str(out)]) == cli.EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: Bareiss intermediate is not an integer\n"
+    assert not out.exists()
+
+
 def test_document_round_trip_api():
     f = parse_poly("x1^2 - 1/3*x1*x2 + 7", 2, QQ)
     doc = poly_document(decompose(f))
@@ -730,10 +745,12 @@ def _shift_input(doc, factor):
 
 
 def _add_cancelling_pair(doc, factor):
+    # pairs x1, -x1 until the count passes the bound: one for the Lie input (5 of 5), four for the poly one (4 of 10)
     d = doc["arity"]
-    for summand, sign in (("x1", "1"), ("-x1", "-1")):
-        certificate = [factor([sign] + ["1"] * (d - 1))]
-        doc["summands"].append({"summand": summand, "generator": 1, "certificate": certificate})
+    while len(doc["summands"]) <= doc["bound"]:
+        for summand, sign in (("x1", "1"), ("-x1", "-1")):
+            certificate = [factor([sign] + ["1"] * (d - 1))]
+            doc["summands"].append({"summand": summand, "generator": 1, "certificate": certificate})
     doc["stats"]["count"] = len(doc["summands"])
     return [f"count {len(doc['summands'])} exceeds bound {doc['bound']}"]
 

@@ -4,10 +4,12 @@ A change that should leave the produced documents alone (a refactor, a
 faster codec, another scalar layer) must keep every digest below.  A
 change that alters documents on purpose updates the digests and says why.
 
-A polynomial document holds one summand per lattice node with a tail, so
-the sparse inputs below have fewer summands than their bound: d3-n4 and
-d3-n4-tiny-coefficients 14 of 15, d4-n6 55 of 84, d5-n3 22 of 35 and
-d5-n3-linear-part 24 of 35.  d2-n3 and d3-n4-dense keep every node.
+A polynomial document of degree n holds one summand per node k = 0..n
+with a tail, at most n + 1 against the bound binom(n+d-1, d-1): d3-n4,
+d3-n4-dense and d3-n4-tiny-coefficients 5 of 15, d4-n6 7 of 84, d5-n3 4
+of 35 and d5-n3-linear-part 2 of 35 (its nonlinear part becomes binary
+forms in x1 + x2 and x2 alone, which only nodes 0 and 1 carry).  d2-n3
+keeps every node, 4 of 4.
 """
 
 import hashlib
@@ -27,15 +29,15 @@ POLY_CORPUS = {
     ),
     "d3-n4": (
         3, "x1^4 + x2^2*x3^2 - 5/2*x1*x2*x3 + x3^3 - x1^2 + 7*x2 + x3 - 1",
-        "62415448e69f78c71a899b9817820c76d381fb6b1143270e3e2bfd0b6501343d",
+        "fe28944b0dac1cd80f5a3c97870ad9d124365b2d2d369c629b804fd2519af6b9",
     ),
     "d4-n6": (
         4, "x1^6 - 3*x2^5*x3 + 2/7*x1*x2*x3*x4^3 + x4^6 - x1^2*x3^2 + x2*x4 + 5*x3 - 1",
-        "5e535a0a4fe5ffe6f440d559f33b9acf72ef13ed7536a0181b346893dda2179a",
+        "1affb13ea592311c64cc3a07f22617288d10fee81bea989ca5202971580d5c54",
     ),
     "d5-n3": (
         5, "x1^3 + x2*x3*x4 - x5^3 + 3/4*x1*x5^2 + x2^2 - x4 + 2",
-        "c8b9a3f5cde83cc926390b8c2a2424e671b80e48ddc3b376f79b4c17d26015a7",
+        "bd139bc912377dd7b57a148443c30aa2fa64a0225390e2189c479d17418cfcf1",
     ),
     "constant": (
         3, "-7/2",
@@ -45,8 +47,8 @@ POLY_CORPUS = {
         3, "2*x1 - x2 + 3/5*x3 + 1",
         "35461380907565f86fc1f6372831eb8a9de75793d0da45371d062c08784ee4c9",
     ),
-    # Every monomial of degree <= 4 present: every lattice node keeps a
-    # tail, so one summand per node, the full bound of 15.
+    # Every monomial of degree <= 4 present: every node 0..4 keeps a tail,
+    # so n + 1 = 5 summands against the bound of 15.
     "d3-n4-dense": (
         3,
         "-2*x1^4 + 3/2*x1^3*x2 - 4/3*x1^3*x3 + 5*x1^2*x2^2 - 1/2*x1^2*x2*x3 + 2/3*x1^2*x3^2"
@@ -54,20 +56,20 @@ POLY_CORPUS = {
         " + 5/2*x2*x3^3 - 1/3*x3^4 - 2/3*x1^3 + 3*x1^2*x2 - 2*x1^2*x3 + 5/3*x1*x2^2 - x1*x2*x3"
         " + x1*x3^2 - x2^3 + 4*x2^2*x3 - 5/2*x2*x3^2 + 1/3*x3^3 - 1/3*x1^2 + 2*x1*x2"
         " - 3/2*x1*x3 + 4/3*x2^2 - 5*x2*x3 + 1/2*x3^2 + x1 - 4*x2 + 5/2*x3 - 1",
-        "b176f896ba1f4febbbe63b9ce01f75117c7908cb3d0cc7c74fa4f6a08e4a2a4b",
+        "dc16731a7dfe470a1d3e9aadeb808e373e8450163af0791861d507b631ad3220",
     ),
     # Coefficients of 40 digits and their reciprocals: every replayed
     # polynomial and affine matrix carries large common denominators.
     "d3-n4-tiny-coefficients": (
         3,
         f"1/{10**40}*x1^4 - 3/{10**41}*x1*x2^2*x3 + 7*x1*x3 + {10**40}*x3^2 - 1/{10**40}*x2 + 5/{10**39}",
-        "2c5cb47aa8d55a59ae531c40ca925517a18f62a5c3b699e64cbc35db118eb6d6",
+        "96bf5e4dd2413d211141781becebdf05f1976e0db76d2e55496a02c90e332693",
     ),
     # A linear part with fractional coefficients: psi^-1 is a non-identity
     # affine factor, so certificate replay composes it with the lattice map.
     "d5-n3-linear-part": (
         5, "x1^3 - 2*x2*x3*x5 + 3/2*x1*x4^2 + x5^3 + 3/2*x1 - x2 + 2/3*x4 + x5 - 1/7",
-        "ce89d36a45afa4a1bde0dbaae318f195348dbace47445e3090c4a39356e4285a",
+        "76614efa6f77c298d8b6cb5aaa89f3c5cf9557cf3ebca8303750c7f2f83af186",
     ),
 }
 

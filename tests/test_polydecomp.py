@@ -1,5 +1,4 @@
 import random
-from math import comb, prod
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,8 +20,8 @@ from primlen.polydecomp import (
     Decomposition,
     MAX_DEGREE,
     assign_linear_coeffs,
+    _lattice_phis,
     decompose,
-    lattice_nodes,
     plength_bound,
     poly_bound,
     solve_degree,
@@ -73,28 +72,32 @@ def test_poly_bound_matches_decompose(f, bound):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_lattice_nodes_levels(n, d):
-    nodes = lattice_nodes(n, d)
-    assert len(nodes) == len(set(nodes)) == plength_bound(n, d)
-    assert all(len(a) == d - 1 and min(a) >= 0 for a in nodes)
+    # Node k is s_k = x1 + (k+1)*x2 at every arity: phi_k has the rows e_1,
+    # s_k and the unit rows of x3..xd, and the nodes 0..p serve degree p.
+    phis = _lattice_phis(d, n)
+    assert len(phis) == n + 1 and _lattice_phis(d, n) is phis
+    for k, phi in enumerate(phis):
+        rows = [[phi.matrix.get(i, j).value for j in range(d)] for i in range(d)]
+        units = [[int(i == j) for j in range(d)] for i in range(d)]
+        assert rows == [units[0], [1, k + 1] + [0] * (d - 2)] + units[2:]
     for p in range(n + 1):
-        block = comb(p + d - 1, d - 1)
-        assert all(sum(a) <= p for a in nodes[:block])
-        assert all(sum(a) > p for a in nodes[block:])
+        _, matrix = reference_lattice_matrix(p)
+        assert not bareiss_determinant(matrix)[0].is_zero()
 
 
-def reference_lattice_matrix(p, d, nodes):
-    """The degree-p monomials m and the matrix (prod_i (a_i+1)^(m_{i+1})), rows m, columns nodes a."""
-    monos = list(monomials_of_degree(d, p))
-    rows = [[prod((a_i + 1) ** e for a_i, e in zip(a, m[1:])) for a in nodes] for m in monos]
-    return monos, DenseMatrix.from_rows(QQ, rows)
+def reference_lattice_matrix(p):
+    """The binary monomials x1^(p-e) x2^e and the matrix ((k+1)^e), rows e = 0..p, columns nodes k = 0..p."""
+    monos = [(p - e, e) for e in range(p + 1)]
+    return monos, DenseMatrix.from_rows(QQ, [[(k + 1) ** e for k in range(p + 1)] for e in range(p + 1)])
 
 
-def lattice_levels(d):
-    """Every degree p >= 2 whose lattice levels <= p hold at most 84 nodes, the N of (4,6)."""
-    p = 2
-    while comb(p + d - 1, d - 1) <= 84:
-        yield p
-        p += 1
+def binary_forms(g):
+    """The binary forms B_(q,m) of g's terms of degree >= 2: {(q, m): {(e1, e2): c}}."""
+    forms = {}
+    for mono, c in g.terms.items():
+        if sum(mono) >= 2:
+            forms.setdefault((mono[0] + mono[1], mono[2:]), {})[mono[:2]] = c
+    return forms
 
 
 def degree_components(rng, d, p):
@@ -105,31 +108,56 @@ def degree_components(rng, d, p):
     return [Polynomial(d, QQ, terms) for terms in (dense, {}, single)]
 
 
+def check_against_elimination(p, g_p):
+    """solve_degree on the binary form g_p against Bareiss (degree <= MAX_DEGREE) or the exact residual."""
+    monos, matrix = reference_lattice_matrix(p)
+    lam = solve_degree(p, g_p)
+    assert len(lam) == p + 1
+    rhs = [g_p.coefficient(m) / QQ(multinomial(m)) for m in monos]
+    if p <= MAX_DEGREE:
+        assert lam == solve_square(matrix, rhs), p
+    else:
+        assert matrix.mul_vector(lam) == rhs, p
+    return lam
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_solve_degree_matches_the_reference_elimination(d):
-    # The lattice levels <= p are unisolvent, so the Newton-basis solve must
-    # give exactly the Bareiss solution of the dense lattice system.  d = 2
-    # above MAX_DEGREE, where Bareiss takes seconds per system and decompose
-    # never goes, is checked by its exact residual instead.
+    # The powers s_k^p, k = 0..p, are a basis of the binary forms of degree
+    # p, so the Newton-basis solve must give exactly the Bareiss solution of
+    # the Vandermonde system.  d = 2 runs every binary degree up to 83,
+    # checked above MAX_DEGREE, where Bareiss takes seconds per system and
+    # decompose never goes, by its exact residual; d > 2 solves the binary
+    # forms B_(q,m) of random components in d variables and re-sums
+    # sum lambda_(k,q,m) s_k^q m to the component.
     rng = random.Random(76 + d)
-    for p in lattice_levels(d):
-        block = comb(p + d - 1, d - 1)
-        nodes = lattice_nodes(p + 1, d)
-        monos, matrix = reference_lattice_matrix(p, d, nodes[:block])
-        if p <= MAX_DEGREE:
-            det, _ = bareiss_determinant(matrix)
-            assert not det.is_zero(), (d, p)
-            if block <= 10:
-                rows = [[matrix.get(i, j).value for j in range(block)] for i in range(block)]
-                assert cofactor_determinant(rows) == det.value
+    if d == 2:
+        for p in range(84):
+            if p <= 10:
+                monos, matrix = reference_lattice_matrix(p)
+                rows = [[matrix.get(i, j).value for j in range(p + 1)] for i in range(p + 1)]
+                assert cofactor_determinant(rows) == bareiss_determinant(matrix)[0].value
+            for g_p in degree_components(rng, 2, p):
+                check_against_elimination(p, g_p)
+        return
+    for p in range(2, 8 - d // 2):
         for g_p in degree_components(rng, d, p):
-            xi = solve_degree(p, g_p, nodes)
-            assert len(xi) == len(nodes) and all(c.is_zero() for c in xi[block:])
-            rhs = [g_p.coefficient(m) / QQ(multinomial(m)) for m in monos]
-            if p <= MAX_DEGREE:
-                assert xi[:block] == solve_square(matrix, rhs), (d, p)
-            else:
-                assert matrix.mul_vector(xi[:block]) == rhs, (d, p)
+            total = Polynomial.zero(d, QQ)
+            for (q, m), form in binary_forms(g_p).items():
+                lam = check_against_elimination(q, Polynomial(2, QQ, form))
+                shift = Polynomial(d, QQ, {(0, 0) + m: 1})
+                total = total + reexpand(lam, q, d) * shift
+            assert total == g_p, (d, p)
+
+
+def test_solve_degree_takes_one_binary_form():
+    with pytest.raises(ValueError, match="two variables"):
+        solve_degree(2, poly({(2, 0, 0): 1}, d=3))
+    with pytest.raises(ValueError, match="not homogeneous"):
+        solve_degree(2, poly({(2, 0): 1, (0, 1): 1}))
+    # degrees 0 and 1 arise from the monomials m in x3..xd of degree >= 1
+    assert solve_degree(0, poly({(0, 0): 3})) == [QQ(3)]
+    assert solve_degree(1, poly({(1, 0): 1})) == [QQ(2), QQ(-1)]  # 2*(x1 + x2) - (x1 + 2*x2)
 
 
 def test_linearize_zero_linear_part():
@@ -188,51 +216,40 @@ def test_assign_linear_coeffs():
 
 
 def test_solve_degree_zero_component():
-    zeros = solve_degree(2, Polynomial.zero(2, QQ), lattice_nodes(2, 2))
+    zeros = solve_degree(2, Polynomial.zero(2, QQ))
     assert len(zeros) == 3 and all(c.is_zero() for c in zeros)
 
 
-def lattice_form(a, d):
-    """s_a = x1 + sum_i (a_i+1) x_{i+1}."""
-    terms = {tuple(1 if j == 0 else 0 for j in range(d)): QQ(1)}
-    for i, a_i in enumerate(a):
-        terms[tuple(1 if j == i + 1 else 0 for j in range(d))] = QQ(a_i + 1)
-    return Polynomial(d, QQ, terms)
+def lattice_form(k, d):
+    """s_k = x1 + (k+1)*x2 in d variables."""
+    return Polynomial(d, QQ, {(1, 0) + (0,) * (d - 2): QQ(1), (0, 1) + (0,) * (d - 2): QQ(k + 1)})
 
 
-def reexpand(xi, nodes, p, d):
+def reexpand(lam, p, d=2):
     total = Polynomial.zero(d, QQ)
-    for c, a in zip(xi, nodes):
+    for k, c in enumerate(lam):
         if not c.is_zero():
-            total = total + (lattice_form(a, d) ** p).scale(c)
+            total = total + (lattice_form(k, d) ** p).scale(c)
     return total
 
 
 def test_solve_degree_reexpansion_d2():
-    nodes = lattice_nodes(2, 2)
     g2 = poly({(2, 0): 1})
-    xi = solve_degree(2, g2, nodes)
-    assert reexpand(xi, nodes, 2, 2) == g2
+    assert reexpand(solve_degree(2, g2), 2) == g2
 
 
 def test_solve_degree_reexpansion_x1x2sq():
-    nodes = lattice_nodes(3, 2)
     g3 = poly({(1, 2): 3})
-    xi = solve_degree(3, g3, nodes)
-    assert reexpand(xi, nodes, 3, 2) == g3
+    assert reexpand(solve_degree(3, g3), 3) == g3
 
 
 def test_solve_degree_reexpansion_random():
     rng = random.Random(32)
-    for d, n in [(2, 4), (3, 3), (4, 4)]:
-        nodes = lattice_nodes(n, d)
-        for _ in range(10):
-            p = rng.randint(2, n)
-            g = rand_poly(rng, d, p, extra_terms=4).homogeneous_component(p)
-            xi = solve_degree(p, g, nodes)
-            assert reexpand(xi, nodes, p, d) == g
-            # unknowns beyond the lattice levels <= p stay zero
-            assert all(c.is_zero() for c in xi[comb(p + d - 1, d - 1):])
+    for _ in range(30):
+        p = rng.randint(0, 8)
+        g = rand_poly(rng, 2, p, extra_terms=4).homogeneous_component(p)
+        lam = solve_degree(p, g)
+        assert len(lam) == p + 1 and reexpand(lam, p) == g
 
 
 def test_decompose_constant_golden():
@@ -373,15 +390,15 @@ def decomposable_polys(draw):
 def tailed_count(f):
     """The summand count decompose reaches for f of degree n > 1 in d > 1 variables.
 
-    One summand per lattice node with a tail (some xi_kp != 0, p >= 2), and
-    one more, -x1, when a single node has a tail and f has no linear part.
+    One summand per node k with a tail (some lambda_(k,q,m) != 0 over the
+    binary forms B_(q,m) of the linearized input), and one more, -x1, when a
+    single node has a tail and f has no linear part.
     """
-    n, d = f.total_degree(), f.arity
     psi_inv, g = linearize(f)
-    nodes = lattice_nodes(n, d)
-    xi = [solve_degree(p, g.homogeneous_component(p), nodes) for p in range(2, n + 1)]
-    tailed = sum(any(not xi_p[k].is_zero() for xi_p in xi) for k in range(len(nodes)))
-    return tailed + (tailed == 1 and psi_inv is None)
+    tailed = set()
+    for (q, _), form in binary_forms(g).items():
+        tailed.update(k for k, c in enumerate(solve_degree(q, Polynomial(2, QQ, form))) if not c.is_zero())
+    return len(tailed) + (len(tailed) == 1 and psi_inv is None)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -414,7 +431,7 @@ def assert_verifies(dec):
 @given(st.one_of(decomposable_polys(), dense_polys()))
 def test_the_count_is_the_number_of_nodes_with_a_tail(f):
     dec = decompose(f)
-    assert dec.count == tailed_count(f) <= plength_bound(f.total_degree(), f.arity)
+    assert dec.count == tailed_count(f) <= f.total_degree() + 1 <= plength_bound(f.total_degree(), f.arity)
     for _, cert in dec.summands:
         if isinstance(cert.chain[0], TriangularAuto):
             assert not any(gamma.is_zero() for gamma in cert.chain[0].gammas)
@@ -424,18 +441,26 @@ def test_the_count_is_the_number_of_nodes_with_a_tail(f):
 @pytest.mark.parametrize(
     "arity, text, count, bound, shown",
     [
-        (3, "x1*x2", 5, 6, None),
+        (3, "x1*x2", 3, 6, None),
         # One node and no linear part: -x1 cancels the node's linear coefficient.
         (2, "(x1+x2)^2", 2, 3, ["x1^2 + 2*x1*x2 + x2^2 + x1", "-x1"]),
         # The input is primitive, and its one summand is the input.
         (2, "x1 + (x1+x2)^2", 1, 3, ["x1^2 + 2*x1*x2 + x2^2 + x1"]),
         # The constant goes on the first kept node.
         (2, "3 + (x1+x2)^2", 2, 3, ["x1^2 + 2*x1*x2 + x2^2 + x1 + 3", "-x1"]),
-        (4, "7 + x1*x2*x3*x4", 20, 35, None),
-        (3, "x1^3 + x2^3 + x3^3", 10, 10, None),
+        # One binary form, x1*x2, times m = x3*x4: the three nodes of degree 2.
+        (4, "7 + x1*x2*x3*x4", 3, 35, None),
+        # x1^3 + x2^3 on nodes 0..3; x3^3 (q = 0) rides on node 0.
+        (3, "x1^3 + x2^3 + x3^3", 4, 10, None),
         # Every monomial present, but the input is s_0^2 + s_1^2, so the
         # node of s_2 = x1 + 3*x2 has no tail.
         (2, "2*x1^2 + 6*x1*x2 + 5*x2^2", 2, 3, ["x1^2 + 2*x1*x2 + x2^2 + x1", "x1^2 + 4*x1*x2 + 4*x2^2 - x1"]),
+        # q = 0: x3^2 is node 0's whole tail.
+        (3, "x3^2", 2, 6, ["x3^2 + x1", "-x1"]),
+        # q = 1: x1 = 2*s_0 - s_1, so x1*x3 = 2*s_0*x3 - s_1*x3.
+        (3, "x1*x3", 2, 6, ["2*x1*x3 + 2*x2*x3 + x1", "-x1*x3 - 2*x2*x3 - x1"]),
+        # The linear part x3 has its pivot past x1: psi^-1 sends x2 to x1.
+        (3, "x3 + x1*x2 + x2^2*x3", 2, 10, None),
     ],
 )
 def test_only_the_nodes_with_a_tail_get_a_summand(arity, text, count, bound, shown):
@@ -448,14 +473,55 @@ def test_only_the_nodes_with_a_tail_get_a_summand(arity, text, count, bound, sho
 
 @pytest.mark.parametrize("d, n", [(2, 5), (3, 4), (4, 3), (3, 6), (4, 5)])
 def test_dense_inputs_with_large_coefficients_keep_every_node(d, n):
-    # A node loses its tail only when its xi_kp vanish for every p, which
-    # the seeded 9-digit coefficients below avoid; small coefficients do
-    # not (the pinned s_0^2 + s_1^2 above).
+    # Node k loses its tail only when its lambda_(k,q,m) vanish for every
+    # binary form, which the seeded 9-digit coefficients below avoid; small
+    # coefficients do not (the pinned s_0^2 + s_1^2 above).  Every node
+    # 0..n keeps one, so the count is n + 1, the paper's bound only at d = 2.
     rng = random.Random(f"dense:{d}:{n}")
     terms = {m: rand_nonzero_scalar(rng, QQ, 10**9) for p in range(n + 1) for m in monomials_of_degree(d, p)}
     dec = decompose(Polynomial(d, QQ, terms))
-    assert dec.count == dec.bound == plength_bound(n, d)
+    assert dec.count == n + 1 and dec.bound == plength_bound(n, d)
     assert_verifies(dec)
+
+
+def seeded_input(rng, d, n, dense):
+    """Degree exactly n in d variables, coefficients a/b with |a|, b <= 100.
+
+    Dense inputs hold every monomial of degree <= n; sparse ones a top
+    monomial, a few lower ones and, half the time, a linear part that may
+    leave out x1.
+    """
+    def coeff():
+        return QQ(rng.choice([-1, 1]) * rng.randint(1, 100), rng.randint(1, 100))
+
+    if dense:
+        return Polynomial(d, QQ, {m: coeff() for p in range(n + 1) for m in monomials_of_degree(d, p)})
+    terms = {rng.choice(list(monomials_of_degree(d, n))): coeff()}
+    for _ in range(rng.randint(1, 6)):
+        terms[rng.choice(list(monomials_of_degree(d, rng.randint(0, n))))] = coeff()
+    if rng.random() < 0.5:
+        for i in rng.sample(range(d), rng.randint(1, d)):
+            terms[tuple(int(j == i) for j in range(d))] = coeff()
+    return Polynomial(d, QQ, terms)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_at_most_n_plus_one_summands_at_every_arity(d):
+    # Every (d, n) with n = 2..7: each accepted input, sparse or with every
+    # monomial present, gets at most n + 1 summands and a document that
+    # verifies after a round trip through its text.  Where the paper's bound
+    # passes MAX_NODES (d = 5, n = 7 and d = 6, n >= 6) decompose refuses.
+    rng = random.Random(f"n-plus-one:{d}")
+    for n in range(2, 8):
+        for dense in (False, True, False):
+            f = seeded_input(rng, d, n, dense)
+            if plength_bound(n, d) > polydecomp.MAX_NODES:
+                with pytest.raises(UnsupportedInputError, match="exceed the ceiling"):
+                    decompose(f)
+                continue
+            dec = decompose(f)
+            assert dec.count <= n + 1, (d, n, poly_to_str(f))
+            assert_verifies(dec)
 
 
 def test_decompose_neither_replays_nor_eliminates(monkeypatch):
