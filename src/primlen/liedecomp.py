@@ -30,7 +30,13 @@ nothing when built; ``polyauto.validate_certificate``, which
 The pipeline normalizes the linear part to delta x1, splits off the
 commutator words containing x1, buckets them by a trailing generator that
 can be stripped, picks the remaining linear coefficients by that case
-split, and maps everything back.
+split, and maps everything back.  Last, ``_merge_triangular`` merges every
+pair of summands whose sum has the first shape, gamma x_j + v with no
+word of v mentioning x_j, into that sum, until no pair merges, and gives
+the one-factor triangular certificate to every summand of that shape with
+a longer chain; the triangular factor may put any generator first.  An
+input of that shape is one summand.  Merging only lowers the count, so it
+stays within the bound.
 """
 
 from __future__ import annotations
@@ -206,10 +212,10 @@ def choose_lie_coeffs(d, delta, beta, field):
 
 def _triangular_cert(gen, gamma, tail):
     """Certificate for gamma x_gen + tail, tail avoiding x_gen."""
-    d, field = tail.arity, tail.field
+    d = tail.arity
     ordering = (gen,) + tuple(i for i in range(1, d + 1) if i != gen)
-    gammas = [gamma] + [field.one()] * (d - 1)
-    tails = [tail] + [LieElement.zero(d, field)] * (d - 1)
+    gammas = [gamma] + [tail.field.one()] * (d - 1)
+    tails = [tail] + [tail._wrap({})] * (d - 1)
     return Certificate([TriangularAuto(gammas, tails, ordering)], gen)
 
 
@@ -241,6 +247,100 @@ def _quadratic_cert(zeta_coeffs, beta, d, field):
     return Certificate([triangular, basis_change], 1)
 
 
+# -- merging summands whose sum is triangular ----------------------------------
+
+
+def _parts(u):
+    """(linear, words) of u: the coefficient of x_j by j, and by j the longer words mentioning x_j.
+
+    A word maps to the value of its coefficient (``FieldScalar.value``).
+    """
+    linear, words = {}, {}
+    for word, c in u.terms.items():
+        if len(word) == 1:
+            linear[word[0]] = c
+            continue
+        value = c.value
+        for i in word:
+            if i in words:
+                words[i][word] = value
+            else:
+                words[i] = {word: value}
+    return linear, words
+
+
+def _lead(parts):
+    """The least j with u = gamma x_j + v, gamma != 0 and v free of x_j, as (j, gamma), or None.
+
+    u is given by its ``_parts``.
+    """
+    linear, words = parts
+    for j in sorted(linear):
+        if j not in words:
+            return j, linear[j]
+    return None
+
+
+def _merges(a, b, p):
+    """Whether a + b = gamma x_j + v for some j (see ``_lead``), for a and b given by their ``_parts``.
+
+    The sum is not built: on x_j, the longer words of a and b mentioning
+    x_j must cancel exactly (over GF(p) mod p, ``p`` not None), and their
+    x_j coefficients must not.
+    """
+    (lin_a, words_a), (lin_b, words_b) = a, b
+    empty = {}
+    for j in {*lin_a, *lin_b}:
+        wa = words_a[j] if j in words_a else empty
+        wb = words_b[j] if j in words_b else empty
+        if len(wa) != len(wb):
+            continue
+        for w, v in wa.items():
+            if w not in wb or (v + wb[w] if p is None else (v + wb[w]) % p):
+                break
+        else:
+            if j not in lin_a or j not in lin_b or not (lin_a[j] + lin_b[j]).is_zero():
+                return True
+    return False
+
+
+def _triangular_summand(u, lead):
+    """(u, its one-factor triangular certificate) for u = gamma x_j + v, lead = (j, gamma)."""
+    j, gamma = lead
+    tail = u._wrap({w: c for w, c in u.terms.items() if w != (j,)})
+    return u, _triangular_cert(j, gamma, tail)
+
+
+def _merge_triangular(summands, p):
+    """The summands with every pair whose sum is gamma x_j + v merged into one, v free of x_j.
+
+    The summands are kept in order, and each is tried against the kept
+    ones, first to last; the first it merges with (``_merges``) leaves
+    the list, and their sum is tried in its place.  So no two kept
+    summands merge.  A sum is certified by one triangular automorphism
+    that puts x_j first, for the least such j, and so is every kept
+    summand of that shape whose certificate chain is longer.  ``p`` is the
+    characteristic, None over Q.
+    """
+    kept = []  # (summand, certificate, parts), with no certificate for a sum
+    for u, cert in summands:
+        parts = _parts(u)
+        while True:
+            for m, (_, _, other) in enumerate(kept):
+                if _merges(other, parts, p):
+                    break
+            else:
+                break
+            u, cert = kept.pop(m)[0] + u, None
+            parts = _parts(u)
+        kept.append((u, cert, parts))
+    merged = []
+    for u, cert, parts in kept:
+        lead = None if cert is not None and len(cert.chain) == 1 else _lead(parts)
+        merged.append((u, cert) if lead is None else _triangular_summand(u, lead))
+    return merged
+
+
 # -- the pipeline --------------------------------------------------------------
 
 
@@ -252,6 +352,9 @@ def decompose_lie(f):
         return Decomposition(f, [], bound, notes=[ZERO_NOTE])
     if f.degree() == 1:
         return Decomposition(f, [(f, linear_certificate(f))], bound)
+    lead = _lead(_parts(f))
+    if lead is not None:
+        return Decomposition(f, [_triangular_summand(f, lead)], bound)
 
     rho_inv, g = linearize(f)
     delta = 0 if rho_inv is None else 1
@@ -299,7 +402,7 @@ def decompose_lie(f):
             (apply_images(images, element), Certificate(cert.chain + [rho_inv], cert.generator_index))
             for element, cert in summands
         ]
-    return Decomposition(f, summands, bound)
+    return Decomposition(f, _merge_triangular(summands, field.p), bound)
 
 
 def verify_lie(dec):

@@ -54,7 +54,11 @@ forms in x1 and x2 suffice, with coefficients at most n+1.  A document's
 document format are the same.
 
 Only the empty sum represents 0, so zero inputs get an empty summand list
-with an explanatory note.
+with an explanatory note.  An input of degree > 1 that is already
+gamma x_j + v + c, v in x_(j+1..d) and c a constant, is one summand,
+certified by one triangular automorphism in the ordering 1..d
+(``_triangular_summand``); it is recognized after ``poly_bound``, so the
+ceilings refuse what they refused before.
 """
 
 from __future__ import annotations
@@ -307,6 +311,23 @@ def _lattice_phis(d, n):
     return [AffineAuto(basis_from_rows([e1, [one, QQ(k + 1)] + [zero] * (d - 2)], QQ)) for k in range(n + 1)]
 
 
+def _triangular_summand(f):
+    """(f, its certificate) when f = gamma x_j + v + c, v in x_(j+1..d) and c a constant, else None.
+
+    The certificate is one triangular automorphism in the identity
+    ordering, x_j -> gamma x_j + v + c, on generator j.
+    """
+    d, terms = f.arity, f.terms
+    j = min(f.mentioned()) - 1
+    unit = _spread(d, [(j, 1)])
+    if unit not in terms or any(mono[j] for mono in terms if mono != unit):
+        return None
+    gammas, tails = [f.field.one()] * d, [Polynomial.zero(d, f.field)] * d
+    gammas[j] = terms[unit]
+    tails[j] = f._wrap({mono: c for mono, c in terms.items() if mono != unit})
+    return f, Certificate([TriangularAuto(gammas, tails)], j + 1)
+
+
 def decompose(f):
     """Decompose f into certified primitive summands, at most n + 1 of them for degree n > 1."""
     d, field = f.arity, f.field
@@ -329,6 +350,9 @@ def decompose(f):
         return Decomposition(f, [(f, linear_certificate(f, f.constant_term()))], bound)
     if d == 1:
         return Decomposition(f, [], bound, INFINITE)
+    summand = _triangular_summand(f)
+    if summand is not None:
+        return Decomposition(f, [summand], bound)
 
     psi_inv, g = linearize(f)
     delta = 0 if psi_inv is None else 1

@@ -49,3 +49,13 @@ def test_a_traced_pass_of_each_workload_reports_every_per_layer_metric(harness, 
     record = run.measure(pl, gen.instances(workload, 1)[:3], 0, True)
     assert record["failed"] == 0, record["failures"]
     assert set(run.PER_LAYER) <= set(record["metrics"])
+
+
+def test_the_lie_mixed_instances_of_seed_43_merge_to_at_most_1750_summands(harness):
+    # the merge of pairs whose sum is gamma x_j + v writes 1,706 here, 3,019 without it
+    _, gen, pl = harness
+    total = 0
+    for inst in gen.instances("lie-mixed", 43):
+        u = pl.parsing.parse_lie(inst["expr"], inst["arity"], pl.field.field_from_flag(inst["field"]))
+        total += pl.liedecomp.decompose_lie(u).count
+    assert total <= 1750

@@ -238,13 +238,17 @@ def test_a_degree_past_the_digit_limit_has_no_document(capsys):
 
 @pytest.mark.parametrize(
     "args",
-    [["poly", "--vars", "1024", "x1"], ["lie", "--vars", "384", "x1 + [x2,x1] + 3*[x3,x2,x2]"]],
+    [
+        ["poly", "--vars", "1024", "x1"],
+        ["lie", "--vars", "384", "x1 + [x2,x1] + [x384,x1,x383] + [x383,x1,x384] + [x383,x2]"],
+    ],
     ids=["poly-1024", "lie-384"],
 )
 def test_a_basis_change_at_a_legal_arity_is_decomposed_and_verified_in_seconds(tmp_path, args):
     # every linear factor is a d x d matrix of given rows and unit rows; a producer or an
     # invertibility check cubic in d takes from 7 s to a minute here, so each run of the
-    # CLI gets a timeout that fails the test rather than letting it hang
+    # CLI gets a timeout that fails the test rather than letting it hang.  The Lie input
+    # mentions x383 and x384, so its merged document keeps its 384 x 384 matrices
     out = tmp_path / "doc.json"
     src = str(Path(primlen.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -318,7 +322,7 @@ def _first_matrix(doc):
     "args, zero_denominator",
     [
         (["poly", "--vars", "2", "x1^2 + x2"], "1/0"),
-        (["lie", "--vars", "3", "--field", "F3", "[x2,x1] + x1"], "1/3"),
+        (["lie", "--vars", "3", "--field", "F3", "[x2,x1] + [x3,x1] + x1"], "1/3"),
     ],
     ids=["Q", "F3"],
 )
@@ -669,13 +673,16 @@ def _short_offset(doc):
 
 
 def _zero_gamma(doc):
-    _first_factor(doc, "gammas")["gammas"][0] = "0"
-    return "triangular gamma of x1 is zero"
+    record = _first_factor(doc, "gammas")
+    record["gammas"][0] = "0"
+    return f"triangular gamma of x{record.get('ordering', [1])[0]} is zero"
 
 
 def _forbidden_tail(doc):
-    _first_factor(doc, "tails")["tails"][0] = "x1"
-    return "tail of x1 mentions forbidden generator x1"
+    record = _first_factor(doc, "tails")
+    first = record.get("ordering", [1])[0]
+    record["tails"][0] = f"x{first}"
+    return f"tail of x{first} mentions forbidden generator x{first}"
 
 
 def _two_forbidden_in_the_last_tail(doc):
@@ -745,7 +752,7 @@ def _shift_input(doc, factor):
 
 
 def _add_cancelling_pair(doc, factor):
-    # pairs x1, -x1 until the count passes the bound: one for the Lie input (5 of 5), four for the poly one (4 of 10)
+    # pairs x1, -x1 until the count passes the bound: two for the Lie input (3 of 5), four for the poly one (4 of 10)
     d = doc["arity"]
     while len(doc["summands"]) <= doc["bound"]:
         for summand, sign in (("x1", "1"), ("-x1", "-1")):

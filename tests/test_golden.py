@@ -10,6 +10,12 @@ d3-n4-dense and d3-n4-tiny-coefficients 5 of 15, d4-n6 7 of 84, d5-n3 4
 of 35 and d5-n3-linear-part 2 of 35 (its nonlinear part becomes binary
 forms in x1 + x2 and x2 alone, which only nodes 0 and 1 carry).  d2-n3
 keeps every node, 4 of 4.
+
+A Lie document holds the summands left once every pair whose sum is
+gamma x_j + v, v free of x_j, has been merged, against the paper's bound:
+Q-d3 3 of 5, F2-d4 3 of 7, F101-d5 and Q-d4-quadratic 2 of 6,
+F2-d4-quadratic 2 of 7, F2-d3-extra 2 of 6, Q-d4-second-candidate 2 of 6
+and F2-d4-second-prime 2 of 7.
 """
 
 import hashlib
@@ -76,45 +82,59 @@ POLY_CORPUS = {
 LIE_CORPUS = {
     "Q-d3": (
         3, "Q", "[x2,x1,x3] - 3/2*[x3,x1] + x1 - 2*x3",
-        "22b7637346471be46f4539038bb7126afe357259532dd2844f8e4df443ff7bbb",
+        "76006216daf7557c970030c8771706c09252ac1782ffc8553ff63bae6f241dd9",
     ),
     "F2-d4": (
         4, "F2", "[x2,x1,x1] + [x4,x3] + [x3,x1,x2,x4] + x2",
-        "ba5a6074d866f940b32d428c37e41bde8f1d3452ced45b415bd3bc0896617c41",
+        "d49392061ba5b58de15cc8b0c3e5bae79d19a80892fdb4b2a9585c16e0f2c600",
     ),
     "F101-d5": (
         5, "F101", "7*[x5,x1,x2] - [x3,x2] + 50*[x4,x1,x3,x3] + x1 + 3*x5",
-        "01efd5221afca6c14dbb939c0ffde5b07d06e1e1f1e997aa4df462846753b701",
+        "46a0a850d307c85825897e583add287747d945117d8232ef094be57596026693",
     ),
     # d = 4 inputs whose quadratic summand needs a basis completion of three
-    # rows to a 4x4 matrix; the completion rule shows in these documents.
-    # For [x2,x1] + x1 the rows x3 + x4, x2 and x1 take the pivot columns
-    # 3, 2 and 1, so basis_from_rows appends e_4, not e_3.
+    # rows to a 4x4 matrix.  For [x2,x1] + x1 the rows x3 + x4, x2 and x1
+    # take the pivot columns 3, 2 and 1, so basis_from_rows appends e_4, not
+    # e_3.  That summand, x3 + x4 + [x2,x1], is gamma x3 + v with v free of
+    # x3, so both documents certify it with one triangular factor that puts
+    # x3 first; Q-d4-second-candidate below still shows a completion.
     "Q-d4-quadratic": (
         4, "Q", "[x2,x1] + x1",
-        "7ebd09467e48b3fb7c9da7779854297574779da68c9c5d47b98d05ee46361142",
+        "a99f56266fa5e1aba8c711f588fa8ede6355ac362940c3abf7bdaca5bae69cff",
     ),
     "F2-d4-quadratic": (
         4, "F2", "[x2,x1] + [x4,x1]",
-        "bb5bf55f5bea53eeb3da36f6bab80e4a69e79293c2abe9af6810bc023fc49120",
+        "1d1cab7f25e43aebbe6eced1ac70f5659101272304a74d485549b575ef31dae0",
     ),
     # beta = (1, 1) over F2 is dependent on the only candidate pair, so the
     # last summand splits and the ``extra`` fallback chooses z' = (1, 0).
     "F2-d3-extra": (
         3, "F2", "[x2,x1] + [x3,x1]",
-        "d92c88fa8150bb0ea2d6c33f31654710402e9f3be4aa2a303f0795c80d49e362",
+        "36839e84636c714c8e263b76591d4472ac4fb42a5db328b17dd2038c71242516",
     ),
-    # beta = (0, 1, 1) is dependent on the first candidate (1, 1), so (1, 2) wins.
+    # beta = (0, 1, 1) is dependent on the first candidate (1, 1), so (1, 2) wins;
+    # its quadratic summand keeps the triangular factor and the basis change.
     "Q-d4-second-candidate": (
         4, "Q", "[x3,x1] + [x4,x1] + x1",
-        "527477cc4780d69694e38076f8d89ab2466420f0bbbb7a201831699df50aa8a3",
+        "292909cd027295f06b3835547c55c5f5a2d5f14ff50eec4a804626e1e86e12d4",
     ),
     # beta = (0, 1, 0) over F2: the last slots hold (1, 0), which depends on
     # the first prime (1, 0), so the ``extra`` split takes z' = (0, 1).
     "F2-d4-second-prime": (
         4, "F2", "[x3,x1] + x1",
-        "6a382aca1f476d7a138e77b87fbde325a722861525bf8800604e57c14b5aef41",
+        "d83bd4aae4ab1704a12f0528c2051bea143e847f4034ffeb60128ebf82046b29",
     ),
+}
+
+
+# Each of these Lie goldens' inputs with one or two words added, so that
+# the merged document still has chains of a diagonal, an inner and a linear
+# factor, and repeats a linear factor.  Over F2 the quadratic part stays
+# [x3,x1], so z' = (0, 1) as in the golden.
+LONG_CHAINS = {
+    "Q-d3": (3, "Q", "[x2,x1,x3] + [x2,x1,x2] - 3/2*[x3,x1] + x1 - 2*x3"),
+    "F101-d5": (5, "F101", "7*[x5,x1,x2] - [x3,x2] + 50*[x4,x1,x3,x3] + [x2,x1,x4] + x1 + 3*x5"),
+    "F2-d4-second-prime": (4, "F2", "[x3,x1] + [x2,x1,x4] + [x4,x1,x3] + x1"),
 }
 
 

@@ -2,8 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from primlen import liedecomp
+from primlen.document import dumps, lie_document, loads, verify_document
 from primlen.errors import DegreeCapError, UnsupportedInputError
 from primlen.field import GF, QQ
 from primlen.liedecomp import (
@@ -19,7 +22,8 @@ from primlen.liedecomp import (
 )
 from primlen.metalie import LieElement, bracket, normalize_word
 from primlen.multipoly import Polynomial
-from primlen.polyauto import AffineAuto, Certificate, apply_auto, certify_apply
+from primlen.parsing import parse_lie
+from primlen.polyauto import AffineAuto, Certificate, TriangularAuto, apply_auto, certify_apply
 
 from conftest import rand_lie
 
@@ -307,6 +311,56 @@ def test_decompose_simple_bracket():
 def test_decompose_zero():
     dec = decompose_lie(LieElement.zero(3, QQ))
     assert dec.count == 0 and dec.notes
+
+
+@pytest.mark.parametrize(
+    "expr, field, generator",
+    [
+        ("x2 + [x3,x1]", QQ, 2),
+        ("3*x1 + x2 + [x3,x2,x2]", GF(101), 1),
+        ("x1 + x3 + [x3,x2,x2]", GF(2), 1),
+    ],
+)
+def test_an_input_that_is_gamma_xj_plus_v_is_one_summand(expr, field, generator):
+    f = parse_lie(expr, 3, field)
+    dec = decompose_lie(f)
+    assert dec.count == 1 and dec.summands[0][0] == f
+    (theta,) = dec.summands[0][1].chain
+    assert isinstance(theta, TriangularAuto) and theta.ordering[0] == generator
+    assert verify_document(loads(dumps(lie_document(dec)))).ok
+
+
+def triangular_generators(u):
+    """The j with u = gamma x_j + v, gamma != 0 and no word of v mentioning x_j."""
+    longer = {i for w in u.terms if len(w) > 1 for i in w}
+    return [w[0] for w in u.terms if len(w) == 1 and w[0] not in longer]
+
+
+@st.composite
+def lie_elements(draw):
+    d = draw(st.integers(3, 8))
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(101)]))
+    den = st.integers(1, 9) if field.is_rationals else st.just(1)
+    scalar = st.builds(field, st.integers(-20, 20), den)
+    words = st.lists(st.integers(1, d), min_size=1, max_size=6)
+    f = LieElement.zero(d, field)
+    for indices, c in draw(st.lists(st.tuples(words, scalar), min_size=1, max_size=10)):
+        f = f + normalize_word(indices, d, field).scale(c)
+    return f
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lie_elements())
+def test_merged_decompositions_verify_within_the_bound_at_a_fixed_point(f):
+    dec = decompose_lie(f)
+    text = dumps(lie_document(dec))
+    result = verify_document(loads(text))
+    assert result.ok, result.problems
+    assert dec.count <= lie_bound(f.arity, f.field)
+    summands = [u for u, _ in dec.summands]
+    for a, b in itertools.combinations(summands, 2):
+        assert not triangular_generators(a + b), (a, b)
+    assert dumps(lie_document(decompose_lie(f))) == text
 
 
 def test_decompose_rejects_small_arity():

@@ -22,7 +22,7 @@ from primlen.polyauto import (
 )
 
 from conftest import KERNEL_FIELDS, rand_lie, rand_nonzero_scalar, rand_poly, rand_scalar
-from test_golden import LIE_CORPUS, POLY_CORPUS
+from test_golden import LONG_CHAINS, POLY_CORPUS
 
 d = 2
 x1 = Polynomial.variable(d, QQ, 1)
@@ -380,13 +380,14 @@ def count_scalars(monkeypatch):
 @pytest.mark.parametrize("name", ["d5-n3-linear-part", "Q-d3", "F101-d5"])
 def test_certify_apply_builds_scalars_only_for_its_result(monkeypatch, name):
     """d5-n3-linear-part puts a fractional psi^-1 after each lattice map; the
-    Lie goldens carry diagonal, inner and basis-change factors, then rho^-1."""
+    Lie inputs (``LONG_CHAINS``) carry diagonal and inner factors, then
+    rho^-1."""
     if name in POLY_CORPUS:
         arity, expr, _ = POLY_CORPUS[name]
         f = parse_poly(expr, arity, QQ)
         dec = decompose(f)
     else:
-        arity, flag, expr, _ = LIE_CORPUS[name]
+        arity, flag, expr = LONG_CHAINS[name]
         f = parse_lie(expr, arity, field_from_flag(flag))
         dec = decompose_lie(f)
     assert any(len(cert.chain) > 1 for _, cert in dec.summands)

@@ -195,11 +195,34 @@ def test_linearize_already_normalized():
 
 
 def test_a_linear_part_of_exactly_x1_carries_an_identity_psi_inverse():
-    dec = decompose(poly({(1, 0): 1, (0, 2): 1}))  # x1 + x2^2
+    dec = decompose(poly({(1, 0): 1, (1, 1): 1}))  # x1 + x1*x2
     assert dec.count == 3
     for _, cert in dec.summands:
         assert len(cert.chain) == 3 and cert.chain[-1].matrix == DenseMatrix.identity(2, QQ)
     assert verify(dec).ok
+
+
+@pytest.mark.parametrize(
+    "expr, arity, generator",
+    [
+        ("x1 + x2^5", 2, 1),
+        ("x1 + x2^2*x3^3", 3, 1),
+        ("-3/2*x2 + x3^2*x4 - x4^3 + 7", 4, 2),
+        ("x1 + x3 - 2*x2*x3^4", 3, 1),
+    ],
+)
+def test_an_input_that_is_gamma_xj_plus_later_variables_is_one_summand(expr, arity, generator):
+    f = parse_poly(expr, arity, QQ)
+    dec = decompose(f)
+    assert dec.count == 1 and dec.summands[0][0] == f
+    (theta,), j = dec.summands[0][1].chain, dec.summands[0][1].generator_index
+    assert j == generator and theta.ordering == tuple(range(1, arity + 1))
+    assert verify_document(loads(dumps(poly_document(dec)))).ok
+
+
+def test_x1_to_the_16_plus_x2_still_takes_every_node():
+    # x2 + v with v in x1: in the ordering 1..d the tail of x2 may not mention x1
+    assert decompose(parse_poly("x1^16 + x2", 2, QQ)).count == 17
 
 
 def test_assign_linear_coeffs():
@@ -387,13 +410,22 @@ def decomposable_polys(draw):
     return Polynomial(d, QQ, terms)
 
 
+def is_triangular(f):
+    """Whether f = gamma x_j + v + c with gamma != 0, v in x_(j+1..d) and c a constant."""
+    j = min(min(i for i, e in enumerate(m) if e) for m in f.terms if any(m))
+    return [m for m in f.terms if m[j]] == [tuple(int(i == j) for i in range(f.arity))]
+
+
 def tailed_count(f):
     """The summand count decompose reaches for f of degree n > 1 in d > 1 variables.
 
-    One summand per node k with a tail (some lambda_(k,q,m) != 0 over the
-    binary forms B_(q,m) of the linearized input), and one more, -x1, when a
-    single node has a tail and f has no linear part.
+    One for f of the shape ``is_triangular``.  Otherwise one summand per node
+    k with a tail (some lambda_(k,q,m) != 0 over the binary forms B_(q,m) of
+    the linearized input), and one more, -x1, when a single node has a tail
+    and f has no linear part.
     """
+    if is_triangular(f):
+        return 1
     psi_inv, g = linearize(f)
     tailed = set()
     for (q, _), form in binary_forms(g).items():
