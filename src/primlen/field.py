@@ -31,14 +31,16 @@ big_int = int
 #: The check runs as the denominator grows, before any numerator is scaled
 #: (``check_raw_bits``); the verifier's re-sum (``sparse.pairs_sum``) holds
 #: the run of one key's summand coefficients to it as well.  Peaks of that
-#: product, fractions backend, in decompose / in verify: seed 43
-#: poly-small 588 / 1,988, poly-large 392 / 3,519, lie-mixed 806 / 910;
-#: with every monomial present and coefficients a/b, |a|, b <= B, at (6,5)
-#: 0.06 M / 0.05 M (B = 100) and 0.93 M / 0.41 M (B = 10^4), at (3,16)
-#: 0.13 M / 0.07 M (B = 100), 3.19 M / 0.25 M (B = 10^4), up to
-#: 6.3 M / 0.35 M (B = 10^5: decompose 6.5-8.5 s, verify 6.8 s).  The verify
-#: peaks of the polynomial workloads are those of the re-sum, which adds by
-#: key; over one common denominator it reached 737 M at (3,16), B = 10^5.
+#: product over one to_raw, fractions backend, in decompose / in verify:
+#: seed 43 poly-small 374 / 374, poly-large 340 / 340, lie-mixed 806 /
+#: 988; with every monomial present and coefficients a/b, |a|, b <= B, at
+#: (6,5) 35 K / 35 K (B = 100) and 0.53 M / 0.53 M (B = 10^4), at (3,16)
+#: 28 K / 28 K (B = 100), 0.50 M / 0.50 M (B = 10^4), up to 1.0 M / 1.0 M
+#: (B = 10^5: decompose 0.2 s, verify 0.14-0.16 s).  A polynomial's
+#: decompose reads every factor through the reads of the verifier's replay,
+#: so its peak covers the verifier's.  The re-sum, which adds by key, peaks
+#: lower (4,471 at (3,16), B = 10^5); over one common denominator it
+#: reached 737 M there.
 #: A triangular tail of 16,000 terms with distinct prime denominators near
 #: 2^20 would reach 5.1 G; it is refused in under a second.
 MAX_RAW_BITS = 1 << 29

@@ -6,8 +6,9 @@ GF(2)).  Three certificate shapes cover all summands:
 
 * gamma x_j + v, v in the other generators: one triangular automorphism
   with respect to an ordering that puts x_j first;
-* gamma x_j + [w, x_j], w in the commutator ideal: the diagonal linear map
-  gamma followed by the inner automorphism exp(-(1/gamma) ad w);
+* gamma x_j + [w, x_j], w in the commutator ideal: the scaling x_j ->
+  gamma x_j, a triangular automorphism that puts x_j first, followed by
+  the inner automorphism exp(-(1/gamma) ad w);
 * y_1 + [y_2, y_3] for linearly independent linear forms y_1, y_2, y_3: a
   triangular automorphism followed by the basis change x_i -> y_i.
 
@@ -19,9 +20,9 @@ pivots on its first nonzero coefficient.  The same elimination
 (``linalg.pivot_columns``) decides whether the linear coefficients (1, 1),
 and over GF(2) (1, 0), are independent from the quadratic part; on that
 answer ``choose_lie_coeffs`` follows the paper's case split, with no
-search.  The linear summands
-and the normalization use the builders the polynomial pipeline uses,
-``polyauto.linear_certificate`` and ``polyauto.linearize``.
+search.  The linear summands use the builder the polynomial pipeline
+uses, ``polyauto.linear_certificate``, and the normalization
+``polyauto.linearize``.
 
 The factors, ``InnerLieAuto`` included, are plain records, checked by
 nothing when built; ``polyauto.validate_certificate``, which
@@ -42,7 +43,7 @@ stays within the bound.
 from __future__ import annotations
 
 from .errors import UnsupportedInputError
-from .linalg import DenseMatrix, basis_from_rows, pivot_columns
+from .linalg import basis_from_rows, pivot_columns
 from .metalie import LieElement, _inner_raw, bracket, split_parts
 from .polyauto import AffineAuto, Certificate, TriangularAuto, apply_images, linear_certificate, linearize
 from .polydecomp import ZERO_NOTE, Decomposition, Record, check_summands
@@ -220,12 +221,9 @@ def _triangular_cert(gen, gamma, tail):
 
 
 def _inner_cert(gen, gamma, w):
-    """Certificate for gamma x_gen + [w, x_gen]: diagonal linear then inner."""
-    d, field = w.arity, w.field
-    zero = field.zero()
-    diag = DenseMatrix(d, d, field, [gamma if i == j else zero for j in range(d) for i in range(d)])
+    """Certificate for gamma x_gen + [w, x_gen]: the scaling x_gen -> gamma x_gen, then inner."""
     inner = InnerLieAuto(w.scale(-gamma.inverse()))
-    return Certificate([AffineAuto(diag), inner], gen)
+    return Certificate(_triangular_cert(gen, gamma, w._wrap({})).chain + [inner], gen)
 
 
 def _quadratic_cert(zeta_coeffs, beta, d, field):

@@ -30,9 +30,11 @@ runs of consecutive affine factors are composed on their int rows, and
 every element, the result included, stays a (den, raw) pair.  The
 verifier compares that pair with its summand on ints and builds no scalar;
 ``certify_apply`` wraps it for callers that want the element, with one
-scalar per term of the result.  Both pipelines build their linear factors with
-``linalg.basis_from_rows``: ``linearize`` for the map that sends a linear
-part to x1, ``linear_certificate`` for a summand of degree 1.
+scalar per term of the result.  Every linear factor is a
+``linalg.basis_from_rows`` matrix: the basis changes of the polynomial
+summands (``polydecomp``), ``linearize`` for the Lie pipeline's map that
+sends a linear part to x1, ``linear_certificate`` for a summand of degree
+1 in either algebra.
 """
 
 from __future__ import annotations
@@ -236,7 +238,9 @@ class Certificate:
 def linearize(f):
     """(psi^-1, psi(f)) for the linear automorphism psi sending the linear part of f to x1.
 
-    psi^-1 is the basis change x1 -> the linear part l,
+    The Lie pipeline normalizes its input with it (its rho); the polynomial
+    pipeline keeps the input's coordinates.  psi^-1 is the basis change
+    x1 -> the linear part l,
     ``basis_from_rows([l])``: the row l, then the unit rows e_m for every
     column m off the pivot (the first nonzero l_i), in index order.  So psi
     is read off its ints without an inverse: x_m -> x_j where e_m is row j,
@@ -268,10 +272,15 @@ def linear_certificate(f, constant=None):
 
     One affine factor: the matrix ``basis_from_rows([f_1])`` and, for a
     polynomial, ``constant`` (the constant term of f) as the offset of x1.
+    The factor is read to ints here (``AffineAuto.raw``), the read the
+    verifier's replay makes, so the producer refuses every run of scalars
+    past the ceiling of ``FieldDescriptor.to_raw`` that the verifier would.
     """
     d, field = f.arity, f.field
     offset = None if constant is None else [constant] + [field.zero()] * (d - 1)
-    return Certificate([AffineAuto(basis_from_rows([f.linear_coefficients()], field), offset)], 1)
+    auto = AffineAuto(basis_from_rows([f.linear_coefficients()], field), offset)
+    auto.raw()
+    return Certificate([auto], 1)
 
 
 def replay_raw(cert, like):

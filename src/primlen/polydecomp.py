@@ -3,39 +3,44 @@
 Over a field of characteristic 0, a polynomial f of degree n > 1 in d > 1
 variables is a sum of at most n + 1 primitive polynomials; the paper's
 bound, binom(n+d-1, d-1), is the same at d = 2 and larger above it.  The
-construction:
+construction keeps f's own coordinates:
 
-1. normalize the linear part to delta * x1 (delta in {0, 1}) by a linear
-   automorphism psi (``polyauto.linearize``), so g = f psi = delta x1 +
-   beta + G with G the terms of degree >= 2;
-2. group G's monomials x1^e1 x2^e2 m by q = e1 + e2 and by their part m in
-   x3..xd, so G = sum_(q, m) B_(q,m)(x1, x2) m with each B_(q,m) a binary
-   form of degree q;
-3. write each binary form on the d = 2 lattice forms s_k = x1 + (k+1) x2,
-   B_(q,m) = sum_(k <= q) lambda_(k,q,m) s_k^q.  The q+1 powers s_k^q are a
-   basis of the binary forms of degree q, and in the binomial basis the
-   system is unit triangular (Newton interpolation), so ``solve_degree``
-   eliminates nothing: it applies one cached int matrix per q;
-4. give node k = 0..n the tail T_k = sum_(q, m) lambda_(k,q,m) x2^q m, and
-   keep the M nodes with a tail.  The kept nodes get nonzero linear
-   coefficients xi_k1 summing to delta (``assign_linear_coeffs(M, delta)``),
-   and the first of them the constant beta.  When M = 1 and delta = 0 a
-   second summand, -x1 with its ``linear_certificate``, cancels the lone
-   xi_k1.  So the count is M <= n + 1, or 2 in that case;
-5. certify each kept summand u_k primitive as the image of x1 under the
-   triangular automorphism theta: x1 -> xi_k1 x1 + beta [k = 1] + T_k
-   (k = 1 the first kept node), followed by the linear map phi with
-   x2 -> s_k and then by psi^-1.  Both are ``linalg.basis_from_rows``
-   matrices, like every linear factor; phi is ``basis_from_rows([e_1,
-   s_k])``, built once per (d, n) (``_lattice_phis``).  Rows 2..d of
-   psi^-1 are unit rows, so psi^-1 sends x2 to a variable y and a monomial
-   m in x3..xd to one monomial m'.  The summand is assembled from its
-   closed form rather than by replaying the chain: u_k = xi_k1 l +
-   beta [k = 1] + sum_(q, m) lambda_(k,q,m) L_k^q m', with l the image of
-   x1 under psi^-1 and L_k = l + (k+1) y the image of s_k, each power
-   expanded by the multinomial theorem on the ints of psi^-1
-   (``AffineAuto.raw``) over one denominator.  Summed over k the tails give
-   sum_(q, m) B_(q,m) m = G, so the summands add up to f.
+1. write f = delta l + beta + G, with l the linear part (delta = 1), or
+   e_1 when f has none (delta = 0), beta the constant and G the terms of
+   degree >= 2.  p is l's first nonzero column and q is x1 when p is past
+   it, else x2; the lattice forms are s_k = x_p + sigma (k+1) x_q, with
+   sigma = -1 when l_q / l_p > 0 and +1 otherwise, so that l and s_k are
+   independent at every node k = 0..n;
+2. group G's monomials x_p^e_p x_q^e_q m by e = e_p + e_q and by their
+   part m in the other variables, so G = sum_(e, m) B_(e,m)(x_p, x_q) m
+   with each B_(e,m) a binary form of degree e;
+3. write each binary form on the lattice forms, B_(e,m) = sum_(k <= e)
+   lambda_(k,e,m) s_k^e.  The e+1 powers s_k^e are a basis of the binary
+   forms of degree e, and in the binomial basis the system is unit
+   triangular (Newton interpolation), so ``solve_degree`` eliminates
+   nothing: it applies one cached int matrix per e, to the form read with
+   x_q -> sigma x_q;
+4. give node k = 0..n the tail T_k = sum_(e, m) lambda_(k,e,m) x2^e m,
+   with m's exponents on x3..xd in index order, and keep the M nodes with
+   a tail.  The kept nodes get nonzero linear coefficients xi_k1 summing
+   to delta (``assign_linear_coeffs(M, delta)``), and the first of them
+   the constant beta.  When M = 1 and delta = 0 a second summand, -x1 with
+   its ``linear_certificate``, cancels the lone xi_k1.  So the count is
+   M <= n + 1, or 2 in that case;
+5. certify each kept summand u_k primitive as the image of x1 under two
+   factors: the triangular automorphism theta_k: x1 -> xi_k1 x1 +
+   beta [k = 1] + T_k (k = 1 the first kept node), followed by the one
+   basis change B_k = ``basis_from_rows([l, s_k])``.  Its pivot columns
+   are p and q, so its unit rows send x3..xd to the other variables in
+   index order, and u_k = xi_k1 l + beta [k = 1] + sum_(e, m)
+   lambda_(k,e,m) s_k^e m in f's coordinates.  The summand is assembled
+   from that closed form, each power expanded by the binomial theorem,
+   rather than by replaying the chain, but on the ints of the same reads
+   the verifier's replay makes (``TriangularAuto.raw_images`` and
+   ``AffineAuto.raw``), so decompose meets the ceiling of
+   ``FieldDescriptor.to_raw`` on every run of factor scalars the verifier
+   reads.  Summed over k the tails give sum_(e, m) B_(e,m) m = G, so the
+   summands add up to f.
 
 The factors are plain records, checked by nothing when built, and the
 producer never replays them: ``check_summands`` runs
@@ -48,10 +53,10 @@ input's (num, den) pairs by cross-multiplication.
 The paper's proof writes each homogeneous component on N = binom(n+d-1,
 d-1) forms s(alpha) = x1 + sum_i alpha^((n+1)^(i-2)) x_i in all d
 variables, alpha = 2..N+1, whose coefficients run to thousands of digits.
-Here the part in x3..xd rides in the tail of the triangular factor, so n+1
-forms in x1 and x2 suffice, with coefficients at most n+1.  A document's
-``bound`` is still the paper's binomial, and the certificate shape and the
-document format are the same.
+Here the part in the other variables rides in the tail of the triangular
+factor, so n+1 forms in x_p and x_q suffice, with coefficients at most
+n+1.  A document's ``bound`` is still the paper's binomial, and the
+certificate shape and the document format are the same.
 
 Only the empty sum represents 0, so zero inputs get an empty summand list
 with an explanatory note.  An input of degree > 1 that is already
@@ -64,19 +69,17 @@ ceilings refuse what they refused before.
 from __future__ import annotations
 
 from functools import cache
-from math import comb, factorial, prod
-from operator import add, getitem
+from math import comb, factorial
 
 from .errors import UnsupportedInputError
 from .field import QQ, int_to_str
 from .linalg import basis_from_rows
-from .multipoly import Polynomial, monomials_of_degree, multinomial
+from .multipoly import Polynomial
 from .polyauto import (
     AffineAuto,
     Certificate,
     TriangularAuto,
     linear_certificate,
-    linearize,
     replay_raw,
     validate_certificate,
 )
@@ -93,11 +96,11 @@ ZERO_NOTE = "the zero element is reported as the empty sum (additive primitive l
 #: / verify_document of the loaded document for (d, n) with every monomial
 #: of degree <= n present (coefficients a/b with |a|, b <= 100), best of
 #: two, fractions backend, Python 3.11, 2-vCPU container: (4,6) N = 84, 7
-#: summands, 98 KB, 0.014 / 0.015 s; (2,16) 17 summands, 0.29 MB, 0.012 /
-#: 0.017 s; (3,16) N = 153, 17 summands, 2.0 MB, 0.15 / 0.17 s; (6,5)
-#: N = 252, 6 summands, 0.20 MB, 0.04 / 0.04 s.  A decomposition holds at
-#: most n + 1 summands, so the work grows with the input's terms and the
-#: degree rather than with N.
+#: summands, 30 KB, 0.009 / 0.010 s; (2,16) 17 summands, 0.11 MB, 0.014 /
+#: 0.019 s; (3,16) N = 153, 17 summands, 0.50 MB, 0.05-0.07 / 0.05-0.07 s;
+#: (6,5) N = 252, 6 summands, 47 KB, 0.012-0.015 / 0.012-0.016 s.  A
+#: decomposition holds at most n + 1 summands, so the work grows with the
+#: input's terms and the degree rather than with N.
 MAX_DEGREE = 16
 MAX_NODES = 252
 
@@ -286,29 +289,12 @@ def solve_degree(p, g_p):
     return field.from_raw(den * factorial(p) ** 2, values)
 
 
-@cache
-def _power_terms(s, q):
-    """The degree-q monomials m of s variables with multinomial(m): the terms of (sum_i a_i x_i)^q."""
-    return [(m, multinomial(m)) for m in monomials_of_degree(s, q)]
-
-
 def _spread(d, pairs):
     """The exponent vector of d variables with exponent e at each (index, e) of pairs, 0 elsewhere."""
     mono = [0] * d
     for i, e in pairs:
         mono[i] = e
     return tuple(mono)
-
-
-@cache
-def _lattice_phis(d, n):
-    """The factor phi_k, ``basis_from_rows([e_1, s_k])``, of each node k = 0..n in d variables.
-
-    Factors are immutable records, so every decomposition shares them.
-    """
-    one, zero = QQ.one(), QQ.zero()
-    e1 = [one] + [zero] * (d - 1)
-    return [AffineAuto(basis_from_rows([e1, [one, QQ(k + 1)] + [zero] * (d - 2)], QQ)) for k in range(n + 1)]
 
 
 def _triangular_summand(f):
@@ -334,7 +320,7 @@ def decompose(f):
     if field.characteristic() != 0:
         raise UnsupportedInputError(
             "polynomial decomposition requires characteristic 0 "
-            f"(got {field!r}); the construction fails when multinomial "
+            f"(got {field!r}); the construction fails when binomial "
             "coefficients vanish modulo p"
         )
     n = f.total_degree()
@@ -354,76 +340,75 @@ def decompose(f):
     if summand is not None:
         return Decomposition(f, [summand], bound)
 
-    psi_inv, g = linearize(f)
-    delta = 0 if psi_inv is None else 1
-    beta = g.constant_term()
-    # G, the terms of degree >= 2, as binary forms B(x1, x2) of degree
-    # q = e1 + e2 times monomials m in x3..xd; node k's tail is
-    # sum_(q, m) lambda_(k,q,m) x2^q m.  One summand per node with a tail,
-    # and -x1 when a lone one has delta = 0.
+    # l, the linear part or e_1 without one, pivots on p; q is x1 when p is
+    # past it and x2 otherwise, and s_k = x_p + sigma (k+1) x_q, with sigma
+    # keeping det [[l_p, l_q], [1, sigma (k+1)]] nonzero at every node.
+    # The terms of degree >= 2 are binary forms in (x_p, x_q) of degree e
+    # times monomials m in the ``rest`` of the variables, read with x_q ->
+    # sigma x_q so that solve_degree's s_k, x1 + (k+1) x2, stands for this
+    # one.  Node k's tail is sum_(e, m) lambda_(k,e,m) x2^e m.  One summand
+    # per node with a tail, and -x1 when a lone one has delta = 0.
+    one, zero = field.one(), field.zero()
+    ell = f.linear_coefficients()
+    delta = int(any(ell))
+    if not delta:
+        ell = [one] + [zero] * (d - 1)
+    p = next(i for i, c in enumerate(ell) if c)
+    q = int(p == 0)
+    sigma = -1 if ell[p].value * ell[q].value > 0 else 1
+    rest = [i for i in range(d) if i != p and i != q]
     forms = {}
-    for (e1, e2, *m), c in g.terms.items():
-        if e1 + e2 + sum(m) >= 2:
-            forms.setdefault((e1 + e2, tuple(m)), {})[e1, e2] = c
+    for mono, c in f.terms.items():
+        if sum(mono) >= 2:
+            e_p, e_q = mono[p], mono[q]
+            form = forms.setdefault((e_p + e_q, tuple(mono[i] for i in rest)), {})
+            form[e_p, e_q] = -c if sigma < 0 and e_q % 2 else c
     tails = [{} for _ in range(n + 1)]
-    for (q, m), form in forms.items():
-        for tail, c in zip(tails, solve_degree(q, Polynomial._new(2, field, form))):
+    spread = {}  # tail monomial x2^e m -> f's monomials x_p^(e-i) x_q^i m', i = 0..e
+    for (e, m), form in forms.items():
+        key = (0, e) + m
+        spread[key] = [_spread(d, [(p, e - i), (q, i), *zip(rest, m)]) for i in range(e + 1)]
+        for tail, c in zip(tails, solve_degree(e, Polynomial._new(2, field, form))):
             if not c.is_zero():
-                tail[(0, q) + m] = c
+                tail[key] = c
     kept = [k for k, tail in enumerate(tails) if tail]
     extra = len(kept) == 1 and delta == 0
     xi_linear = assign_linear_coeffs(len(kept) + extra, delta)
 
-    # psi^-1 (the identity when it is None) as ints over psi_den.  Row 1 is
-    # l, and row j >= 2 the unit row of column cols[j - 2], so x2 -> y =
-    # x_(cols[0]) and a monomial m in x3..xd goes to the one monomial m'.
-    # Node k's summand is xi_k1 l + beta [j = 0] + sum lambda_(k,q,m) L_k^q m'
-    # with L_k = l + (k+1) y, over one denominator.
-    units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
-    if psi_inv is None:
-        psi_den, psi_rows = 1, units
-    else:
-        psi_den, psi_rows, _ = psi_inv.raw()
-    y, *cols = (next(i for i, v in enumerate(row) if v) for row in psi_rows[1:])
-    psi_powers = [psi_den**e for e in range(n + 1)]
-
-    one, zero = field.one(), field.zero()
-    origin = (0,) * d
-    expansions = {}  # (support, q) -> the terms of L^q for L supported there
+    # Node k's summand is theta_k's image of x1 under B_k, which sends x1
+    # to l, x2 to s_k and x_3..x_d to the ``rest`` by its unit rows:
+    # xi_k l + beta [j = 0] + sum_(e, m) lambda_(k,e,m) s_k^e m', each
+    # power expanded by the binomial theorem.  It is read from the ints of
+    # ``raw_images`` and ``raw``, the reads the verifier's replay makes,
+    # over den_t den_b^n; a unit row is den_b x_m, so a tail term of degree
+    # e in x2 takes den_b^(n-e) and the powers of s_k's ints a and b.
+    beta = f.constant_term()
+    units = [f._generator_key(d, i) for i in range(1, d + 1)]
+    origin = f._constant_key(d)
+    no_tail = Polynomial.zero(d, field)
     summands = []
     for j, k in enumerate(kept):
-        tail_terms = tails[k]
-        den, (lin, const, *lams) = field.to_raw([xi_linear[j], beta if j == 0 else zero, *tail_terms.values()])
-        raw = {u: lin * psi_powers[n - 1] * c for u, c in zip(units, psi_rows[0]) if c}
-        if const:
-            raw[origin] = const * psi_powers[n]
-        form = [c1 + (k + 1) * c2 for c1, c2 in zip(*psi_rows[:2])]
-        support = tuple(i for i, c in enumerate(form) if c)
-        powers = [[form[i] ** e for e in range(n + 1)] for i in support]
-        get = raw.get
-        for (_, q, *m), lam in zip(tail_terms, lams):
-            scale = lam * psi_powers[n - q]
-            terms = expansions.get((support, q))
-            if terms is None:
-                terms = expansions[support, q] = [
-                    (_spread(d, zip(support, exps)), mult, exps) for exps, mult in _power_terms(len(support), q)
-                ]
-            shift = _spread(d, zip(cols, m)) if any(m) else None
-            for mono, mult, exps in terms:
-                if shift:
-                    mono = tuple(map(add, mono, shift))
-                raw[mono] = get(mono, 0) + scale * mult * prod(map(getitem, powers, exps))
-
+        tail = tails[k]
         if j == 0 and not beta.is_zero():
-            tail_terms[origin] = beta
-        theta = TriangularAuto(
-            [xi_linear[j]] + [one] * (d - 1),
-            [Polynomial(d, field, tail_terms)] + [Polynomial.zero(d, field)] * (d - 1),
-        )
-        chain = [theta, _lattice_phis(d, n)[k]]
-        if psi_inv is not None:
-            chain.append(psi_inv)
-        summands.append((f._wrap_raw(den * psi_powers[n], raw), Certificate(chain, 1)))
+            tail[origin] = beta
+        theta = TriangularAuto([xi_linear[j]] + [one] * (d - 1), [Polynomial(d, field, tail)] + [no_tail] * (d - 1))
+        s_k = [zero] * d
+        s_k[p], s_k[q] = one, field(sigma * (k + 1))
+        basis = AffineAuto(basis_from_rows([ell, s_k], field))
+        den_t, image = theta.raw_images(f)[0]
+        den_b, (row_l, row_s, *_), _ = basis.raw()
+        a, b = row_s[p], row_s[q]
+        weights = [[den_b ** (n - e) * comb(e, i) * a ** (e - i) * b**i for i in range(e + 1)] for e in range(n + 1)]
+        raw = {}
+        for mono, c in image.items():
+            if mono == units[0]:
+                c *= den_b ** (n - 1)
+                raw.update((u, c * v) for u, v in zip(units, row_l) if v)
+            elif mono == origin:
+                raw[origin] = c * den_b**n
+            else:
+                raw.update(zip(spread[mono], (c * w for w in weights[mono[1]])))
+        summands.append((f._wrap_raw(den_t * den_b**n, raw), Certificate([theta, basis], 1)))
     if extra:
         minus_x1 = -Polynomial.variable(d, field, 1)
         summands.append((minus_x1, linear_certificate(minus_x1)))

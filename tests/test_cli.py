@@ -869,3 +869,45 @@ def test_a_document_decompose_writes_at_its_tightest_ceiling_verifies(tmp_path, 
     monkeypatch.setattr(field, "MAX_RAW_BITS", peak)
     assert _decompose_to(tmp_path, args)[1] == doc
     assert run(["verify", str(out)]) == 0
+
+
+def _dense_input():
+    """Every monomial of degree <= 6 in 3 variables, coefficients a/b with |a|, b <= 10^5."""
+    rng = random.Random(1)
+    terms = {
+        m: QQ(rng.choice([-1, 1]) * rng.randint(1, 10**5), rng.randint(1, 10**5))
+        for n in range(7)
+        for m in monomials_of_degree(3, n)
+    }
+    return poly_to_str(Polynomial(3, QQ, terms))
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "1/65521*x1 + 1/65519*x2 + 1/65497*x3 + x1^2 + x2*x3 - x3^3",
+        "1/65521*x1 + 1/65519*x2 + 1/65497*x3 + 5",
+        "-7/65521",
+        _dense_input(),
+    ],
+    ids=["linear-part", "linear", "constant", "dense"],
+)
+def test_decompose_reads_every_run_of_scalars_the_verifier_reads(tmp_path, monkeypatch, expr):
+    # The largest den bits x nonzero scalars of one to_raw in decompose is
+    # at least that of verify, so every document the verifier would refuse
+    # at the ceiling of MAX_RAW_BITS is refused by decompose first.
+    peak = 0
+    to_raw = FieldDescriptor.to_raw
+
+    def measured(self, scalars):
+        nonlocal peak
+        den, ints = to_raw(self, scalars)
+        peak = max(peak, den.bit_length() * sum(1 for v in ints if v))
+        return den, ints
+
+    monkeypatch.setattr(FieldDescriptor, "to_raw", measured)
+    out = tmp_path / "doc.json"
+    assert run(["decompose", "--out", str(out), "poly", "--vars", "3", "--", expr]) == 0
+    produced, peak = peak, 0
+    assert run(["verify", str(out)]) == 0
+    assert produced >= peak > 1

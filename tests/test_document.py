@@ -20,7 +20,7 @@ from primlen.field import FieldDescriptor, FieldScalar, field_from_flag
 from primlen.liedecomp import decompose_lie, verify_lie
 from primlen.parsing import parse_lie, parse_poly
 from primlen.polyauto import AffineAuto, certify_apply
-from primlen.polydecomp import decompose, verify
+from primlen.polydecomp import decompose
 
 from conftest import rand_lie, rand_poly
 from test_golden import LIE_CORPUS, LONG_CHAINS, POLY_CORPUS
@@ -197,17 +197,25 @@ def test_malformed_matrices_keep_their_messages(matrix, message):
     assert rebuild_problems(doc) == [f"document rebuild failed: {message}"]
 
 
-@pytest.mark.parametrize("name", ["d5-n3-linear-part", "d4-n6", "Q-d3", "F2-d4-second-prime"])
+def long_chain(name):
+    """The JSON value of the document of a ``LONG_CHAINS`` input, whose chains share rho^-1."""
+    arity, flag, expr = LONG_CHAINS[name]
+    return json.loads(json.dumps(lie_document(decompose_lie(parse_lie(expr, arity, field_from_flag(flag))))))
+
+
+def holders(doc):
+    """The 1-based positions of the summands whose chain ends in a linear factor."""
+    return [i for i, record in enumerate(doc["summands"], start=1) if record["certificate"][-1]["kind"] == "linear"]
+
+
+@pytest.mark.parametrize("name", sorted(LONG_CHAINS))
 def test_copies_of_one_affine_record_share_one_factor_validated_once(monkeypatch, name):
-    # the Lie goldens merge down to at most one copy of rho^-1; their LONG_CHAINS inputs keep copies
-    if name in LONG_CHAINS:
-        arity, flag, expr = LONG_CHAINS[name]
-        doc = json.loads(json.dumps(lie_document(decompose_lie(parse_lie(expr, arity, field_from_flag(flag))))))
-    else:
-        doc = golden(name)
-    kind = "linear" if name in LONG_CHAINS else "affine"
-    distinct = {json.dumps(f, sort_keys=True) for f in factors(doc, kind)}
-    assert len(factors(doc, kind)) > len(distinct)  # the check shows nothing without copies
+    # a polynomial basis change B_k differs from node to node, and the Lie
+    # goldens merge down to at most one copy of rho^-1; the LONG_CHAINS
+    # inputs keep copies of it
+    doc = long_chain(name)
+    distinct = {json.dumps(f, sort_keys=True) for f in factors(doc, "linear")}
+    assert len(factors(doc, "linear")) > len(distinct)  # the check shows nothing without copies
     validated = Counter()
     validate = AffineAuto.validate
 
@@ -216,33 +224,36 @@ def test_copies_of_one_affine_record_share_one_factor_validated_once(monkeypatch
         return validate(self)
 
     monkeypatch.setattr(AffineAuto, "validate", counted)
-    dec = (document.rebuild_lie if kind == "linear" else document.rebuild_poly)(doc)
+    dec = document.rebuild_lie(doc)
     shared = {id(a) for _, cert in dec.summands for a in cert.chain if isinstance(a, AffineAuto)}
     assert len(shared) == len(distinct)
-    assert (verify_lie if kind == "linear" else verify)(dec).ok
+    assert verify_lie(dec).ok
     assert set(validated) == shared and set(validated.values()) == {1}
 
 
 def test_a_bad_shared_factor_is_reported_by_each_summand_that_holds_it():
-    singular = [["0"] * 5 for _ in range(5)]
-    doc = golden("d5-n3-linear-part")
-    for record in doc["summands"]:
-        record["certificate"][-1]["matrix"] = copy.deepcopy(singular)
-    count = len(doc["summands"])
+    singular = [["0"] * 3 for _ in range(3)]
+    doc = long_chain("Q-d3")
+    held = holders(doc)
+    assert len(held) > 1
+    for i in held:
+        doc["summands"][i - 1]["certificate"][-1]["matrix"] = copy.deepcopy(singular)
     message = "invalid elementary factor (factor 3: matrix is singular)"
-    assert rebuild_problems(doc) == [f"summand {i}: {message}" for i in range(1, count + 1)]
-    doc = golden("d5-n3-linear-part")
-    doc["summands"][1]["certificate"][-1]["matrix"] = singular
-    assert rebuild_problems(doc) == [f"summand 2: {message}"]
+    assert rebuild_problems(doc) == [f"summand {i}: {message}" for i in held]
+    doc = long_chain("Q-d3")
+    doc["summands"][held[1] - 1]["certificate"][-1]["matrix"] = singular
+    assert rebuild_problems(doc) == [f"summand {held[1]}: {message}"]
 
 
 def test_a_matrix_of_string_rows_is_not_taken_for_its_array_copy():
-    # psi^-1 of d3-n4 has one-character entries, so the string "071" and
-    # the row ["0", "7", "1"] have equal tuples.
-    doc = golden("d3-n4")
-    last = doc["summands"][-1]["certificate"][-1]
-    assert last == doc["summands"][0]["certificate"][-1]
-    last["matrix"] = ["".join(row) for row in last["matrix"]]
+    # rho^-1 of the F101-d5 long chains has one-character entries, so the
+    # string "10003" and the row ["1", "0", "0", "0", "3"] have equal tuples.
+    doc = long_chain("F101-d5")
+    first, *_, last = holders(doc)
+    record = doc["summands"][last - 1]["certificate"][-1]
+    assert record == doc["summands"][first - 1]["certificate"][-1]
+    assert all(len(entry) == 1 for row in record["matrix"] for entry in row)
+    record["matrix"] = ["".join(row) for row in record["matrix"]]
     assert rebuild_problems(doc) == ["document rebuild failed: matrix row is not an array"]
 
 

@@ -6,13 +6,16 @@ change that alters documents on purpose updates the digests and says why.
 
 A polynomial document of degree n holds one summand per node k = 0..n
 with a tail, at most n + 1 against the bound binom(n+d-1, d-1): d3-n4,
-d3-n4-dense and d3-n4-tiny-coefficients 5 of 15, d4-n6 7 of 84, d5-n3 4
-of 35 and d5-n3-linear-part 2 of 35 (its nonlinear part becomes binary
-forms in x1 + x2 and x2 alone, which only nodes 0 and 1 carry).  d2-n3
-keeps every node, 4 of 4.
+d3-n4-dense and d3-n4-tiny-coefficients 5 of 15, d4-n6 7 of 84, and d5-n3
+and d5-n3-linear-part 4 of 35.  d2-n3 keeps every node, 4 of 4.  Each
+summand of degree > 1 is certified by a triangular factor and one basis
+change B_k, whose rows are the input's linear part and s_k in the input's
+own coordinates.
 
 A Lie document holds the summands left once every pair whose sum is
-gamma x_j + v, v free of x_j, has been merged, against the paper's bound:
+gamma x_j + v, v free of x_j, has been merged, against the paper's bound
+(the scaling in front of an inner factor, in Q-d3 and F2-d4, is a
+triangular factor with gamma at x_j):
 Q-d3 3 of 5, F2-d4 3 of 7, F101-d5 and Q-d4-quadratic 2 of 6,
 F2-d4-quadratic 2 of 7, F2-d3-extra 2 of 6, Q-d4-second-candidate 2 of 6
 and F2-d4-second-prime 2 of 7.
@@ -31,19 +34,19 @@ from primlen.polydecomp import decompose
 POLY_CORPUS = {
     "d2-n3": (
         2, "x1^3 - 2*x1^2*x2 + 1/3*x2^3 + x1*x2 - x2 + 4",
-        "ec8eae08c981941b9cb52af40f710d11eff813c046e7d20a2e34313fd0db7ee7",
+        "fba80d026e38bee692b8a5b054fd26c04dd832efdb9cc042ddb963111d90ff89",
     ),
     "d3-n4": (
         3, "x1^4 + x2^2*x3^2 - 5/2*x1*x2*x3 + x3^3 - x1^2 + 7*x2 + x3 - 1",
-        "fe28944b0dac1cd80f5a3c97870ad9d124365b2d2d369c629b804fd2519af6b9",
+        "176eb4bdc5cab75a81f38ffc9cf3bd402d94b71c181f29d7451015e571b584ff",
     ),
     "d4-n6": (
         4, "x1^6 - 3*x2^5*x3 + 2/7*x1*x2*x3*x4^3 + x4^6 - x1^2*x3^2 + x2*x4 + 5*x3 - 1",
-        "1affb13ea592311c64cc3a07f22617288d10fee81bea989ca5202971580d5c54",
+        "402688e4d087af230440dea2ebe0cdd18289c5dd0aaeb0330f84f545b8878b4b",
     ),
     "d5-n3": (
         5, "x1^3 + x2*x3*x4 - x5^3 + 3/4*x1*x5^2 + x2^2 - x4 + 2",
-        "bd139bc912377dd7b57a148443c30aa2fa64a0225390e2189c479d17418cfcf1",
+        "441144445b9412874850d7e225c1978c1ececc5d604e7f8a3427733784a00c7d",
     ),
     "constant": (
         3, "-7/2",
@@ -62,31 +65,31 @@ POLY_CORPUS = {
         " + 5/2*x2*x3^3 - 1/3*x3^4 - 2/3*x1^3 + 3*x1^2*x2 - 2*x1^2*x3 + 5/3*x1*x2^2 - x1*x2*x3"
         " + x1*x3^2 - x2^3 + 4*x2^2*x3 - 5/2*x2*x3^2 + 1/3*x3^3 - 1/3*x1^2 + 2*x1*x2"
         " - 3/2*x1*x3 + 4/3*x2^2 - 5*x2*x3 + 1/2*x3^2 + x1 - 4*x2 + 5/2*x3 - 1",
-        "dc16731a7dfe470a1d3e9aadeb808e373e8450163af0791861d507b631ad3220",
+        "fc3ae286681dac585a679aa16b37a36fc6916b6cf07d707c718bea3fce9a1435",
     ),
     # Coefficients of 40 digits and their reciprocals: every replayed
     # polynomial and affine matrix carries large common denominators.
     "d3-n4-tiny-coefficients": (
         3,
         f"1/{10**40}*x1^4 - 3/{10**41}*x1*x2^2*x3 + 7*x1*x3 + {10**40}*x3^2 - 1/{10**40}*x2 + 5/{10**39}",
-        "96bf5e4dd2413d211141781becebdf05f1976e0db76d2e55496a02c90e332693",
+        "0deca10a53527469a1d299db0fc0db30e167974f5d474e8b1f41f55053f894b6",
     ),
-    # A linear part with fractional coefficients: psi^-1 is a non-identity
-    # affine factor, so certificate replay composes it with the lattice map.
+    # A linear part with fractional coefficients: every basis change B_k
+    # carries it as its first row, over a common denominator.
     "d5-n3-linear-part": (
         5, "x1^3 - 2*x2*x3*x5 + 3/2*x1*x4^2 + x5^3 + 3/2*x1 - x2 + 2/3*x4 + x5 - 1/7",
-        "76614efa6f77c298d8b6cb5aaa89f3c5cf9557cf3ebca8303750c7f2f83af186",
+        "915349c61a64b2c2a3f9ac3b6f554e8505df131aba48d37ba3b112b21ce0a2bc",
     ),
 }
 
 LIE_CORPUS = {
     "Q-d3": (
         3, "Q", "[x2,x1,x3] - 3/2*[x3,x1] + x1 - 2*x3",
-        "76006216daf7557c970030c8771706c09252ac1782ffc8553ff63bae6f241dd9",
+        "54f926363af27652361edf209b6406117f7466a7d23404bea33a88a55c8c61e5",
     ),
     "F2-d4": (
         4, "F2", "[x2,x1,x1] + [x4,x3] + [x3,x1,x2,x4] + x2",
-        "d49392061ba5b58de15cc8b0c3e5bae79d19a80892fdb4b2a9585c16e0f2c600",
+        "7ae59428e2bf07ff7a92d686e61a3e82bdd43a5a76ec7680acecb75e750b28fe",
     ),
     "F101-d5": (
         5, "F101", "7*[x5,x1,x2] - [x3,x2] + 50*[x4,x1,x3,x3] + x1 + 3*x5",
@@ -127,14 +130,14 @@ LIE_CORPUS = {
 }
 
 
-# Each of these Lie goldens' inputs with one or two words added, so that
-# the merged document still has chains of a diagonal, an inner and a linear
-# factor, and repeats a linear factor.  Over F2 the quadratic part stays
-# [x3,x1], so z' = (0, 1) as in the golden.
+# Each of these Lie goldens' inputs with one to three words added, so that
+# the merged document still has chains of a scaling, an inner and a linear
+# factor, and repeats a linear factor, rho^-1.  Over F2 the quadratic part
+# stays [x3,x1], so z' = (0, 1) as in the golden.
 LONG_CHAINS = {
     "Q-d3": (3, "Q", "[x2,x1,x3] + [x2,x1,x2] - 3/2*[x3,x1] + x1 - 2*x3"),
     "F101-d5": (5, "F101", "7*[x5,x1,x2] - [x3,x2] + 50*[x4,x1,x3,x3] + [x2,x1,x4] + x1 + 3*x5"),
-    "F2-d4-second-prime": (4, "F2", "[x3,x1] + [x2,x1,x4] + [x4,x1,x3] + x1"),
+    "F2-d4-second-prime": (4, "F2", "[x3,x1] + [x2,x1,x4] + [x4,x1,x3] + [x3,x1,x2] + x1"),
 }
 
 

@@ -379,9 +379,9 @@ def count_scalars(monkeypatch):
 
 @pytest.mark.parametrize("name", ["d5-n3-linear-part", "Q-d3", "F101-d5"])
 def test_certify_apply_builds_scalars_only_for_its_result(monkeypatch, name):
-    """d5-n3-linear-part puts a fractional psi^-1 after each lattice map; the
-    Lie inputs (``LONG_CHAINS``) carry diagonal and inner factors, then
-    rho^-1."""
+    """d5-n3-linear-part puts a basis change with a fractional row after each
+    triangular factor; the Lie inputs (``LONG_CHAINS``) carry scaling and
+    inner factors, then rho^-1."""
     if name in POLY_CORPUS:
         arity, expr, _ = POLY_CORPUS[name]
         f = parse_poly(expr, arity, QQ)

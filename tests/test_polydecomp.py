@@ -12,7 +12,7 @@ from primlen.liedecomp import decompose_lie, lie_bound
 from primlen.multipoly import Polynomial, monomials_of_degree, multinomial
 from primlen.parsing import parse_lie, parse_poly, poly_to_str
 from primlen.metalie import LieElement
-from primlen.polyauto import Certificate, TriangularAuto, apply_auto, certify_apply, invert_auto, linearize
+from primlen.polyauto import AffineAuto, Certificate, TriangularAuto, apply_auto, certify_apply, invert_auto, linearize
 from primlen.linalg import DenseMatrix, bareiss_determinant, solve_square
 from primlen.polydecomp import (
     FINITE,
@@ -20,7 +20,6 @@ from primlen.polydecomp import (
     Decomposition,
     MAX_DEGREE,
     assign_linear_coeffs,
-    _lattice_phis,
     decompose,
     plength_bound,
     poly_bound,
@@ -69,19 +68,52 @@ def test_poly_bound_matches_decompose(f, bound):
     assert decompose(f).bound == bound
 
 
+def linear_part(d, coeffs):
+    """The linear form sum_i coeffs[i] x_(i+1) in d variables."""
+    return Polynomial(d, QQ, {tuple(int(j == i) for j in range(d)): c for i, c in enumerate(coeffs)})
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_lattice_nodes_levels(n, d):
-    # Node k is s_k = x1 + (k+1)*x2 at every arity: phi_k has the rows e_1,
-    # s_k and the unit rows of x3..xd, and the nodes 0..p serve degree p.
-    phis = _lattice_phis(d, n)
-    assert len(phis) == n + 1 and _lattice_phis(d, n) is phis
-    for k, phi in enumerate(phis):
-        rows = [[phi.matrix.get(i, j).value for j in range(d)] for i in range(d)]
-        units = [[int(i == j) for j in range(d)] for i in range(d)]
-        assert rows == [units[0], [1, k + 1] + [0] * (d - 2)] + units[2:]
-    for p in range(n + 1):
-        _, matrix = reference_lattice_matrix(p)
+    # Node k is s_k = x_p + sigma*(k+1)*x_q, with p the pivot of the linear
+    # part l (e_1 without one), q = x1 past it and x2 otherwise, and sigma
+    # = -1 when l_q/l_p > 0.  B_k has the rows l and s_k and then the unit
+    # rows off {p, q} in index order, and is invertible at every node:
+    # l = x1 + x2 + x3 takes sigma = -1, x1 + 3*x2 a ratio equal to k + 1
+    # for k = 2, and x2 + x3 its pivot past x1.  x1^n keeps the input off
+    # the one-summand shape gamma x_j + v.  The nodes 0..e serve degree e.
+    rng = random.Random(f"nodes:{n}:{d}")
+    cases = [
+        ([], 0, 1, 1),
+        ([1, 1, 1][:d], 0, 1, -1),
+        ([1, 3], 0, 1, -1),
+        ([-2, 5], 0, 1, 1),
+        ([0, 1, 1][:d], 1, 0, 1),
+    ]
+    for coeffs, p, q, sigma in cases:
+        terms = {m: c for m, c in seeded_input(rng, d, n, dense=False).terms.items() if sum(m) != 1}
+        terms[(n,) + (0,) * (d - 1)] = QQ(1)
+        f = Polynomial(d, QQ, terms) + linear_part(d, [QQ(c) for c in coeffs])
+        dec = decompose(f)
+        ell = coeffs + [0] * (d - len(coeffs)) if coeffs else [1] + [0] * (d - 1)
+        units = [[int(i == j) for j in range(d)] for i in range(d) if i not in (p, q)]
+        nodes = []
+        for summand, cert in dec.summands:
+            if len(cert.chain) == 1:  # the summand -x1 of a lone node without a linear part
+                assert summand == -Polynomial.variable(d, QQ, 1) and not coeffs
+                continue
+            theta, basis = cert.chain
+            rows = [[basis.matrix.get(i, j).value for j in range(d)] for i in range(d)]
+            k = abs(rows[1][q]) - 1
+            nodes.append(k)
+            assert rows == [ell, [int(j == p) + (sigma * (k + 1) if j == q else 0) for j in range(d)]] + units
+            assert ell[p] * sigma * (k + 1) - ell[q] != 0
+            assert not bareiss_determinant(basis.matrix)[0].is_zero()
+        assert nodes == sorted(set(nodes)) and all(0 <= k <= n for k in nodes), (coeffs, nodes)
+        assert_verifies(dec)
+    for e in range(n + 1):
+        _, matrix = reference_lattice_matrix(e)
         assert not bareiss_determinant(matrix)[0].is_zero()
 
 
@@ -194,12 +226,29 @@ def test_linearize_already_normalized():
     assert g == f and psi_inv.matrix == DenseMatrix.identity(2, QQ)
 
 
-def test_a_linear_part_of_exactly_x1_carries_an_identity_psi_inverse():
-    dec = decompose(poly({(1, 0): 1, (1, 1): 1}))  # x1 + x1*x2
-    assert dec.count == 3
-    for _, cert in dec.summands:
-        assert len(cert.chain) == 3 and cert.chain[-1].matrix == DenseMatrix.identity(2, QQ)
-    assert verify(dec).ok
+@pytest.mark.parametrize(
+    "arity, text, count",
+    [
+        (2, "x1 + x1*x2", 3),
+        (2, "x1*x2", 3),
+        (3, "x3^2", 2),
+        (3, "x1 + x2 + x3 + x1*x2*x3", 3),
+        (3, "2*x3 - x2 + x1^2 + x2^2*x3", 3),
+        (4, "1/2*x1 + 3/2*x2 - x4 + x1^3 + x3^2 + 7", 4),
+    ],
+)
+def test_every_polynomial_certificate_is_triangular_then_affine(arity, text, count):
+    # theta_k, then the one basis change B_k; a lone node without a linear
+    # part (x3^2) adds -x1, whose certificate is its one affine factor
+    dec = decompose(parse_poly(text, arity, QQ))
+    assert dec.count == count
+    for summand, cert in dec.summands:
+        kinds = [type(factor) for factor in cert.chain]
+        if summand == -Polynomial.variable(arity, QQ, 1):
+            assert kinds == [AffineAuto]
+        else:
+            assert kinds == [TriangularAuto, AffineAuto] and cert.generator_index == 1
+    assert_verifies(dec)
 
 
 @pytest.mark.parametrize(
@@ -420,17 +469,28 @@ def tailed_count(f):
     """The summand count decompose reaches for f of degree n > 1 in d > 1 variables.
 
     One for f of the shape ``is_triangular``.  Otherwise one summand per node
-    k with a tail (some lambda_(k,q,m) != 0 over the binary forms B_(q,m) of
-    the linearized input), and one more, -x1, when a single node has a tail
-    and f has no linear part.
+    k with a tail (some lambda_(k,e,m) != 0 over the binary forms B_(e,m)
+    in x_p and x_q, p the pivot of the linear part l, or x1 without one,
+    and q = x1 past it or x2, read with x_q -> -x_q when l_q/l_p > 0), and
+    one more, -x1, when a single node has a tail and f has no linear part.
     """
     if is_triangular(f):
         return 1
-    psi_inv, g = linearize(f)
+    ell = [c.value for c in f.linear_coefficients()]
+    delta = any(ell)
+    p = next(i for i, c in enumerate(ell) if c) if delta else 0
+    q = int(p == 0)
+    sign = -1 if ell[p] * ell[q] > 0 else 1
+    rest = [i for i in range(f.arity) if i not in (p, q)]
+    forms = {}
+    for mono, c in f.terms.items():
+        if sum(mono) >= 2:
+            form = forms.setdefault((mono[p] + mono[q], tuple(mono[i] for i in rest)), {})
+            form[mono[p], mono[q]] = c * sign ** mono[q]
     tailed = set()
-    for (q, _), form in binary_forms(g).items():
-        tailed.update(k for k, c in enumerate(solve_degree(q, Polynomial(2, QQ, form))) if not c.is_zero())
-    return len(tailed) + (len(tailed) == 1 and psi_inv is None)
+    for (e, _), form in forms.items():
+        tailed.update(k for k, c in enumerate(solve_degree(e, Polynomial(2, QQ, form))) if not c.is_zero())
+    return len(tailed) + (len(tailed) == 1 and not delta)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -470,6 +530,37 @@ def test_the_count_is_the_number_of_nodes_with_a_tail(f):
     assert_verifies(dec)
 
 
+@st.composite
+def polys_with_node_ratios(draw):
+    """A polynomial whose linear part is c times ints r_i, r_i = 0 or +-1..n+1, its pivot's r = 1.
+
+    So the ratio l_q/l_p that decides sigma lands on the nodes' k + 1 as
+    often as not, with either sign, and the pivot may lie past x1.
+    """
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(2, 6))
+    coeff = coefficients(draw(st.sampled_from([2, 20])))
+    terms = {draw(st.sampled_from(list(monomials_of_degree(d, n)))): draw(coeff.filter(bool))}
+    for p in [0] + list(range(2, n)):
+        for m in draw(st.lists(st.sampled_from(list(monomials_of_degree(d, p))), max_size=3)):
+            terms[m] = draw(coeff)
+    ratio = st.sampled_from([0] + [sign * r for r in range(1, n + 2) for sign in (1, -1)])
+    pivot = draw(st.integers(0, d - 1))
+    scale = draw(coeff.filter(bool))
+    for i in range(pivot, d):
+        r = 1 if i == pivot else draw(ratio)
+        terms[tuple(int(j == i) for j in range(d))] = scale * QQ(r)
+    return Polynomial(d, QQ, terms)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(polys_with_node_ratios())
+def test_a_linear_part_with_ratios_on_the_nodes_verifies_within_n_plus_one(f):
+    dec = decompose(f)
+    assert dec.count <= max(f.total_degree() + 1, 2)
+    assert_verifies(dec)
+
+
 @pytest.mark.parametrize(
     "arity, text, count, bound, shown",
     [
@@ -491,7 +582,7 @@ def test_the_count_is_the_number_of_nodes_with_a_tail(f):
         (3, "x3^2", 2, 6, ["x3^2 + x1", "-x1"]),
         # q = 1: x1 = 2*s_0 - s_1, so x1*x3 = 2*s_0*x3 - s_1*x3.
         (3, "x1*x3", 2, 6, ["2*x1*x3 + 2*x2*x3 + x1", "-x1*x3 - 2*x2*x3 - x1"]),
-        # The linear part x3 has its pivot past x1: psi^-1 sends x2 to x1.
+        # The linear part x3 has its pivot past x1: s_k = x3 + (k+1)*x1.
         (3, "x3 + x1*x2 + x2^2*x3", 2, 10, None),
     ],
 )
@@ -564,12 +655,12 @@ def test_decompose_neither_replays_nor_eliminates(monkeypatch):
     monkeypatch.setattr(polydecomp, "replay_raw", refuse)
     monkeypatch.setattr(polyauto, "replay_raw", refuse)  # certify_apply replays through it
     monkeypatch.setattr(linalg, "solve_square", refuse)
-    monkeypatch.setattr(polyauto, "matrix_inverse", refuse)  # psi is read off psi^-1
+    monkeypatch.setattr(polyauto, "matrix_inverse", refuse)  # linearize reads rho off rho^-1
     rng = random.Random(35)
     for d, n in [(2, 5), (3, 4), (4, 3), (5, 2)]:
         f = rand_poly(rng, d, n, coeff_bound=10**40)
         assert decompose(f).count == tailed_count(f)
-        g = f + Polynomial.variable(d, QQ, d)  # a linear part, so decompose runs linearize
+        g = f + Polynomial.variable(d, QQ, d)  # a linear part, pivoting past x1 for d > 1
         assert decompose(g).count == tailed_count(g)
     for field in (QQ, GF(2), GF(101)):
         f = rand_lie(rng, 4, 4, field) + LieElement.generator(4, field, 2)
