@@ -8,7 +8,10 @@ output, without indentation or spaces after separators, so the C encoder
 of the json module writes them; indented documents (written before the
 compact form) are the same JSON value and load and verify alike.
 Documents written before ``stats.ops`` was dropped still load and verify:
-the verifier ignores that field.
+the verifier ignores that field.  In both algebras a triangular record
+states its ``ordering`` only when it is not 1..d, and a record without one
+has the ordering 1..d; so older documents, whose Lie records always state
+it and whose polynomial records never do, verify as well.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ def _factor_to_json(auto, lie, to_str):
     """The JSON record of one factor, its elements printed with ``to_str``.
 
     A Lie document spells an affine factor as "linear", without the offset
-    (it is zero), and gives every triangular factor its ordering; the
-    triangular factors of polynomial certificates keep the ordering 1..d.
+    (it is zero).  A triangular factor of either algebra states its
+    ordering only when it is not 1..d.
     """
     if isinstance(auto, AffineAuto):
         rows = [list(map(str, auto.matrix.row(i))) for i in range(auto.arity)]
@@ -64,13 +67,14 @@ def _factor_to_json(auto, lie, to_str):
             "gammas": list(map(str, auto.gammas)),
             "tails": [to_str(t) for t in auto.tails],
         }
-        if lie:
+        if auto.ordering != tuple(range(1, auto.arity + 1)):
             record["ordering"] = list(auto.ordering)
         return record
     return {"kind": "inner", "element": to_str(auto.element)}
 
 
 def _factor_from_json(record, texts):
+    """The factor of a JSON record; a triangular record without an ``ordering`` has the ordering 1..d."""
     lie = texts.lie
     kind = record["kind"]
     if kind == ("linear" if lie else "affine"):
@@ -81,7 +85,7 @@ def _factor_from_json(record, texts):
         gammas = list(map(texts.scalar, _json_list(record["gammas"], "gammas")))
         tails = list(map(texts.element, _json_list(record["tails"], "tails")))
         ordering = None
-        if lie:
+        if "ordering" in record:
             ordering = [_json_int(i, "ordering entry") for i in _json_list(record["ordering"], "ordering")]
         return TriangularAuto(gammas, tails, ordering)
     if lie and kind == "inner":

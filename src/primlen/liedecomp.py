@@ -4,29 +4,33 @@ Every element is a sum of at most 5 certified primitive elements for d = 3
 (6 when the field has only two elements) and at most 6 for d > 3 (7 over
 GF(2)).  Three certificate shapes cover all summands:
 
-* gamma x_j + v, v in the other generators: one triangular automorphism
-  with respect to an ordering that puts x_j first;
+* gamma x_j + v, v in the other generators, every linear summand
+  included: one triangular automorphism with respect to an ordering that
+  puts x_j first, built by ``polyauto.triangular_certificate``, the
+  builder the polynomial pipeline uses;
 * gamma x_j + [w, x_j], w in the commutator ideal: the scaling x_j ->
   gamma x_j, a triangular automorphism that puts x_j first, followed by
   the inner automorphism exp(-(1/gamma) ad w);
 * y_1 + [y_2, y_3] for linearly independent linear forms y_1, y_2, y_3: a
   triangular automorphism followed by the basis change x_i -> y_i.
 
-Every basis change, this one and those of linear summands and of the
-normalization, is ``linalg.basis_from_rows``: the given rows, then the
-standard vectors off their pivot columns, in index order.  The pivot
-columns are the first columns on which the rows stay independent; one row
-pivots on its first nonzero coefficient.  The same elimination
+Every basis change, this one and that of the normalization
+(``polyauto.linearize``), is ``linalg.basis_from_rows``: the given rows,
+then the standard vectors off their pivot columns, in index order.  The
+pivot columns are the first columns on which the rows stay independent;
+one row pivots on its first nonzero coefficient.  The same elimination
 (``linalg.pivot_columns``) decides whether the linear coefficients (1, 1),
 and over GF(2) (1, 0), are independent from the quadratic part; on that
 answer ``choose_lie_coeffs`` follows the paper's case split, with no
-search.  The linear summands use the builder the polynomial pipeline
-uses, ``polyauto.linear_certificate``, and the normalization
-``polyauto.linearize``.
+search.
 
 The factors, ``InnerLieAuto`` included, are plain records, checked by
 nothing when built; ``polyauto.validate_certificate``, which
 ``check_summands`` runs before any replay, is the only validity check.
+Each is read to ints when it is built (``TriangularAuto.raw``,
+``AffineAuto.raw``, the inner element's ``_raw``), the read its
+``raw_images`` makes in the verifier's replay, so ``decompose_lie`` meets
+the ceiling of ``FieldDescriptor.to_raw`` on every run the verifier reads.
 
 The pipeline normalizes the linear part to delta x1, splits off the
 commutator words containing x1, buckets them by a trailing generator that
@@ -35,8 +39,9 @@ split, and maps everything back.  Last, ``_merge_triangular`` merges every
 pair of summands whose sum has the first shape, gamma x_j + v with no
 word of v mentioning x_j, into that sum, until no pair merges, and gives
 the one-factor triangular certificate to every summand of that shape with
-a longer chain; the triangular factor may put any generator first.  An
-input of that shape is one summand.  Merging only lowers the count, so it
+a longer chain (``polyauto.triangular_summand``); the triangular factor
+may put any generator first.  An input of that shape, every input of
+degree 1 among them, is one summand.  Merging only lowers the count, so it
 stays within the bound.
 """
 
@@ -45,7 +50,7 @@ from __future__ import annotations
 from .errors import UnsupportedInputError
 from .linalg import basis_from_rows, pivot_columns
 from .metalie import LieElement, _inner_raw, bracket, split_parts
-from .polyauto import AffineAuto, Certificate, TriangularAuto, apply_images, linear_certificate, linearize
+from .polyauto import AffineAuto, Certificate, apply_images, linearize, triangular_certificate, triangular_summand
 from .polydecomp import ZERO_NOTE, Decomposition, Record, check_summands
 
 
@@ -211,23 +216,15 @@ def choose_lie_coeffs(d, delta, beta, field):
 # -- certificates for the three summand shapes --------------------------------
 
 
-def _triangular_cert(gen, gamma, tail):
-    """Certificate for gamma x_gen + tail, tail avoiding x_gen."""
-    d = tail.arity
-    ordering = (gen,) + tuple(i for i in range(1, d + 1) if i != gen)
-    gammas = [gamma] + [tail.field.one()] * (d - 1)
-    tails = [tail] + [tail._wrap({})] * (d - 1)
-    return Certificate([TriangularAuto(gammas, tails, ordering)], gen)
-
-
 def _inner_cert(gen, gamma, w):
     """Certificate for gamma x_gen + [w, x_gen]: the scaling x_gen -> gamma x_gen, then inner."""
     inner = InnerLieAuto(w.scale(-gamma.inverse()))
-    return Certificate(_triangular_cert(gen, gamma, w._wrap({})).chain + [inner], gen)
+    inner.element._raw()
+    return Certificate(triangular_certificate(gen, gamma, w._wrap({})).chain + [inner], gen)
 
 
 def _quadratic_cert(zeta_coeffs, beta, d, field):
-    """Certificate for y_1 + [y_2, y_3]: triangular then basis change.
+    """Certificate for y_1 + [y_2, y_3]: x1 -> x1 + [x2, x3], then the basis change x_i -> y_i.
 
     y_1 has coefficients zeta_coeffs, y_2 = sum beta_j x_j (j >= 2),
     y_3 = x_1; the three must be linearly independent.
@@ -236,13 +233,9 @@ def _quadratic_cert(zeta_coeffs, beta, d, field):
     y2 = [field.zero()] + list(beta)
     y3 = [field.one()] + [field.zero()] * (d - 1)
     basis_change = AffineAuto(basis_from_rows([y1, y2, y3], field))
-    tail = bracket(
-        LieElement.generator(d, field, 2), LieElement.generator(d, field, 3)
-    )
-    gammas = [field.one()] * d
-    tails = [tail] + [LieElement.zero(d, field)] * (d - 1)
-    triangular = TriangularAuto(gammas, tails)
-    return Certificate([triangular, basis_change], 1)
+    basis_change.raw()
+    tail = bracket(LieElement.generator(d, field, 2), LieElement.generator(d, field, 3))
+    return Certificate(triangular_certificate(1, field.one(), tail).chain + [basis_change], 1)
 
 
 # -- merging summands whose sum is triangular ----------------------------------
@@ -267,20 +260,8 @@ def _parts(u):
     return linear, words
 
 
-def _lead(parts):
-    """The least j with u = gamma x_j + v, gamma != 0 and v free of x_j, as (j, gamma), or None.
-
-    u is given by its ``_parts``.
-    """
-    linear, words = parts
-    for j in sorted(linear):
-        if j not in words:
-            return j, linear[j]
-    return None
-
-
 def _merges(a, b, p):
-    """Whether a + b = gamma x_j + v for some j (see ``_lead``), for a and b given by their ``_parts``.
+    """Whether a + b = gamma x_j + v, v free of x_j, for some j, for a and b given by their ``_parts``.
 
     The sum is not built: on x_j, the longer words of a and b mentioning
     x_j must cancel exactly (over GF(p) mod p, ``p`` not None), and their
@@ -302,13 +283,6 @@ def _merges(a, b, p):
     return False
 
 
-def _triangular_summand(u, lead):
-    """(u, its one-factor triangular certificate) for u = gamma x_j + v, lead = (j, gamma)."""
-    j, gamma = lead
-    tail = u._wrap({w: c for w, c in u.terms.items() if w != (j,)})
-    return u, _triangular_cert(j, gamma, tail)
-
-
 def _merge_triangular(summands, p):
     """The summands with every pair whose sum is gamma x_j + v merged into one, v free of x_j.
 
@@ -316,9 +290,9 @@ def _merge_triangular(summands, p):
     ones, first to last; the first it merges with (``_merges``) leaves
     the list, and their sum is tried in its place.  So no two kept
     summands merge.  A sum is certified by one triangular automorphism
-    that puts x_j first, for the least such j, and so is every kept
-    summand of that shape whose certificate chain is longer.  ``p`` is the
-    characteristic, None over Q.
+    that puts x_j first, for the least such j (``polyauto.triangular_summand``),
+    and so is every kept summand of that shape whose certificate chain is
+    longer.  ``p`` is the characteristic, None over Q.
     """
     kept = []  # (summand, certificate, parts), with no certificate for a sum
     for u, cert in summands:
@@ -333,9 +307,9 @@ def _merge_triangular(summands, p):
             parts = _parts(u)
         kept.append((u, cert, parts))
     merged = []
-    for u, cert, parts in kept:
-        lead = None if cert is not None and len(cert.chain) == 1 else _lead(parts)
-        merged.append((u, cert) if lead is None else _triangular_summand(u, lead))
+    for u, cert, _ in kept:
+        summand = None if cert is not None and len(cert.chain) == 1 else triangular_summand(u)
+        merged.append((u, cert) if summand is None else summand)
     return merged
 
 
@@ -348,11 +322,9 @@ def decompose_lie(f):
     bound = lie_bound(d, field)
     if f.is_zero():
         return Decomposition(f, [], bound, notes=[ZERO_NOTE])
-    if f.degree() == 1:
-        return Decomposition(f, [(f, linear_certificate(f))], bound)
-    lead = _lead(_parts(f))
-    if lead is not None:
-        return Decomposition(f, [_triangular_summand(f, lead)], bound)
+    summand = triangular_summand(f)
+    if summand is not None:
+        return Decomposition(f, [summand], bound)
 
     rho_inv, g = linearize(f)
     delta = 0 if rho_inv is None else 1
@@ -363,7 +335,7 @@ def decompose_lie(f):
 
     gen = lambda i: LieElement.generator(d, field, i)
     coeffs = choose_lie_coeffs(d, delta, beta, field)
-    summands = [(gen(1).scale(coeffs.xi) + v, _triangular_cert(1, coeffs.xi, v))]
+    summands = [(gen(1).scale(coeffs.xi) + v, triangular_certificate(1, coeffs.xi, v))]
     if d == 3:
         for k, (xi_k, w_k) in enumerate(zip(coeffs.xi_by_gen, bucket_d3(t)), start=1):
             summands.append((gen(k).scale(xi_k) + bracket(w_k, gen(k)), _inner_cert(k, xi_k, w_k)))
@@ -372,8 +344,8 @@ def decompose_lie(f):
         eta_dm1, eta_d = coeffs.eta_pair
         xi_dm1, xi_d = coeffs.xi_pair
         summands += [
-            (gen(d - 1).scale(eta_dm1) + w3, _triangular_cert(d - 1, eta_dm1, w3)),
-            (gen(d).scale(eta_d) + w4, _triangular_cert(d, eta_d, w4)),
+            (gen(d - 1).scale(eta_dm1) + w3, triangular_certificate(d - 1, eta_dm1, w3)),
+            (gen(d).scale(eta_d) + w4, triangular_certificate(d, eta_d, w4)),
             (gen(d).scale(xi_d) + bracket(w1, gen(d)), _inner_cert(d, xi_d, w1)),
             (gen(d - 1).scale(xi_dm1) + bracket(w2, gen(d - 1)), _inner_cert(d - 1, xi_dm1, w2)),
         ]
@@ -388,11 +360,11 @@ def decompose_lie(f):
     if not beta_part.is_zero():
         summands.append((u3, _quadratic_cert(zeta_vec, beta, d, field)))
     elif not u3.is_zero():
-        summands.append((u3, linear_certificate(u3)))
+        summands.append(triangular_summand(u3))
     if coeffs.extra is not None:
         u4 = LieElement(d, field, {(d - 1,): zeta_dm1 - prime[0], (d,): zeta_d - prime[1]})
         if not u4.is_zero():
-            summands.append((u4, linear_certificate(u4)))
+            summands.append(triangular_summand(u4))
 
     if rho_inv is not None:
         images = rho_inv.raw_images(f)

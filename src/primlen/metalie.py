@@ -99,12 +99,6 @@ class LieElement(SparseElement):
     def homogeneous_component(self, m):
         return self._wrap({w: c for w, c in self.terms.items() if len(w) == m})
 
-    def linear_coefficients(self):
-        coeffs = []
-        for i in range(1, self.arity + 1):
-            coeffs.append(self.terms.get((i,), self.field.zero()))
-        return coeffs
-
     def has_linear_part(self):
         return any(len(w) == 1 for w in self.terms)
 

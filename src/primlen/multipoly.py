@@ -166,11 +166,6 @@ class Polynomial(SparseElement):
         """The indices of the variables that occur in a stored monomial."""
         return {i for mono in self.terms for i in compress(count(1), mono)}
 
-    def linear_coefficients(self):
-        """Coefficients (c_1, ..., c_d) of the degree-1 component."""
-        zero, d = self.field.zero(), self.arity
-        return [self.terms.get(self._generator_key(d, i), zero) for i in range(1, d + 1)]
-
     # -- ring operations ---------------------------------------------------
 
     def __mul__(self, other):

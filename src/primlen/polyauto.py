@@ -32,9 +32,13 @@ verifier compares that pair with its summand on ints and builds no scalar;
 ``certify_apply`` wraps it for callers that want the element, with one
 scalar per term of the result.  Every linear factor is a
 ``linalg.basis_from_rows`` matrix: the basis changes of the polynomial
-summands (``polydecomp``), ``linearize`` for the Lie pipeline's map that
-sends a linear part to x1, ``linear_certificate`` for a summand of degree
-1 in either algebra.
+summands (``polydecomp``) and of the Lie quadratic summand, and
+``linearize`` for the Lie pipeline's map that sends a linear part to x1.
+
+One builder serves the simplest primitive shape of both algebras, gamma
+x_j + v with v free of x_j: ``triangular_summand`` recognizes it and
+``triangular_certificate`` certifies it by one triangular factor ordering
+x_j first, read to ints as the verifier's replay reads it.
 """
 
 from __future__ import annotations
@@ -171,10 +175,14 @@ class TriangularAuto:
                 problems.append(f"tail of x{gen} mentions forbidden generator x{min(forbidden)}")
         return problems
 
+    def raw(self, field):
+        """(den, ints): the gammas, then every tail's coefficients, read with one ``to_raw``."""
+        return field.to_raw(self.gammas + [c for tail in self.tails for c in tail.terms.values()])
+
     def raw_images(self, like):
         """The images gamma x_gen + tail; a tail never mentions its own generator (``validate``)."""
         d = like.arity
-        den, ints = like.field.to_raw(self.gammas + [c for tail in self.tails for c in tail.terms.values()])
+        den, ints = self.raw(like.field)
         rest = iter(ints[len(self.gammas) :])
         images = [None] * d
         for gen, gamma, tail in zip(self.ordering, ints, self.tails):
@@ -267,20 +275,37 @@ def linearize(f):
     return psi_inv, apply_images(images, f)
 
 
-def linear_certificate(f, constant=None):
-    """The certificate of a primitive element f of degree 1, as the image of x1.
+def triangular_certificate(j, gamma, tail):
+    """The certificate of gamma x_j + tail, tail free of x_j: one triangular factor ordering x_j first.
 
-    One affine factor: the matrix ``basis_from_rows([f_1])`` and, for a
-    polynomial, ``constant`` (the constant term of f) as the offset of x1.
-    The factor is read to ints here (``AffineAuto.raw``), the read the
-    verifier's replay makes, so the producer refuses every run of scalars
-    past the ceiling of ``FieldDescriptor.to_raw`` that the verifier would.
+    The ordering is j, then 1..d without j; the tail of x_j is ``tail``,
+    every other gamma is 1 and every other tail zero.  The factor is read
+    to ints here (``TriangularAuto.raw``), the read of the verifier's
+    replay, so the producer refuses every run of scalars past the ceiling
+    of ``FieldDescriptor.to_raw`` that the verifier would.
     """
-    d, field = f.arity, f.field
-    offset = None if constant is None else [constant] + [field.zero()] * (d - 1)
-    auto = AffineAuto(basis_from_rows([f.linear_coefficients()], field), offset)
-    auto.raw()
-    return Certificate([auto], 1)
+    d = tail.arity
+    ordering = (j,) + tuple(i for i in range(1, d + 1) if i != j)
+    auto = TriangularAuto([gamma] + [tail.field.one()] * (d - 1), [tail] + [tail._wrap({})] * (d - 1), ordering)
+    auto.raw(tail.field)
+    return Certificate([auto], j)
+
+
+def triangular_summand(u):
+    """(u, ``triangular_certificate(j, gamma, v)``) when u = gamma x_j + v with v free of x_j, else None.
+
+    j is the least index whose generator has a nonzero linear coefficient
+    and occurs in no other term of u (a polynomial's constant term mentions
+    none), so every element of degree 1 has this shape.
+    """
+    d, terms = u.arity, u.terms
+    units = {u._generator_key(d, i): i for i in range(1, d + 1)}
+    others = u._wrap({key: c for key, c in terms.items() if key not in units}).mentioned()
+    j = min((units[key] for key in terms if key in units and units[key] not in others), default=None)
+    if j is None:
+        return None
+    unit = u._generator_key(d, j)
+    return u, triangular_certificate(j, terms[unit], u._wrap({key: c for key, c in terms.items() if key != unit}))
 
 
 def replay_raw(cert, like):

@@ -24,9 +24,9 @@ construction keeps f's own coordinates:
    with m's exponents on x3..xd in index order, and keep the M nodes with
    a tail.  The kept nodes get nonzero linear coefficients xi_k1 summing
    to delta (``assign_linear_coeffs(M, delta)``), and the first of them
-   the constant beta.  When M = 1 and delta = 0 a second summand, -x1 with
-   its ``linear_certificate``, cancels the lone xi_k1.  So the count is
-   M <= n + 1, or 2 in that case;
+   the constant beta.  When M = 1 and delta = 0 a second summand, -x1
+   with its one triangular factor, cancels the lone xi_k1.  So the count
+   is M <= n + 1, or 2 in that case;
 5. certify each kept summand u_k primitive as the image of x1 under two
    factors: the triangular automorphism theta_k: x1 -> xi_k1 x1 +
    beta [k = 1] + T_k (k = 1 the first kept node), followed by the one
@@ -59,11 +59,13 @@ n+1.  A document's ``bound`` is still the paper's binomial, and the
 certificate shape and the document format are the same.
 
 Only the empty sum represents 0, so zero inputs get an empty summand list
-with an explanatory note.  An input of degree > 1 that is already
-gamma x_j + v + c, v in x_(j+1..d) and c a constant, is one summand,
-certified by one triangular automorphism in the ordering 1..d
-(``_triangular_summand``); it is recognized after ``poly_bound``, so the
-ceilings refuse what they refused before.
+with an explanatory note.  An input that is already gamma x_j + v, v free
+of x_j (a constant in v included), every input of degree 1 among them, is
+one summand, certified by one triangular automorphism that orders x_j
+first (``polyauto.triangular_summand``, the builder the Lie pipeline
+uses).  A nonzero constant c is (x1 + c) + (-x1), each certified the same
+way.  The shape is recognized after ``poly_bound``, so the ceilings refuse
+what they refused before.
 """
 
 from __future__ import annotations
@@ -75,14 +77,7 @@ from .errors import UnsupportedInputError
 from .field import QQ, int_to_str
 from .linalg import basis_from_rows
 from .multipoly import Polynomial
-from .polyauto import (
-    AffineAuto,
-    Certificate,
-    TriangularAuto,
-    linear_certificate,
-    replay_raw,
-    validate_certificate,
-)
+from .polyauto import AffineAuto, Certificate, TriangularAuto, replay_raw, triangular_summand, validate_certificate
 from .sparse import MAX_ARITY, element_pairs, pairs_equal, pairs_sum
 
 FINITE = "finite"
@@ -297,23 +292,6 @@ def _spread(d, pairs):
     return tuple(mono)
 
 
-def _triangular_summand(f):
-    """(f, its certificate) when f = gamma x_j + v + c, v in x_(j+1..d) and c a constant, else None.
-
-    The certificate is one triangular automorphism in the identity
-    ordering, x_j -> gamma x_j + v + c, on generator j.
-    """
-    d, terms = f.arity, f.terms
-    j = min(f.mentioned()) - 1
-    unit = _spread(d, [(j, 1)])
-    if unit not in terms or any(mono[j] for mono in terms if mono != unit):
-        return None
-    gammas, tails = [f.field.one()] * d, [Polynomial.zero(d, f.field)] * d
-    gammas[j] = terms[unit]
-    tails[j] = f._wrap({mono: c for mono, c in terms.items() if mono != unit})
-    return f, Certificate([TriangularAuto(gammas, tails)], j + 1)
-
-
 def decompose(f):
     """Decompose f into certified primitive summands, at most n + 1 of them for degree n > 1."""
     d, field = f.arity, f.field
@@ -327,18 +305,14 @@ def decompose(f):
     bound = poly_bound(f)
     if f.is_zero():
         return Decomposition(f, [], bound, notes=[ZERO_NOTE])
-    if n == 0:
-        x1 = Polynomial.variable(d, field, 1)
-        first, second = x1 + f, -x1  # f is the constant
-        summands = [(first, linear_certificate(first, f.constant_term())), (second, linear_certificate(second))]
-        return Decomposition(f, summands, bound)
-    if n == 1:
-        return Decomposition(f, [(f, linear_certificate(f, f.constant_term()))], bound)
-    if d == 1:
-        return Decomposition(f, [], bound, INFINITE)
-    summand = _triangular_summand(f)
+    summand = triangular_summand(f)
     if summand is not None:
         return Decomposition(f, [summand], bound)
+    if n == 0:  # f is a constant c: (x1 + c) + (-x1)
+        x1 = Polynomial.variable(d, field, 1)
+        return Decomposition(f, [triangular_summand(x1 + f), triangular_summand(-x1)], bound)
+    if d == 1:
+        return Decomposition(f, [], bound, INFINITE)
 
     # l, the linear part or e_1 without one, pivots on p; q is x1 when p is
     # past it and x2 otherwise, and s_k = x_p + sigma (k+1) x_q, with sigma
@@ -410,8 +384,7 @@ def decompose(f):
                 raw.update(zip(spread[mono], (c * w for w in weights[mono[1]])))
         summands.append((f._wrap_raw(den_t * den_b**n, raw), Certificate([theta, basis], 1)))
     if extra:
-        minus_x1 = -Polynomial.variable(d, field, 1)
-        summands.append((minus_x1, linear_certificate(minus_x1)))
+        summands.append(triangular_summand(-Polynomial.variable(d, field, 1)))
     return Decomposition(f, summands, bound)
 
 

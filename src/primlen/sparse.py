@@ -34,7 +34,8 @@ class SparseElement:
     """Immutable sparse element in ``arity`` generators over ``field``.
 
     Subclasses give ``_key(arity, key)``, which returns the canonical form
-    of a key or raises when the key is invalid for the arity.
+    of a key or raises when the key is invalid for the arity, and
+    ``_generator_key(arity, index)``, the key of x_index.
     """
 
     __slots__ = ("arity", "field", "terms")
@@ -112,6 +113,11 @@ class SparseElement:
     def _wrap(self, terms):
         """An element like self holding terms, which must already be canonical and nonzero."""
         return self._new(self.arity, self.field, terms)
+
+    def linear_coefficients(self):
+        """Coefficients (c_1, ..., c_d) of the generators x_1..x_d."""
+        zero, d = self.field.zero(), self.arity
+        return [self.terms.get(self._generator_key(d, i), zero) for i in range(1, d + 1)]
 
     def _raw(self):
         """(den, raw): raw maps each key of self to its int in the layout of ``FieldDescriptor.to_raw``."""

@@ -130,7 +130,7 @@ def test_polynomials_above_the_size_ceilings_are_unsupported(capsys, arity, expr
 
 def test_polynomials_at_the_size_ceilings_are_accepted():
     assert MAX_DEGREE >= 6 and MAX_NODES >= 84  # the (4, 6) headline instance
-    assert decompose(parse_poly(f"x1^{MAX_DEGREE} + x2", 2, QQ)).count == MAX_DEGREE + 1
+    assert decompose(parse_poly(f"x1^{MAX_DEGREE} + x1*x2 + x2", 2, QQ)).count == MAX_DEGREE + 1
 
 
 POWER_BITS_MESSAGE = f"a constant power of up to 199999999998 bits exceeds the ceiling of {MAX_POWER_BITS}"
@@ -248,7 +248,9 @@ def test_a_basis_change_at_a_legal_arity_is_decomposed_and_verified_in_seconds(t
     # every linear factor is a d x d matrix of given rows and unit rows; a producer or an
     # invertibility check cubic in d takes from 7 s to a minute here, so each run of the
     # CLI gets a timeout that fails the test rather than letting it hang.  The Lie input
-    # mentions x383 and x384, so its merged document keeps its 384 x 384 matrices
+    # mentions x383 and x384, so its merged document keeps its 384 x 384 matrices.  At
+    # 1,024 variables a polynomial has degree at most 1, so x1 is certified by one
+    # triangular factor of 1,024 gammas and tails, and the case times that factor
     out = tmp_path / "doc.json"
     src = str(Path(primlen.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -321,7 +323,7 @@ def _first_matrix(doc):
 @pytest.mark.parametrize(
     "args, zero_denominator",
     [
-        (["poly", "--vars", "2", "x1^2 + x2"], "1/0"),
+        (["poly", "--vars", "2", "x1^2 + x2^2 + x2"], "1/0"),
         (["lie", "--vars", "3", "--field", "F3", "[x2,x1] + [x3,x1] + x1"], "1/3"),
     ],
     ids=["Q", "F3"],
@@ -510,7 +512,7 @@ def _set_arity(doc, value):
 
 @pytest.mark.parametrize(
     "args",
-    [["poly", "--vars", "2", "x1^2 + x2 + 1"], ["lie", "--vars", "3", "--field", "F101", "[x2,x1,x3] + 2*x1"]],
+    [["poly", "--vars", "2", "x1^2 + x2^2 + x2 + 1"], ["lie", "--vars", "3", "--field", "F101", "[x2,x1,x3] + 2*x1"]],
     ids=["poly", "lie"],
 )
 @pytest.mark.parametrize(
@@ -578,9 +580,9 @@ def _spell_key(key):
 SPELLED_ARRAYS = {
     "summands": (["poly", "--vars", "2", "0"], _spell_summands),
     "certificate": (["poly", "--vars", "1", "x1"], _spell_certificate),
-    "matrix": (["poly", "--vars", "1", "x1"], _spell_matrix),
-    "matrix row": (["poly", "--vars", "2", "x1^2 + x2"], _spell_matrix_rows),
-    "offset": (["poly", "--vars", "2", "x1^2 + x2"], _spell_key("offset")),
+    "matrix": (["poly", "--vars", "2", "x1^2 + x1*x2"], _spell_matrix),
+    "matrix row": (["poly", "--vars", "2", "x1^2 + x1*x2"], _spell_matrix_rows),
+    "offset": (["poly", "--vars", "2", "x1^2 + x1*x2"], _spell_key("offset")),
     "gammas": (["poly", "--vars", "2", "x1^2 + x2"], _spell_key("gammas")),
     "tails": (["lie", "--vars", "3", "[x2,x1] + x1"], _spell_key("tails")),
     "ordering": (["lie", "--vars", "3", "[x2,x1] + x1"], _spell_key("ordering")),
@@ -787,7 +789,8 @@ def _primes(count, start):
 
 
 def test_a_decompose_above_the_common_denominator_ceiling_is_unsupported(capsys):
-    # a linear form in 1,024 variables whose coefficients have coprime 500- to 1,000-bit denominators
+    # a linear form in 1,024 variables whose coefficients have coprime 500- to 1,000-bit denominators;
+    # its one triangular factor is read with 1,024 gammas and 1,023 tail terms, all nonzero
     primes = [q for q in range(2, 9000) if _is_prime(q)][:MAX_ARITY]
     expr = " + ".join(f"x{k}/{q}^80" for k, q in enumerate(primes, start=1))
     start = perf_counter()
@@ -795,7 +798,7 @@ def test_a_decompose_above_the_common_denominator_ceiling_is_unsupported(capsys)
     assert perf_counter() - start < 5
     captured = capsys.readouterr()
     assert captured.out == ""
-    prefix = f"unsupported input: {MAX_ARITY} nonzero scalars over a common denominator of at least "
+    prefix = f"unsupported input: {2 * MAX_ARITY - 1} nonzero scalars over a common denominator of at least "
     assert captured.err.startswith(prefix)
     assert captured.err.endswith(f" bits exceed the ceiling of {MAX_RAW_BITS} bits\n")
 
@@ -821,7 +824,7 @@ def test_many_distinct_denominators_are_verified_in_bounded_memory(tmp_path, cap
     side = int(count**0.5) + 1
     monomials = [(i, j) for i in range(side) for j in range(side)][:count]
     terms = [f"1/{q}*x2^{i}*x3^{j}" for q, (i, j) in zip(_primes(count, 1 << 20), monomials)]
-    out, doc = _decompose_to(tmp_path, ["poly", "--vars", "3", "x1^2 + x2"])
+    out, doc = _decompose_to(tmp_path, ["poly", "--vars", "3", "x1 + x2^2"])
     assert doc["summands"][0]["certificate"][0]["kind"] == "triangular"
     expected = place(doc, " - ".join(terms))
     text = json.dumps(doc)
@@ -883,19 +886,27 @@ def _dense_input():
 
 
 @pytest.mark.parametrize(
-    "expr",
+    "args",
     [
-        "1/65521*x1 + 1/65519*x2 + 1/65497*x3 + x1^2 + x2*x3 - x3^3",
-        "1/65521*x1 + 1/65519*x2 + 1/65497*x3 + 5",
-        "-7/65521",
-        _dense_input(),
+        ["poly", "--vars", "3", "--", "1/65521*x1 + 1/65519*x2 + 1/65497*x3 + x1^2 + x2*x3 - x3^3"],
+        ["poly", "--vars", "3", "--", "1/65521*x1 + 1/65519*x2 + 1/65497*x3 + 5"],
+        ["poly", "--vars", "3", "--", "-7/65521"],
+        ["poly", "--vars", "3", "--", _dense_input()],
+        ["lie", "--vars", "5", "--", "6/7*x3 + 5/4*[x1,x1,x3] + 10/9*[x1,x2,x5,x5,x1] - 1/4*[x2,x2,x3,x3,x5,x1]"],
+        [
+            "lie", "--vars", "3", "--",
+            "-1/4*[x3,x3,x3] + 5/4*[x1,x3,x3,x3,x2,x1,x1] - 1/6*[x1,x3] - 8/3*[x1,x2,x2,x2] + 10/9*[x2,x2]"
+            " - 1*[x3,x2,x2] - 3/4*[x2,x1] + 3*[x2,x3,x3,x1] - 3/10*[x2,x1,x2,x2,x3,x3]",
+        ],
     ],
-    ids=["linear-part", "linear", "constant", "dense"],
+    ids=["linear-part", "linear", "constant", "dense", "lie-d5", "lie-d3"],
 )
-def test_decompose_reads_every_run_of_scalars_the_verifier_reads(tmp_path, monkeypatch, expr):
+def test_decompose_reads_every_run_of_scalars_the_verifier_reads(tmp_path, monkeypatch, args):
     # The largest den bits x nonzero scalars of one to_raw in decompose is
     # at least that of verify, so every document the verifier would refuse
-    # at the ceiling of MAX_RAW_BITS is refused by decompose first.
+    # at the ceiling of MAX_RAW_BITS is refused by decompose first.  In a
+    # Lie certificate that holds for the triangular, inner and linear
+    # factors alike, each read when it is built.
     peak = 0
     to_raw = FieldDescriptor.to_raw
 
@@ -907,7 +918,7 @@ def test_decompose_reads_every_run_of_scalars_the_verifier_reads(tmp_path, monke
 
     monkeypatch.setattr(FieldDescriptor, "to_raw", measured)
     out = tmp_path / "doc.json"
-    assert run(["decompose", "--out", str(out), "poly", "--vars", "3", "--", expr]) == 0
+    assert run(["decompose", "--out", str(out), *args]) == 0
     produced, peak = peak, 0
     assert run(["verify", str(out)]) == 0
     assert produced >= peak > 1

@@ -23,6 +23,7 @@ from primlen.polyauto import AffineAuto, certify_apply
 from primlen.polydecomp import decompose
 
 from conftest import rand_lie, rand_poly
+from test_acceptance import _perturb_certificate
 from test_golden import LIE_CORPUS, LONG_CHAINS, POLY_CORPUS
 
 
@@ -174,7 +175,7 @@ def test_values_that_are_not_strings_are_refused_as_before():
 def test_an_ordering_entry_that_is_not_an_int_is_refused(entry):
     # True == 1 and 1.0 == 1, so a permutation check alone would take either for the 1
     doc = golden("Q-d3")
-    orderings = [f["ordering"] for f in factors(doc, "triangular")]
+    orderings = [f["ordering"] for f in factors(doc, "triangular") if "ordering" in f]
     assert any(1 in ordering for ordering in orderings)
     for ordering in orderings:
         ordering[:] = [entry if i == 1 else i for i in ordering]
@@ -404,3 +405,103 @@ def test_the_int_check_agrees_with_the_element_reference(algebra_field, seed, ed
         record = doc["summands"][index % len(doc["summands"])]
         record["summand"] = _edit(record["summand"], *edit, field.p)
     assert verify_document(doc).problems == _reference_problems(dec, doc, parse)
+
+
+# Polynomial documents as they were written before one triangular factor certified
+# every summand gamma x_j + v: a summand of degree 1 took one affine factor with an
+# offset.  Lie documents of that time stated every ordering, 1..d included (below).
+OLD_LINEAR = (
+    '{"algebra":"polynomial","arity":3,"bound":1,"field":"Q","input":"2*x1 - x2 + 3/5*x3 + 1","notes":[],'
+    '"stats":{"count":1,"degree":1},"status":"finite","summands":[{"certificate":[{"kind":"affine",'
+    '"matrix":[["2","-1","3/5"],["0","1","0"],["0","0","1"]],"offset":["1","0","0"]}],"generator":1,'
+    '"summand":"2*x1 - x2 + 3/5*x3 + 1"}],"version":"primlen/1"}'
+)
+OLD_CONSTANT = (
+    '{"algebra":"polynomial","arity":3,"bound":2,"field":"Q","input":"-7/2","notes":[],'
+    '"stats":{"count":2,"degree":0},"status":"finite","summands":[{"certificate":[{"kind":"affine",'
+    '"matrix":[["1","0","0"],["0","1","0"],["0","0","1"]],"offset":["-7/2","0","0"]}],"generator":1,'
+    '"summand":"x1 - 7/2"},{"certificate":[{"kind":"affine","matrix":[["-1","0","0"],["0","1","0"],'
+    '["0","0","1"]],"offset":["0","0","0"]}],"generator":1,"summand":"-x1"}],"version":"primlen/1"}'
+)
+@pytest.mark.parametrize("text", [OLD_LINEAR, OLD_CONSTANT], ids=["linear", "constant"])
+def test_documents_written_before_the_one_triangular_builder_still_verify(text):
+    result = verify_document(document.loads(text))
+    assert result.ok, result.problems
+
+
+@pytest.mark.parametrize("name", sorted(LIE_CORPUS))
+def test_a_lie_document_that_states_the_identity_ordering_still_verifies(name):
+    doc = golden(name)
+    identity = list(range(1, doc["arity"] + 1))
+    for record in factors(doc, "triangular"):
+        record.setdefault("ordering", identity)
+    result = verify_document(doc)
+    assert result.ok, result.problems
+
+
+def test_no_document_writes_the_identity_ordering():
+    docs = [golden(name) for name in (*POLY_CORPUS, *LIE_CORPUS)]
+    orderings = [f.get("ordering") for doc in docs for f in factors(doc, "triangular")]
+    assert None in orderings and any(orderings)
+    assert all(o is None or o != sorted(o) for o in orderings)
+
+
+@pytest.mark.parametrize(
+    "ordering, message",
+    [
+        ([1, 1, 3], "factor 1: ordering (1, 1, 3) is not a permutation of 1..3"),
+        ([2, 1], "factor 1 has wrong arity"),
+    ],
+    ids=["repeated", "short"],
+)
+def test_a_polynomial_ordering_that_is_not_a_permutation_is_an_invalid_factor(ordering, message):
+    doc = golden("d3-n4")
+    factors(doc, "triangular")[0]["ordering"] = ordering
+    assert rebuild_problems(doc) == [f"summand 1: invalid elementary factor ({message})"]
+
+
+@pytest.mark.parametrize(
+    "algebra, arity, expr",
+    [("poly", 2, "x1^16 + x2"), ("poly", 4, "x1*x3 + x2 + x4^2"), ("lie", 4, "[x2,x1] + x1")],
+)
+def test_removing_a_non_identity_ordering_fails_verification(algebra, arity, expr):
+    if algebra == "poly":
+        doc = poly_document(decompose(parse_poly(expr, arity, field_from_flag("Q"))))
+    else:
+        doc = lie_document(decompose_lie(parse_lie(expr, arity, field_from_flag("Q"))))
+    doc = json.loads(json.dumps(doc))
+    assert verify_document(doc).ok
+    records = [f for f in factors(doc, "triangular") if "ordering" in f]
+    assert records
+    del records[0]["ordering"]
+    assert not verify_document(doc).ok
+
+
+class _Draw:
+    """Stands in for the rng of criterion 7: random() below 0.5 bumps the tail, otherwise the gamma."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+@pytest.mark.parametrize("draw", [0.0, 0.9], ids=["tail", "gamma"])
+@pytest.mark.parametrize(
+    "algebra, arity, expr",
+    [("poly", 3, "x2 + x3^2"), ("lie", 3, LIE_CORPUS["Q-d3"][2])],
+    ids=["poly", "lie-merged"],
+)
+def test_the_certificate_bump_of_criterion_7_hits_a_factor_the_replay_uses(draw, algebra, arity, expr):
+    # The bump edits gammas[0] or tails[0] of the first triangular factor.  Both belong to the
+    # generator the factor orders first, which is the one its certificate replays; the first
+    # summand of Q-d3 is a merged sum.
+    if algebra == "poly":
+        doc = poly_document(decompose(parse_poly(expr, arity, field_from_flag("Q"))))
+    else:
+        doc = lie_document(decompose_lie(parse_lie(expr, arity, field_from_flag("Q"))))
+    doc = json.loads(json.dumps(doc))
+    assert verify_document(doc).ok and factors(doc, "triangular")[0]["tails"][0] != "0"
+    assert _perturb_certificate(doc, _Draw(draw))
+    assert not verify_document(doc).ok

@@ -12,6 +12,11 @@ summand of degree > 1 is certified by a triangular factor and one basis
 change B_k, whose rows are the input's linear part and s_k in the input's
 own coordinates.
 
+In both algebras a summand gamma x_j + v with v free of x_j, every
+summand of degree 1 included (the linear input, and x1 + c and -x1 of the
+constant), is certified by one triangular factor ordering x_j first, and a
+triangular record states its ordering only when it is not 1..d.
+
 A Lie document holds the summands left once every pair whose sum is
 gamma x_j + v, v free of x_j, has been merged, against the paper's bound
 (the scaling in front of an inner factor, in Q-d3 and F2-d4, is a
@@ -50,11 +55,11 @@ POLY_CORPUS = {
     ),
     "constant": (
         3, "-7/2",
-        "63d904cb618bf7fb632233cd1e87de28a31ccc51df9547b760819c6c6205b1d5",
+        "2df2fb2b639e0f89bf1db6f42b24de137394e2b023ad4a8d6a4bce0f7c0deafb",
     ),
     "linear": (
         3, "2*x1 - x2 + 3/5*x3 + 1",
-        "35461380907565f86fc1f6372831eb8a9de75793d0da45371d062c08784ee4c9",
+        "2ec5539660ffc1b64882840484f194392663708f2aef8e0fcc750ef6c71ee29e",
     ),
     # Every monomial of degree <= 4 present: every node 0..4 keeps a tail,
     # so n + 1 = 5 summands against the bound of 15.
@@ -85,7 +90,7 @@ POLY_CORPUS = {
 LIE_CORPUS = {
     "Q-d3": (
         3, "Q", "[x2,x1,x3] - 3/2*[x3,x1] + x1 - 2*x3",
-        "54f926363af27652361edf209b6406117f7466a7d23404bea33a88a55c8c61e5",
+        "54240319965dc591c3fb66d4f1c57a071dd29d44f34f17976572dc46ed91655d",
     ),
     "F2-d4": (
         4, "F2", "[x2,x1,x1] + [x4,x3] + [x3,x1,x2,x4] + x2",
@@ -103,23 +108,23 @@ LIE_CORPUS = {
     # x3 first; Q-d4-second-candidate below still shows a completion.
     "Q-d4-quadratic": (
         4, "Q", "[x2,x1] + x1",
-        "a99f56266fa5e1aba8c711f588fa8ede6355ac362940c3abf7bdaca5bae69cff",
+        "6bdec7b69fcfe329798e93b405f8297b8aff52b9b4735dd6c0fdc9984475c51f",
     ),
     "F2-d4-quadratic": (
         4, "F2", "[x2,x1] + [x4,x1]",
-        "1d1cab7f25e43aebbe6eced1ac70f5659101272304a74d485549b575ef31dae0",
+        "8e2ee77af057fae09299293563cfa651b679bb690a769f205150b66201c51070",
     ),
     # beta = (1, 1) over F2 is dependent on the only candidate pair, so the
     # last summand splits and the ``extra`` fallback chooses z' = (1, 0).
     "F2-d3-extra": (
         3, "F2", "[x2,x1] + [x3,x1]",
-        "36839e84636c714c8e263b76591d4472ac4fb42a5db328b17dd2038c71242516",
+        "9714e4db8c2839a179ef2ba1e484a4b6ad46ceb7ae5433a09597f5e4b0b4e9ee",
     ),
     # beta = (0, 1, 1) is dependent on the first candidate (1, 1), so (1, 2) wins;
     # its quadratic summand keeps the triangular factor and the basis change.
     "Q-d4-second-candidate": (
         4, "Q", "[x3,x1] + [x4,x1] + x1",
-        "292909cd027295f06b3835547c55c5f5a2d5f14ff50eec4a804626e1e86e12d4",
+        "07767d75b670202429d9f00fec110f41e0c4a167fc24a807d77a80a0413dbb98",
     ),
     # beta = (0, 1, 0) over F2: the last slots hold (1, 0), which depends on
     # the first prime (1, 0), so the ``extra`` split takes z' = (0, 1).

@@ -81,8 +81,9 @@ def test_lattice_nodes_levels(n, d):
     # = -1 when l_q/l_p > 0.  B_k has the rows l and s_k and then the unit
     # rows off {p, q} in index order, and is invertible at every node:
     # l = x1 + x2 + x3 takes sigma = -1, x1 + 3*x2 a ratio equal to k + 1
-    # for k = 2, and x2 + x3 its pivot past x1.  x1^n keeps the input off
-    # the one-summand shape gamma x_j + v.  The nodes 0..e serve degree e.
+    # for k = 2, and x2 + x3 its pivot past x1.  x1^n and x1^(n-1) x_i for
+    # i > 1 put every variable in a term of degree n, which keeps the input
+    # off the one-summand shape gamma x_j + v.  The nodes 0..e serve degree e.
     rng = random.Random(f"nodes:{n}:{d}")
     cases = [
         ([], 0, 1, 1),
@@ -94,6 +95,8 @@ def test_lattice_nodes_levels(n, d):
     for coeffs, p, q, sigma in cases:
         terms = {m: c for m, c in seeded_input(rng, d, n, dense=False).terms.items() if sum(m) != 1}
         terms[(n,) + (0,) * (d - 1)] = QQ(1)
+        for i in range(1, d):
+            terms[(n - 1,) + tuple(int(j == i) for j in range(1, d))] = QQ(1)
         f = Polynomial(d, QQ, terms) + linear_part(d, [QQ(c) for c in coeffs])
         dec = decompose(f)
         ell = coeffs + [0] * (d - len(coeffs)) if coeffs else [1] + [0] * (d - 1)
@@ -234,18 +237,18 @@ def test_linearize_already_normalized():
         (3, "x3^2", 2),
         (3, "x1 + x2 + x3 + x1*x2*x3", 3),
         (3, "2*x3 - x2 + x1^2 + x2^2*x3", 3),
-        (4, "1/2*x1 + 3/2*x2 - x4 + x1^3 + x3^2 + 7", 4),
+        (4, "1/2*x1 + 3/2*x2 - x4 + x1^3 + x3^2 + x2*x4 + 7", 4),
     ],
 )
 def test_every_polynomial_certificate_is_triangular_then_affine(arity, text, count):
     # theta_k, then the one basis change B_k; a lone node without a linear
-    # part (x3^2) adds -x1, whose certificate is its one affine factor
+    # part (x3^2) adds -x1, whose certificate is its one triangular factor
     dec = decompose(parse_poly(text, arity, QQ))
     assert dec.count == count
     for summand, cert in dec.summands:
         kinds = [type(factor) for factor in cert.chain]
         if summand == -Polynomial.variable(arity, QQ, 1):
-            assert kinds == [AffineAuto]
+            assert kinds == [TriangularAuto] and cert.generator_index == 1
         else:
             assert kinds == [TriangularAuto, AffineAuto] and cert.generator_index == 1
     assert_verifies(dec)
@@ -265,13 +268,17 @@ def test_an_input_that_is_gamma_xj_plus_later_variables_is_one_summand(expr, ari
     dec = decompose(f)
     assert dec.count == 1 and dec.summands[0][0] == f
     (theta,), j = dec.summands[0][1].chain, dec.summands[0][1].generator_index
-    assert j == generator and theta.ordering == tuple(range(1, arity + 1))
+    assert j == generator and theta.ordering == (j,) + tuple(i for i in range(1, arity + 1) if i != j)
     assert verify_document(loads(dumps(poly_document(dec)))).ok
 
 
-def test_x1_to_the_16_plus_x2_still_takes_every_node():
-    # x2 + v with v in x1: in the ordering 1..d the tail of x2 may not mention x1
-    assert decompose(parse_poly("x1^16 + x2", 2, QQ)).count == 17
+def test_x1_to_the_16_plus_x2_is_one_summand():
+    # x2 + v with v in x1: the one triangular factor orders x2 first
+    dec = decompose(parse_poly("x1^16 + x2", 2, QQ))
+    assert dec.count == 1
+    (theta,) = dec.summands[0][1].chain
+    assert theta.ordering == (2, 1) and dec.summands[0][1].generator_index == 2
+    assert_verifies(dec)
 
 
 def test_assign_linear_coeffs():
@@ -460,9 +467,8 @@ def decomposable_polys(draw):
 
 
 def is_triangular(f):
-    """Whether f = gamma x_j + v + c with gamma != 0, v in x_(j+1..d) and c a constant."""
-    j = min(min(i for i, e in enumerate(m) if e) for m in f.terms if any(m))
-    return [m for m in f.terms if m[j]] == [tuple(int(i == j) for i in range(f.arity))]
+    """Whether f = gamma x_j + v with gamma != 0 and v free of x_j (a constant in v included), for some j."""
+    return any([m for m in f.terms if m[j]] == [tuple(int(i == j) for i in range(f.arity))] for j in range(f.arity))
 
 
 def tailed_count(f):
