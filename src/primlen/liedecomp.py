@@ -27,10 +27,8 @@ search.
 The factors, ``InnerLieAuto`` included, are plain records, checked by
 nothing when built; ``polyauto.validate_certificate``, which
 ``check_summands`` runs before any replay, is the only validity check.
-Each is read to ints when it is built (``TriangularAuto.raw``,
-``AffineAuto.raw``, the inner element's ``_raw``), the read its
-``raw_images`` makes in the verifier's replay, so ``decompose_lie`` meets
-the ceiling of ``FieldDescriptor.to_raw`` on every run the verifier reads.
+``decompose_lie`` reads each factor it keeps once, as the verifier's
+replay reads it (``polydecomp.read_factors``).
 
 The pipeline normalizes the linear part to delta x1, splits off the
 commutator words containing x1, buckets them by a trailing generator that
@@ -51,7 +49,7 @@ from .errors import UnsupportedInputError
 from .linalg import basis_from_rows, pivot_columns
 from .metalie import LieElement, _inner_raw, bracket, split_parts
 from .polyauto import AffineAuto, Certificate, apply_images, linearize, triangular_certificate, triangular_summand
-from .polydecomp import ZERO_NOTE, Decomposition, Record, check_summands
+from .polydecomp import ZERO_NOTE, Decomposition, Record, check_summands, read_factors
 
 
 # -- the inner automorphism ----------------------------------------------------
@@ -74,8 +72,11 @@ class InnerLieAuto:
             return ["inner automorphism element has a linear part"]
         return []
 
+    def raw(self):
+        return self.element._raw()
+
     def raw_images(self, like):
-        return _inner_raw(self.element._raw(), self.arity, like.field.p)
+        return _inner_raw(self.raw(), self.arity, like.field.p)
 
 
 def lie_bound(d, field):
@@ -219,7 +220,6 @@ def choose_lie_coeffs(d, delta, beta, field):
 def _inner_cert(gen, gamma, w):
     """Certificate for gamma x_gen + [w, x_gen]: the scaling x_gen -> gamma x_gen, then inner."""
     inner = InnerLieAuto(w.scale(-gamma.inverse()))
-    inner.element._raw()
     return Certificate(triangular_certificate(gen, gamma, w._wrap({})).chain + [inner], gen)
 
 
@@ -233,7 +233,6 @@ def _quadratic_cert(zeta_coeffs, beta, d, field):
     y2 = [field.zero()] + list(beta)
     y3 = [field.one()] + [field.zero()] * (d - 1)
     basis_change = AffineAuto(basis_from_rows([y1, y2, y3], field))
-    basis_change.raw()
     tail = bracket(LieElement.generator(d, field, 2), LieElement.generator(d, field, 3))
     return Certificate(triangular_certificate(1, field.one(), tail).chain + [basis_change], 1)
 
@@ -324,7 +323,7 @@ def decompose_lie(f):
         return Decomposition(f, [], bound, notes=[ZERO_NOTE])
     summand = triangular_summand(f)
     if summand is not None:
-        return Decomposition(f, [summand], bound)
+        return Decomposition(f, read_factors([summand]), bound)
 
     rho_inv, g = linearize(f)
     delta = 0 if rho_inv is None else 1
@@ -372,7 +371,7 @@ def decompose_lie(f):
             (apply_images(images, element), Certificate(cert.chain + [rho_inv], cert.generator_index))
             for element, cert in summands
         ]
-    return Decomposition(f, _merge_triangular(summands, field.p), bound)
+    return Decomposition(f, read_factors(_merge_triangular(summands, field.p)), bound)
 
 
 def verify_lie(dec):

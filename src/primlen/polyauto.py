@@ -17,14 +17,15 @@ verifier runs before any replay, is the only place that calls it.
 A factor does not know its algebra: ``raw_images(like)`` gives the
 images of the generators in the algebra of the element ``like`` as (den,
 raw) pairs, ints over one denominator in the layout of
-``FieldDescriptor.to_raw``, read with one ``to_raw`` per factor: an affine
-factor from its matrix and offset (the read its invertibility check also
-runs on), a triangular factor from its gammas and tails, an inner factor
-from its element.  ``apply_images`` applies them with the element's raw
-core (``multipoly._substitute_raw`` or ``metalie._apply_endo_raw``,
-within ``metalie.DEGREE_CAP``).  A certificate is a chain of factors
-plus a generator index; replaying the chain (innermost first) on that
-generator reproduces a primitive element.
+``FieldDescriptor.to_raw``, read with one ``to_raw`` per factor (its
+``raw()``): an affine factor from its matrix and offset (the read its
+invertibility check also runs on), a triangular factor from its gammas
+and tails, an inner factor from its element.  ``apply_images`` applies
+them with the element's raw core (``multipoly._substitute_raw`` or
+``metalie._apply_endo_raw``, within ``metalie.DEGREE_CAP``).  A
+certificate is a chain of factors plus a generator index; replaying the
+chain (innermost first) on that generator reproduces a primitive
+element.
 ``replay_raw`` replays on ints from the factors' entries to the result:
 runs of consecutive affine factors are composed on their int rows, and
 every element, the result included, stays a (den, raw) pair.  The
@@ -38,7 +39,7 @@ summands (``polydecomp``) and of the Lie quadratic summand, and
 One builder serves the simplest primitive shape of both algebras, gamma
 x_j + v with v free of x_j: ``triangular_summand`` recognizes it and
 ``triangular_certificate`` certifies it by one triangular factor ordering
-x_j first, read to ints as the verifier's replay reads it.
+x_j first.
 """
 
 from __future__ import annotations
@@ -175,14 +176,14 @@ class TriangularAuto:
                 problems.append(f"tail of x{gen} mentions forbidden generator x{min(forbidden)}")
         return problems
 
-    def raw(self, field):
+    def raw(self):
         """(den, ints): the gammas, then every tail's coefficients, read with one ``to_raw``."""
-        return field.to_raw(self.gammas + [c for tail in self.tails for c in tail.terms.values()])
+        return self.tails[0].field.to_raw(self.gammas + [c for tail in self.tails for c in tail.terms.values()])
 
     def raw_images(self, like):
         """The images gamma x_gen + tail; a tail never mentions its own generator (``validate``)."""
         d = like.arity
-        den, ints = self.raw(like.field)
+        den, ints = self.raw()
         rest = iter(ints[len(self.gammas) :])
         images = [None] * d
         for gen, gamma, tail in zip(self.ordering, ints, self.tails):
@@ -279,15 +280,11 @@ def triangular_certificate(j, gamma, tail):
     """The certificate of gamma x_j + tail, tail free of x_j: one triangular factor ordering x_j first.
 
     The ordering is j, then 1..d without j; the tail of x_j is ``tail``,
-    every other gamma is 1 and every other tail zero.  The factor is read
-    to ints here (``TriangularAuto.raw``), the read of the verifier's
-    replay, so the producer refuses every run of scalars past the ceiling
-    of ``FieldDescriptor.to_raw`` that the verifier would.
+    every other gamma is 1 and every other tail zero.
     """
     d = tail.arity
     ordering = (j,) + tuple(i for i in range(1, d + 1) if i != j)
     auto = TriangularAuto([gamma] + [tail.field.one()] * (d - 1), [tail] + [tail._wrap({})] * (d - 1), ordering)
-    auto.raw(tail.field)
     return Certificate([auto], j)
 
 

@@ -307,10 +307,10 @@ def decompose(f):
         return Decomposition(f, [], bound, notes=[ZERO_NOTE])
     summand = triangular_summand(f)
     if summand is not None:
-        return Decomposition(f, [summand], bound)
+        return Decomposition(f, read_factors([summand]), bound)
     if n == 0:  # f is a constant c: (x1 + c) + (-x1)
         x1 = Polynomial.variable(d, field, 1)
-        return Decomposition(f, [triangular_summand(x1 + f), triangular_summand(-x1)], bound)
+        return Decomposition(f, read_factors([triangular_summand(x1 + f), triangular_summand(-x1)]), bound)
     if d == 1:
         return Decomposition(f, [], bound, INFINITE)
 
@@ -384,8 +384,20 @@ def decompose(f):
                 raw.update(zip(spread[mono], (c * w for w in weights[mono[1]])))
         summands.append((f._wrap_raw(den_t * den_b**n, raw), Certificate([theta, basis], 1)))
     if extra:
-        summands.append(triangular_summand(-Polynomial.variable(d, field, 1)))
+        summands += read_factors([triangular_summand(-Polynomial.variable(d, field, 1))])
     return Decomposition(f, summands, bound)
+
+
+def read_factors(summands):
+    """The (summand, certificate) pairs, each factor read to ints (``raw``) as the verifier's replay reads it.
+
+    So a producer refuses every run of scalars past the ceiling of
+    ``FieldDescriptor.to_raw`` that the verifier would.
+    """
+    for _, cert in summands:
+        for auto in cert.chain:
+            auto.raw()
+    return summands
 
 
 def check_summands(dec):

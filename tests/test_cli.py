@@ -252,12 +252,35 @@ def test_a_basis_change_at_a_legal_arity_is_decomposed_and_verified_in_seconds(t
     # 1,024 variables a polynomial has degree at most 1, so x1 is certified by one
     # triangular factor of 1,024 gammas and tails, and the case times that factor
     out = tmp_path / "doc.json"
+    _run_cli_in_seconds("decompose", *args, "--out", str(out))
+    _run_cli_in_seconds("verify", str(out))
+
+
+def test_an_earlier_affine_factor_at_1024_variables_is_verified_in_seconds(tmp_path):
+    # a degree-1 polynomial document as written before every summand gamma x_j + v took one
+    # triangular factor: x1 + 2*x2 + ... + 1024*x1024 + 1 as the image of x1 under one affine
+    # factor, the 1,024 x 1,024 matrix basis_from_rows([l]) and the offset (1, 0, ..., 0)
+    d = MAX_ARITY
+    linear = " + ".join(["x1"] + [f"{k}*x{k}" for k in range(2, d + 1)]) + " + 1"
+    matrix = [[str(k) for k in range(1, d + 1)]] + [["1" if i == j else "0" for i in range(d)] for j in range(1, d)]
+    record = {"kind": "affine", "matrix": matrix, "offset": ["1"] + ["0"] * (d - 1)}
+    doc = {
+        "algebra": "polynomial", "arity": d, "bound": 1, "field": "Q", "input": linear, "notes": [],
+        "stats": {"count": 1, "degree": 1}, "status": "finite",
+        "summands": [{"certificate": [record], "generator": 1, "summand": linear}], "version": "primlen/1",
+    }
+    out = tmp_path / "doc.json"
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    _run_cli_in_seconds("verify", str(out))
+
+
+def _run_cli_in_seconds(*command):
+    """Run the CLI in a new process with a 10 s timeout, which fails the test rather than letting it hang."""
     src = str(Path(primlen.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     cli = [sys.executable, "-c", "import sys; from primlen.cli import main; sys.exit(main(sys.argv[1:]))"]
-    for command in (["decompose", *args, "--out", str(out)], ["verify", str(out)]):
-        done = subprocess.run(cli + command, env=env, capture_output=True, text=True, timeout=10)
-        assert (done.returncode, done.stderr) == (0, "")
+    done = subprocess.run(cli + list(command), env=env, capture_output=True, text=True, timeout=10)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
@@ -906,7 +929,7 @@ def test_decompose_reads_every_run_of_scalars_the_verifier_reads(tmp_path, monke
     # at least that of verify, so every document the verifier would refuse
     # at the ceiling of MAX_RAW_BITS is refused by decompose first.  In a
     # Lie certificate that holds for the triangular, inner and linear
-    # factors alike, each read when it is built.
+    # factors alike, each read once after the merge keeps it.
     peak = 0
     to_raw = FieldDescriptor.to_raw
 
